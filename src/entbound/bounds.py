@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .criteria import (OptimizerBudget, build_witness, minimize_witness,
-                       partial_transpose_norm, realign_norm, witness_value)
+from .criteria import (CriteriaVerdict, OptimizerBudget, evaluate_criteria,
+                       minimize_witness)
 from .linalg import DimensionError
 from .spinspace import CoupledSpinSystem
 from .states import as_matrix
@@ -90,25 +90,20 @@ class BoundReport:
     eof_lower: float
 
 
-def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
-                            budget: OptimizerBudget | None = None) -> BoundReport:
-    """Evaluate all criterion functionals on a state and derive both bounds.
+def report_from_verdict(verdict: CriteriaVerdict, n: int,
+                        f_witness_optimized: float | None = None) -> BoundReport:
+    """Derive both bounds from the three functionals that one verdict carries.
 
     Raw (possibly negative) functional values are reported as-is; clamping
-    to zero happens only in the derived concurrence bound.  With
-    ``optimize`` the witness functional is additionally sharpened by
-    minimizing over product-unitary twists.
+    to zero happens only in the derived concurrence bound.
+    ``f_witness_optimized`` is minus the minimized twisted-witness value.
     """
-    n = sys.n
-    m = as_matrix(rho)
-    f_ppt = partial_transpose_norm(m, sys) - 1.0
-    f_realign = realign_norm(m, sys) - 1.0
-    f_w = -witness_value(build_witness(sys), m)
-    f_opt = None
-    if optimize:
-        val, _, _ = minimize_witness(m, sys, budget)
-        f_opt = -val
-    candidates = [f_ppt, f_realign, f_w] + ([f_opt] if f_opt is not None else [])
+    f_ppt = verdict.trace_norm_T2 - 1.0
+    f_realign = verdict.trace_norm_R - 1.0
+    f_w = -verdict.witness_value
+    candidates = [f_ppt, f_realign, f_w]
+    if f_witness_optimized is not None:
+        candidates.append(f_witness_optimized)
     best = max(candidates)
     # "+ 0.0" normalizes -0.0 from clamped negative functionals
     conc = float(np.sqrt(2 / (n * (n - 1))) * max(best, 0.0) + 0.0)
@@ -117,32 +112,55 @@ def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
         f_ppt=f_ppt,
         f_realign=f_realign,
         f_witness=f_w,
-        f_witness_optimized=f_opt,
+        f_witness_optimized=f_witness_optimized,
         concurrence_lower=conc,
         lambda0=lam0,
         eof_lower=min_schmidt_entropy_hull(lam0, n),
     )
 
 
+def eof_from_verdict(verdict: CriteriaVerdict, n: int, include_witness: bool = True,
+                     f_witness_optimized: float | None = None) -> float:
+    """Entanglement-of-formation lower bound from the functionals of one verdict.
+
+    With ``include_witness`` the constraint value is the maximum of all
+    three functionals (and ``f_witness_optimized``, when given) plus one;
+    without it only the two trace norms enter (the older two-functional
+    bound, always weaker or equal).
+    """
+    candidates = [verdict.trace_norm_T2, verdict.trace_norm_R]
+    if include_witness:
+        candidates.append(1.0 - verdict.witness_value)
+        if f_witness_optimized is not None:
+            candidates.append(1.0 + f_witness_optimized)
+    lam0 = float(min(max(max(candidates), 1.0), float(n)))
+    return min_schmidt_entropy_hull(lam0, n)
+
+
+def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
+                            budget: OptimizerBudget | None = None) -> BoundReport:
+    """Evaluate the criteria on a state and apply :func:`report_from_verdict`.
+
+    ``optimize`` adds the witness functional sharpened over product unitaries.
+    """
+    m = as_matrix(rho)
+    verdict = evaluate_criteria(m, sys)
+    f_opt = -minimize_witness(m, sys, budget)[0] if optimize else None
+    return report_from_verdict(verdict, sys.n, f_opt)
+
+
 def eof_lower_bound(rho, sys: CoupledSpinSystem, include_witness: bool = True,
                     optimize: bool = False,
                     budget: OptimizerBudget | None = None) -> float:
-    """Entanglement-of-formation lower bound via the minimal-entropy hull.
+    """Evaluate the criteria on a state and apply :func:`eof_from_verdict`.
 
-    With ``include_witness`` (default) the constraint value is the maximum
-    of all three functionals plus one; without it only the two trace norms
-    enter (the older two-functional bound, always weaker or equal).
+    ``optimize`` (with ``include_witness``) adds the sharpened witness functional.
     """
-    n = sys.n
     m = as_matrix(rho)
-    candidates = [partial_transpose_norm(m, sys), realign_norm(m, sys)]
-    if include_witness:
-        candidates.append(1.0 - witness_value(build_witness(sys), m))
-        if optimize:
-            val, _, _ = minimize_witness(m, sys, budget)
-            candidates.append(1.0 - val)
-    lam0 = float(min(max(max(candidates), 1.0), float(n)))
-    return min_schmidt_entropy_hull(lam0, n)
+    verdict = evaluate_criteria(m, sys)
+    f_opt = (-minimize_witness(m, sys, budget)[0]
+             if include_witness and optimize else None)
+    return eof_from_verdict(verdict, sys.n, include_witness, f_opt)
 
 
 @dataclass(frozen=True)
@@ -170,32 +188,21 @@ def family_bounds_closed_form(n: int, lam: float) -> FamilyCurvePoint:
     """Exact bound curves for the singlet/Werner family.
 
     Concurrence: the witness line sqrt(2(n-1)/n) (n-2)/(n-1) lam, the
-    piecewise partial-transpose curve with breakpoints at 1/(n+2) and 1/2,
-    the realignment curve with its single breakpoint at 1/(n+2) (negative
-    below it), and the upper line sqrt(2(n-1)/n) lam.  Entanglement of
-    formation: hull of the minimal-entropy profile at the constraint value
-    with and without the witness functional, plus the upper line lam log2 n.
+    partial-transpose and realignment curves sqrt(2/(n(n-1))) (norm - 1)
+    over the exact norms of :func:`closedform.family_trace_norms` (the
+    realignment curve is negative below lam = 1/(n+2)), and the upper line
+    sqrt(2(n-1)/n) lam.  Entanglement of formation: hull of the
+    minimal-entropy profile at the constraint value with and without the
+    witness functional, plus the upper line lam log2 n.
     """
+    t2_norm, re_norm = closedform.family_trace_norms(n, lam)  # validates n, lam
     n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise DimensionError(f"local dimension must be even and >= 4, got {n}")
-    if not 0 <= lam <= 1:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
     pref = np.sqrt(2 * (n - 1) / n)
+    scale = np.sqrt(2 / (n * (n - 1)))
 
     raw_witness = float(pref * (n - 2) / (n - 1) * lam)
-    if lam <= 1 / (n + 2):
-        raw_ppt = 0.0
-    elif lam <= 0.5:
-        raw_ppt = float(pref * (n - 2) / (n * (n - 1)) * ((n + 2) * lam - 1))
-    else:
-        raw_ppt = float(pref * (n * lam - 1) / (n - 1))
-    if lam <= 1 / (n + 2):
-        raw_realign = float(pref * (-2 * lam) / (n - 1))
-    else:
-        raw_realign = float(pref * (n * lam - 1) / (n - 1))
-
-    t2_norm, re_norm = closedform.family_trace_norms(n, lam)
+    raw_ppt = float(scale * (t2_norm - 1))
+    raw_realign = float(scale * (re_norm - 1))
     lam0_new = min(max(max(n * lam, (n - 2) * lam + 1.0), 1.0), float(n))
     lam0_old = min(max(max(t2_norm, re_norm), 1.0), float(n))
 

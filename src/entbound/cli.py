@@ -18,11 +18,9 @@ import sys as _sys
 import numpy as np
 
 from . import closedform
-from .bounds import (concurrence_lower_bound, eof_lower_bound,
-                     family_bounds_closed_form)
+from .bounds import eof_from_verdict, family_bounds_closed_form, report_from_verdict
 from .criteria import (OptimizerBudget, build_witness, evaluate_criteria,
-                       partial_transpose_norm, realign_norm, twisted_witness,
-                       witness_value)
+                       minimize_witness, twisted_witness, witness_value)
 from .linalg import hermitian_spectrum
 from .spinspace import coupled_system
 from .states import (DensityMatrix, family_state, haar_unitary, load_state,
@@ -51,12 +49,13 @@ def _even_n(value: str) -> int:
 def _family_row(sys_, lam: float) -> list[str]:
     rho = family_state(sys_, lam).matrix
     n = sys_.n
-    report = concurrence_lower_bound(rho, sys_)
+    verdict = evaluate_criteria(rho, sys_)
+    report = report_from_verdict(verdict, n)
     t2 = report.f_ppt + 1.0
     rn = report.f_realign + 1.0
     scale = np.sqrt(2 / (n * (n - 1)))
     eof_new = report.eof_lower
-    eof_old = eof_lower_bound(rho, sys_, include_witness=False)
+    eof_old = eof_from_verdict(verdict, n, include_witness=False)
     return [_fmt(lam), _fmt(-report.f_witness + 0.0),
             _fmt(scale * max(report.f_witness, 0.0) + 0.0),
             _fmt(t2), _fmt(scale * max(report.f_ppt, 0.0) + 0.0),
@@ -85,16 +84,16 @@ def cmd_bounds(args) -> int:
     if not isinstance(state, DensityMatrix):
         state = DensityMatrix(n_local=state.n_local, matrix=state.projector())
     sys_ = coupled_system(state.n_local)
-    budget = None
+    if args.optimize and args.seed is None:
+        print("error: --optimize requires an explicit --seed", file=_sys.stderr)
+        return 1
+    verdict = evaluate_criteria(state.matrix, sys_)
+    f_opt = None
     if args.optimize:
-        if args.seed is None:
-            print("error: --optimize requires an explicit --seed", file=_sys.stderr)
-            return 1
         budget = OptimizerBudget(restarts=args.restarts, iterations=args.iterations,
                                  seed=args.seed)
-    report = concurrence_lower_bound(state.matrix, sys_, optimize=args.optimize,
-                                     budget=budget)
-    verdict = evaluate_criteria(state.matrix, sys_)
+        f_opt = -minimize_witness(state.matrix, sys_, budget)[0]
+    report = report_from_verdict(verdict, sys_.n, f_opt)
     out = {
         "n_local": state.n_local,
         "f_ppt": report.f_ppt,
@@ -194,11 +193,11 @@ class _Checker:
 
 def _verify_witness(ck: _Checker, n: int, tol: float) -> None:
     sys_ = coupled_system(n)
-    ws = [build_witness(sys_, form) for form in ("lifted", "swap", "spectral")]
-    err = max(float(np.abs(a.matrix - b.matrix).max())
-              for a, b in ((ws[0], ws[1]), (ws[1], ws[2])))
+    w = build_witness(sys_).matrix
+    err = max(float(np.abs(closedform.lifted_witness(sys_) - w).max()),
+              float(np.abs(w - closedform.spectral_witness(sys_)).max()))
     ck.check(f"witness-forms-agree n={n}", err, max(tol, 1e-10))
-    evals, _ = hermitian_spectrum(ws[1].matrix)
+    evals, _ = hermitian_spectrum(w)
     spec_err = 0.0
     mult_err = 0
     pos = 0
@@ -211,22 +210,19 @@ def _verify_witness(ck: _Checker, n: int, tol: float) -> None:
     ck.check(f"witness-spectrum n={n}", spec_err + mult_err, max(tol, 1e-9))
     psi = sys_.singlet
     ck.check(f"witness-singlet-expectation n={n}",
-             abs(float((psi.conj() @ ws[1].matrix @ psi).real) + (n - 2)), max(tol, 1e-10))
+             abs(float((psi.conj() @ w @ psi).real) + (n - 2)), max(tol, 1e-10))
 
 
 def _verify_appendix_b(ck: _Checker, n: int, tol: float) -> None:
     sys_ = coupled_system(n)
-    w = build_witness(sys_)
     norm_err = 0.0
     wit_err = 0.0
     for k in range(101):
         lam = k / 100
-        rho = family_state(sys_, lam).matrix
+        v = evaluate_criteria(family_state(sys_, lam).matrix, sys_)
         t2_ref, re_ref = closedform.family_trace_norms(n, lam)
-        norm_err = max(norm_err,
-                       abs(partial_transpose_norm(rho, sys_) - t2_ref),
-                       abs(realign_norm(rho, sys_) - re_ref))
-        wit_err = max(wit_err, abs(witness_value(w, rho)
+        norm_err = max(norm_err, abs(v.trace_norm_T2 - t2_ref), abs(v.trace_norm_R - re_ref))
+        wit_err = max(wit_err, abs(v.witness_value
                                    - closedform.family_witness_expectation(n, lam)))
     ck.check(f"trace-norms-vs-closed-form n={n}", norm_err, tol)
     ck.check(f"witness-value-vs-closed-form n={n}", wit_err, 1e-12)
@@ -263,12 +259,13 @@ def _verify_figures(ck: _Checker, n: int, tol: float) -> None:
     for k in range(101):
         lam = k / 100
         point = family_bounds_closed_form(n, lam)
-        rho = family_state(sys_, lam).matrix
-        report = concurrence_lower_bound(rho, sys_)
+        verdict = evaluate_criteria(family_state(sys_, lam).matrix, sys_)
+        report = report_from_verdict(verdict, n)
         err_w = max(err_w, abs(scale * max(report.f_witness, 0.0) - point.bound_witness))
         err_p = max(err_p, abs(scale * max(report.f_ppt, 0.0) - point.bound_ppt))
         err_eof = max(err_eof, abs(report.eof_lower - point.eof_new),
-                      abs(eof_lower_bound(rho, sys_, include_witness=False) - point.eof_old))
+                      abs(eof_from_verdict(verdict, n, include_witness=False)
+                          - point.eof_old))
     ck.check(f"figure-concurrence-curves n={n}", max(err_w, err_p), tol)
     ck.check(f"figure-eof-curves n={n}", err_eof, tol)
     cross = family_bounds_closed_form(n, 0.5)

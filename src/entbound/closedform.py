@@ -5,7 +5,9 @@ transposed and realigned trace norms and for the witness expectation; the
 witness spectrum has exact eigenvalues with counting-formula multiplicities.
 These functions evaluate those expressions directly from the formulas, with
 no matrix algebra, so agreement with the numeric route is a genuine
-end-to-end check.
+end-to-end check.  Two further constructions of the witness matrix, from
+its definition as a lifted map and from its spectral decomposition, serve
+as references for the swap form that :func:`criteria.build_witness` uses.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import extended_reduction_map
 from .linalg import DimensionError
-from .spinspace import CoupledSpinSystem
+from .spinspace import CoupledSpinSystem, total_spin_projectors
 
 
 def _check_args(n: int, lam: float) -> int:
@@ -64,6 +67,23 @@ def witness_spectrum(n: int) -> list[tuple[float, int]]:
     zero_mult = sum(2 * j + 1 for j in range(1, n, 2))
     two_mult = sum(2 * j + 1 for j in range(2, n - 1, 2))
     return [(-(n - 2.0), 1), (0.0, zero_mult), (2.0, two_mult)]
+
+
+def lifted_witness(sys: CoupledSpinSystem) -> np.ndarray:
+    """N (I otimes Phi)(P_0): the extended reduction map on each subsystem-2 block."""
+    n = sys.n
+    p0 = np.outer(sys.singlet, sys.singlet.conj()).reshape(n, n, n, n)
+    w = np.empty_like(p0)
+    for i, j in np.ndindex(n, n):
+        w[i, :, j, :] = n * extended_reduction_map(p0[i, :, j, :], sys)
+    return w.reshape(n * n, n * n)
+
+
+def spectral_witness(sys: CoupledSpinSystem) -> np.ndarray:
+    """-(N-2) P_0 + 2 (P_2 + ... + P_{N-2}), as accurate as total_spin_projectors."""
+    n = sys.n
+    projs = total_spin_projectors(n)
+    return -(n - 2) * projs[0] + 2 * sum(projs[2:n - 1:2])
 
 
 @dataclass(frozen=True, eq=False)

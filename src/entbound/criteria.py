@@ -1,4 +1,4 @@
-"""Separability criteria: positive map, lifted maps, realignment, witness.
+"""Separability criteria: positive map, realignment, witness.
 
 The distinguished positive (but not completely positive) map used here is
 the time-reversal extension of the reduction map,
@@ -8,23 +8,24 @@ the time-reversal extension of the reduction map,
 defined for even local dimension N >= 4.  Lifting it to the second factor
 of C^N otimes C^N and applying it to the singlet produces a Hermitian
 witness operator that detects entangled states with positive partial
-transpose.  Trace-norm criteria (partial transpose / realignment) live here
-as well, so one call can evaluate all three detectors on a state.
+transpose; here it is built in its swap form I - N P_0 - F (the lifted and
+spectral constructions live in :mod:`closedform` as references).
+Trace-norm criteria (partial transpose / realignment) live here as well, so
+one call evaluates all three detectors on a state.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
 
-from .linalg import (DimensionError, as_complex_matrix, dagger, kron,
-                     partial_trace, trace_norm)
+from .linalg import DimensionError, as_complex_matrix, dagger, kron, trace_norm
 from .spinspace import CoupledSpinSystem, time_reverse
-
-WITNESS_FORMS = ("lifted", "swap", "spectral")
+from .states import haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
 VERDICT_TOL = 1e-9
@@ -60,31 +61,24 @@ def partial_transpose(rho, n: int) -> np.ndarray:
     return a.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
 
 
+def _flip_signs(n: int) -> np.ndarray:
+    """(-1)^(b+d) on the subsystem-2 axes (b, d) of an (n, n, n, n) view.
+
+    V[n-1-i, i] = (-1)^i, so conjugating by I otimes V reverses both
+    subsystem-2 indices and applies these signs (even n: (-1)^(n-1) squared).
+    """
+    s = (-1.0) ** np.arange(n)
+    return np.multiply.outer(s, s)[None, :, None, :]
+
+
 def partial_time_reversal(rho, sys: CoupledSpinSystem) -> np.ndarray:
-    """Apply time reversal to the second factor: (I otimes V) T2(rho) (I otimes V)^dag."""
-    n = sys.n
-    iv = kron(np.eye(n), sys.v)
-    return iv @ partial_transpose(rho, n) @ dagger(iv)
+    """(I otimes V) T2(rho) (I otimes V)^dag as the signed index permutation
 
-
-def lift_on_2(map_name: str, rho, sys: CoupledSpinSystem) -> np.ndarray:
-    """Apply a local map to subsystem 2 of a composite operator.
-
-    ``map_name`` is one of "transpose", "time_reverse", "phi" (the extended
-    reduction map).  All act blockwise on the subsystem-2 indices under the
-    subsystem-1-major composite index convention.
+    out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
     """
     n = sys.n
-    a = _check_pair(rho, n)
-    if map_name == "transpose":
-        return partial_transpose(a, n)
-    if map_name == "time_reverse":
-        return partial_time_reversal(a, sys)
-    if map_name == "phi":
-        # blockwise (tr B) I: the block traces form the subsystem-1 reduction
-        return (kron(partial_trace(a, n, 2), np.eye(n)) - a
-                - partial_time_reversal(a, sys))
-    raise ValueError(f"unknown map {map_name!r}")
+    r = _check_pair(rho, n).reshape(n, n, n, n)[:, ::-1, :, ::-1]
+    return (r.transpose(0, 3, 2, 1) * _flip_signs(n)).reshape(n * n, n * n)
 
 
 def partial_transpose_norm(rho, sys: CoupledSpinSystem) -> float:
@@ -92,15 +86,14 @@ def partial_transpose_norm(rho, sys: CoupledSpinSystem) -> float:
     return trace_norm(partial_transpose(rho, sys.n))
 
 
-def partial_time_reversal_norm(rho, sys: CoupledSpinSystem) -> float:
-    """Trace norm of the partially time-reversed state; equals the T2 norm."""
-    return trace_norm(partial_time_reversal(rho, sys))
-
-
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
-    """Canonical realignment  rho -> theta_2(F rho)."""
-    a = _check_pair(rho, sys.n)
-    return partial_time_reversal(sys.f @ a, sys)
+    """Canonical realignment theta_2(F rho) as the signed index permutation
+
+    out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)].
+    """
+    n = sys.n
+    r = _check_pair(rho, n).reshape(n, n, n, n)[::-1, :, :, ::-1]
+    return (r.transpose(1, 3, 2, 0) * _flip_signs(n)).reshape(n * n, n * n)
 
 
 def realign_reshuffle(rho, n: int) -> np.ndarray:
@@ -120,39 +113,31 @@ def realign_norm(rho, sys: CoupledSpinSystem) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Hermitian witness operator on C^N otimes C^N with its provenance tag."""
+    """Hermitian witness operator on C^N otimes C^N (read-only matrix)."""
 
     n: int
     matrix: np.ndarray
-    construction_tag: str
 
 
-def build_witness(sys: CoupledSpinSystem, form: str = "swap") -> Witness:
-    """Construct the witness in one of its three equivalent forms.
+@lru_cache(maxsize=None)
+def build_witness(sys: CoupledSpinSystem) -> Witness:
+    """The witness W = I - N P_0 - F, built once per system and cached.
 
-    "lifted":   N * (I otimes Phi) applied to the singlet projector.
-    "swap":     I - N P_0 - F.
-    "spectral": -(N-2) P_0 + 2 (P_2 + P_4 + ... + P_{N-2}).
-
-    The three agree elementwise to rounding; the spectrum is -(N-2) on the
+    It equals N (I otimes Phi) applied to the singlet projector and
+    -(N-2) P_0 + 2 (P_2 + P_4 + ... + P_{N-2}); those two constructions are
+    kept in :mod:`closedform` as references.  The spectrum is -(N-2) on the
     singlet, +2 on the even-J manifolds with J >= 2, and 0 on the odd-J
     (symmetric) manifolds.
     """
     n = sys.n
     p0 = np.outer(sys.singlet, sys.singlet.conj())
-    if form == "lifted":
-        w = n * lift_on_2("phi", p0, sys)
-    elif form == "swap":
-        w = np.eye(n * n) - n * p0 - sys.f
-    elif form == "spectral":
-        w = -(n - 2) * sys.projectors[0]
-        for bigj in range(2, n - 1, 2):
-            w = w + 2 * sys.projectors[bigj]
-    else:
-        raise ValueError(f"unknown witness form {form!r}; expected one of {WITNESS_FORMS}")
+    w = np.eye(n * n) - n * p0 - sys.f
     w = (w + dagger(w)) / 2
-    assert abs(float(np.trace(w).real) - n * (n - 2)) <= 1e-10 * n * n
-    return Witness(n=n, matrix=w, construction_tag=form)
+    trace = float(np.trace(w).real)
+    if abs(trace - n * (n - 2)) > 1e-10 * n * n:
+        raise ValueError(f"witness trace {trace!r} differs from N(N-2) = {n * (n - 2)}")
+    w.setflags(write=False)
+    return Witness(n=n, matrix=w)
 
 
 def witness_value(w: Witness, rho) -> float:
@@ -196,13 +181,6 @@ def _unitary_from_params(theta: np.ndarray, n: int) -> np.ndarray:
     return (q * np.exp(1j * w)) @ dagger(q)
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None = None):
     """Minimize tr(W_U rho) over product unitaries U = U1 otimes U2.
 
@@ -242,7 +220,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
         if r == 0:
             b1, b2 = eye, eye
         else:
-            b1, b2 = _haar_unitary(n, rng), _haar_unitary(n, rng)
+            b1, b2 = haar_unitary(n, rng), haar_unitary(n, rng)
         if budget.iterations == 0:
             val, u1, u2 = value_at(b1, b2), b1, b2
         else:

@@ -119,8 +119,8 @@ class CoupledSpinSystem:
     """Precomputed fixed structure of C^N otimes C^N for one even N >= 4.
 
     Fields: local dimension ``n``; spin ``j`` with n = 2j+1; time-reversal
-    rotation ``v`` (n x n); swap ``f`` (n^2 x n^2); ``singlet`` unit vector;
-    ``projectors`` P_0..P_{n-1} onto the total-spin manifolds.
+    rotation ``v`` (n x n); swap ``f`` (n^2 x n^2); ``singlet`` unit vector.
+    The total-spin projectors come from :func:`total_spin_projectors`.
     """
 
     n: int
@@ -128,11 +128,6 @@ class CoupledSpinSystem:
     v: np.ndarray
     f: np.ndarray
     singlet: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def singlet_projector(self) -> np.ndarray:
-        return self.projectors[0]
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +137,6 @@ def coupled_system(n: int) -> CoupledSpinSystem:
     v = time_reversal_unitary(n)
     f = swap_operator(n)
     psi = singlet_vector(n)
-    projs = total_spin_projectors(n)
-    for arr in (v, f, psi, *projs):
+    for arr in (v, f, psi):
         arr.setflags(write=False)
-    return CoupledSpinSystem(n=n, j=(n - 1) / 2, v=v, f=f, singlet=psi,
-                             projectors=tuple(projs))
+    return CoupledSpinSystem(n=n, j=(n - 1) / 2, v=v, f=f, singlet=psi)

@@ -240,7 +240,9 @@ def load_state(path):
         obj = json.load(fh)
     if not isinstance(obj, dict) or "n_local" not in obj:
         raise ValueError("state file must be a JSON object with an 'n_local' key")
-    n = int(obj["n_local"])
+    n = obj["n_local"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"'n_local' must be a JSON integer, got {n!r}")
     if "matrix" in obj:
         raw = np.asarray(obj["matrix"], dtype=float)
         if raw.ndim != 3 or raw.shape[2] != 2:

@@ -14,12 +14,12 @@ from entbound import (OptimizerBudget, build_witness, concurrence_lower_bound,
                       family_bounds_closed_form, family_state,
                       family_trace_norms, family_witness_expectation,
                       isotropic_reference, isotropic_state, kron,
-                      min_schmidt_entropy_hull, minimize_witness, overlap_kernel,
-                      partial_time_reversal, partial_transpose_norm,
-                      realign_norm, realign_reshuffle, sample_frame_config,
-                      schmidt_decompose, trace_norm, twisted_witness,
-                      witness_spectrum, witness_value)
-from entbound.spinspace import total_spin_projectors
+                      lifted_witness, min_schmidt_entropy_hull,
+                      minimize_witness, overlap_kernel, partial_time_reversal,
+                      partial_transpose_norm, realign_norm, realign_reshuffle,
+                      sample_frame_config, schmidt_decompose, spectral_witness,
+                      trace_norm, twisted_witness, witness_spectrum,
+                      witness_value)
 from entbound.states import haar_unitary, random_density, random_pure
 
 
@@ -34,8 +34,8 @@ def test_criterion_01_witness_structure():
     worst_forms = 0.0
     for n in (4, 6, 8):
         sys_ = coupled_system(n)
-        lifted, swap, spectral = (build_witness(sys_, f).matrix
-                                  for f in ("lifted", "swap", "spectral"))
+        lifted, swap, spectral = (lifted_witness(sys_), build_witness(sys_).matrix,
+                                  spectral_witness(sys_))
         worst_forms = max(worst_forms,
                           float(np.abs(lifted - swap).max()),
                           float(np.abs(swap - spectral).max()))

@@ -3,12 +3,12 @@ import pytest
 
 from entbound import (DimensionError, OptimizerBudget, build_witness,
                       coupled_system, evaluate_criteria, extended_reduction_map,
-                      family_state, isotropic_state, kron, lift_on_2,
-                      minimize_witness, partial_time_reversal,
-                      partial_time_reversal_norm, partial_transpose,
-                      partial_transpose_norm, product_pure, realign,
-                      realign_norm, realign_reshuffle, time_reverse,
-                      trace_norm, twisted_witness, werner_state, witness_value)
+                      family_state, isotropic_state, kron, lifted_witness,
+                      minimize_witness, partial_time_reversal, partial_trace,
+                      partial_transpose, partial_transpose_norm, product_pure,
+                      realign, realign_norm, realign_reshuffle,
+                      spectral_witness, time_reverse, trace_norm,
+                      twisted_witness, werner_state, witness_value)
 from entbound.states import haar_unitary, random_density, random_pure
 
 
@@ -56,19 +56,19 @@ class TestLifts:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        got = lift_on_2("time_reverse", kron(a, b), sys4)
+        got = partial_time_reversal(kron(a, b), sys4)
         assert np.abs(got - kron(a, time_reverse(b, sys4))).max() < 1e-12
-        got_t = lift_on_2("transpose", kron(a, b), sys4)
+        got_t = partial_transpose(kron(a, b), 4)
         assert np.abs(got_t - kron(a, b.T)).max() < 1e-12
 
     def test_singlet_to_swap(self, sys4):
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
-        assert np.abs(lift_on_2("time_reverse", p0, sys4) - sys4.f / 4).max() < 1e-12
+        assert np.abs(partial_time_reversal(p0, sys4) - sys4.f / 4).max() < 1e-12
 
     def test_transpose_involution(self, sys4):
         rng = np.random.default_rng(9)
         rho = random_density(sys4, 16, rng).matrix
-        assert np.abs(lift_on_2("transpose", lift_on_2("transpose", rho, sys4), sys4)
+        assert np.abs(partial_transpose(partial_transpose(rho, 4), 4)
                       - rho).max() < 1e-14
 
     def test_phi_lift_matches_blockwise_oracle(self, sys4):
@@ -81,11 +81,34 @@ class TestLifts:
             for j in range(4):
                 oracle[i, :, j, :] = extended_reduction_map(blocks[i, :, j, :], sys4)
         oracle = oracle.reshape(16, 16)
-        assert np.abs(lift_on_2("phi", rho, sys4) - oracle).max() < 1e-12
+        # the lifted map: blockwise (tr B) I is the subsystem-1 reduction
+        lifted = (kron(partial_trace(rho, 4, 2), np.eye(4)) - rho
+                  - partial_time_reversal(rho, sys4))
+        assert np.abs(lifted - oracle).max() < 1e-12
 
-    def test_unknown_map_rejected(self, sys4):
-        with pytest.raises(ValueError):
-            lift_on_2("conjugate", np.eye(16), sys4)
+
+def product_route_time_reversal(rho, sys_):
+    """(I otimes V) T2(rho) (I otimes V)^dag by matrix products."""
+    iv = kron(np.eye(sys_.n), sys_.v)
+    return iv @ partial_transpose(rho, sys_.n) @ iv.conj().T
+
+
+class TestIndexPermutationRoutes:
+    """The index-permutation maps equal the matrix-product definitions bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_equal_to_matrix_product_oracles(self, n):
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(100 + n)
+        states = [family_state(sys_, lam).matrix for lam in (0.0, 0.05, 0.3, 0.5, 1.0)]
+        states += [random_density(sys_, int(rng.integers(1, n * n + 1)), rng).matrix
+                   for _ in range(5)]
+        states.append(rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n)))
+        for rho in states:
+            assert np.array_equal(partial_time_reversal(rho, sys_),
+                                  product_route_time_reversal(rho, sys_))
+            assert np.array_equal(realign(rho, sys_),
+                                  product_route_time_reversal(sys_.f @ rho, sys_))
 
 
 class TestTraceNormCriteria:
@@ -94,7 +117,7 @@ class TestTraceNormCriteria:
         for rank in (1, 4, 16):
             rho = random_density(sys4, rank, rng).matrix
             assert partial_transpose_norm(rho, sys4) == pytest.approx(
-                partial_time_reversal_norm(rho, sys4), abs=1e-10)
+                trace_norm(partial_time_reversal(rho, sys4)), abs=1e-10)
 
     def test_maximally_entangled(self, sys4):
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
@@ -133,7 +156,7 @@ class TestWitness:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_three_forms_agree(self, n):
         sys_ = coupled_system(n)
-        ws = [build_witness(sys_, form).matrix for form in ("lifted", "swap", "spectral")]
+        ws = [lifted_witness(sys_), build_witness(sys_).matrix, spectral_witness(sys_)]
         assert np.abs(ws[0] - ws[1]).max() < 1e-10
         assert np.abs(ws[1] - ws[2]).max() < 1e-10
 
@@ -146,16 +169,19 @@ class TestWitness:
         assert np.sum(np.abs(evals) < 1e-6) == 10
         assert np.sum(np.abs(evals - 2) < 1e-6) == 5
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8, 24, 32])
     def test_singlet_expectation(self, n):
         sys_ = coupled_system(n)
         w = build_witness(sys_).matrix
+        assert np.trace(w).real == pytest.approx(n * (n - 2), abs=1e-10 * n * n)
         val = (sys_.singlet.conj() @ w @ sys_.singlet).real
         assert val == pytest.approx(-(n - 2), abs=1e-10)
 
-    def test_unknown_form_rejected(self, sys4):
+    def test_built_once_per_system(self, sys4):
+        w = build_witness(sys4)
+        assert build_witness(sys4) is w
         with pytest.raises(ValueError):
-            build_witness(sys4, "eigen")
+            w.matrix[0, 0] = 5.0
 
 
 class TestWitnessValue:
@@ -321,4 +347,4 @@ class TestMapProperties:
         for _ in range(20):
             rho = random_density(sys4, int(rng.integers(1, 17)), rng).matrix
             assert abs(partial_transpose_norm(rho, sys4)
-                       - partial_time_reversal_norm(rho, sys4)) < 1e-10
+                       - trace_norm(partial_time_reversal(rho, sys4))) < 1e-10

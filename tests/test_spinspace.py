@@ -103,7 +103,7 @@ class TestSwap:
 
 class TestProjectors:
     def test_ranks_n4(self, sys4):
-        assert [round(np.trace(p).real) for p in sys4.projectors] == [1, 3, 5, 7]
+        assert [round(np.trace(p).real) for p in total_spin_projectors(4)] == [1, 3, 5, 7]
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_completeness_and_ranks(self, n):
@@ -112,22 +112,22 @@ class TestProjectors:
         assert [round(np.trace(p).real) for p in projs] == \
             [2 * bigj + 1 for bigj in range(n)]
 
-    def test_orthogonality(self, sys6):
-        projs = sys6.projectors
+    def test_orthogonality(self):
+        projs = total_spin_projectors(6)
         for a in range(6):
             for b in range(6):
                 prod = projs[a] @ projs[b]
                 ref = projs[a] if a == b else 0.0
                 assert np.abs(prod - ref).max() < 1e-9
 
-    def test_singlet_projector_matches_cg_outer_product(self, sys4):
+    def test_singlet_projector_matches_cg_outer_product(self):
         # independent construction from the coupling coefficients
         n, j = 4, 1.5
         cg = np.zeros(n * n, dtype=complex)
         for i, m in enumerate(j - np.arange(n)):
             cg[i * n + int(j + m)] = (-1) ** (j - m) / np.sqrt(n)
         # index of -m in the descending basis is j - (-m) = j + m
-        assert np.abs(sys4.projectors[0] - np.outer(cg, cg.conj())).max() < 1e-10
+        assert np.abs(total_spin_projectors(4)[0] - np.outer(cg, cg.conj())).max() < 1e-10
 
 
 class TestSinglet:
@@ -136,7 +136,7 @@ class TestSinglet:
         sys_ = coupled_system(n)
         psi = sys_.singlet
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(sys_.projectors[0] @ psi - psi).max() < 1e-10
+        assert np.abs(total_spin_projectors(n)[0] @ psi - psi).max() < 1e-10
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_partial_time_reversal_gives_swap(self, n):
@@ -155,7 +155,7 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("n", [4, 6])
     def test_symmetric_subspace_is_odd_spin(self, n):
         sys_ = coupled_system(n)
-        odd = sum(sys_.projectors[bigj] for bigj in range(1, n, 2))
+        odd = sum(total_spin_projectors(n)[bigj] for bigj in range(1, n, 2))
         assert np.abs((np.eye(n * n) + sys_.f) / 2 - odd).max() < 1e-10
 
     def test_time_reversed_vector_orthogonal(self, sys4):

@@ -6,7 +6,7 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       isotropic_state, load_state, partial_trace, product_pure,
                       random_density, random_product_unitary, random_pure,
                       save_state, schmidt_decompose, schmidt_reconstruct,
-                      werner_state, witness_value)
+                      total_spin_projectors, werner_state, witness_value)
 
 
 class TestDensityMatrixValidation:
@@ -62,7 +62,8 @@ class TestWernerState:
     def test_trace_and_symmetric_form(self, sys4):
         rho = werner_state(sys4).matrix
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        odd = sum(sys4.projectors[j] for j in range(1, 4, 2))
+        projs = total_spin_projectors(4)
+        odd = sum(projs[j] for j in range(1, 4, 2))
         assert np.abs(rho - 2 / 20 * odd).max() < 1e-10
 
     def test_undetected(self, sys4):
