@@ -78,27 +78,21 @@ def swap_operator(n: int) -> np.ndarray:
 def total_spin_projectors(n: int) -> list[np.ndarray]:
     """Projectors P_J onto total spin J = 0..n-1 of the coupled pair.
 
-    Built as Lagrange polynomials in the total-spin Casimir
+    One Hermitian eigensolve of the Casimir
     J^2 = sum_a (j_a otimes I + I otimes j_a)^2, whose eigenvalues J(J+1)
-    are exact integers; this avoids eigenvector phase and degeneracy
-    ambiguities entirely.
+    are integers with gaps >= 2; eigenvectors are grouped by
+    J = round((sqrt(1 + 4 lambda) - 1) / 2) and P_J = Q_J Q_J^dag, which is
+    idempotent to machine precision at every n.
     """
     n = _require_even(n, minimum=4)
     eye = np.eye(n)
-    ops = spin_operators(n)
     j2 = np.zeros((n * n, n * n), dtype=complex)
-    for a in ops:
+    for a in spin_operators(n):
         total = kron(a, eye) + kron(eye, a)
         j2 += total @ total
-    projs = []
-    for bigj in range(n):
-        p = np.eye(n * n, dtype=complex)
-        for k in range(n):
-            if k == bigj:
-                continue
-            p = p @ (j2 - k * (k + 1) * np.eye(n * n)) / (bigj * (bigj + 1) - k * (k + 1))
-        projs.append((p + dagger(p)) / 2)
-    return projs
+    evals, q = np.linalg.eigh(j2)
+    spins = np.rint((np.sqrt(1 + 4 * evals) - 1) / 2).astype(int)
+    return [q[:, spins == bigj] @ dagger(q[:, spins == bigj]) for bigj in range(n)]
 
 
 def singlet_vector(n: int) -> np.ndarray:

@@ -88,15 +88,18 @@ def as_matrix(rho) -> np.ndarray:
     return as_complex_matrix(rho)
 
 
+def _werner_matrix(sys: CoupledSpinSystem) -> np.ndarray:
+    n = sys.n
+    return 2 / (n * (n + 1)) * ((np.eye(n * n) + sys.f) / 2)
+
+
 def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
     """Normalized projector onto the swap-symmetric subspace.
 
     Equals the sum of the odd-J total-spin projectors; separable, invariant
     under all U otimes U, undetected by every criterion in this package.
     """
-    n = sys.n
-    ps = (np.eye(n * n) + sys.f) / 2
-    return DensityMatrix(n_local=n, matrix=2 / (n * (n + 1)) * ps)
+    return DensityMatrix(n_local=sys.n, matrix=_werner_matrix(sys))
 
 
 def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
@@ -109,8 +112,7 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
     n = sys.n
     p0 = np.outer(sys.singlet, sys.singlet.conj())
-    return DensityMatrix(n_local=n,
-                         matrix=lam * p0 + (1 - lam) * werner_state(sys).matrix)
+    return DensityMatrix(n_local=n, matrix=lam * p0 + (1 - lam) * _werner_matrix(sys))
 
 
 def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
@@ -244,13 +246,19 @@ def load_state(path):
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"'n_local' must be a JSON integer, got {n!r}")
     if "matrix" in obj:
-        raw = np.asarray(obj["matrix"], dtype=float)
-        if raw.ndim != 3 or raw.shape[2] != 2:
-            raise ValueError("'matrix' must be a nested list of [re, im] pairs")
+        raw = _pairs(obj["matrix"], 3, "'matrix' must be a nested list of [re, im] pairs")
         return DensityMatrix(n_local=n, matrix=raw[..., 0] + 1j * raw[..., 1])
     if "vector" in obj:
-        raw = np.asarray(obj["vector"], dtype=float)
-        if raw.ndim != 2 or raw.shape[1] != 2:
-            raise ValueError("'vector' must be a list of [re, im] pairs")
+        raw = _pairs(obj["vector"], 2, "'vector' must be a list of [re, im] pairs")
         return PureState(n_local=n, vector=raw[:, 0] + 1j * raw[:, 1])
     raise ValueError("state file must contain a 'matrix' or a 'vector' key")
+
+
+def _pairs(entries, ndim: int, message: str) -> np.ndarray:
+    try:
+        raw = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    if raw.ndim != ndim or raw.shape[-1] != 2:
+        raise ValueError(message)
+    return raw

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import entbound
 from entbound import (DimensionError, OptimizerBudget, build_witness,
                       coupled_system, evaluate_criteria, extended_reduction_map,
                       family_state, isotropic_state, kron, lifted_witness,
@@ -273,6 +278,14 @@ class TestMinimizeWitness:
                                      OptimizerBudget(restarts=2, iterations=100, seed=4))
         assert val <= -0.6 + 1e-6
 
+    def test_recovers_twisted_family_value_n6(self, sys6):
+        rng = np.random.default_rng(23)
+        u = kron(haar_unitary(6, rng), haar_unitary(6, rng))
+        rho_twisted = u @ family_state(sys6, 0.3).matrix @ u.conj().T
+        val, _, _ = minimize_witness(rho_twisted, sys6,
+                                     OptimizerBudget(restarts=2, iterations=200, seed=5))
+        assert val <= -0.3 * (6 - 2) + 1e-6
+
     def test_rejects_bad_budget(self, sys4):
         with pytest.raises(ValueError):
             minimize_witness(np.eye(16) / 16, sys4, OptimizerBudget(restarts=0))
@@ -348,3 +361,15 @@ class TestMapProperties:
             rho = random_density(sys4, int(rng.integers(1, 17)), rng).matrix
             assert abs(partial_transpose_norm(rho, sys4)
                        - trace_norm(partial_time_reversal(rho, sys4))) < 1e-10
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; run the import in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(entbound.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, entbound; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

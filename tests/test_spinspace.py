@@ -112,6 +112,12 @@ class TestProjectors:
         assert [round(np.trace(p).real) for p in projs] == \
             [2 * bigj + 1 for bigj in range(n)]
 
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_idempotent_to_machine_precision_at_large_n(self, n):
+        projs = total_spin_projectors(n)
+        assert max(float(np.abs(p @ p - p).max()) for p in projs) <= 1e-12
+        assert np.abs(sum(projs) - np.eye(n * n)).max() <= 1e-12
+
     def test_orthogonality(self):
         projs = total_spin_projectors(6)
         for a in range(6):
