@@ -46,7 +46,7 @@ def _even_n(value: str) -> int:
     return n
 
 
-def _family_row(sys_, lam: float) -> list[str]:
+def _family_row(sys_, lam: float) -> list[float]:
     rho = family_state(sys_, lam).matrix
     n = sys_.n
     verdict = evaluate_criteria(rho, sys_)
@@ -56,12 +56,12 @@ def _family_row(sys_, lam: float) -> list[str]:
     scale = np.sqrt(2 / (n * (n - 1)))
     eof_new = report.eof_lower
     eof_old = eof_from_verdict(verdict, n, include_witness=False)
-    return [_fmt(lam), _fmt(-report.f_witness + 0.0),
-            _fmt(scale * max(report.f_witness, 0.0) + 0.0),
-            _fmt(t2), _fmt(scale * max(report.f_ppt, 0.0) + 0.0),
-            _fmt(rn), _fmt(scale * max(report.f_realign, 0.0) + 0.0),
-            _fmt(np.sqrt(2 * (n - 1) / n) * lam),
-            _fmt(eof_new), _fmt(eof_old), _fmt(lam * np.log2(n))]
+    return [lam, -report.f_witness + 0.0,
+            scale * max(report.f_witness, 0.0) + 0.0,
+            t2, scale * max(report.f_ppt, 0.0) + 0.0,
+            rn, scale * max(report.f_realign, 0.0) + 0.0,
+            np.sqrt(2 * (n - 1) / n) * lam,
+            eof_new, eof_old, lam * np.log2(n)]
 
 
 def cmd_family(args) -> int:
@@ -74,7 +74,7 @@ def cmd_family(args) -> int:
     sys_ = coupled_system(args.n)
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     lines = [",".join(FAMILY_COLUMNS)]
-    lines += [",".join(_family_row(sys_, float(lam))) for lam in grid]
+    lines += [",".join(map(_fmt, _family_row(sys_, float(lam)))) for lam in grid]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -191,12 +191,12 @@ class _Checker:
         print(f"{status} {name:40s} max_err={err:.3e} tol={tol:.1e}")
 
 
-def _verify_witness(ck: _Checker, n: int, tol: float) -> None:
+def _verify_witness(ck: _Checker, n: int) -> None:
     sys_ = coupled_system(n)
     w = build_witness(sys_).matrix
     err = max(float(np.abs(closedform.lifted_witness(sys_) - w).max()),
               float(np.abs(w - closedform.spectral_witness(sys_)).max()))
-    ck.check(f"witness-forms-agree n={n}", err, max(tol, 1e-10))
+    ck.check(f"witness-forms-agree n={n}", err, 1e-10)
     evals, _ = hermitian_spectrum(w)
     spec_err = 0.0
     mult_err = 0
@@ -207,13 +207,13 @@ def _verify_witness(ck: _Checker, n: int, tol: float) -> None:
         mult_err += abs(got - mult)
         spec_err = max(spec_err, float(np.abs(cluster - value).max()))
         pos += mult
-    ck.check(f"witness-spectrum n={n}", spec_err + mult_err, max(tol, 1e-9))
+    ck.check(f"witness-spectrum n={n}", spec_err + mult_err, 1e-9)
     psi = sys_.singlet
     ck.check(f"witness-singlet-expectation n={n}",
-             abs(float((psi.conj() @ w @ psi).real) + (n - 2)), max(tol, 1e-10))
+             abs(float((psi.conj() @ w @ psi).real) + (n - 2)), 1e-10)
 
 
-def _verify_appendix_b(ck: _Checker, n: int, tol: float) -> None:
+def _verify_appendix_b(ck: _Checker, n: int) -> None:
     sys_ = coupled_system(n)
     norm_err = 0.0
     wit_err = 0.0
@@ -224,11 +224,11 @@ def _verify_appendix_b(ck: _Checker, n: int, tol: float) -> None:
         norm_err = max(norm_err, abs(v.trace_norm_T2 - t2_ref), abs(v.trace_norm_R - re_ref))
         wit_err = max(wit_err, abs(v.witness_value
                                    - closedform.family_witness_expectation(n, lam)))
-    ck.check(f"trace-norms-vs-closed-form n={n}", norm_err, tol)
+    ck.check(f"trace-norms-vs-closed-form n={n}", norm_err, 1e-9)
     ck.check(f"witness-value-vs-closed-form n={n}", wit_err, 1e-12)
 
 
-def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int, tol: float) -> None:
+def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
     sys_ = coupled_system(n)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -252,44 +252,45 @@ def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int, tol: float
     ck.check(f"pure-state-witness-cap n={n}", max(worst, 0.0), 1e-10)
 
 
-def _verify_figures(ck: _Checker, n: int, tol: float) -> None:
+def _verify_figures(ck: _Checker, n: int) -> None:
+    """Compare the rows that ``family`` prints with the closed-form curves."""
     sys_ = coupled_system(n)
-    scale = np.sqrt(2 / (n * (n - 1)))
-    err_w = err_p = err_eof = 0.0
+    curve_err = eof_err = 0.0
     for k in range(101):
         lam = k / 100
+        row = dict(zip(FAMILY_COLUMNS, _family_row(sys_, lam)))
         point = family_bounds_closed_form(n, lam)
-        verdict = evaluate_criteria(family_state(sys_, lam).matrix, sys_)
-        report = report_from_verdict(verdict, n)
-        err_w = max(err_w, abs(scale * max(report.f_witness, 0.0) - point.bound_witness))
-        err_p = max(err_p, abs(scale * max(report.f_ppt, 0.0) - point.bound_ppt))
-        err_eof = max(err_eof, abs(report.eof_lower - point.eof_new),
-                      abs(eof_from_verdict(verdict, n, include_witness=False)
-                          - point.eof_old))
-    ck.check(f"figure-concurrence-curves n={n}", max(err_w, err_p), tol)
-    ck.check(f"figure-eof-curves n={n}", err_eof, tol)
+        curve_err = max(curve_err, *(abs(row[c] - getattr(point, c))
+                                     for c in ("bound_witness", "bound_ppt", "bound_realign")))
+        eof_err = max(eof_err, *(abs(row[c] - getattr(point, c)) for c in ("eof_new", "eof_old")))
+    ck.check(f"figure-concurrence-curves n={n}", curve_err, 1e-9)
+    ck.check(f"figure-eof-curves n={n}", eof_err, 1e-9)
     cross = family_bounds_closed_form(n, 0.5)
     ck.check(f"curve-crossing-at-half n={n}",
-             abs(cross.bound_witness - cross.bound_ppt), tol)
+             abs(cross.bound_witness - cross.bound_ppt), 1e-9)
 
 
 def cmd_verify(args) -> int:
     ck = _Checker()
     suites = ("witness", "appendixA", "appendixB", "figures") if args.suite == "all" \
         else (args.suite,)
-    if any(s == "appendixA" for s in suites) and args.seed is None:
-        print("error: this suite is randomized and requires an explicit --seed",
-              file=_sys.stderr)
-        return 1
+    if "appendixA" in suites:
+        if args.seed is None:
+            print("error: this suite is randomized and requires an explicit --seed",
+                  file=_sys.stderr)
+            return 1
+        if args.samples < 1:
+            print("error: --samples must be at least 1", file=_sys.stderr)
+            return 1
     for suite in suites:
         if suite == "witness":
-            _verify_witness(ck, args.n, args.tol)
+            _verify_witness(ck, args.n)
         elif suite == "appendixB":
-            _verify_appendix_b(ck, args.n, args.tol)
+            _verify_appendix_b(ck, args.n)
         elif suite == "appendixA":
-            _verify_appendix_a(ck, args.n, args.samples, args.seed, args.tol)
+            _verify_appendix_a(ck, args.n, args.samples, args.seed)
         elif suite == "figures":
-            _verify_figures(ck, args.n, args.tol)
+            _verify_figures(ck, args.n)
     return 2 if ck.failed else 0
 
 
@@ -323,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_even_n, default=4)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("survey", help="criteria verdicts over random states, write CSV")

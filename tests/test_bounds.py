@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entbound import (binary_entropy, concurrence_lower_bound, concurrence_pure,
-                      coupled_system, eof_lower_bound, eof_pure,
+                      eof_lower_bound, eof_pure,
                       extremal_schmidt_weight, family_bounds_closed_form,
                       family_state, isotropic_reference, isotropic_state,
                       min_schmidt_entropy, min_schmidt_entropy_hull,
@@ -122,20 +122,6 @@ class TestFamilyClosedForm:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             family_bounds_closed_form(4, 1.5)
-
-    @pytest.mark.parametrize("n", [4, 6])
-    def test_matches_numeric_pipeline(self, n):
-        sys_ = coupled_system(n)
-        scale = np.sqrt(2 / (n * (n - 1)))
-        for k in range(101):
-            lam = k / 100
-            point = family_bounds_closed_form(n, lam)
-            report = concurrence_lower_bound(family_state(sys_, lam), sys_)
-            assert scale * max(report.f_witness, 0) == pytest.approx(point.bound_witness, abs=1e-9)
-            assert scale * max(report.f_ppt, 0) == pytest.approx(point.bound_ppt, abs=1e-9)
-            assert scale * max(report.f_realign, 0) == pytest.approx(point.bound_realign, abs=1e-9)
-            assert report.eof_lower == pytest.approx(point.eof_new, abs=1e-9)
-
 
 class TestEofLowerBound:
     def test_family_endpoint(self, sys4):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import entbound
-from entbound import PureState, family_state, save_state, werner_state
+from entbound import (FrameConfig, PureState, Witness, closedform, cli, family_state,
+                      save_state, werner_state)
 from entbound.cli import FAMILY_COLUMNS, main
 
 
@@ -22,6 +24,38 @@ def count_trace_norms(monkeypatch):
         if name.startswith("entbound") and getattr(module, "trace_norm", None) is original:
             monkeypatch.setattr(module, "trace_norm", counting)
     return calls
+
+
+def shift_witness(monkeypatch):
+    build = cli.build_witness
+    monkeypatch.setattr(cli, "build_witness", lambda sys_: Witness(
+        sys_.n, build(sys_).matrix + 1e-6 * np.eye(sys_.n ** 2)))
+
+
+def shift_trace_norms(monkeypatch):
+    norms = closedform.family_trace_norms
+    monkeypatch.setattr(closedform, "family_trace_norms",
+                        lambda n, lam: tuple(x + 1e-6 for x in norms(n, lam)))
+
+
+def shift_curves(monkeypatch):
+    curves = cli.family_bounds_closed_form
+
+    def shifted(n, lam):
+        point = curves(n, lam)
+        return dataclasses.replace(point, bound_witness=point.bound_witness + 1e-6)
+    monkeypatch.setattr(cli, "family_bounds_closed_form", shifted)
+
+
+def scale_kernel(monkeypatch):
+    # Haar-random frames stay far inside |A| <= 1 (max 0.90 over 10^4 draws),
+    # so the sampler yields the singlet's Schmidt frames, which attain it
+    eye = np.eye(4)
+    frames = FrameConfig(phi_i=eye[0], phi_j=eye[1], chi_i=eye[3], chi_j=-eye[2])
+    kernel = closedform.overlap_kernel
+    monkeypatch.setattr(closedform, "sample_frame_config", lambda sys_, rng: frames)
+    monkeypatch.setattr(closedform, "overlap_kernel",
+                        lambda cfg, sys_: kernel(cfg, sys_) * (1 + 1e-6))
 
 
 def read_csv(path):
@@ -155,36 +189,47 @@ class TestBoundsCommand:
 
 
 class TestVerifyCommand:
-    def test_witness_suite(self, capsys):
-        assert main(["verify", "witness", "--n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
-    @pytest.mark.parametrize("n", [14, 16])
+    @pytest.mark.parametrize("n", [14, 16, 24, 32])
     def test_witness_suite_passes_at_large_n(self, capsys, n):
         # the reference projectors come from one eigensolve of J^2, so the
-        # forms agree to the default tolerance at large N as well
+        # forms agree within the suite's fixed 1e-10 at large N as well
         assert main(["verify", "witness", "--n", str(n)]) == 0
         out = capsys.readouterr().out
         assert f"witness-forms-agree n={n}" in out
         assert f"witness-singlet-expectation n={n}" in out
         assert "FAIL" not in out
 
-    def test_appendix_b_suite_n6(self, capsys):
-        assert main(["verify", "appendixB", "--n", "6"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
-
-    def test_appendix_a_suite(self, capsys):
-        assert main(["verify", "appendixA", "--n", "4", "--samples", "500",
-                     "--seed", "3"]) == 0
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_appendix_b_suite(self, capsys, n):
+        assert main(["verify", "appendixB", "--n", str(n)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
     def test_appendix_a_requires_seed(self):
         assert main(["verify", "appendixA", "--n", "4"]) == 1
 
-    def test_figures_suite(self, capsys):
-        assert main(["verify", "figures", "--n", "4"]) == 0
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_rejects_fewer_than_one_sample(self, capsys, samples):
+        assert main(["verify", "appendixA", "--samples", samples, "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: --samples must be at least 1\n")
+
+    def test_has_no_tolerance_option(self):
+        assert main(["verify", "witness", "--tol", "1e-9"]) == 1
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_figures_suite(self, capsys, n):
+        assert main(["verify", "figures", "--n", str(n)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite, perturb", [
+        ("witness", shift_witness),
+        ("appendixA", scale_kernel),
+        ("appendixB", shift_trace_norms),
+        ("figures", shift_curves),
+    ])
+    def test_suite_fails_on_perturbed_input(self, monkeypatch, capsys, suite, perturb):
+        perturb(monkeypatch)
+        assert main(["verify", suite, "--n", "4", "--samples", "100", "--seed", "1"]) == 2
+        assert any(line.startswith("FAIL ") for line in capsys.readouterr().out.splitlines())
 
 
 class TestSurveyCommand:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, build_witness, hermitian_spectrum, kron,
-                      partial_trace, trace_norm)
+from entbound import DimensionError, hermitian_spectrum, kron, partial_trace, trace_norm
 from entbound.linalg import MAX_KRON_DIM
 
 
@@ -145,13 +144,6 @@ class TestHermitianSpectrum:
         w, q = hermitian_spectrum(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(w, [1.0, 2.0, 3.0])
         assert np.abs(q.conj().T @ q - np.eye(3)).max() < 1e-12
-
-    def test_witness_spectrum(self, sys4):
-        w, _ = hermitian_spectrum(build_witness(sys4).matrix)
-        assert np.abs(w[0] + 2.0) < 1e-9
-        assert np.sum(np.abs(w + 2.0) < 1e-6) == 1
-        assert np.sum(np.abs(w) < 1e-6) == 10
-        assert np.sum(np.abs(w - 2.0) < 1e-6) == 5
 
     def test_trace_invariance_and_reconstruction(self):
         rng = np.random.default_rng(41)
