@@ -8,8 +8,8 @@ the entanglement of formation derived from all three.
 """
 
 from .bounds import (BoundReport, FamilyCurvePoint, binary_entropy,
-                     concurrence_lower_bound, eof_from_verdict,
-                     eof_lower_bound, extremal_schmidt_weight,
+                     concurrence_from_functional, concurrence_lower_bound,
+                     eof_from_functional, extremal_schmidt_weight,
                      family_bounds_closed_form, isotropic_reference,
                      min_schmidt_entropy, min_schmidt_entropy_hull,
                      report_from_verdict)
@@ -17,12 +17,12 @@ from .closedform import (FrameConfig, family_trace_norms,
                          family_witness_expectation, lifted_witness,
                          overlap_kernel, sample_frame_config, spectral_witness,
                          witness_spectrum)
-from .criteria import (CriteriaVerdict, OptimizerBudget, Witness,
-                       build_witness, evaluate_criteria,
-                       extended_reduction_map, minimize_witness,
-                       partial_time_reversal, partial_transpose,
-                       partial_transpose_norm, realign, realign_norm,
-                       realign_reshuffle, twisted_witness, witness_value)
+from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
+                       evaluate_criteria, extended_reduction_map,
+                       minimize_witness, partial_time_reversal,
+                       partial_transpose, partial_transpose_norm, realign,
+                       realign_norm, realign_reshuffle, twisted_witness,
+                       witness_value)
 from .linalg import (DimensionError, hermitian_spectrum, kron, partial_trace,
                      trace_norm)
 from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,

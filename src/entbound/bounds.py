@@ -77,6 +77,25 @@ def min_schmidt_entropy_hull(lam0: float, n: int) -> float:
     return float(np.log2(n - 1) / (n - 2) * (lam0 - n) + np.log2(n))
 
 
+def _constraint_value(f: float, n: int) -> float:
+    """The entropy-hull argument 1 + f, clamped to [1, n]."""
+    return float(min(max(1.0 + f, 1.0), float(n)))
+
+
+def concurrence_from_functional(f: float, n: int) -> float:
+    """Concurrence lower bound sqrt(2/(n(n-1))) max(f, 0) from a functional value f."""
+    # "+ 0.0" normalizes -0.0 from clamped negative functionals
+    return float(np.sqrt(2 / (n * (n - 1))) * max(f, 0.0) + 0.0)
+
+
+def eof_from_functional(f: float, n: int) -> float:
+    """Entanglement-of-formation lower bound co R(1 + f) from a functional value f.
+
+    Over the two trace-norm functionals alone it is the older Chen-Albeverio-Fei bound.
+    """
+    return min_schmidt_entropy_hull(_constraint_value(f, n), n)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """All criterion functionals and the two derived bounds for one state."""
@@ -92,7 +111,7 @@ class BoundReport:
 
 def report_from_verdict(verdict: CriteriaVerdict, n: int,
                         f_witness_optimized: float | None = None) -> BoundReport:
-    """Derive both bounds from the three functionals that one verdict carries.
+    """Derive both bounds from the largest functional that one verdict carries.
 
     Raw (possibly negative) functional values are reported as-is; clamping
     to zero happens only in the derived concurrence bound.
@@ -105,36 +124,15 @@ def report_from_verdict(verdict: CriteriaVerdict, n: int,
     if f_witness_optimized is not None:
         candidates.append(f_witness_optimized)
     best = max(candidates)
-    # "+ 0.0" normalizes -0.0 from clamped negative functionals
-    conc = float(np.sqrt(2 / (n * (n - 1))) * max(best, 0.0) + 0.0)
-    lam0 = float(min(max(1.0 + best, 1.0), float(n)))
     return BoundReport(
         f_ppt=f_ppt,
         f_realign=f_realign,
         f_witness=f_w,
         f_witness_optimized=f_witness_optimized,
-        concurrence_lower=conc,
-        lambda0=lam0,
-        eof_lower=min_schmidt_entropy_hull(lam0, n),
+        concurrence_lower=concurrence_from_functional(best, n),
+        lambda0=_constraint_value(best, n),
+        eof_lower=eof_from_functional(best, n),
     )
-
-
-def eof_from_verdict(verdict: CriteriaVerdict, n: int, include_witness: bool = True,
-                     f_witness_optimized: float | None = None) -> float:
-    """Entanglement-of-formation lower bound from the functionals of one verdict.
-
-    With ``include_witness`` the constraint value is the maximum of all
-    three functionals (and ``f_witness_optimized``, when given) plus one;
-    without it only the two trace norms enter (the older two-functional
-    bound, always weaker or equal).
-    """
-    candidates = [verdict.trace_norm_T2, verdict.trace_norm_R]
-    if include_witness:
-        candidates.append(1.0 - verdict.witness_value)
-        if f_witness_optimized is not None:
-            candidates.append(1.0 + f_witness_optimized)
-    lam0 = float(min(max(max(candidates), 1.0), float(n)))
-    return min_schmidt_entropy_hull(lam0, n)
 
 
 def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
@@ -147,20 +145,6 @@ def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
     verdict = evaluate_criteria(m, sys)
     f_opt = -minimize_witness(m, sys, budget)[0] if optimize else None
     return report_from_verdict(verdict, sys.n, f_opt)
-
-
-def eof_lower_bound(rho, sys: CoupledSpinSystem, include_witness: bool = True,
-                    optimize: bool = False,
-                    budget: OptimizerBudget | None = None) -> float:
-    """Evaluate the criteria on a state and apply :func:`eof_from_verdict`.
-
-    ``optimize`` (with ``include_witness``) adds the sharpened witness functional.
-    """
-    m = as_matrix(rho)
-    verdict = evaluate_criteria(m, sys)
-    f_opt = (-minimize_witness(m, sys, budget)[0]
-             if include_witness and optimize else None)
-    return eof_from_verdict(verdict, sys.n, include_witness, f_opt)
 
 
 @dataclass(frozen=True)

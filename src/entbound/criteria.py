@@ -16,6 +16,7 @@ one call evaluates all three detectors on a state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,17 +115,9 @@ def realign_norm(rho, sys: CoupledSpinSystem) -> float:
     return trace_norm(realign(rho, sys))
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Hermitian witness operator on C^N otimes C^N (read-only matrix)."""
-
-    n: int
-    matrix: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def build_witness(sys: CoupledSpinSystem) -> Witness:
-    """The witness W = I - N P_0 - F, built once per system and cached.
+def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
+    """The witness W = I - N P_0 - F, built once per system and cached read-only.
 
     It equals N (I otimes Phi) applied to the singlet projector and
     -(N-2) P_0 + 2 (P_2 + P_4 + ... + P_{N-2}); those two constructions are
@@ -140,24 +133,26 @@ def build_witness(sys: CoupledSpinSystem) -> Witness:
     if abs(trace - n * (n - 2)) > 1e-10 * n * n:
         raise ValueError(f"witness trace {trace!r} differs from N(N-2) = {n * (n - 2)}")
     w.setflags(write=False)
-    return Witness(n=n, matrix=w)
+    return w
 
 
-def witness_value(w: Witness, rho) -> float:
+def witness_value(w: np.ndarray, rho) -> float:
     """tr(W rho); negative values certify entanglement of rho."""
-    a = _check_pair(rho, w.n)
-    return float(np.einsum("ij,ji->", w.matrix, a).real)
+    a = as_complex_matrix(rho)
+    if a.shape != w.shape:
+        raise DimensionError(f"operator must be {w.shape[0]}x{w.shape[1]}, got {a.shape}")
+    return float(np.einsum("ij,ji->", w, a).real)
 
 
-def twisted_witness(w: Witness, u1, u2) -> np.ndarray:
+def twisted_witness(w: np.ndarray, u1, u2) -> np.ndarray:
     """(U1 otimes U2) W (U1 otimes U2)^dag for unitary U1, U2."""
-    n = w.n
+    n = math.isqrt(w.shape[0])
     for u in (u1, u2):
         a = _check_local(u, n)
         if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
             raise ValueError("twist matrices must be unitary within 1e-10")
     u = kron(u1, u2)
-    return u @ w.matrix @ dagger(u)
+    return u @ w @ dagger(u)
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     def twist(u1, u2):
         u = kron(u1, u2)
         sigma = u @ a @ dagger(u)
-        return float(np.einsum("ij,ji->", w.matrix, sigma).real), sigma
+        return float(np.einsum("ij,ji->", w, sigma).real), sigma
 
     eye = np.eye(n)
     best_val, best_u = twist(eye, eye)[0], (eye, eye)
@@ -214,7 +209,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
         val, sigma = twist(u1, u2)
         mu = 1.0
         for _ in range(budget.iterations):
-            c = sigma @ w.matrix - w.matrix @ sigma
+            c = sigma @ w - w @ sigma
             g1, g2 = partial_trace(c, n, 2), partial_trace(c, n, 1)
             sq = float(np.vdot(g1, g1).real + np.vdot(g2, g2).real)
             if sq < _GRADIENT_TOL ** 2:
@@ -249,18 +244,17 @@ class CriteriaVerdict:
     trace_norm_R: float
 
 
-def evaluate_criteria(rho, sys: CoupledSpinSystem,
-                      verdict_tol: float = VERDICT_TOL) -> CriteriaVerdict:
+def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
     """Run the partial-transpose, realignment and witness tests on a state."""
     a = _check_pair(rho, sys.n)
     t2 = partial_transpose_norm(a, sys)
     rn = realign_norm(a, sys)
     wval = witness_value(build_witness(sys), a)
     return CriteriaVerdict(
-        ppt_violated=t2 > 1 + verdict_tol,
-        realignment_violated=rn > 1 + verdict_tol,
+        ppt_violated=t2 > 1 + VERDICT_TOL,
+        realignment_violated=rn > 1 + VERDICT_TOL,
         witness_value=wval,
-        witness_detects=wval < -verdict_tol,
+        witness_detects=wval < -VERDICT_TOL,
         trace_norm_T2=t2,
         trace_norm_R=rn,
     )

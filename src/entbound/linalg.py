@@ -94,16 +94,16 @@ def partial_trace(m, local_dim: int, subsystem: int) -> np.ndarray:
     raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
 
 
-def hermitian_spectrum(m, hermit_tol: float = 1e-10):
+def hermitian_spectrum(m):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Raises ValueError if the input fails the Hermiticity check at relative
-    tolerance ``hermit_tol``.
+    tolerance 1e-10.
     """
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"spectrum needs a square matrix, got {a.shape}")
-    if not is_hermitian(a, tol=hermit_tol):
+    if not is_hermitian(a, tol=1e-10):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, q = np.linalg.eigh((a + dagger(a)) / 2)
     return w, q

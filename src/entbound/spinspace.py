@@ -112,13 +112,12 @@ def singlet_vector(n: int) -> np.ndarray:
 class CoupledSpinSystem:
     """Precomputed fixed structure of C^N otimes C^N for one even N >= 4.
 
-    Fields: local dimension ``n``; spin ``j`` with n = 2j+1; time-reversal
+    Fields: local dimension ``n`` (one spin j = (n-1)/2); time-reversal
     rotation ``v`` (n x n); swap ``f`` (n^2 x n^2); ``singlet`` unit vector.
     The total-spin projectors come from :func:`total_spin_projectors`.
     """
 
     n: int
-    j: float
     v: np.ndarray
     f: np.ndarray
     singlet: np.ndarray
@@ -133,4 +132,4 @@ def coupled_system(n: int) -> CoupledSpinSystem:
     psi = singlet_vector(n)
     for arr in (v, f, psi):
         arr.setflags(write=False)
-    return CoupledSpinSystem(n=n, j=(n - 1) / 2, v=v, f=f, singlet=psi)
+    return CoupledSpinSystem(n=n, v=v, f=f, singlet=psi)

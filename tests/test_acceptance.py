@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from entbound import (OptimizerBudget, build_witness, concurrence_lower_bound,
-                      coupled_system, eof_lower_bound, extended_reduction_map,
+                      coupled_system, eof_from_functional, extended_reduction_map,
                       family_bounds_closed_form, family_state,
                       isotropic_reference, isotropic_state, kron,
                       min_schmidt_entropy_hull, minimize_witness,
@@ -87,16 +87,17 @@ def test_criterion_05_figure2_reproduction():
     # oracle values recomputed from the minimal-entropy hull formulas
     new_ref = min_schmidt_entropy_hull(1.5, 4)     # 0.16033079773273232
     old_ref = min_schmidt_entropy_hull(1.25, 4)    # 0.05182768894868844
-    end_err = abs(eof_lower_bound(family_state(sys_, 1.0), sys_) - 2.0)
-    new_got = eof_lower_bound(family_state(sys_, 0.25), sys_)
-    old_got = eof_lower_bound(family_state(sys_, 0.25), sys_, include_witness=False)
+    end_err = abs(concurrence_lower_bound(family_state(sys_, 1.0), sys_).eof_lower - 2.0)
+    quarter = concurrence_lower_bound(family_state(sys_, 0.25), sys_)
+    new_got = quarter.eof_lower
+    old_got = eof_from_functional(max(quarter.f_ppt, quarter.f_realign), 4)
     quarter_ok = (abs(new_got - 0.1603) <= 1e-3 and abs(old_got - 0.0518) <= 1e-3
                   and abs(new_got - new_ref) <= 1e-9 and abs(old_got - old_ref) <= 1e-9)
     dominance_ok = True
     for k in range(101):
-        rho = family_state(sys_, k / 100)
-        dominance_ok &= (eof_lower_bound(rho, sys_)
-                         >= eof_lower_bound(rho, sys_, include_witness=False) - 1e-12)
+        rep = concurrence_lower_bound(family_state(sys_, k / 100), sys_)
+        dominance_ok &= (rep.eof_lower
+                         >= eof_from_functional(max(rep.f_ppt, rep.f_realign), 4) - 1e-12)
     ok = end_err <= 1e-9 and quarter_ok and dominance_ok
     report("criterion 5 figure-2 reproduction",
            ok, f"endpoint_err={end_err:.2e} eof_new(0.25)={new_got:.6f} "
@@ -127,7 +128,7 @@ def test_criterion_06_positivity_suite():
             a = rng.normal(size=4) + 1j * rng.normal(size=4)
             b = rng.normal(size=4) + 1j * rng.normal(size=4)
             vec = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-            val += p * float((vec.conj() @ w.matrix @ vec).real)
+            val += p * float((vec.conj() @ w @ vec).real)
         worst_sep = min(worst_sep, val)
     elapsed = time.perf_counter() - t0
     ok = (min_eig >= -1e-10 and idem_err <= 1e-10 and worst_sep >= -1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entbound import (binary_entropy, concurrence_lower_bound, concurrence_pure,
-                      eof_lower_bound, eof_pure,
+                      eof_from_functional, eof_pure,
                       extremal_schmidt_weight, family_bounds_closed_form,
                       family_state, isotropic_reference, isotropic_state,
                       min_schmidt_entropy, min_schmidt_entropy_hull,
@@ -123,22 +123,29 @@ class TestFamilyClosedForm:
         with pytest.raises(ValueError):
             family_bounds_closed_form(4, 1.5)
 
+def eof_trace_norms_only(rho, sys_):
+    """The older EoF bound: the entropy hull over the two trace-norm functionals."""
+    rep = concurrence_lower_bound(rho, sys_)
+    return eof_from_functional(max(rep.f_ppt, rep.f_realign), sys_.n)
+
+
 class TestEofLowerBound:
     def test_family_endpoint(self, sys4):
         rho = family_state(sys4, 1.0)
-        assert eof_lower_bound(rho, sys4) == pytest.approx(2.0, abs=1e-9)
-        assert eof_lower_bound(rho, sys4, include_witness=False) == pytest.approx(2.0, abs=1e-9)
+        assert concurrence_lower_bound(rho, sys4).eof_lower == pytest.approx(2.0, abs=1e-9)
+        assert eof_trace_norms_only(rho, sys4) == pytest.approx(2.0, abs=1e-9)
 
     def test_family_quarter_point(self, sys4):
         # frozen oracle values: Lambda0 = 1.5 (with witness) and 1.25 (trace norms only)
         rho = family_state(sys4, 0.25)
-        assert eof_lower_bound(rho, sys4) == pytest.approx(0.16033079773273232, abs=1e-9)
-        assert eof_lower_bound(rho, sys4, include_witness=False) == pytest.approx(
+        assert concurrence_lower_bound(rho, sys4).eof_lower == pytest.approx(
+            0.16033079773273232, abs=1e-9)
+        assert eof_trace_norms_only(rho, sys4) == pytest.approx(
             0.05182768894868844, abs=1e-9)
 
     def test_maximally_mixed_gives_zero(self, sys4):
         rho = np.eye(16) / 16
-        assert eof_lower_bound(rho, sys4) == 0.0
+        assert concurrence_lower_bound(rho, sys4).eof_lower == 0.0
 
     def test_witness_mode_dominates(self, sys4):
         rng = np.random.default_rng(63)
@@ -147,8 +154,8 @@ class TestEofLowerBound:
         from entbound import random_density
         states += [random_density(sys4, int(rng.integers(1, 17)), rng) for _ in range(20)]
         for rho in states:
-            assert eof_lower_bound(rho, sys4) >= \
-                eof_lower_bound(rho, sys4, include_witness=False) - 1e-12
+            assert concurrence_lower_bound(rho, sys4).eof_lower >= \
+                eof_trace_norms_only(rho, sys4) - 1e-12
 
 
 class TestIsotropicReference:

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import entbound
-from entbound import (FrameConfig, PureState, Witness, closedform, cli, family_state,
+from entbound import (PureState, closedform, cli, family_state, random_density,
                       save_state, werner_state)
-from entbound.cli import FAMILY_COLUMNS, main
+from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, main
+
+BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value",
+               "witness_detects", "trace_norm_T2", "trace_norm_R", "f_ppt",
+               "f_realign", "f_witness", "concurrence_lower", "lambda0", "eof_lower"}
 
 
 def count_trace_norms(monkeypatch):
@@ -28,8 +32,8 @@ def count_trace_norms(monkeypatch):
 
 def shift_witness(monkeypatch):
     build = cli.build_witness
-    monkeypatch.setattr(cli, "build_witness", lambda sys_: Witness(
-        sys_.n, build(sys_).matrix + 1e-6 * np.eye(sys_.n ** 2)))
+    monkeypatch.setattr(cli, "build_witness",
+                        lambda sys_: build(sys_) + 1e-6 * np.eye(sys_.n ** 2))
 
 
 def shift_trace_norms(monkeypatch):
@@ -48,12 +52,7 @@ def shift_curves(monkeypatch):
 
 
 def scale_kernel(monkeypatch):
-    # Haar-random frames stay far inside |A| <= 1 (max 0.90 over 10^4 draws),
-    # so the sampler yields the singlet's Schmidt frames, which attain it
-    eye = np.eye(4)
-    frames = FrameConfig(phi_i=eye[0], phi_j=eye[1], chi_i=eye[3], chi_j=-eye[2])
     kernel = closedform.overlap_kernel
-    monkeypatch.setattr(closedform, "sample_frame_config", lambda sys_, rng: frames)
     monkeypatch.setattr(closedform, "overlap_kernel",
                         lambda cfg, sys_: kernel(cfg, sys_) * (1 + 1e-6))
 
@@ -180,6 +179,16 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 1
         assert "n_local" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_output_keys(self, tmp_path, sys4, capsys, optimize):
+        path = tmp_path / "rho.json"
+        save_state(path, random_density(sys4, 5, np.random.default_rng(2)))
+        extra = ["--optimize", "--seed", "1", "--restarts", "1", "--iterations", "3"]
+        assert main(["bounds", str(path)] + (extra if optimize else [])) == 0
+        keys = set(json.loads(capsys.readouterr().out))
+        assert keys == BOUNDS_KEYS | ({"f_witness_optimized"} if optimize else set())
+        assert len(keys) == 13 + optimize
+
     def test_two_trace_norms_per_report(self, tmp_path, sys4, monkeypatch, capsys):
         path = tmp_path / "rho.json"
         save_state(path, family_state(sys4, 0.3))
@@ -229,10 +238,25 @@ class TestVerifyCommand:
     def test_suite_fails_on_perturbed_input(self, monkeypatch, capsys, suite, perturb):
         perturb(monkeypatch)
         assert main(["verify", suite, "--n", "4", "--samples", "100", "--seed", "1"]) == 2
-        assert any(line.startswith("FAIL ") for line in capsys.readouterr().out.splitlines())
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("FAIL ") for line in lines)
+        if suite == "witness":
+            # a 1e-6 I shift moves every eigenvalue but no multiplicity
+            checks = {w[1]: (w[0], float(w[3].removeprefix("max_err=")))
+                      for w in map(str.split, lines)}
+            assert checks["witness-eigenvalues"][0] == "FAIL"
+            assert checks["witness-eigenvalues"][1] == pytest.approx(1e-6, rel=1e-6)
+            assert checks["witness-multiplicities"] == ("PASS", 0.0)
 
 
 class TestSurveyCommand:
+    def test_header(self, capsys):
+        assert main(["survey", "--samples", "1", "--seed", "1"]) == 0
+        assert SURVEY_COLUMNS == ("state", "ppt_violated", "realignment_violated",
+                                  "witness_value", "witness_detects", "trace_norm_T2",
+                                  "trace_norm_R")
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(SURVEY_COLUMNS)
+
     def test_rejects_zero_samples(self, tmp_path):
         assert main(["survey", "--samples", "0", "--seed", "1",
                      "--out", str(tmp_path / "s.csv")]) == 1
@@ -283,6 +307,20 @@ class TestWitnessCommand:
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    def test_local_dimension_beyond_kron_limit(self, monkeypatch, capsys):
+        # rejected while parsing, before any structure is built
+        monkeypatch.setattr(cli, "coupled_system", None)
+        assert main(["witness", "--n", "66"]) == 1
+        err = capsys.readouterr().err
+        assert "N^2 <= 4096, got 66" in err and "Traceback" not in err
+
+    def test_memory_error_gives_one_line(self, monkeypatch, capsys):
+        def exhausted(n):
+            raise MemoryError
+        monkeypatch.setattr(cli, "coupled_system", exhausted)
+        assert main(["family", "--n", "4"]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory: allocation failed\n")
 
     def test_no_command(self):
         assert main([]) == 1

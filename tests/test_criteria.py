@@ -158,13 +158,13 @@ class TestTraceNormCriteria:
 
 class TestWitness:
     def test_trace_n4(self, sys4):
-        assert np.trace(build_witness(sys4).matrix).real == pytest.approx(8.0, abs=1e-10)
+        assert np.trace(build_witness(sys4)).real == pytest.approx(8.0, abs=1e-10)
 
     def test_built_once_per_system(self, sys4):
         w = build_witness(sys4)
         assert build_witness(sys4) is w
         with pytest.raises(ValueError):
-            w.matrix[0, 0] = 5.0
+            w[0, 0] = 5.0
 
 
 class TestWitnessValue:
@@ -188,13 +188,13 @@ class TestWitnessValue:
 class TestTwistedWitness:
     def test_identity_twist(self, sys4):
         w = build_witness(sys4)
-        assert np.abs(twisted_witness(w, np.eye(4), np.eye(4)) - w.matrix).max() < 1e-12
+        assert np.abs(twisted_witness(w, np.eye(4), np.eye(4)) - w).max() < 1e-12
 
     def test_spectrum_preserved(self, sys4):
         rng = np.random.default_rng(15)
         w = build_witness(sys4)
         u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
-        ref = np.linalg.eigvalsh(w.matrix)
+        ref = np.linalg.eigvalsh(w)
         got = np.linalg.eigvalsh(twisted_witness(w, u1, u2))
         assert np.abs(ref - got).max() < 1e-10
 
@@ -307,7 +307,7 @@ class TestMapProperties:
             val = 0.0
             for p in weights:
                 vec = np.kron(rand_state_vector(rng, 4), rand_state_vector(rng, 4))
-                val += p * (vec.conj() @ w.matrix @ vec).real
+                val += p * (vec.conj() @ w @ vec).real
             assert val >= -1e-10
 
     @pytest.mark.parametrize("n", [4, 6, 8])
