@@ -17,8 +17,7 @@ import numpy as np
 from . import closedform
 from .criteria import (CriteriaVerdict, OptimizerBudget, evaluate_criteria,
                        minimize_witness)
-from .linalg import DimensionError
-from .spinspace import CoupledSpinSystem
+from .spinspace import CoupledSpinSystem, _require_even
 from .states import as_matrix
 
 
@@ -34,9 +33,7 @@ def binary_entropy(x: float) -> float:
 
 
 def _check_domain(lam: float, n: int) -> int:
-    n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise DimensionError(f"local dimension must be even and >= 4, got {n}")
+    n = _require_even(n, minimum=4)
     if not 1 <= lam <= n:
         raise ValueError(f"constraint value must lie in [1, {n}], got {lam}")
     return n
@@ -212,9 +209,7 @@ def isotropic_reference(n: int, fidelity: float) -> tuple[float, float, float]:
     below; the partial-transpose bound reproduces it exactly, the witness
     bound is the factor (n-2)/(n-1) weaker.
     """
-    n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise DimensionError(f"local dimension must be even and >= 4, got {n}")
+    n = _require_even(n, minimum=4)
     if not 0 <= fidelity <= 1:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
     if fidelity <= 1 / n:

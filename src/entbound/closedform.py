@@ -18,13 +18,11 @@ import numpy as np
 
 from .criteria import extended_reduction_map
 from .linalg import DimensionError
-from .spinspace import CoupledSpinSystem, total_spin_projectors
+from .spinspace import CoupledSpinSystem, _require_even, total_spin_projectors
 
 
 def _check_args(n: int, lam: float) -> int:
-    n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise DimensionError(f"local dimension must be even and >= 4, got {n}")
+    n = _require_even(n, minimum=4)
     if not 0 <= lam <= 1:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
     return n

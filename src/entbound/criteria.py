@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import (DimensionError, as_complex_matrix, dagger, kron, partial_trace,
                      trace_norm)
-from .spinspace import CoupledSpinSystem, time_reverse
+from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
@@ -119,15 +119,17 @@ def realign_norm(rho, sys: CoupledSpinSystem) -> float:
 def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """The witness W = I - N P_0 - F, built once per system and cached read-only.
 
-    It equals N (I otimes Phi) applied to the singlet projector and
-    -(N-2) P_0 + 2 (P_2 + P_4 + ... + P_{N-2}); those two constructions are
-    kept in :mod:`closedform` as references.  The spectrum is -(N-2) on the
-    singlet, +2 on the even-J manifolds with J >= 2, and 0 on the odd-J
-    (symmetric) manifolds.
+    F is subtracted by index after I - N P_0 is formed, the order of the dense
+    sum, so every zero keeps its sign (:func:`spinspace.swap_operator` is the
+    reference).  W equals N (I otimes Phi) applied to the singlet projector and
+    -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in
+    :mod:`closedform` as references.  The spectrum is -(N-2) on the singlet,
+    +2 on the even-J manifolds with J >= 2, and 0 on the odd-J (symmetric) manifolds.
     """
     n = sys.n
     p0 = np.outer(sys.singlet, sys.singlet.conj())
-    w = np.eye(n * n) - n * p0 - sys.f
+    w = np.eye(n * n) - n * p0
+    w[np.arange(n * n), _swap_index(n)] -= 1
     w = (w + dagger(w)) / 2
     trace = float(np.trace(w).real)
     if abs(trace - n * (n - 2)) > 1e-10 * n * n:
@@ -197,6 +199,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     def twist(u1, u2):
         u = kron(u1, u2)
         sigma = u @ a @ dagger(u)
+        # witness_value's input checks would cost ~5 % of a step at N = 4
         return float(np.einsum("ij,ji->", w, sigma).real), sigma
 
     eye = np.eye(n)
@@ -228,8 +231,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
 
     # The witness twist that realizes the value is the adjoint of the state twist.
     u1, u2 = dagger(best_u[0]), dagger(best_u[1])
-    final = float(np.einsum("ij,ji->", twisted_witness(w, u1, u2), a).real)
-    return final, u1, u2
+    return witness_value(twisted_witness(w, u1, u2), a), u1, u2
 
 
 @dataclass(frozen=True)

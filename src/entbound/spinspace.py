@@ -66,13 +66,18 @@ def time_reverse(b, sys: "CoupledSpinSystem") -> np.ndarray:
 
 
 def swap_operator(n: int) -> np.ndarray:
-    """Permutation F with F (e_a otimes e_b) = e_b otimes e_a."""
+    """Dense swap F (e_a otimes e_b) = e_b otimes e_a; test reference for :func:`_swap_index`."""
     n = _require_even(n)
     f = np.zeros((n * n, n * n), dtype=complex)
     for a in range(n):
         for b in range(n):
             f[b * n + a, a * n + b] = 1.0
     return f
+
+
+def _swap_index(n: int) -> np.ndarray:
+    """Column (i % n) n + i // n of the single 1 in row i of the swap F (a n + b -> b n + a)."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
 
 
 def total_spin_projectors(n: int) -> list[np.ndarray]:
@@ -112,24 +117,21 @@ def singlet_vector(n: int) -> np.ndarray:
 class CoupledSpinSystem:
     """Precomputed fixed structure of C^N otimes C^N for one even N >= 4.
 
-    Fields: local dimension ``n`` (one spin j = (n-1)/2); time-reversal
-    rotation ``v`` (n x n); swap ``f`` (n^2 x n^2); ``singlet`` unit vector.
-    The total-spin projectors come from :func:`total_spin_projectors`.
+    Fields: ``n`` (one spin j = (n-1)/2), time-reversal rotation ``v`` (n x n), ``singlet``.
+    No n^2 x n^2 array is kept: the swap F is applied by index (reference :func:`swap_operator`).
     """
 
     n: int
     v: np.ndarray
-    f: np.ndarray
     singlet: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def coupled_system(n: int) -> CoupledSpinSystem:
-    """Build (and cache) the coupled-spin structure for even n >= 4."""
+    """Build (and cache) the O(n^2) coupled-spin structure for even n >= 4."""
     n = _require_even(n, minimum=4)
     v = time_reversal_unitary(n)
-    f = swap_operator(n)
     psi = singlet_vector(n)
-    for arr in (v, f, psi):
+    for arr in (v, psi):
         arr.setflags(write=False)
-    return CoupledSpinSystem(n=n, v=v, f=f, singlet=psi)
+    return CoupledSpinSystem(n=n, v=v, singlet=psi)

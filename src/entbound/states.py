@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError, as_complex_matrix, dagger
-from .spinspace import CoupledSpinSystem
+from .spinspace import CoupledSpinSystem, _swap_index
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -90,7 +90,9 @@ def as_matrix(rho) -> np.ndarray:
 
 def _werner_matrix(sys: CoupledSpinSystem) -> np.ndarray:
     n = sys.n
-    return 2 / (n * (n + 1)) * ((np.eye(n * n) + sys.f) / 2)
+    m = np.eye(n * n)
+    m[np.arange(n * n), _swap_index(n)] += 1
+    return 2 / (n * (n + 1)) * (m / 2)
 
 
 def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
@@ -239,7 +241,10 @@ def save_state(path, state) -> None:
 def load_state(path):
     """Read a DensityMatrix or PureState back from JSON (validating invariants)."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("state file is nested too deeply to parse") from None
     if not isinstance(obj, dict) or "n_local" not in obj:
         raise ValueError("state file must be a JSON object with an 'n_local' key")
     n = obj["n_local"]

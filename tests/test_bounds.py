@@ -1,14 +1,30 @@
 import numpy as np
 import pytest
 
-from entbound import (binary_entropy, concurrence_lower_bound, concurrence_pure,
-                      eof_from_functional, eof_pure,
+from entbound import (DimensionError, binary_entropy, concurrence_lower_bound,
+                      concurrence_pure, eof_from_functional, eof_pure,
                       extremal_schmidt_weight, family_bounds_closed_form,
-                      family_state, isotropic_reference, isotropic_state,
-                      min_schmidt_entropy, min_schmidt_entropy_hull,
-                      product_pure, random_pure)
+                      family_state, family_trace_norms, isotropic_reference,
+                      isotropic_state, min_schmidt_entropy, min_schmidt_entropy_hull,
+                      product_pure, random_pure, witness_spectrum)
 
 SCALE4 = np.sqrt(2 / 12)
+
+
+# The second argument is out of range too: N must be checked first.
+@pytest.mark.parametrize("call", [
+    lambda n: min_schmidt_entropy(0.5, n),
+    lambda n: min_schmidt_entropy_hull(0.5, n),
+    lambda n: extremal_schmidt_weight(0.5, n),
+    lambda n: isotropic_reference(n, 1.5),
+    lambda n: family_trace_norms(n, 1.5),
+    lambda n: witness_spectrum(n),
+], ids=["min_schmidt_entropy", "min_schmidt_entropy_hull", "extremal_schmidt_weight",
+        "isotropic_reference", "family_trace_norms", "witness_spectrum"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_rejects_odd_or_small_local_dimension(call, n):
+    with pytest.raises(DimensionError, match="even and >= 4"):
+        call(n)
 
 
 class TestEntropyHelpers:

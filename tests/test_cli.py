@@ -156,6 +156,14 @@ class TestBoundsCommand:
     def test_missing_file(self):
         assert main(["bounds", "/no/such/file.json"]) == 1
 
+    def test_deeply_nested_file_gives_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n_local": 4, "matrix": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("obj", [
         {"n_local": 4, "matrix": {"a": 1}},
         {"n_local": 4, "matrix": [[[1.0, 0.0], {"re": 1}]]},

@@ -11,9 +11,16 @@ from entbound import (DimensionError, OptimizerBudget, build_witness,
                       family_state, isotropic_state, kron, minimize_witness,
                       partial_time_reversal, partial_trace, partial_transpose,
                       partial_transpose_norm, product_pure, realign,
-                      realign_norm, realign_reshuffle, time_reverse, trace_norm,
-                      twisted_witness, werner_state, witness_value)
+                      realign_norm, realign_reshuffle, swap_operator, time_reverse,
+                      trace_norm, twisted_witness, werner_state, witness_value)
 from entbound.states import haar_unitary, random_density
+
+
+def assert_same_bits(got, ref):
+    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
+    assert np.array_equal(got, ref)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
 
 
 def rand_state_vector(rng, n):
@@ -67,7 +74,7 @@ class TestLifts:
 
     def test_singlet_to_swap(self, sys4):
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
-        assert np.abs(partial_time_reversal(p0, sys4) - sys4.f / 4).max() < 1e-12
+        assert np.abs(partial_time_reversal(p0, sys4) - swap_operator(4) / 4).max() < 1e-12
 
     def test_transpose_involution(self, sys4):
         rng = np.random.default_rng(9)
@@ -112,7 +119,7 @@ class TestIndexPermutationRoutes:
             assert np.array_equal(partial_time_reversal(rho, sys_),
                                   product_route_time_reversal(rho, sys_))
             assert np.array_equal(realign(rho, sys_),
-                                  product_route_time_reversal(sys_.f @ rho, sys_))
+                                  product_route_time_reversal(swap_operator(n) @ rho, sys_))
 
 
 class TestTraceNormCriteria:
@@ -165,6 +172,13 @@ class TestWitness:
         assert build_witness(sys4) is w
         with pytest.raises(ValueError):
             w[0, 0] = 5.0
+
+    @pytest.mark.parametrize("n", [4, 6, 16, 32])
+    def test_bit_equal_to_dense_swap_form(self, n):
+        sys_ = coupled_system(n)
+        p0 = np.outer(sys_.singlet, sys_.singlet.conj())
+        dense = np.eye(n * n) - n * p0 - swap_operator(n)
+        assert_same_bits(build_witness(sys_), (dense + dense.conj().T) / 2)
 
 
 class TestWitnessValue:

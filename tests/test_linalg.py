@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from entbound import DimensionError, hermitian_spectrum, kron, partial_trace, trace_norm
+from entbound import (DimensionError, hermitian_spectrum, kron, partial_trace, swap_operator,
+                      trace_norm)
 from entbound.linalg import MAX_KRON_DIM
 
 
@@ -111,9 +112,9 @@ class TestPartialTrace:
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
         assert np.abs(partial_trace(p0, 4, 2) - np.eye(4) / 4).max() < 1e-12
 
-    def test_swap_reduction_matches_elementwise_sum_oracle(self, sys4):
+    def test_swap_reduction_matches_elementwise_sum_oracle(self):
         # oracle: sum the swap entries by hand over the traced index
-        f = sys4.f
+        f = swap_operator(4)
         oracle = np.zeros((4, 4), dtype=complex)
         for b in range(4):
             for d in range(4):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,7 @@ class TestSinglet:
     def test_partial_time_reversal_gives_swap(self, n):
         sys_ = coupled_system(n)
         p0 = np.outer(sys_.singlet, sys_.singlet.conj())
-        assert np.abs(n * partial_time_reversal(p0, sys_) - sys_.f).max() < 1e-12
+        assert np.abs(n * partial_time_reversal(p0, sys_) - swap_operator(n)).max() < 1e-12
 
     def test_reduced_state_maximally_mixed(self, sys6):
         p0 = np.outer(sys6.singlet, sys6.singlet.conj())
@@ -162,7 +164,7 @@ class TestStructuralInvariants:
     def test_symmetric_subspace_is_odd_spin(self, n):
         sys_ = coupled_system(n)
         odd = sum(total_spin_projectors(n)[bigj] for bigj in range(1, n, 2))
-        assert np.abs((np.eye(n * n) + sys_.f) / 2 - odd).max() < 1e-10
+        assert np.abs((np.eye(n * n) + swap_operator(n)) / 2 - odd).max() < 1e-10
 
     def test_time_reversed_vector_orthogonal(self, sys4):
         rng = np.random.default_rng(17)
@@ -177,7 +179,8 @@ class TestStructuralInvariants:
         eye = np.eye(4)
         j2 = sum((kron(a, eye) + kron(eye, a)) @ (kron(a, eye) + kron(eye, a))
                  for a in ops)
-        assert np.abs(j2 @ sys4.f - sys4.f @ j2).max() < 1e-10
+        f = swap_operator(4)
+        assert np.abs(j2 @ f - f @ j2).max() < 1e-10
         vv = kron(sys4.v, sys4.v)
         assert np.abs(vv @ j2 @ vv.conj().T - j2).max() < 1e-10
 
@@ -188,7 +191,12 @@ class TestSystemCache:
         b = coupled_system(4)
         assert a is b
         with pytest.raises(ValueError):
-            a.f[0, 0] = 5.0
+            a.singlet[0] = 5.0
+
+    def test_holds_no_dense_operator(self):
+        sys_ = coupled_system(64)
+        arrays = [getattr(sys_, f.name) for f in dataclasses.fields(sys_)]
+        assert max(a.size for a in arrays if isinstance(a, np.ndarray)) <= 64 * 64
 
     def test_rejects_odd_or_small(self):
         with pytest.raises(DimensionError):

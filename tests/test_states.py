@@ -6,7 +6,8 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       isotropic_state, load_state, partial_trace, product_pure,
                       random_density, random_product_unitary, random_pure,
                       save_state, schmidt_decompose, schmidt_reconstruct,
-                      total_spin_projectors, werner_state, witness_value)
+                      swap_operator, total_spin_projectors, werner_state,
+                      witness_value)
 
 
 class TestDensityMatrixValidation:
@@ -50,6 +51,18 @@ class TestFamilyState:
             family_state(sys4, 1.2)
         with pytest.raises(ValueError):
             family_state(sys4, -0.01)
+
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_bit_equal_to_dense_swap_mixture(self, n):
+        sys_ = coupled_system(n)
+        p0 = np.outer(sys_.singlet, sys_.singlet.conj())
+        werner = 2 / (n * (n + 1)) * ((np.eye(n * n) + swap_operator(n)) / 2)
+        for lam in np.linspace(0, 1, 11):
+            got = family_state(sys_, float(lam)).matrix
+            ref = lam * p0 + (1 - lam) * werner
+            assert np.array_equal(got, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_valid_density_on_grid(self, n):
