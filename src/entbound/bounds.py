@@ -18,7 +18,6 @@ from . import closedform
 from .criteria import (CriteriaVerdict, OptimizerBudget, evaluate_criteria,
                        minimize_witness)
 from .spinspace import CoupledSpinSystem, _require_even
-from .states import as_matrix
 
 
 def binary_entropy(x: float) -> float:
@@ -138,9 +137,8 @@ def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
 
     ``optimize`` adds the witness functional sharpened over product unitaries.
     """
-    m = as_matrix(rho)
-    verdict = evaluate_criteria(m, sys)
-    f_opt = -minimize_witness(m, sys, budget)[0] if optimize else None
+    verdict = evaluate_criteria(rho, sys)
+    f_opt = -minimize_witness(rho, sys, budget)[0] if optimize else None
     return report_from_verdict(verdict, sys.n, f_opt)
 
 

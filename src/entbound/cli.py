@@ -26,8 +26,8 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        witness_value)
 from .linalg import MAX_KRON_DIM, hermitian_spectrum
 from .spinspace import coupled_system
-from .states import (DensityMatrix, family_state, haar_unitary, load_state,
-                     random_density, random_pure, schmidt_decompose)
+from .states import (family_state, haar_unitary, load_state, random_density,
+                     random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda", "tr_W_rho", "bound_witness", "norm_T2", "bound_ppt",
                   "norm_R", "bound_realign", "bound_upper", "eof_new", "eof_old",
@@ -55,7 +55,7 @@ def _even_n(value: str) -> int:
 
 def _family_row(sys_, lam: float) -> list[float]:
     n = sys_.n
-    v = evaluate_criteria(family_state(sys_, lam).matrix, sys_)
+    v = evaluate_criteria(family_state(sys_, lam), sys_)
     report = report_from_verdict(v, n)
     return [lam, v.witness_value + 0.0,
             concurrence_from_functional(report.f_witness, n),
@@ -82,19 +82,17 @@ def cmd_family(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    state = load_state(args.state)
-    if not isinstance(state, DensityMatrix):
-        state = DensityMatrix(n_local=state.n_local, matrix=state.projector())
+    state = load_state(args.state)  # a PureState enters every criterion as its projector
     sys_ = coupled_system(state.n_local)
     if args.optimize and args.seed is None:
         print("error: --optimize requires an explicit --seed", file=_sys.stderr)
         return 1
-    verdict = evaluate_criteria(state.matrix, sys_)
+    verdict = evaluate_criteria(state, sys_)
     f_opt = None
     if args.optimize:
         budget = OptimizerBudget(restarts=args.restarts, iterations=args.iterations,
                                  seed=args.seed)
-        f_opt = -minimize_witness(state.matrix, sys_, budget)[0]
+        f_opt = -minimize_witness(state, sys_, budget)[0]
     report = report_from_verdict(verdict, sys_.n, f_opt)
     out = {"n_local": state.n_local, **asdict(verdict), **asdict(report)}
     if report.f_witness_optimized is None:
@@ -113,25 +111,27 @@ def cmd_survey(args) -> int:
     if not 1 <= rank <= n2:
         print(f"error: --rank must lie in [1, {n2}]", file=_sys.stderr)
         return 1
-    entries = []
-    if args.include_family:
-        for lam in (0.05, 0.06, 0.07, 0.08, 0.09):
-            entries.append((f"family({lam})", family_state(sys_, lam).matrix))
     streams = np.random.SeedSequence(args.seed).spawn(args.samples)
-    for k in range(args.samples):
-        entries.append((f"random{k}", random_density(sys_, rank, streams[k]).matrix))
+
+    def entries():  # built one at a time, so memory does not grow with --samples
+        if args.include_family:
+            for lam in (0.05, 0.06, 0.07, 0.08, 0.09):
+                yield f"family({lam})", family_state(sys_, lam)
+        for k in range(args.samples):
+            yield f"random{k}", random_density(sys_, rank, streams[k])
 
     lines = [",".join(SURVEY_COLUMNS)]
-    n_ppt = n_re = n_wit = n_wit_only = 0
-    for name, rho in entries:
+    n_states = n_ppt = n_re = n_wit = n_wit_only = 0
+    for name, rho in entries():
         v = evaluate_criteria(rho, sys_)
+        n_states += 1
         n_ppt += v.ppt_violated
         n_re += v.realignment_violated
         n_wit += v.witness_detects
         n_wit_only += v.witness_detects and not v.ppt_violated and not v.realignment_violated
         # getattr, not dataclasses.astuple, which deep-copies every field
         lines.append(",".join([name, *(_fmt(getattr(v, c)) for c in SURVEY_COLUMNS[1:])]))
-    lines.append(f"# summary states={len(entries)} ppt={n_ppt} realign={n_re} "
+    lines.append(f"# summary states={n_states} ppt={n_ppt} realign={n_re} "
                  f"witness={n_wit} witness_only={n_wit_only}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -204,7 +204,7 @@ def _verify_appendix_b(ck: _Checker, n: int) -> None:
     wit_err = 0.0
     for k in range(101):
         lam = k / 100
-        v = evaluate_criteria(family_state(sys_, lam).matrix, sys_)
+        v = evaluate_criteria(family_state(sys_, lam), sys_)
         t2_ref, re_ref = closedform.family_trace_norms(n, lam)
         norm_err = max(norm_err, abs(v.trace_norm_T2 - t2_ref), abs(v.trace_norm_R - re_ref))
         wit_err = max(wit_err, abs(v.witness_value
@@ -232,9 +232,9 @@ def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
         psi = random_pure(sys_, rng)
         alpha = schmidt_decompose(psi).coefficients
         cap = float(np.sum(alpha) ** 2 - np.sum(alpha ** 2))
-        fw = -witness_value(w, psi.projector())
+        fw = -witness_value(w, psi)
         u1, u2 = haar_unitary(sys_.n, rng), haar_unitary(sys_.n, rng)
-        fw_twist = -witness_value(twisted_witness(w, u1, u2), psi.projector())
+        fw_twist = -witness_value(twisted_witness(w, u1, u2), psi)
         worst = max(worst, fw - cap, fw_twist - cap)
     ck.check(f"pure-state-witness-cap n={n}", max(worst, 0.0), 1e-10)
 

@@ -22,10 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DimensionError, as_complex_matrix, dagger, kron, partial_trace,
-                     trace_norm)
+from .linalg import as_complex_matrix, dagger, kron, partial_trace, trace_norm
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
-from .states import haar_unitary
+from .states import as_matrix, haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
 VERDICT_TOL = 1e-9
@@ -35,34 +34,20 @@ _GRADIENT_TOL = 1e-12
 _STEP_MIN = 1e-12
 
 
-def _check_local(b: np.ndarray, n: int) -> np.ndarray:
-    a = as_complex_matrix(b)
-    if a.shape != (n, n):
-        raise DimensionError(f"operator must be {n}x{n}, got {a.shape}")
-    return a
-
-
-def _check_pair(rho, n: int) -> np.ndarray:
-    a = as_complex_matrix(rho)
-    if a.shape != (n * n, n * n):
-        raise DimensionError(f"operator must be {n * n}x{n * n}, got {a.shape}")
-    return a
-
-
 def extended_reduction_map(b, sys: CoupledSpinSystem) -> np.ndarray:
     """Apply the positive map  B -> (tr B) I - B - theta(B)  on one factor.
 
     For a normalized pure input |phi><phi| the image is the projector onto
     the orthogonal complement of span{|phi>, theta|phi>}, hence positive.
     """
-    a = _check_local(b, sys.n)
+    a = as_complex_matrix(b, (sys.n, sys.n))
     return np.trace(a) * np.eye(sys.n) - a - time_reverse(a, sys)
 
 
 def partial_transpose(rho, n: int) -> np.ndarray:
     """Transpose the second tensor factor of an operator on C^n otimes C^n."""
-    a = _check_pair(rho, n)
-    return a.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
+    return r.transpose(0, 3, 2, 1).reshape(n * n, n * n)
 
 
 def _flip_signs(n: int) -> np.ndarray:
@@ -81,7 +66,7 @@ def partial_time_reversal(rho, sys: CoupledSpinSystem) -> np.ndarray:
     out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
     """
     n = sys.n
-    r = _check_pair(rho, n).reshape(n, n, n, n)[:, ::-1, :, ::-1]
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[:, ::-1, :, ::-1]
     return (r.transpose(0, 3, 2, 1) * _flip_signs(n)).reshape(n * n, n * n)
 
 
@@ -96,7 +81,7 @@ def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
     out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)].
     """
     n = sys.n
-    r = _check_pair(rho, n).reshape(n, n, n, n)[::-1, :, :, ::-1]
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[::-1, :, :, ::-1]
     return (r.transpose(1, 3, 2, 0) * _flip_signs(n)).reshape(n * n, n * n)
 
 
@@ -106,8 +91,8 @@ def realign_reshuffle(rho, n: int) -> np.ndarray:
     Differs from :func:`realign` by an index permutation; the two share
     their singular values, hence the same trace norm.
     """
-    a = _check_pair(rho, n)
-    return a.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
+    return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def realign_norm(rho, sys: CoupledSpinSystem) -> float:
@@ -119,18 +104,18 @@ def realign_norm(rho, sys: CoupledSpinSystem) -> float:
 def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """The witness W = I - N P_0 - F, built once per system and cached read-only.
 
-    F is subtracted by index after I - N P_0 is formed, the order of the dense
-    sum, so every zero keeps its sign (:func:`spinspace.swap_operator` is the
-    reference).  W equals N (I otimes Phi) applied to the singlet projector and
+    W is filled in one array: N P_0 is subtracted on its N x N support, then F
+    by index, the order of the dense sum, so every zero keeps its sign
+    (:func:`spinspace.swap_operator` is the reference).  W equals N (I otimes Phi) applied to the singlet projector and
     -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in
     :mod:`closedform` as references.  The spectrum is -(N-2) on the singlet,
     +2 on the even-J manifolds with J >= 2, and 0 on the odd-J (symmetric) manifolds.
     """
     n = sys.n
-    p0 = np.outer(sys.singlet, sys.singlet.conj())
-    w = np.eye(n * n) - n * p0
+    w = np.eye(n * n, dtype=complex)
+    idx = np.arange(n) * (n - 1) + n - 1  # a N + N-1-a: where the singlet is nonzero
+    w[np.ix_(idx, idx)] -= n * np.outer(sys.singlet[idx], sys.singlet[idx].conj())
     w[np.arange(n * n), _swap_index(n)] -= 1
-    w = (w + dagger(w)) / 2
     trace = float(np.trace(w).real)
     if abs(trace - n * (n - 2)) > 1e-10 * n * n:
         raise ValueError(f"witness trace {trace!r} differs from N(N-2) = {n * (n - 2)}")
@@ -138,19 +123,21 @@ def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     return w
 
 
+def _trace_product(w: np.ndarray, a: np.ndarray) -> float:
+    """Re tr(W A) without forming W A."""
+    return float(np.einsum("ij,ji->", w, a).real)
+
+
 def witness_value(w: np.ndarray, rho) -> float:
     """tr(W rho); negative values certify entanglement of rho."""
-    a = as_complex_matrix(rho)
-    if a.shape != w.shape:
-        raise DimensionError(f"operator must be {w.shape[0]}x{w.shape[1]}, got {a.shape}")
-    return float(np.einsum("ij,ji->", w, a).real)
+    return _trace_product(w, as_matrix(rho, w.shape))
 
 
 def twisted_witness(w: np.ndarray, u1, u2) -> np.ndarray:
     """(U1 otimes U2) W (U1 otimes U2)^dag for unitary U1, U2."""
     n = math.isqrt(w.shape[0])
     for u in (u1, u2):
-        a = _check_local(u, n)
+        a = as_complex_matrix(u, (n, n))
         if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
             raise ValueError("twist matrices must be unitary within 1e-10")
     u = kron(u1, u2)
@@ -191,7 +178,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     if budget.restarts < 1 or budget.iterations < 0:
         raise ValueError("budget must have restarts >= 1 and iterations >= 0")
     n = sys.n
-    a = _check_pair(rho, n)
+    a = as_matrix(rho, (n * n, n * n))
     w = build_witness(sys)
 
     # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with
@@ -199,8 +186,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     def twist(u1, u2):
         u = kron(u1, u2)
         sigma = u @ a @ dagger(u)
-        # witness_value's input checks would cost ~5 % of a step at N = 4
-        return float(np.einsum("ij,ji->", w, sigma).real), sigma
+        return _trace_product(w, sigma), sigma
 
     eye = np.eye(n)
     best_val, best_u = twist(eye, eye)[0], (eye, eye)
@@ -231,7 +217,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
 
     # The witness twist that realizes the value is the adjoint of the state twist.
     u1, u2 = dagger(best_u[0]), dagger(best_u[1])
-    return witness_value(twisted_witness(w, u1, u2), a), u1, u2
+    return witness_value(twisted_witness(w, u1, u2), rho), u1, u2
 
 
 @dataclass(frozen=True)
@@ -248,10 +234,9 @@ class CriteriaVerdict:
 
 def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
     """Run the partial-transpose, realignment and witness tests on a state."""
-    a = _check_pair(rho, sys.n)
-    t2 = partial_transpose_norm(a, sys)
-    rn = realign_norm(a, sys)
-    wval = witness_value(build_witness(sys), a)
+    t2 = partial_transpose_norm(rho, sys)
+    rn = realign_norm(rho, sys)
+    wval = witness_value(build_witness(sys), rho)
     return CriteriaVerdict(
         ppt_violated=t2 > 1 + VERDICT_TOL,
         realignment_violated=rn > 1 + VERDICT_TOL,

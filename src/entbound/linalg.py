@@ -22,11 +22,23 @@ class DimensionError(ValueError):
     """Operand shape is incompatible with the requested operation."""
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
+def _check_shape(a: np.ndarray, shape: tuple[int, int] | None) -> np.ndarray:
+    """Return ``a`` if ``shape`` is None or its exact shape, else raise DimensionError."""
+    if shape is not None and a.shape != shape:
+        raise DimensionError(f"operator must be {shape[0]}x{shape[1]}, got {a.shape}")
+    return a
+
+
+def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Coerce to a 2-d complex128 array of exact ``shape`` (if given), rejecting NaN/Inf.
+
+    The operand gate for raw arrays, which each public function applies once;
+    :func:`states.as_matrix` passes validated states without this scan.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {a.ndim}")
+    _check_shape(a, shape)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
@@ -80,13 +92,10 @@ def partial_trace(m, local_dim: int, subsystem: int) -> np.ndarray:
     ``subsystem`` names the factor that is traced over (1 or 2); the result
     is the local_dim x local_dim reduced operator of the other factor.
     """
-    a = as_complex_matrix(m)
     d = int(local_dim)
-    if d <= 0 or a.shape != (d * d, d * d):
-        raise DimensionError(
-            f"partial trace needs a ({d * d}, {d * d}) matrix for local dimension {d}, got {a.shape}"
-        )
-    r = a.reshape(d, d, d, d)
+    if d <= 0:
+        raise DimensionError(f"local dimension must be positive, got {d}")
+    r = as_complex_matrix(m, (d * d, d * d)).reshape(d, d, d, d)
     if subsystem == 2:
         return np.einsum("ikjk->ij", r)
     if subsystem == 1:

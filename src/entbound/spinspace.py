@@ -59,10 +59,7 @@ def time_reversal_unitary(n: int) -> np.ndarray:
 
 def time_reverse(b, sys: "CoupledSpinSystem") -> np.ndarray:
     """Operator time reversal  B -> V B^T V^dag."""
-    a = as_complex_matrix(b)
-    if a.shape != (sys.n, sys.n):
-        raise DimensionError(f"operator must be {sys.n}x{sys.n}, got {a.shape}")
-    return sys.v @ a.T @ dagger(sys.v)
+    return sys.v @ as_complex_matrix(b, (sys.n, sys.n)).T @ dagger(sys.v)
 
 
 def swap_operator(n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, as_complex_matrix, dagger
+from .linalg import DimensionError, _check_shape, as_complex_matrix, dagger
 from .spinspace import CoupledSpinSystem, _swap_index
 
 _HERM_TOL = 1e-10
@@ -25,22 +25,25 @@ _EIG_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated bipartite density matrix on C^N otimes C^N."""
+    """Validated bipartite density matrix on C^N otimes C^N.
+
+    ``matrix`` is a read-only view of the validated complex128 array (shared
+    with a complex128 input), so :func:`as_matrix` hands it on without a rescan.
+    """
 
     n_local: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
         n = int(self.n_local)
-        if m.shape != (n * n, n * n):
-            raise DimensionError(f"density matrix must be {n * n}x{n * n}, got {m.shape}")
+        m = as_complex_matrix(self.matrix, (n * n, n * n)).view()
         if float(np.abs(m - dagger(m)).max()) > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(float(np.trace(m).real) - 1.0) > _TRACE_TOL or abs(float(np.trace(m).imag)) > _TRACE_TOL:
             raise ValueError("density matrix trace differs from 1 beyond 1e-10")
         if float(np.linalg.eigvalsh((m + dagger(m)) / 2)[0]) < -_EIG_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -79,13 +82,18 @@ class SchmidtForm:
     basis_2: np.ndarray
 
 
-def as_matrix(rho) -> np.ndarray:
-    """Accept a DensityMatrix, PureState or plain array; return the matrix."""
+def as_matrix(rho, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The operand gate for states: the matrix of a DensityMatrix, PureState or array.
+
+    A DensityMatrix (its read-only matrix) and a PureState (its projector) were
+    validated on construction, so only ``shape`` is checked; anything else goes
+    through :func:`linalg.as_complex_matrix`.
+    """
     if isinstance(rho, DensityMatrix):
-        return rho.matrix
+        return _check_shape(rho.matrix, shape)
     if isinstance(rho, PureState):
-        return rho.projector()
-    return as_complex_matrix(rho)
+        return _check_shape(rho.projector(), shape)
+    return as_complex_matrix(rho, shape)
 
 
 def _werner_matrix(sys: CoupledSpinSystem) -> np.ndarray:

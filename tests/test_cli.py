@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,19 +16,31 @@ BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value
                "f_realign", "f_witness", "concurrence_lower", "lambda0", "eof_lower"}
 
 
-def count_trace_norms(monkeypatch):
-    """Count linalg.trace_norm calls made through any entbound module."""
+def count_calls(monkeypatch, function):
+    """Count calls of one entbound.linalg function made through any entbound module."""
     calls = []
-    original = entbound.linalg.trace_norm
+    original = getattr(entbound.linalg, function)
 
-    def counting(m):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return original(m)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("entbound") and getattr(module, "trace_norm", None) is original:
-            monkeypatch.setattr(module, "trace_norm", counting)
+        if name.startswith("entbound") and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counting)
     return calls
+
+
+def survey_peak_bytes(tmp_path, samples):
+    """tracemalloc peak of one ``survey --n 8`` run writing to a file."""
+    out = tmp_path / f"s{samples}.csv"
+    tracemalloc.start()
+    try:
+        assert main(["survey", "--n", "8", "--samples", str(samples), "--seed", "5",
+                     "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def shift_witness(monkeypatch):
@@ -97,7 +110,7 @@ class TestFamilyCommand:
         assert main(["family", "--steps", "2", "--out", "/nonexistent/dir/x.csv"]) == 1
 
     def test_two_trace_norms_per_row(self, monkeypatch, tmp_path):
-        calls = count_trace_norms(monkeypatch)
+        calls = count_calls(monkeypatch, "trace_norm")
         assert main(["family", "--steps", "3", "--out", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 2 * 3
 
@@ -200,7 +213,7 @@ class TestBoundsCommand:
     def test_two_trace_norms_per_report(self, tmp_path, sys4, monkeypatch, capsys):
         path = tmp_path / "rho.json"
         save_state(path, family_state(sys4, 0.3))
-        calls = count_trace_norms(monkeypatch)
+        calls = count_calls(monkeypatch, "trace_norm")
         assert main(["bounds", str(path)]) == 0
         assert len(calls) == 2
 
@@ -292,6 +305,27 @@ class TestSurveyCommand:
         assert summary.startswith("# summary")
         counts = dict(kv.split("=") for kv in summary.split()[2:])
         assert int(counts["witness_only"]) >= 5
+
+    def test_three_operand_checks_per_row(self, monkeypatch, tmp_path):
+        # one when the state is validated, one in each trace norm
+        calls = count_calls(monkeypatch, "as_complex_matrix")
+        assert main(["survey", "--n", "4", "--samples", "10", "--seed", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 3 * 10
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path):
+        survey_peak_bytes(tmp_path, 1)  # warm caches and imports
+        small = survey_peak_bytes(tmp_path, 20)
+        large = survey_peak_bytes(tmp_path, 200)
+        assert large - small <= 2 ** 20
+
+
+def test_validated_state_is_not_rescanned(monkeypatch, sys4):
+    # only the two trace norms check their (derived) operand
+    dm = random_density(sys4, 3, 2)
+    calls = count_calls(monkeypatch, "as_complex_matrix")
+    cli.evaluate_criteria(dm, sys4)
+    assert len(calls) == 2
 
 
 class TestWitnessCommand:

@@ -1,18 +1,21 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import entbound
 from entbound import (DimensionError, OptimizerBudget, build_witness,
-                      coupled_system, evaluate_criteria, extended_reduction_map,
-                      family_state, isotropic_state, kron, minimize_witness,
-                      partial_time_reversal, partial_trace, partial_transpose,
-                      partial_transpose_norm, product_pure, realign,
-                      realign_norm, realign_reshuffle, swap_operator, time_reverse,
-                      trace_norm, twisted_witness, werner_state, witness_value)
+                      concurrence_lower_bound, coupled_system, evaluate_criteria,
+                      extended_reduction_map, family_state, isotropic_state, kron,
+                      minimize_witness, partial_time_reversal, partial_trace,
+                      partial_transpose, partial_transpose_norm, product_pure,
+                      random_pure, realign, realign_norm, realign_reshuffle,
+                      swap_operator, time_reverse, trace_norm, twisted_witness,
+                      werner_state, witness_value)
 from entbound.states import haar_unitary, random_density
 
 
@@ -180,6 +183,16 @@ class TestWitness:
         dense = np.eye(n * n) - n * p0 - swap_operator(n)
         assert_same_bits(build_witness(sys_), (dense + dense.conj().T) / 2)
 
+    def test_built_in_one_array(self):
+        sys_ = coupled_system(32)
+        tracemalloc.start()
+        try:
+            w = build_witness.__wrapped__(sys_)  # bypass the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * w.nbytes
+
 
 class TestWitnessValue:
     def test_family_line(self, sys4):
@@ -281,6 +294,66 @@ class TestMinimizeWitness:
     def test_rejects_bad_budget(self, sys4):
         with pytest.raises(ValueError):
             minimize_witness(np.eye(16) / 16, sys4, OptimizerBudget(restarts=0))
+
+    @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (6, 3)])
+    def test_more_steps_never_worse(self, n, seed):
+        # every accepted Armijo step lowers the value, and restarts are seeded
+        # independently of the step budget
+        sys_ = coupled_system(n)
+        rho = random_density(sys_, 4, seed).matrix
+        values = [minimize_witness(rho, sys_, OptimizerBudget(2, k, seed))[0]
+                  for k in (0, 1, 3, 10, 30, 100)]
+        for fewer, more in zip(values, values[1:]):
+            assert more <= fewer + 1e-12
+
+
+STATE_FUNCTIONS = {
+    "partial_transpose": lambda rho, sys_: partial_transpose(rho, sys_.n),
+    "partial_time_reversal": partial_time_reversal,
+    "realign": realign,
+    "realign_reshuffle": lambda rho, sys_: realign_reshuffle(rho, sys_.n),
+    "partial_transpose_norm": partial_transpose_norm,
+    "realign_norm": realign_norm,
+    "witness_value": lambda rho, sys_: witness_value(build_witness(sys_), rho),
+    "minimize_witness": lambda rho, sys_: minimize_witness(
+        rho, sys_, OptimizerBudget(restarts=2, iterations=5, seed=1)),
+    "evaluate_criteria": evaluate_criteria,
+    "concurrence_lower_bound": lambda rho, sys_: concurrence_lower_bound(
+        rho, sys_, optimize=True, budget=OptimizerBudget(restarts=2, iterations=5, seed=1)),
+}
+
+
+def result_parts(result):
+    """A function result as a list of complex arrays, field by field."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if not isinstance(result, tuple):
+        result = (result,)
+    return [np.asarray(part, dtype=complex) for part in result]
+
+
+class TestStateOperands:
+    """A validated state enters each function exactly as its matrix does."""
+
+    @pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
+    def test_density_matrix_same_as_array(self, sys4, name):
+        dm = random_density(sys4, 3, 31)
+        f = STATE_FUNCTIONS[name]
+        for got, ref in zip(result_parts(f(dm, sys4)), result_parts(f(dm.matrix, sys4))):
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
+    def test_pure_state_same_as_projector(self, sys4, name):
+        psi = random_pure(sys4, 32)
+        f = STATE_FUNCTIONS[name]
+        for got, ref in zip(result_parts(f(psi, sys4)), result_parts(f(psi.projector(), sys4))):
+            assert_same_bits(got, ref)
+
+    def test_state_shape_is_checked(self, sys4, sys6):
+        with pytest.raises(DimensionError):
+            partial_transpose(random_density(sys6, 2, 33), 4)
+        with pytest.raises(DimensionError):
+            witness_value(build_witness(sys4), random_pure(sys6, 34))
 
 
 class TestEvaluateCriteria:

@@ -35,6 +35,16 @@ class TestDensityMatrixValidation:
         with pytest.raises(DimensionError):
             DensityMatrix(n_local=4, matrix=np.eye(9) / 9)
 
+    def test_matrix_is_read_only(self, sys4):
+        dm = random_density(sys4, 3, 1)
+        with pytest.raises(ValueError):
+            dm.matrix[0, 0] = 1.0
+
+    def test_input_array_stays_writable(self):
+        m = np.eye(16, dtype=complex) / 16
+        DensityMatrix(n_local=4, matrix=m)
+        m[0, 0] = 0.5
+
 
 class TestFamilyState:
     def test_endpoints(self, sys4):
