@@ -10,13 +10,12 @@ the entanglement of formation derived from all three.
 from .bounds import (BoundReport, FamilyCurvePoint, binary_entropy,
                      concurrence_from_functional, concurrence_lower_bound,
                      eof_from_functional, extremal_schmidt_weight,
-                     family_bounds_closed_form, isotropic_reference,
-                     min_schmidt_entropy, min_schmidt_entropy_hull,
-                     report_from_verdict)
-from .closedform import (FrameConfig, family_trace_norms,
-                         family_witness_expectation, lifted_witness,
-                         overlap_kernel, sample_frame_config, spectral_witness,
-                         witness_spectrum)
+                     isotropic_reference, min_schmidt_entropy,
+                     min_schmidt_entropy_hull, report_from_verdict)
+from .closedform import (FrameConfig, family_bounds_closed_form,
+                         family_trace_norms, family_witness_expectation,
+                         lifted_witness, overlap_kernel, sample_frame_config,
+                         spectral_witness, witness_spectrum)
 from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        evaluate_criteria, extended_reduction_map,
                        minimize_witness, partial_time_reversal,

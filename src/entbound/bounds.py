@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform
 from .criteria import (CriteriaVerdict, OptimizerBudget, evaluate_criteria,
                        minimize_witness)
 from .spinspace import CoupledSpinSystem, _require_even
@@ -144,60 +143,26 @@ def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
 
 @dataclass(frozen=True)
 class FamilyCurvePoint:
-    """Closed-form bound curves of the singlet/Werner family at one lam.
+    """One row of the singlet/Werner family sweep, the columns ``family`` prints.
 
-    ``bound_*`` values are clamped at zero for reporting; the unclamped
-    formula values are kept in ``raw_*``.
+    ``tr_W_rho``, ``norm_T2`` and ``norm_R`` are the three functionals'
+    inputs; ``bound_*`` are the concurrence bounds from the witness, the
+    partial transpose and realignment (clamped at zero) and the upper line;
+    ``eof_new`` is the EoF bound over all three functionals, ``eof_old``
+    over the two trace norms only, and ``eof_upper`` the upper line.
     """
 
     lam: float
+    tr_W_rho: float
     bound_witness: float
+    norm_T2: float
     bound_ppt: float
+    norm_R: float
     bound_realign: float
     bound_upper: float
     eof_new: float
     eof_old: float
     eof_upper: float
-    raw_witness: float
-    raw_ppt: float
-    raw_realign: float
-
-
-def family_bounds_closed_form(n: int, lam: float) -> FamilyCurvePoint:
-    """Exact bound curves for the singlet/Werner family.
-
-    Concurrence: the witness line sqrt(2(n-1)/n) (n-2)/(n-1) lam, the
-    partial-transpose and realignment curves sqrt(2/(n(n-1))) (norm - 1)
-    over the exact norms of :func:`closedform.family_trace_norms` (the
-    realignment curve is negative below lam = 1/(n+2)), and the upper line
-    sqrt(2(n-1)/n) lam.  Entanglement of formation: hull of the
-    minimal-entropy profile at the constraint value with and without the
-    witness functional, plus the upper line lam log2 n.
-    """
-    t2_norm, re_norm = closedform.family_trace_norms(n, lam)  # validates n, lam
-    n = int(n)
-    pref = np.sqrt(2 * (n - 1) / n)
-    scale = np.sqrt(2 / (n * (n - 1)))
-
-    raw_witness = float(pref * (n - 2) / (n - 1) * lam)
-    raw_ppt = float(scale * (t2_norm - 1))
-    raw_realign = float(scale * (re_norm - 1))
-    lam0_new = min(max(max(n * lam, (n - 2) * lam + 1.0), 1.0), float(n))
-    lam0_old = min(max(max(t2_norm, re_norm), 1.0), float(n))
-
-    return FamilyCurvePoint(
-        lam=lam,
-        bound_witness=max(raw_witness, 0.0) + 0.0,
-        bound_ppt=max(raw_ppt, 0.0) + 0.0,
-        bound_realign=max(raw_realign, 0.0) + 0.0,
-        bound_upper=float(pref * lam),
-        eof_new=min_schmidt_entropy_hull(lam0_new, n),
-        eof_old=min_schmidt_entropy_hull(lam0_old, n),
-        eof_upper=float(lam * np.log2(n)),
-        raw_witness=raw_witness,
-        raw_ppt=raw_ppt,
-        raw_realign=raw_realign,
-    )
 
 
 def isotropic_reference(n: int, fidelity: float) -> tuple[float, float, float]:

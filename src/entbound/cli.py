@@ -12,15 +12,18 @@ default, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys as _sys
 from dataclasses import asdict, fields
+from itertools import chain
 
 import numpy as np
 
 from . import closedform
-from .bounds import (concurrence_from_functional, eof_from_functional,
-                     family_bounds_closed_form, report_from_verdict)
+from .bounds import (FamilyCurvePoint, concurrence_from_functional,
+                     eof_from_functional, report_from_verdict)
+from .closedform import family_bounds_closed_form
 from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        evaluate_criteria, minimize_witness, twisted_witness,
                        witness_value)
@@ -29,9 +32,7 @@ from .spinspace import coupled_system
 from .states import (family_state, haar_unitary, load_state, random_density,
                      random_pure, schmidt_decompose)
 
-FAMILY_COLUMNS = ("lambda", "tr_W_rho", "bound_witness", "norm_T2", "bound_ppt",
-                  "norm_R", "bound_realign", "bound_upper", "eof_new", "eof_old",
-                  "eof_upper")
+FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
 SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
 
@@ -53,31 +54,37 @@ def _even_n(value: str) -> int:
     return n
 
 
-def _family_row(sys_, lam: float) -> list[float]:
+def _family_row(sys_, lam: float) -> FamilyCurvePoint:
+    """The numeric family row: one verdict and its bound report at lam."""
     n = sys_.n
     v = evaluate_criteria(family_state(sys_, lam), sys_)
     report = report_from_verdict(v, n)
-    return [lam, v.witness_value + 0.0,
-            concurrence_from_functional(report.f_witness, n),
-            v.trace_norm_T2, concurrence_from_functional(report.f_ppt, n),
-            v.trace_norm_R, concurrence_from_functional(report.f_realign, n),
-            np.sqrt(2 * (n - 1) / n) * lam,
-            report.eof_lower, eof_from_functional(max(report.f_ppt, report.f_realign), n),
-            lam * np.log2(n)]
+    return FamilyCurvePoint(
+        lam=lam,
+        tr_W_rho=v.witness_value + 0.0,
+        bound_witness=concurrence_from_functional(report.f_witness, n),
+        norm_T2=v.trace_norm_T2,
+        bound_ppt=concurrence_from_functional(report.f_ppt, n),
+        norm_R=v.trace_norm_R,
+        bound_realign=concurrence_from_functional(report.f_realign, n),
+        bound_upper=np.sqrt(2 * (n - 1) / n) * lam,
+        eof_new=report.eof_lower,
+        eof_old=eof_from_functional(max(report.f_ppt, report.f_realign), n),
+        eof_upper=lam * np.log2(n),
+    )
 
 
 def cmd_family(args) -> int:
     if args.steps < 2:
-        print("error: --steps must be at least 2", file=_sys.stderr)
-        return 1
+        raise ValueError("--steps must be at least 2")
     if not (0 <= args.lambda_min <= args.lambda_max <= 1):
-        print("error: need 0 <= lambda-min <= lambda-max <= 1", file=_sys.stderr)
-        return 1
+        raise ValueError("need 0 <= lambda-min <= lambda-max <= 1")
     sys_ = coupled_system(args.n)
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    lines = [",".join(FAMILY_COLUMNS)]
-    lines += [",".join(map(_fmt, _family_row(sys_, float(lam)))) for lam in grid]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = (_family_row(sys_, float(lam)) for lam in grid)
+    _write_lines(args.out, chain(
+        [",".join(FAMILY_COLUMNS)],
+        (",".join(_fmt(getattr(row, f.name)) for f in fields(row)) for row in rows)))
     return 0
 
 
@@ -85,8 +92,7 @@ def cmd_bounds(args) -> int:
     state = load_state(args.state)  # a PureState enters every criterion as its projector
     sys_ = coupled_system(state.n_local)
     if args.optimize and args.seed is None:
-        print("error: --optimize requires an explicit --seed", file=_sys.stderr)
-        return 1
+        raise ValueError("--optimize requires an explicit --seed")
     verdict = evaluate_criteria(state, sys_)
     f_opt = None
     if args.optimize:
@@ -103,37 +109,39 @@ def cmd_bounds(args) -> int:
 
 def cmd_survey(args) -> int:
     if args.samples < 1:
-        print("error: --samples must be at least 1", file=_sys.stderr)
-        return 1
+        raise ValueError("--samples must be at least 1")
     sys_ = coupled_system(args.n)
     n2 = args.n * args.n
     rank = args.rank if args.rank is not None else n2
     if not 1 <= rank <= n2:
-        print(f"error: --rank must lie in [1, {n2}]", file=_sys.stderr)
-        return 1
-    streams = np.random.SeedSequence(args.seed).spawn(args.samples)
+        raise ValueError(f"--rank must lie in [1, {n2}]")
+    root = np.random.SeedSequence(args.seed)
 
-    def entries():  # built one at a time, so memory does not grow with --samples
+    # one state and one line at a time, so memory does not grow with --samples;
+    # spawn(1) per sample gives the same child streams as one spawn(samples)
+    def entries():
         if args.include_family:
             for lam in (0.05, 0.06, 0.07, 0.08, 0.09):
                 yield f"family({lam})", family_state(sys_, lam)
         for k in range(args.samples):
-            yield f"random{k}", random_density(sys_, rank, streams[k])
+            yield f"random{k}", random_density(sys_, rank, root.spawn(1)[0])
 
-    lines = [",".join(SURVEY_COLUMNS)]
-    n_states = n_ppt = n_re = n_wit = n_wit_only = 0
-    for name, rho in entries():
-        v = evaluate_criteria(rho, sys_)
-        n_states += 1
-        n_ppt += v.ppt_violated
-        n_re += v.realignment_violated
-        n_wit += v.witness_detects
-        n_wit_only += v.witness_detects and not v.ppt_violated and not v.realignment_violated
-        # getattr, not dataclasses.astuple, which deep-copies every field
-        lines.append(",".join([name, *(_fmt(getattr(v, c)) for c in SURVEY_COLUMNS[1:])]))
-    lines.append(f"# summary states={n_states} ppt={n_ppt} realign={n_re} "
-                 f"witness={n_wit} witness_only={n_wit_only}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    def lines():
+        yield ",".join(SURVEY_COLUMNS)
+        n_states = n_ppt = n_re = n_wit = n_wit_only = 0
+        for name, rho in entries():
+            v = evaluate_criteria(rho, sys_)
+            n_states += 1
+            n_ppt += v.ppt_violated
+            n_re += v.realignment_violated
+            n_wit += v.witness_detects
+            n_wit_only += v.witness_detects and not v.ppt_violated and not v.realignment_violated
+            # getattr, not dataclasses.astuple, which deep-copies every field
+            yield ",".join([name, *(_fmt(getattr(v, c)) for c in SURVEY_COLUMNS[1:])])
+        yield (f"# summary states={n_states} ppt={n_ppt} realign={n_re} "
+               f"witness={n_wit} witness_only={n_wit_only}")
+
+    _write_lines(args.out, lines())
     return 0
 
 
@@ -146,23 +154,24 @@ def cmd_witness(args) -> int:
                "trace": float(np.trace(w).real),
                "eigenvalues": [float(x) for x in evals],
                "matrix": [[[z.real, z.imag] for z in row] for row in w]}
-        text = json.dumps(obj, indent=2) + "\n"
+        lines = [json.dumps(obj, indent=2)]
     else:
-        lines = ["eigenvalue"] + [_fmt(x) for x in evals]
-        lines.append("# matrix rows (real part only differs from zero)")
-        for row in w:
-            lines.append(",".join(_fmt(z.real) for z in row))
-        text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
+        lines = chain(["eigenvalue"], map(_fmt, evals),
+                      ["# matrix rows (real part only differs from zero)"],
+                      (",".join(_fmt(z.real) for z in row) for row in w))
+    _write_lines(args.out, lines)
     return 0
 
 
-def _write_text(path, text: str) -> None:
-    if path is None or path == "-":
-        _sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_lines(path, lines) -> None:
+    """Write each line and a newline as it arrives, to stdout if path is None or "-".
+
+    A file is opened before the first line is drawn, so an unwritable path
+    fails before any work; lines written before an error stay written.
+    """
+    with (contextlib.nullcontext(_sys.stdout) if path is None or path == "-"
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 class _Checker:
@@ -198,21 +207,6 @@ def _verify_witness(ck: _Checker, n: int) -> None:
              abs(float((psi.conj() @ w @ psi).real) + (n - 2)), 1e-10)
 
 
-def _verify_appendix_b(ck: _Checker, n: int) -> None:
-    sys_ = coupled_system(n)
-    norm_err = 0.0
-    wit_err = 0.0
-    for k in range(101):
-        lam = k / 100
-        v = evaluate_criteria(family_state(sys_, lam), sys_)
-        t2_ref, re_ref = closedform.family_trace_norms(n, lam)
-        norm_err = max(norm_err, abs(v.trace_norm_T2 - t2_ref), abs(v.trace_norm_R - re_ref))
-        wit_err = max(wit_err, abs(v.witness_value
-                                   - closedform.family_witness_expectation(n, lam)))
-    ck.check(f"trace-norms-vs-closed-form n={n}", norm_err, 1e-9)
-    ck.check(f"witness-value-vs-closed-form n={n}", wit_err, 1e-12)
-
-
 def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
     sys_ = coupled_system(n)
     rng = np.random.default_rng(seed)
@@ -239,22 +233,28 @@ def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
     ck.check(f"pure-state-witness-cap n={n}", max(worst, 0.0), 1e-10)
 
 
-def _verify_figures(ck: _Checker, n: int) -> None:
-    """Compare the rows that ``family`` prints with the closed-form curves."""
+# suite -> (check name, family-row columns, tolerance) for each check
+_FAMILY_CHECKS = {
+    "appendixB": (("trace-norms-vs-closed-form", ("norm_T2", "norm_R"), 1e-9),
+                  ("witness-value-vs-closed-form", ("tr_W_rho",), 1e-12)),
+    "figures": (("figure-concurrence-curves",
+                 ("bound_witness", "bound_ppt", "bound_realign"), 1e-9),
+                ("figure-eof-curves", ("eof_new", "eof_old"), 1e-9)),
+}
+
+
+def _verify_family(ck: _Checker, n: int, suite: str) -> None:
+    """Compare the rows that ``family`` prints with the closed-form rows, column by column."""
     sys_ = coupled_system(n)
-    curve_err = eof_err = 0.0
-    for k in range(101):
-        lam = k / 100
-        row = dict(zip(FAMILY_COLUMNS, _family_row(sys_, lam)))
-        point = family_bounds_closed_form(n, lam)
-        curve_err = max(curve_err, *(abs(row[c] - getattr(point, c))
-                                     for c in ("bound_witness", "bound_ppt", "bound_realign")))
-        eof_err = max(eof_err, *(abs(row[c] - getattr(point, c)) for c in ("eof_new", "eof_old")))
-    ck.check(f"figure-concurrence-curves n={n}", curve_err, 1e-9)
-    ck.check(f"figure-eof-curves n={n}", eof_err, 1e-9)
-    cross = family_bounds_closed_form(n, 0.5)
-    ck.check(f"curve-crossing-at-half n={n}",
-             abs(cross.bound_witness - cross.bound_ppt), 1e-9)
+    pairs = [(_family_row(sys_, k / 100), family_bounds_closed_form(n, k / 100))
+             for k in range(101)]
+    for name, columns, tol in _FAMILY_CHECKS[suite]:
+        ck.check(f"{name} n={n}", max(abs(getattr(row, c) - getattr(point, c))
+                                      for row, point in pairs for c in columns), tol)
+    if suite == "figures":
+        cross = family_bounds_closed_form(n, 0.5)
+        ck.check(f"curve-crossing-at-half n={n}",
+                 abs(cross.bound_witness - cross.bound_ppt), 1e-9)
 
 
 def cmd_verify(args) -> int:
@@ -263,21 +263,16 @@ def cmd_verify(args) -> int:
         else (args.suite,)
     if "appendixA" in suites:
         if args.seed is None:
-            print("error: this suite is randomized and requires an explicit --seed",
-                  file=_sys.stderr)
-            return 1
+            raise ValueError("this suite is randomized and requires an explicit --seed")
         if args.samples < 1:
-            print("error: --samples must be at least 1", file=_sys.stderr)
-            return 1
+            raise ValueError("--samples must be at least 1")
     for suite in suites:
         if suite == "witness":
             _verify_witness(ck, args.n)
-        elif suite == "appendixB":
-            _verify_appendix_b(ck, args.n)
         elif suite == "appendixA":
             _verify_appendix_a(ck, args.n, args.samples, args.seed)
-        elif suite == "figures":
-            _verify_figures(ck, args.n)
+        else:
+            _verify_family(ck, args.n, suite)
     return 2 if ck.failed else 0
 
 

@@ -1,8 +1,9 @@
 """Closed-form reference values used to validate the numeric pipeline.
 
 The singlet/Werner mixture admits exact expressions for its partially
-transposed and realigned trace norms and for the witness expectation; the
-witness spectrum has exact eigenvalues with counting-formula multiplicities.
+transposed and realigned trace norms and for the witness expectation, and
+through them for every column of the ``family`` row; the witness spectrum
+has exact eigenvalues with counting-formula multiplicities.
 These functions evaluate those expressions directly from the formulas, with
 no matrix algebra, so agreement with the numeric route is a genuine
 end-to-end check.  Two further constructions of the witness matrix, from
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import FamilyCurvePoint, min_schmidt_entropy_hull
 from .criteria import extended_reduction_map
 from .linalg import DimensionError
 from .spinspace import CoupledSpinSystem, _require_even, total_spin_projectors
@@ -53,6 +55,38 @@ def family_witness_expectation(n: int, lam: float) -> float:
     """Exact tr(W rho(lam)) = -lam (n - 2)."""
     n = _check_args(n, lam)
     return -lam * (n - 2)
+
+
+def family_bounds_closed_form(n: int, lam: float) -> FamilyCurvePoint:
+    """Exact family row: the columns of ``family`` from the formulas above.
+
+    Concurrence: the witness line sqrt(2(n-1)/n) (n-2)/(n-1) lam, the
+    partial-transpose and realignment curves sqrt(2/(n(n-1))) (norm - 1)
+    over the exact norms (the realignment curve is negative below
+    lam = 1/(n+2) and clamped at zero), and the upper line
+    sqrt(2(n-1)/n) lam.  Entanglement of formation: hull of the
+    minimal-entropy profile at the constraint value with and without the
+    witness functional, plus the upper line lam log2 n.
+    """
+    t2_norm, re_norm = family_trace_norms(n, lam)  # validates n, lam
+    n = int(n)
+    pref = np.sqrt(2 * (n - 1) / n)
+    scale = np.sqrt(2 / (n * (n - 1)))
+    lam0_new = min(max(max(n * lam, (n - 2) * lam + 1.0), 1.0), float(n))
+    lam0_old = min(max(max(t2_norm, re_norm), 1.0), float(n))
+    return FamilyCurvePoint(
+        lam=lam,
+        tr_W_rho=family_witness_expectation(n, lam),
+        bound_witness=max(float(pref * (n - 2) / (n - 1) * lam), 0.0) + 0.0,
+        norm_T2=t2_norm,
+        bound_ppt=max(float(scale * (t2_norm - 1)), 0.0) + 0.0,
+        norm_R=re_norm,
+        bound_realign=max(float(scale * (re_norm - 1)), 0.0) + 0.0,
+        bound_upper=float(pref * lam),
+        eof_new=min_schmidt_entropy_hull(lam0_new, n),
+        eof_old=min_schmidt_entropy_hull(lam0_old, n),
+        eof_upper=float(lam * np.log2(n)),
+    )
 
 
 def witness_spectrum(n: int) -> list[tuple[float, int]]:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel.
 
-Everything in here operates on small dense matrices (at most a few hundred
-rows), so robustness is preferred over speed throughout: Hermitian
-eigensolves instead of generic SVD, explicit clamping of rounding noise,
-defensive shape checks.
+Everything in here operates on dense matrices of at most MAX_KRON_DIM =
+4096 rows (N^2 for the largest N the command line accepts).  Robustness is
+preferred over speed throughout: Hermitian eigensolves instead of generic
+SVD, explicit clamping of rounding noise, defensive shape checks.
 """
 
 from __future__ import annotations

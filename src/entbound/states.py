@@ -27,8 +27,9 @@ _EIG_TOL = 1e-10
 class DensityMatrix:
     """Validated bipartite density matrix on C^N otimes C^N.
 
-    ``matrix`` is a read-only view of the validated complex128 array (shared
-    with a complex128 input), so :func:`as_matrix` hands it on without a rescan.
+    ``matrix`` is a read-only complex128 copy of the input, made before it is
+    validated, so the caller cannot change a validated state through its own
+    array and :func:`as_matrix` hands it on without a rescan.
     """
 
     n_local: int
@@ -36,7 +37,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = int(self.n_local)
-        m = as_complex_matrix(self.matrix, (n * n, n * n)).view()
+        m = as_complex_matrix(np.array(self.matrix, dtype=np.complex128), (n * n, n * n))
         if float(np.abs(m - dagger(m)).max()) > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(float(np.trace(m).real) - 1.0) > _TRACE_TOL or abs(float(np.trace(m).imag)) > _TRACE_TOL:

@@ -122,12 +122,12 @@ class TestFamilyClosedForm:
 
     def test_realign_branch_point_is_zero(self):
         point = family_bounds_closed_form(4, 0.25)
-        assert point.raw_realign == pytest.approx(0.0, abs=1e-15)
+        assert point.norm_R - 1 == pytest.approx(0.0, abs=1e-15)
         assert point.bound_realign == 0.0
 
     def test_realign_negative_region_clamped(self):
         point = family_bounds_closed_form(4, 0.1)
-        assert point.raw_realign < 0
+        assert point.norm_R < 1
         assert point.bound_realign == 0.0
 
     def test_endpoint_matches_upper_bound(self):

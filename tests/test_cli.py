@@ -31,13 +31,13 @@ def count_calls(monkeypatch, function):
     return calls
 
 
-def survey_peak_bytes(tmp_path, samples):
-    """tracemalloc peak of one ``survey --n 8`` run writing to a file."""
+def survey_peak_bytes(tmp_path, samples, *options):
+    """tracemalloc peak of one ``survey`` run writing to a file (``--n 8`` unless given)."""
     out = tmp_path / f"s{samples}.csv"
     tracemalloc.start()
     try:
         assert main(["survey", "--n", "8", "--samples", str(samples), "--seed", "5",
-                     "--out", str(out)]) == 0
+                     *options, "--out", str(out)]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -53,6 +53,15 @@ def shift_trace_norms(monkeypatch):
     norms = closedform.family_trace_norms
     monkeypatch.setattr(closedform, "family_trace_norms",
                         lambda n, lam: tuple(x + 1e-6 for x in norms(n, lam)))
+
+
+def shift_printed_norm(monkeypatch):
+    family_row = cli._family_row
+
+    def shifted(sys_, lam):
+        row = family_row(sys_, lam)
+        return dataclasses.replace(row, norm_T2=row.norm_T2 + 1e-6)
+    monkeypatch.setattr(cli, "_family_row", shifted)
 
 
 def shift_curves(monkeypatch):
@@ -82,6 +91,9 @@ class TestFamilyCommand:
         out = tmp_path / "fig.csv"
         assert main(["family", "--n", "4", "--steps", "101", "--out", str(out)]) == 0
         header, rows = read_csv(out)
+        assert FAMILY_COLUMNS == ("lambda", "tr_W_rho", "bound_witness", "norm_T2",
+                                  "bound_ppt", "norm_R", "bound_realign", "bound_upper",
+                                  "eof_new", "eof_old", "eof_upper")
         assert header == list(FAMILY_COLUMNS)
         assert len(rows) == 101
         table = {float(r[0]): dict(zip(header, map(float, r))) for r in rows}
@@ -254,6 +266,7 @@ class TestVerifyCommand:
         ("witness", shift_witness),
         ("appendixA", scale_kernel),
         ("appendixB", shift_trace_norms),
+        ("appendixB", shift_printed_norm),
         ("figures", shift_curves),
     ])
     def test_suite_fails_on_perturbed_input(self, monkeypatch, capsys, suite, perturb):
@@ -261,6 +274,9 @@ class TestVerifyCommand:
         assert main(["verify", suite, "--n", "4", "--samples", "100", "--seed", "1"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("FAIL ") for line in lines)
+        if suite == "appendixB":
+            # both the closed form and the printed row feed this check
+            assert any(line.startswith("FAIL trace-norms-vs-closed-form ") for line in lines)
         if suite == "witness":
             # a 1e-6 I shift moves every eigenvalue but no multiplicity
             checks = {w[1]: (w[0], float(w[3].removeprefix("max_err=")))
@@ -318,6 +334,11 @@ class TestSurveyCommand:
         small = survey_peak_bytes(tmp_path, 20)
         large = survey_peak_bytes(tmp_path, 200)
         assert large - small <= 2 ** 20
+        # small states, where per-sample seed streams and kept lines would show
+        survey_peak_bytes(tmp_path, 1, "--n", "4", "--rank", "1")
+        small = survey_peak_bytes(tmp_path, 30, "--n", "4", "--rank", "1")
+        large = survey_peak_bytes(tmp_path, 1000, "--n", "4", "--rank", "1")
+        assert large - small <= 2 ** 18
 
 
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
-                      concurrence_pure, coupled_system, eof_pure, family_state,
-                      isotropic_state, load_state, partial_trace, product_pure,
-                      random_density, random_product_unitary, random_pure,
-                      save_state, schmidt_decompose, schmidt_reconstruct,
-                      swap_operator, total_spin_projectors, werner_state,
-                      witness_value)
+                      concurrence_pure, coupled_system, eof_pure,
+                      evaluate_criteria, family_state, isotropic_state,
+                      load_state, partial_trace, product_pure, random_density,
+                      random_product_unitary, random_pure, save_state,
+                      schmidt_decompose, schmidt_reconstruct, swap_operator,
+                      total_spin_projectors, werner_state, witness_value)
 
 
 class TestDensityMatrixValidation:
@@ -44,6 +44,14 @@ class TestDensityMatrixValidation:
         m = np.eye(16, dtype=complex) / 16
         DensityMatrix(n_local=4, matrix=m)
         m[0, 0] = 0.5
+
+    def test_later_writes_to_input_leave_state_unchanged(self, sys4):
+        m = np.eye(16, dtype=complex) / 16
+        dm = DensityMatrix(n_local=4, matrix=m)
+        before = evaluate_criteria(dm, sys4)
+        m[0, 0] = 5.0
+        assert np.array_equal(dm.matrix, np.eye(16) / 16)
+        assert evaluate_criteria(dm, sys4) == before
 
 
 class TestFamilyState:
