@@ -17,11 +17,11 @@ from .closedform import (FrameConfig, family_bounds_closed_form,
                          lifted_witness, overlap_kernel, sample_frame_config,
                          spectral_witness, witness_spectrum)
 from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
-                       evaluate_criteria, extended_reduction_map,
+                       evaluate_criteria, extended_reduction_map, functionals,
                        minimize_witness, partial_time_reversal,
                        partial_transpose, partial_transpose_norm, realign,
                        realign_norm, realign_reshuffle, twisted_witness,
-                       witness_value)
+                       verdicts, witness_value)
 from .linalg import (DimensionError, hermitian_spectrum, kron, partial_trace,
                      trace_norm)
 from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,
@@ -29,8 +29,8 @@ from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,
                         time_reverse, total_spin_projectors)
 from .states import (DensityMatrix, PureState, SchmidtForm, as_matrix,
                      concurrence_pure, eof_pure, family_state, haar_unitary,
-                     isotropic_state, load_state, product_pure, random_density,
-                     random_product_unitary, random_pure, save_state,
+                     isotropic_state, load_state, product_pure, random_densities,
+                     random_density, random_product_unitary, random_pure, save_state,
                      schmidt_decompose, schmidt_reconstruct, werner_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,7 +4,8 @@ Subcommands: ``family`` (bound-curve sweep to CSV), ``bounds`` (JSON report
 for one state file), ``verify`` (self-check suites), ``survey`` (random-state
 detection rates to CSV), ``witness`` (spectrum / matrix dump).
 
-Exit codes: 0 success, 1 input or usage error, 2 verification failure.
+Exit codes: 0 success, 1 input or usage error (or an internal error, reported
+in one line), 2 verification failure.
 Every randomized command takes an explicit --seed; there is no wall-clock
 default, so identical invocations produce identical bytes.
 """
@@ -26,15 +27,20 @@ from .bounds import (FamilyCurvePoint, concurrence_from_functional,
 from .closedform import family_bounds_closed_form
 from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        evaluate_criteria, minimize_witness, twisted_witness,
-                       witness_value)
+                       verdicts, witness_value)
 from .linalg import MAX_KRON_DIM, hermitian_spectrum
 from .spinspace import coupled_system
-from .states import (family_state, haar_unitary, load_state, random_density,
+from .states import (family_state, haar_unitary, load_state, random_densities,
                      random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
 SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
+
+# survey evaluates random states this many at a time: enough to share the
+# per-call overhead of the stacked kernels, few enough that memory stays flat
+SURVEY_CHUNK = 16
+SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 
 
 def _fmt(x) -> str:
@@ -117,27 +123,31 @@ def cmd_survey(args) -> int:
         raise ValueError(f"--rank must lie in [1, {n2}]")
     root = np.random.SeedSequence(args.seed)
 
-    # one state and one line at a time, so memory does not grow with --samples;
-    # spawn(1) per sample gives the same child streams as one spawn(samples)
-    def entries():
+    # a chunk of states and their lines at a time, so memory does not grow
+    # with --samples; spawn(k) per chunk gives the same child streams as one
+    # spawn(samples)
+    def chunks():
         if args.include_family:
-            for lam in (0.05, 0.06, 0.07, 0.08, 0.09):
-                yield f"family({lam})", family_state(sys_, lam)
-        for k in range(args.samples):
-            yield f"random{k}", random_density(sys_, rank, root.spawn(1)[0])
+            yield ([f"family({lam})" for lam in SURVEY_FAMILY_LAMBDAS],
+                   np.stack([family_state(sys_, lam).matrix for lam in SURVEY_FAMILY_LAMBDAS]))
+        for start in range(0, args.samples, SURVEY_CHUNK):
+            size = min(SURVEY_CHUNK, args.samples - start)
+            yield ([f"random{k}" for k in range(start, start + size)],
+                   random_densities(sys_, rank, root.spawn(size)))
 
     def lines():
         yield ",".join(SURVEY_COLUMNS)
         n_states = n_ppt = n_re = n_wit = n_wit_only = 0
-        for name, rho in entries():
-            v = evaluate_criteria(rho, sys_)
-            n_states += 1
-            n_ppt += v.ppt_violated
-            n_re += v.realignment_violated
-            n_wit += v.witness_detects
-            n_wit_only += v.witness_detects and not v.ppt_violated and not v.realignment_violated
-            # getattr, not dataclasses.astuple, which deep-copies every field
-            yield ",".join([name, *(_fmt(getattr(v, c)) for c in SURVEY_COLUMNS[1:])])
+        for names, stack in chunks():
+            for name, v in zip(names, verdicts(stack, sys_)):
+                n_states += 1
+                n_ppt += v.ppt_violated
+                n_re += v.realignment_violated
+                n_wit += v.witness_detects
+                n_wit_only += v.witness_detects and not v.ppt_violated \
+                    and not v.realignment_violated
+                # getattr, not dataclasses.astuple, which deep-copies every field
+                yield ",".join([name, *(_fmt(getattr(v, c)) for c in SURVEY_COLUMNS[1:])])
         yield (f"# summary states={n_states} ppt={n_ppt} realign={n_re} "
                f"witness={n_wit} witness_only={n_wit_only}")
 
@@ -150,17 +160,37 @@ def cmd_witness(args) -> int:
     w = build_witness(sys_)
     evals, _ = hermitian_spectrum(w)
     if args.format == "json":
-        obj = {"n_local": args.n,
-               "trace": float(np.trace(w).real),
-               "eigenvalues": [float(x) for x in evals],
-               "matrix": [[[z.real, z.imag] for z in row] for row in w]}
-        lines = [json.dumps(obj, indent=2)]
+        lines = _witness_json_lines(args.n, w, evals)
     else:
         lines = chain(["eigenvalue"], map(_fmt, evals),
                       ["# matrix rows (real part only differs from zero)"],
                       (",".join(_fmt(z.real) for z in row) for row in w))
     _write_lines(args.out, lines)
     return 0
+
+
+def _witness_json_lines(n: int, w: np.ndarray, evals: np.ndarray):
+    """``json.dumps(record, indent=2)`` of the witness record, one matrix row per item.
+
+    The record is {"n_local", "trace", "eigenvalues", "matrix": rows of
+    [re, im] pairs}; only one row is ever held as text, not the whole matrix.
+    """
+    def items(values, indent):  # the body of an indented JSON list
+        return ",\n".join(indent + v for v in values)
+
+    yield "{"
+    yield f'  "n_local": {n},'
+    yield f'  "trace": {_fmt(np.trace(w).real)},'
+    yield '  "eigenvalues": ['
+    yield items(map(_fmt, evals.tolist()), "    ")
+    yield "  ],"
+    yield '  "matrix": ['
+    for k, row in enumerate(w):
+        pairs = (f"[\n        {re!r},\n        {im!r}\n      ]"
+                 for re, im in zip(row.real.tolist(), row.imag.tolist()))
+        yield "    [\n" + items(pairs, "      ") + "\n    ]" + ("," if k + 1 < len(w) else "")
+    yield "  ]"
+    yield "}"
 
 
 def _write_lines(path, lines) -> None:
@@ -341,6 +371,10 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=_sys.stderr)
+        return 1
+    except Exception as exc:  # a bug, not bad input: still one line, no traceback
+        message = str(exc).replace("\n", " ")
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=_sys.stderr)
         return 1
 
 

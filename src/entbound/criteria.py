@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger, kron, partial_trace, trace_norm
+from .linalg import (DimensionError, as_complex_matrix, dagger, kron, partial_trace,
+                     trace_norm, trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import as_matrix, haar_unitary
 
@@ -44,10 +45,14 @@ def extended_reduction_map(b, sys: CoupledSpinSystem) -> np.ndarray:
     return np.trace(a) * np.eye(sys.n) - a - time_reverse(a, sys)
 
 
+def _partial_transposes(stack: np.ndarray, n: int) -> np.ndarray:
+    """T_2 of each matrix of a (B, n^2, n^2) stack: swap the subsystem-2 indices."""
+    return stack.reshape(-1, n, n, n, n).transpose(0, 1, 4, 3, 2).reshape(-1, n * n, n * n)
+
+
 def partial_transpose(rho, n: int) -> np.ndarray:
     """Transpose the second tensor factor of an operator on C^n otimes C^n."""
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
-    return r.transpose(0, 3, 2, 1).reshape(n * n, n * n)
+    return _partial_transposes(as_matrix(rho, (n * n, n * n))[None], n)[0]
 
 
 def _flip_signs(n: int) -> np.ndarray:
@@ -75,14 +80,21 @@ def partial_transpose_norm(rho, sys: CoupledSpinSystem) -> float:
     return trace_norm(partial_transpose(rho, sys.n))
 
 
+def _realignments(stack: np.ndarray, n: int) -> np.ndarray:
+    """The realignment of each matrix of a (B, n^2, n^2) stack (see :func:`realign`)."""
+    r = stack.reshape(-1, n, n, n, n)[:, ::-1, :, :, ::-1]
+    # written in C order, so the reshape is a view and not a second copy
+    signed = np.multiply(r.transpose(0, 2, 4, 3, 1), _flip_signs(n), order="C")
+    return signed.reshape(-1, n * n, n * n)
+
+
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
     """Canonical realignment theta_2(F rho) as the signed index permutation
 
     out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)].
     """
     n = sys.n
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[::-1, :, :, ::-1]
-    return (r.transpose(1, 3, 2, 0) * _flip_signs(n)).reshape(n * n, n * n)
+    return _realignments(as_matrix(rho, (n * n, n * n))[None], n)[0]
 
 
 def realign_reshuffle(rho, n: int) -> np.ndarray:
@@ -220,6 +232,26 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     return witness_value(twisted_witness(w, u1, u2), rho), u1, u2
 
 
+def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
+
+    ``stack`` holds validated states (:func:`states.random_densities`, or
+    stacked ``DensityMatrix.matrix`` arrays), so it is not scanned again.
+    T_2 and R are signed index permutations of the whole stack, each
+    followed by one stacked :func:`linalg.trace_norms`; tr(W rho) is one
+    contraction with the cached witness.  Each state gets the bits it gets
+    alone, in a stack of one.
+    """
+    n = sys.n
+    a = np.asarray(stack, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1:] != (n * n, n * n):
+        raise DimensionError(f"expected a (B, {n * n}, {n * n}) stack, got shape {a.shape}")
+    t2 = trace_norms(_partial_transposes(a, n))
+    rn = trace_norms(_realignments(a, n))
+    wval = np.einsum("ij,bji->b", build_witness(sys), a).real
+    return t2, rn, wval
+
+
 @dataclass(frozen=True)
 class CriteriaVerdict:
     """Outcome of all three separability tests on one state."""
@@ -232,16 +264,21 @@ class CriteriaVerdict:
     trace_norm_R: float
 
 
+def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
+    """One verdict per state of a validated stack (see :func:`functionals`)."""
+    return [CriteriaVerdict(ppt_violated=t2 > 1 + VERDICT_TOL,
+                            realignment_violated=rn > 1 + VERDICT_TOL,
+                            witness_value=wval,
+                            witness_detects=wval < -VERDICT_TOL,
+                            trace_norm_T2=t2,
+                            trace_norm_R=rn)
+            for t2, rn, wval in zip(*(f.tolist() for f in functionals(stack, sys)))]
+
+
 def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
-    """Run the partial-transpose, realignment and witness tests on a state."""
-    t2 = partial_transpose_norm(rho, sys)
-    rn = realign_norm(rho, sys)
-    wval = witness_value(build_witness(sys), rho)
-    return CriteriaVerdict(
-        ppt_violated=t2 > 1 + VERDICT_TOL,
-        realignment_violated=rn > 1 + VERDICT_TOL,
-        witness_value=wval,
-        witness_detects=wval < -VERDICT_TOL,
-        trace_norm_T2=t2,
-        trace_norm_R=rn,
-    )
+    """Run the partial-transpose, realignment and witness tests on a state.
+
+    The B = 1 case of :func:`verdicts`.
+    """
+    n2 = sys.n * sys.n
+    return verdicts(as_matrix(rho, (n2, n2))[None], sys)[0]

@@ -15,12 +15,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, _check_shape, as_complex_matrix, dagger
+from .linalg import (DimensionError, _check_shape, as_complex_matrix,
+                     as_complex_stack, dagger)
 from .spinspace import CoupledSpinSystem, _swap_index
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
+
+# the density checks in the order each state runs them, with their messages
+_DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
+                   "density matrix trace differs from 1 beyond 1e-10",
+                   "density matrix has an eigenvalue below -1e-10")
+
+
+class _Owned:
+    """A fresh array that only the library holds, handed to DensityMatrix without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _check_densities(stack, n: int) -> np.ndarray:
+    """Run the density checks on each matrix of a (B, N^2, N^2) stack; return it read-only.
+
+    The NaN/Inf scan, the Hermiticity test, the trace test and the
+    smallest-eigenvalue test (one stacked eigensolve).  The first failing
+    matrix raises the message of its first failing check, as if the matrices
+    were checked one after another.
+    """
+    a = as_complex_stack(stack, (n * n, n * n))
+    tr = np.trace(a, axis1=1, axis2=2)
+    failed = np.zeros((len(_DENSITY_CHECKS), len(a)), dtype=bool)
+    ah = dagger(a)
+    failed[0] = np.abs(a - ah).max(axis=(1, 2)) > _HERM_TOL
+    failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
+    ok = ~failed.any(axis=0)  # the eigensolve sees only matrices that passed so far
+    sym = (a + ah) / 2 if ok.all() else (a[ok] + ah[ok]) / 2
+    del ah  # one N^2 x N^2 copy per state fewer during the eigensolve
+    failed[2, ok] = np.linalg.eigvalsh(sym)[:, 0] < -_EIG_TOL
+    if failed.any():
+        first = failed.any(axis=0).argmax()
+        raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,21 +69,22 @@ class DensityMatrix:
 
     ``matrix`` is a read-only complex128 copy of the input, made before it is
     validated, so the caller cannot change a validated state through its own
-    array and :func:`as_matrix` hands it on without a rescan.
+    array and :func:`as_matrix` hands it on without a rescan.  The
+    constructors of this module hand over arrays they built themselves,
+    which are adopted without the copy.  Validation is the B = 1 case of the
+    stacked check that :func:`random_densities` runs.
     """
 
     n_local: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_local)
-        m = as_complex_matrix(np.array(self.matrix, dtype=np.complex128), (n * n, n * n))
-        if float(np.abs(m - dagger(m)).max()) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(float(np.trace(m).real) - 1.0) > _TRACE_TOL or abs(float(np.trace(m).imag)) > _TRACE_TOL:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if float(np.linalg.eigvalsh((m + dagger(m)) / 2)[0]) < -_EIG_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        m = self.matrix
+        m = np.asarray(m.array, dtype=np.complex128) if isinstance(m, _Owned) \
+            else np.array(m, dtype=np.complex128)
+        if m.ndim != 2:
+            raise DimensionError(f"expected a matrix, got array of ndim {m.ndim}")
+        _check_densities(m[None], int(self.n_local))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -110,7 +151,7 @@ def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
     Equals the sum of the odd-J total-spin projectors; separable, invariant
     under all U otimes U, undetected by every criterion in this package.
     """
-    return DensityMatrix(n_local=sys.n, matrix=_werner_matrix(sys))
+    return DensityMatrix(n_local=sys.n, matrix=_Owned(_werner_matrix(sys)))
 
 
 def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
@@ -123,7 +164,7 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
     n = sys.n
     p0 = np.outer(sys.singlet, sys.singlet.conj())
-    return DensityMatrix(n_local=n, matrix=lam * p0 + (1 - lam) * _werner_matrix(sys))
+    return DensityMatrix(n_local=n, matrix=_Owned(lam * p0 + (1 - lam) * _werner_matrix(sys)))
 
 
 def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
@@ -138,7 +179,7 @@ def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
     n = sys.n
     p0 = np.outer(sys.singlet, sys.singlet.conj())
     rest = (np.eye(n * n) - p0) / (n * n - 1)
-    return DensityMatrix(n_local=n, matrix=fidelity * p0 + (1 - fidelity) * rest)
+    return DensityMatrix(n_local=n, matrix=_Owned(fidelity * p0 + (1 - fidelity) * rest))
 
 
 def random_pure(sys: CoupledSpinSystem, seed) -> PureState:
@@ -149,15 +190,30 @@ def random_pure(sys: CoupledSpinSystem, seed) -> PureState:
     return PureState(n_local=sys.n, vector=v / np.linalg.norm(v))
 
 
-def random_density(sys: CoupledSpinSystem, rank: int, seed) -> DensityMatrix:
-    """Random density matrix G G^dag / tr from a complex Gaussian N^2 x rank factor."""
+def _sample_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:
+    """Unvalidated stack of G G^dag / tr, one complex Gaussian N^2 x rank factor G per seed."""
     n2 = sys.n * sys.n
     if not 1 <= rank <= n2:
         raise ValueError(f"rank must lie in [1, {n2}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n2, rank)) + 1j * rng.normal(size=(n2, rank))
+    g = np.empty((len(seeds), n2, rank), dtype=np.complex128)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[k] = rng.normal(size=(n2, rank)) + 1j * rng.normal(size=(n2, rank))
     m = g @ dagger(g)
-    return DensityMatrix(n_local=sys.n, matrix=m / np.trace(m).real)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def random_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:
+    """Validated read-only stack of random density matrices, one per seed.
+
+    Matrix k is bit-equal to ``random_density(sys, rank, seeds[k]).matrix``.
+    """
+    return _check_densities(_sample_densities(sys, rank, seeds), sys.n)
+
+
+def random_density(sys: CoupledSpinSystem, rank: int, seed) -> DensityMatrix:
+    """Random density matrix G G^dag / tr from a complex Gaussian N^2 x rank factor."""
+    return DensityMatrix(n_local=sys.n, matrix=_Owned(_sample_densities(sys, rank, [seed])[0]))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,7 +317,7 @@ def load_state(path):
         raise ValueError(f"'n_local' must be a JSON integer, got {n!r}")
     if "matrix" in obj:
         raw = _pairs(obj["matrix"], 3, "'matrix' must be a nested list of [re, im] pairs")
-        return DensityMatrix(n_local=n, matrix=raw[..., 0] + 1j * raw[..., 1])
+        return DensityMatrix(n_local=n, matrix=_Owned(raw[..., 0] + 1j * raw[..., 1]))
     if "vector" in obj:
         raw = _pairs(obj["vector"], 2, "'vector' must be a list of [re, im] pairs")
         return PureState(n_local=n, vector=raw[:, 0] + 1j * raw[:, 1])

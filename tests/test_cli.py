@@ -122,7 +122,8 @@ class TestFamilyCommand:
         assert main(["family", "--steps", "2", "--out", "/nonexistent/dir/x.csv"]) == 1
 
     def test_two_trace_norms_per_row(self, monkeypatch, tmp_path):
-        calls = count_calls(monkeypatch, "trace_norm")
+        # each row is a stack of one: one stacked trace-norm call per functional
+        calls = count_calls(monkeypatch, "trace_norms")
         assert main(["family", "--steps", "3", "--out", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 2 * 3
 
@@ -225,7 +226,7 @@ class TestBoundsCommand:
     def test_two_trace_norms_per_report(self, tmp_path, sys4, monkeypatch, capsys):
         path = tmp_path / "rho.json"
         save_state(path, family_state(sys4, 0.3))
-        calls = count_calls(monkeypatch, "trace_norm")
+        calls = count_calls(monkeypatch, "trace_norms")
         assert main(["bounds", str(path)]) == 0
         assert len(calls) == 2
 
@@ -322,12 +323,41 @@ class TestSurveyCommand:
         counts = dict(kv.split("=") for kv in summary.split()[2:])
         assert int(counts["witness_only"]) >= 5
 
-    def test_three_operand_checks_per_row(self, monkeypatch, tmp_path):
-        # one when the state is validated, one in each trace norm
-        calls = count_calls(monkeypatch, "as_complex_matrix")
-        assert main(["survey", "--n", "4", "--samples", "10", "--seed", "1",
+    def test_one_operand_check_per_chunk(self, monkeypatch, tmp_path):
+        # 33 samples are chunks of 16, 16 and 1; each chunk is scanned once,
+        # when it is validated, and its functionals take two stacked trace norms
+        stack_scans = count_calls(monkeypatch, "as_complex_stack")
+        matrix_scans = count_calls(monkeypatch, "as_complex_matrix")
+        norms = count_calls(monkeypatch, "trace_norms")
+        assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert len(calls) == 3 * 10
+        assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
+
+    @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("family", [False, True])
+    def test_chunks_match_one_state_at_a_time(self, capsys, samples, family):
+        n, rank, seed = 4, 5, 11
+        assert main(["survey", "--n", str(n), "--samples", str(samples), "--rank", str(rank),
+                     "--seed", str(seed)] + (["--include-family"] if family else [])) == 0
+        got = capsys.readouterr().out
+        # the reference: each state built and evaluated on its own
+        sys_ = entbound.coupled_system(n)
+        states = [(f"family({lam})", family_state(sys_, lam))
+                  for lam in (0.05, 0.06, 0.07, 0.08, 0.09) if family]
+        states += [(f"random{k}", random_density(sys_, rank, child)) for k, child
+                   in enumerate(np.random.SeedSequence(seed).spawn(samples))]
+        lines = [",".join(SURVEY_COLUMNS)]
+        counts = [0, 0, 0, 0]
+        for name, rho in states:
+            v = entbound.evaluate_criteria(rho, sys_)
+            lines.append(",".join([name, *(str(x) if isinstance(x, bool) else repr(x)
+                                           for x in dataclasses.astuple(v))]))
+            counts = [c + x for c, x in zip(counts, (
+                v.ppt_violated, v.realignment_violated, v.witness_detects,
+                v.witness_detects and not v.ppt_violated and not v.realignment_violated))]
+        lines.append("# summary states={} ppt={} realign={} witness={} witness_only={}".format(
+            len(states), *counts))
+        assert got == "".join(line + "\n" for line in lines)
 
     def test_memory_does_not_grow_with_samples(self, tmp_path):
         survey_peak_bytes(tmp_path, 1)  # warm caches and imports
@@ -342,11 +372,14 @@ class TestSurveyCommand:
 
 
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):
-    # only the two trace norms check their (derived) operand
+    # the trace norms of a validated stack scan nothing; a raw array is scanned once
     dm = random_density(sys4, 3, 2)
     calls = count_calls(monkeypatch, "as_complex_matrix")
+    stack_calls = count_calls(monkeypatch, "as_complex_stack")
     cli.evaluate_criteria(dm, sys4)
-    assert len(calls) == 2
+    assert (len(calls), len(stack_calls)) == (0, 0)
+    cli.evaluate_criteria(dm.matrix, sys4)
+    assert (len(calls), len(stack_calls)) == (1, 0)
 
 
 class TestWitnessCommand:
@@ -365,6 +398,17 @@ class TestWitnessCommand:
         assert obj["trace"] == pytest.approx(24.0, abs=1e-9)
         assert min(obj["eigenvalues"]) == pytest.approx(-4.0, abs=1e-9)
         assert len(obj["matrix"]) == 36
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_streamed_json_equals_one_dump(self, capsys, n):
+        # the record written row by row has the bytes of a single json.dumps
+        w = entbound.build_witness(entbound.coupled_system(n))
+        obj = {"n_local": n,
+               "trace": float(np.trace(w).real),
+               "eigenvalues": [float(x) for x in entbound.hermitian_spectrum(w)[0]],
+               "matrix": [[[z.real, z.imag] for z in row] for row in w]}
+        assert main(["witness", "--n", str(n), "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
 
 class TestUsageErrors:
@@ -387,3 +431,17 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert main([]) == 1
+
+    def test_internal_error_gives_one_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_survey", broken)
+        assert main(["survey", "--samples", "1", "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: internal error: RuntimeError: boom\n")
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "cmd_survey", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["survey", "--samples", "1", "--seed", "1"])

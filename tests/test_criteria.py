@@ -10,12 +10,14 @@ import pytest
 import entbound
 from entbound import (DimensionError, OptimizerBudget, build_witness,
                       concurrence_lower_bound, coupled_system, evaluate_criteria,
-                      extended_reduction_map, family_state, isotropic_state, kron,
+                      extended_reduction_map, family_state, functionals,
+                      isotropic_state, kron,
                       minimize_witness, partial_time_reversal, partial_trace,
                       partial_transpose, partial_transpose_norm, product_pure,
                       random_pure, realign, realign_norm, realign_reshuffle,
                       swap_operator, time_reverse, trace_norm, twisted_witness,
-                      werner_state, witness_value)
+                      verdicts, werner_state, witness_value)
+from entbound.linalg import hermitian_mask
 from entbound.states import haar_unitary, random_density
 
 
@@ -374,6 +376,35 @@ class TestEvaluateCriteria:
     def test_strongly_entangled(self, sys4):
         v = evaluate_criteria(family_state(sys4, 0.75).matrix, sys4)
         assert v.ppt_violated and v.realignment_violated and v.witness_detects
+
+
+class TestFunctionals:
+    """A stack gives each state the bits that evaluate_criteria gives it alone."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_bit_equal_to_one_state_at_a_time(self, n):
+        sys_ = coupled_system(n)
+        states = [family_state(sys_, lam) for lam in (0.0, 0.05, 1 / (n + 2), 0.5, 1.0)]
+        states += [random_density(sys_, rank, (n, rank, k))
+                   for rank in (1, 2 * n, n * n) for k in range(3)]
+        # family states have a Hermitian realignment and random ones do not,
+        # so the realignment stack takes both trace-norm kernels
+        herm = [bool(hermitian_mask(realign(rho, sys_))) for rho in states]
+        assert any(herm) and not all(herm)
+        states = states[::2] + states[1::2]  # interleave the two kinds
+        stack = np.stack([rho.matrix for rho in states])
+        got = functionals(stack, sys_)
+        ref = [evaluate_criteria(rho, sys_) for rho in states]
+        for values, field in zip(got, ("trace_norm_T2", "trace_norm_R", "witness_value")):
+            assert_same_bits(values, np.array([getattr(v, field) for v in ref]))
+        assert verdicts(stack, sys_) == ref
+
+    def test_stack_shape_is_checked(self, sys4):
+        rho = family_state(sys4, 0.3).matrix
+        with pytest.raises(DimensionError):
+            functionals(rho, sys4)
+        with pytest.raises(DimensionError):
+            functionals(np.stack([rho, rho]), coupled_system(6))
 
 
 class TestMapProperties:

@@ -3,7 +3,7 @@ import pytest
 
 from entbound import (DimensionError, hermitian_spectrum, kron, partial_trace, swap_operator,
                       trace_norm)
-from entbound.linalg import MAX_KRON_DIM
+from entbound.linalg import MAX_KRON_DIM, trace_norms
 
 
 def rand_complex(rng, rows, cols):
@@ -50,6 +50,21 @@ class TestTraceNorm:
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
             trace_norm(m)
+
+    def test_stack_gives_each_matrix_its_own_bits(self):
+        # a mixed stack: Hermitian members take the eigensolve, the rest the SVD
+        rng = np.random.default_rng(14)
+        mats = [rand_hermitian(rng, 6), rand_complex(rng, 6, 6), rand_complex(rng, 6, 6),
+                rand_hermitian(rng, 6), rand_complex(rng, 6, 6)]
+        got = trace_norms(np.stack(mats))
+        assert got.tolist() == [trace_norm(m) for m in mats]
+        assert trace_norms(np.stack(mats[:1] + mats[3:4])).tolist() == got[[0, 3]].tolist()
+
+    def test_stack_rejects_non_square(self):
+        with pytest.raises(DimensionError):
+            trace_norms(np.ones((2, 3, 4)))
+        with pytest.raises(DimensionError):
+            trace_norms(np.eye(3))
 
     def test_convexity(self):
         rng = np.random.default_rng(12)

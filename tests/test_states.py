@@ -4,10 +4,38 @@ import pytest
 from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       concurrence_pure, coupled_system, eof_pure,
                       evaluate_criteria, family_state, isotropic_state,
-                      load_state, partial_trace, product_pure, random_density,
-                      random_product_unitary, random_pure, save_state,
+                      load_state, partial_trace, product_pure, random_densities,
+                      random_density, random_product_unitary, random_pure, save_state,
                       schmidt_decompose, schmidt_reconstruct, swap_operator,
                       total_spin_projectors, werner_state, witness_value)
+from entbound.states import _check_densities, _Owned
+
+
+def non_hermitian():
+    m = np.eye(16, dtype=complex) / 16
+    m[0, 1] = 0.1
+    return m
+
+
+def negative_eigenvalue():
+    m = np.eye(16) / 14
+    m[0, 0] = -1 / 14
+    return m
+
+
+def with_nan():
+    m = np.eye(16, dtype=complex) / 16
+    m[3, 3] = np.nan
+    return m
+
+
+# one invalid 16 x 16 matrix per density check, with the message it raises
+DEFECTS = {
+    "non-hermitian": (non_hermitian, "density matrix is not Hermitian within 1e-10"),
+    "wrong-trace": (lambda: np.eye(16) / 8, "density matrix trace differs from 1 beyond 1e-10"),
+    "negative-eigenvalue": (negative_eigenvalue, "density matrix has an eigenvalue below -1e-10"),
+    "nan": (with_nan, "matrix contains NaN or Inf entries"),
+}
 
 
 class TestDensityMatrixValidation:
@@ -52,6 +80,55 @@ class TestDensityMatrixValidation:
         m[0, 0] = 5.0
         assert np.array_equal(dm.matrix, np.eye(16) / 16)
         assert evaluate_criteria(dm, sys4) == before
+
+
+    def test_library_arrays_are_adopted_not_copied(self):
+        m = np.eye(16, dtype=complex) / 16
+        dm = DensityMatrix(n_local=4, matrix=_Owned(m))
+        assert dm.matrix is m and not m.flags.writeable
+
+
+class TestDensityStack:
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_bad_state_raises_the_single_state_message(self, sys4, defect, position):
+        make, message = DEFECTS[defect]
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(n_local=4, matrix=make())
+        assert str(single.value) == message
+        stack = [random_density(sys4, 3, k).matrix for k in range(5)]
+        stack[position] = make()
+        with pytest.raises(ValueError) as stacked:
+            _check_densities(stack, 4)
+        assert str(stacked.value) == message
+
+    def test_first_bad_state_decides_the_message(self, sys4):
+        # as if checked one state after another: the eigenvalue defect of the
+        # second state is reported before the Hermiticity defect of the third
+        stack = [np.eye(16) / 16, negative_eigenvalue(), non_hermitian()]
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            _check_densities(stack, 4)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionError):
+            _check_densities(np.eye(16)[None] / 16, 6)
+        with pytest.raises(DimensionError):
+            _check_densities(np.eye(16) / 16, 4)
+
+    @pytest.mark.parametrize("rank", [1, 7, 36])
+    def test_random_densities_match_one_at_a_time(self, sys6, rank):
+        seeds = np.random.SeedSequence(8).spawn(5)
+        stack = random_densities(sys6, rank, seeds)
+        assert not stack.flags.writeable
+        for got, seed in zip(stack, seeds):
+            # the per-state formula, and the per-state sampler
+            rng = np.random.default_rng(seed)
+            g = rng.normal(size=(36, rank)) + 1j * rng.normal(size=(36, rank))
+            m = g @ g.conj().T
+            for ref in (m / np.trace(m).real, random_density(sys6, rank, seed).matrix):
+                assert np.array_equal(got, ref)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
 
 
 class TestFamilyState:
