@@ -22,8 +22,7 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        partial_transpose, partial_transpose_norm, realign,
                        realign_norm, realign_reshuffle, twisted_witness,
                        verdicts, witness_value)
-from .linalg import (DimensionError, hermitian_spectrum, kron, partial_trace,
-                     trace_norm)
+from .linalg import DimensionError, hermitian_spectrum, trace_norm
 from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,
                         spin_operators, swap_operator, time_reversal_unitary,
                         time_reverse, total_spin_projectors)

@@ -17,6 +17,7 @@ import contextlib
 import json
 import sys as _sys
 from dataclasses import asdict, fields
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -25,10 +26,10 @@ from . import closedform
 from .bounds import (FamilyCurvePoint, concurrence_from_functional,
                      eof_from_functional, report_from_verdict)
 from .closedform import family_bounds_closed_form
-from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
+from .criteria import (CriteriaVerdict, OptimizerBudget, _verdicts, build_witness,
                        evaluate_criteria, minimize_witness, twisted_witness,
-                       verdicts, witness_value)
-from .linalg import MAX_KRON_DIM, hermitian_spectrum
+                       witness_value)
+from .linalg import hermitian_spectrum
 from .spinspace import coupled_system
 from .states import (family_state, haar_unitary, load_state, random_densities,
                      random_pure, schmidt_decompose)
@@ -41,6 +42,10 @@ SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
 # per-call overhead of the stacked kernels, few enough that memory stays flat
 SURVEY_CHUNK = 16
 SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
+
+# --n is refused when N^2 exceeds this: every state and the witness are dense
+# N^2 x N^2 matrices, and 4096 x 4096 (N = 64) is already a usage limit
+MAX_KRON_DIM = 4096
 
 
 def _fmt(x) -> str:
@@ -138,8 +143,8 @@ def cmd_survey(args) -> int:
     def lines():
         yield ",".join(SURVEY_COLUMNS)
         n_states = n_ppt = n_re = n_wit = n_wit_only = 0
-        for names, stack in chunks():
-            for name, v in zip(names, verdicts(stack, sys_)):
+        for names, stack in chunks():  # validated stacks: the ungated core
+            for name, v in zip(names, _verdicts(stack, sys_)):
                 n_states += 1
                 n_ppt += v.ppt_violated
                 n_re += v.realignment_violated
@@ -273,11 +278,15 @@ _FAMILY_CHECKS = {
 }
 
 
-def _verify_family(ck: _Checker, n: int, suite: str) -> None:
-    """Compare the rows that ``family`` prints with the closed-form rows, column by column."""
+def _family_pairs(n: int) -> list:
+    """(printed family row, closed-form point) at lambda = 0, 0.01, ..., 1."""
     sys_ = coupled_system(n)
-    pairs = [(_family_row(sys_, k / 100), family_bounds_closed_form(n, k / 100))
-             for k in range(101)]
+    return [(_family_row(sys_, k / 100), family_bounds_closed_form(n, k / 100))
+            for k in range(101)]
+
+
+def _verify_family(ck: _Checker, n: int, suite: str, pairs: list) -> None:
+    """Compare the rows that ``family`` prints with the closed-form rows, column by column."""
     for name, columns, tol in _FAMILY_CHECKS[suite]:
         ck.check(f"{name} n={n}", max(abs(getattr(row, c) - getattr(point, c))
                                       for row, point in pairs for c in columns), tol)
@@ -296,17 +305,22 @@ def cmd_verify(args) -> int:
             raise ValueError("this suite is randomized and requires an explicit --seed")
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
+    pairs = None  # built once, for the first family suite, and shared
     for suite in suites:
         if suite == "witness":
             _verify_witness(ck, args.n)
         elif suite == "appendixA":
             _verify_appendix_a(ck, args.n, args.samples, args.seed)
         else:
-            _verify_family(ck, args.n, suite)
+            if pairs is None:
+                pairs = _family_pairs(args.n)
+            _verify_family(ck, args.n, suite, pairs)
     return 2 if ck.failed else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each subcommand runs ``cmd_<name>``."""
     parser = argparse.ArgumentParser(
         prog="entbound",
         description="Entanglement detection and concurrence / entanglement-of-"
@@ -319,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("bounds", help="JSON bound report for one state file")
     p.add_argument("state", help="path to a JSON state file")
@@ -328,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--iterations", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suite", choices=("witness", "appendixA", "appendixB",
@@ -336,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_even_n, default=4)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("survey", help="criteria verdicts over random states, write CSV")
     p.add_argument("--n", type=_even_n, default=4)
@@ -346,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--include-family", action="store_true",
                    help="inject family states at lambda = 0.05..0.09")
-    p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("witness", help="print the witness spectrum and matrix")
     p.add_argument("--n", type=_even_n, default=4)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_witness)
 
     return parser
 
@@ -365,7 +374,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors; remap to the input-error code
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* is what runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DimensionError, as_complex_matrix, dagger, kron, partial_trace,
-                     trace_norm, trace_norms)
+from .linalg import (as_complex_matrix, as_complex_stack, dagger, trace_norm,
+                     trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import as_matrix, haar_unitary
 
@@ -148,11 +148,11 @@ def witness_value(w: np.ndarray, rho) -> float:
 def twisted_witness(w: np.ndarray, u1, u2) -> np.ndarray:
     """(U1 otimes U2) W (U1 otimes U2)^dag for unitary U1, U2."""
     n = math.isqrt(w.shape[0])
-    for u in (u1, u2):
-        a = as_complex_matrix(u, (n, n))
+    a1, a2 = as_complex_matrix(u1, (n, n)), as_complex_matrix(u2, (n, n))
+    for a in (a1, a2):
         if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
             raise ValueError("twist matrices must be unitary within 1e-10")
-    u = kron(u1, u2)
+    u = np.kron(a1, a2)
     return u @ w @ dagger(u)
 
 
@@ -194,9 +194,10 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     w = build_witness(sys)
 
     # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with
-    # U replaced by its adjoint; twist the state and undo at the end.
+    # U replaced by its adjoint; twist the state and undo at the end.  The
+    # loop only meets arrays it built itself, so nothing in it is gated.
     def twist(u1, u2):
-        u = kron(u1, u2)
+        u = np.kron(u1, u2)
         sigma = u @ a @ dagger(u)
         return _trace_product(w, sigma), sigma
 
@@ -210,8 +211,8 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
         val, sigma = twist(u1, u2)
         mu = 1.0
         for _ in range(budget.iterations):
-            c = sigma @ w - w @ sigma
-            g1, g2 = partial_trace(c, n, 2), partial_trace(c, n, 1)
+            c = (sigma @ w - w @ sigma).reshape(n, n, n, n)
+            g1, g2 = np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c)  # tr_2 C, tr_1 C
             sq = float(np.vdot(g1, g1).real + np.vdot(g2, g2).real)
             if sq < _GRADIENT_TOL ** 2:
                 break
@@ -232,24 +233,26 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     return witness_value(twisted_witness(w, u1, u2), rho), u1, u2
 
 
+def _functionals(stack: np.ndarray, sys: CoupledSpinSystem):
+    """The ungated core of :func:`functionals`, for a stack that is already gated or validated."""
+    n = sys.n
+    t2 = trace_norms(_partial_transposes(stack, n))
+    rn = trace_norms(_realignments(stack, n))
+    wval = np.einsum("ij,bji->b", build_witness(sys), stack).real
+    return t2, rn, wval
+
+
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
-    ``stack`` holds validated states (:func:`states.random_densities`, or
-    stacked ``DensityMatrix.matrix`` arrays), so it is not scanned again.
-    T_2 and R are signed index permutations of the whole stack, each
-    followed by one stacked :func:`linalg.trace_norms`; tr(W rho) is one
-    contraction with the cached witness.  Each state gets the bits it gets
-    alone, in a stack of one.
+    The raw stack passes :func:`linalg.as_complex_stack` once.  T_2 and R
+    are signed index permutations of the whole stack, each followed by one
+    stacked :func:`linalg.trace_norms`; tr(W rho) is one contraction with
+    the cached witness.  Each state gets the bits it gets alone, in a stack
+    of one.
     """
-    n = sys.n
-    a = np.asarray(stack, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1:] != (n * n, n * n):
-        raise DimensionError(f"expected a (B, {n * n}, {n * n}) stack, got shape {a.shape}")
-    t2 = trace_norms(_partial_transposes(a, n))
-    rn = trace_norms(_realignments(a, n))
-    wval = np.einsum("ij,bji->b", build_witness(sys), a).real
-    return t2, rn, wval
+    n2 = sys.n * sys.n
+    return _functionals(as_complex_stack(stack, (n2, n2)), sys)
 
 
 @dataclass(frozen=True)
@@ -264,21 +267,27 @@ class CriteriaVerdict:
     trace_norm_R: float
 
 
-def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
-    """One verdict per state of a validated stack (see :func:`functionals`)."""
+def _verdicts(stack: np.ndarray, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
+    """The ungated core of :func:`verdicts`, for a stack that is already gated or validated."""
     return [CriteriaVerdict(ppt_violated=t2 > 1 + VERDICT_TOL,
                             realignment_violated=rn > 1 + VERDICT_TOL,
                             witness_value=wval,
                             witness_detects=wval < -VERDICT_TOL,
                             trace_norm_T2=t2,
                             trace_norm_R=rn)
-            for t2, rn, wval in zip(*(f.tolist() for f in functionals(stack, sys)))]
+            for t2, rn, wval in zip(*(f.tolist() for f in _functionals(stack, sys)))]
+
+
+def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
+    """One verdict per state of a raw (B, N^2, N^2) stack, gated once (see :func:`functionals`)."""
+    n2 = sys.n * sys.n
+    return _verdicts(as_complex_stack(stack, (n2, n2)), sys)
 
 
 def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
     """Run the partial-transpose, realignment and witness tests on a state.
 
-    The B = 1 case of :func:`verdicts`.
+    The B = 1 case of :func:`verdicts`, gated by :func:`states.as_matrix`.
     """
     n2 = sys.n * sys.n
-    return verdicts(as_matrix(rho, (n2, n2))[None], sys)[0]
+    return _verdicts(as_matrix(rho, (n2, n2))[None], sys)[0]

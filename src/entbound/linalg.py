@@ -1,18 +1,15 @@
 """Dense complex linear algebra kernel.
 
-Everything in here operates on dense matrices of at most MAX_KRON_DIM =
-4096 rows (N^2 for the largest N the command line accepts).  Robustness is
-preferred over speed throughout: Hermitian eigensolves instead of generic
-SVD, explicit clamping of rounding noise, defensive shape checks.
+The operand gates for raw arrays, the stacked trace norm and the Hermitian
+spectrum.  Robustness is preferred over speed throughout: Hermitian
+eigensolves instead of generic SVD where the input allows, defensive shape
+checks.  Tensor products and partial traces are plain ``np.kron`` and
+``einsum`` calls where they are needed, on arrays that are already gated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Tensor products beyond this edge length are refused (kron of two 64x64
-# operators is already a 4096x4096 matrix; anything bigger is a usage bug).
-MAX_KRON_DIM = 4096
 
 # ||M - M^dag|| below this (relative) means M is treated as Hermitian.
 _HERMITIAN_DETECT_TOL = 1e-12
@@ -105,38 +102,6 @@ def _svd_norms(stack: np.ndarray) -> np.ndarray:
 def trace_norm(m) -> float:
     """Sum of singular values of a square matrix: the B = 1 case of :func:`trace_norms`."""
     return float(trace_norms(as_complex_matrix(m)[None])[0])
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with subsystem-1-major index convention.
-
-    (A otimes B)[(i*rB + k), (j*cB + l)] = A[i, j] * B[k, l].
-    """
-    am = as_complex_matrix(a)
-    bm = as_complex_matrix(b)
-    if am.shape[0] * bm.shape[0] > MAX_KRON_DIM or am.shape[1] * bm.shape[1] > MAX_KRON_DIM:
-        raise ValueError(
-            f"tensor product of {am.shape} and {bm.shape} exceeds the "
-            f"configured maximum edge length {MAX_KRON_DIM}"
-        )
-    return np.kron(am, bm)
-
-
-def partial_trace(m, local_dim: int, subsystem: int) -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^d otimes C^d.
-
-    ``subsystem`` names the factor that is traced over (1 or 2); the result
-    is the local_dim x local_dim reduced operator of the other factor.
-    """
-    d = int(local_dim)
-    if d <= 0:
-        raise DimensionError(f"local dimension must be positive, got {d}")
-    r = as_complex_matrix(m, (d * d, d * d)).reshape(d, d, d, d)
-    if subsystem == 2:
-        return np.einsum("ikjk->ij", r)
-    if subsystem == 1:
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
 
 
 def hermitian_spectrum(m):

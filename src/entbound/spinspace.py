@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DimensionError, as_complex_matrix, dagger, kron
+from .linalg import DimensionError, as_complex_matrix, dagger
 
 
 def _require_even(n: int, minimum: int = 2) -> int:
@@ -87,10 +87,10 @@ def total_spin_projectors(n: int) -> list[np.ndarray]:
     idempotent to machine precision at every n.
     """
     n = _require_even(n, minimum=4)
-    eye = np.eye(n)
+    eye = np.eye(n, dtype=complex)
     j2 = np.zeros((n * n, n * n), dtype=complex)
     for a in spin_operators(n):
-        total = kron(a, eye) + kron(eye, a)
+        total = np.kron(a, eye) + np.kron(eye, a)
         j2 += total @ total
     evals, q = np.linalg.eigh(j2)
     spins = np.rint((np.sqrt(1 + 4 * evals) - 1) / 2).astype(int)

@@ -13,7 +13,7 @@ import numpy as np
 from entbound import (OptimizerBudget, build_witness, concurrence_lower_bound,
                       coupled_system, eof_from_functional, extended_reduction_map,
                       family_bounds_closed_form, family_state,
-                      isotropic_reference, isotropic_state, kron,
+                      isotropic_reference, isotropic_state,
                       min_schmidt_entropy_hull, minimize_witness,
                       partial_time_reversal, realign_norm, realign_reshuffle,
                       trace_norm, twisted_witness, witness_value)
@@ -184,7 +184,7 @@ def test_criterion_10_optimizer_sanity():
     untwisted_value = witness_value(w, rho)            # -0.6
     rng = np.random.default_rng(1010)
     u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
-    u = kron(u1, u2)
+    u = np.kron(u1, u2)
     rho_twisted = u @ rho @ u.conj().T
     identity_candidate = witness_value(w, rho_twisted)
     val, best1, best2 = minimize_witness(rho_twisted, sys_,

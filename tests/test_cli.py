@@ -382,6 +382,19 @@ def test_validated_state_is_not_rescanned(monkeypatch, sys4):
     assert (len(calls), len(stack_calls)) == (1, 0)
 
 
+def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
+    # only the returned unitaries are gated, once each, however long the search
+    dm = random_density(sys4, 4, 3)
+    counts = []
+    for iterations in (0, 20):
+        calls = count_calls(monkeypatch, "as_complex_matrix")
+        stack_calls = count_calls(monkeypatch, "as_complex_stack")
+        entbound.minimize_witness(dm, sys4, entbound.OptimizerBudget(1, iterations, 1))
+        counts.append((len(calls), len(stack_calls)))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] and counts[0][1] == 0
+
+
 class TestWitnessCommand:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -438,6 +451,14 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "cmd_survey", broken)
         assert main(["survey", "--samples", "1", "--seed", "1"]) == 1
         assert capsys.readouterr() == ("", "error: internal error: RuntimeError: boom\n")
+
+    def test_replaced_command_runs_after_the_parser_is_built(self, monkeypatch, capsys):
+        # the parser is built once per process; the command is looked up by name
+        assert main(["survey", "--samples", "1", "--seed", "1"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_survey", lambda args: print(args.samples) or 7)
+        assert main(["survey", "--samples", "3", "--seed", "1"]) == 7
+        assert capsys.readouterr().out == "3\n"
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
         def interrupted(args):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import entbound
 from entbound import (DimensionError, OptimizerBudget, build_witness,
                       concurrence_lower_bound, coupled_system, evaluate_criteria,
                       extended_reduction_map, family_state, functionals,
-                      isotropic_state, kron,
-                      minimize_witness, partial_time_reversal, partial_trace,
+                      isotropic_state,
+                      minimize_witness, partial_time_reversal,
                       partial_transpose, partial_transpose_norm, product_pure,
                       random_pure, realign, realign_norm, realign_reshuffle,
                       swap_operator, time_reverse, trace_norm, twisted_witness,
@@ -72,10 +73,10 @@ class TestLifts:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        got = partial_time_reversal(kron(a, b), sys4)
-        assert np.abs(got - kron(a, time_reverse(b, sys4))).max() < 1e-12
-        got_t = partial_transpose(kron(a, b), 4)
-        assert np.abs(got_t - kron(a, b.T)).max() < 1e-12
+        got = partial_time_reversal(np.kron(a, b), sys4)
+        assert np.abs(got - np.kron(a, time_reverse(b, sys4))).max() < 1e-12
+        got_t = partial_transpose(np.kron(a, b), 4)
+        assert np.abs(got_t - np.kron(a, b.T)).max() < 1e-12
 
     def test_singlet_to_swap(self, sys4):
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
@@ -98,14 +99,15 @@ class TestLifts:
                 oracle[i, :, j, :] = extended_reduction_map(blocks[i, :, j, :], sys4)
         oracle = oracle.reshape(16, 16)
         # the lifted map: blockwise (tr B) I is the subsystem-1 reduction
-        lifted = (kron(partial_trace(rho, 4, 2), np.eye(4)) - rho
+        rho_1 = np.einsum("ikjk->ij", rho.reshape(4, 4, 4, 4))  # tr_2 rho
+        lifted = (np.kron(rho_1, np.eye(4)) - rho
                   - partial_time_reversal(rho, sys4))
         assert np.abs(lifted - oracle).max() < 1e-12
 
 
 def product_route_time_reversal(rho, sys_):
     """(I otimes V) T2(rho) (I otimes V)^dag by matrix products."""
-    iv = kron(np.eye(sys_.n), sys_.v)
+    iv = np.kron(np.eye(sys_.n), sys_.v)
     return iv @ partial_transpose(rho, sys_.n) @ iv.conj().T
 
 
@@ -232,7 +234,7 @@ class TestTwistedWitness:
         w = build_witness(sys4)
         u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
         rho = random_density(sys4, 5, rng).matrix
-        u = kron(u1, u2)
+        u = np.kron(u1, u2)
         rho_u = u @ rho @ u.conj().T
         wu = twisted_witness(w, u1, u2)
         assert np.einsum("ij,ji->", wu, rho_u).real == pytest.approx(
@@ -278,7 +280,7 @@ class TestMinimizeWitness:
         # must reach the untwisted value (a short budget suffices here)
         rng = np.random.default_rng(19)
         u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
-        u = kron(u1, u2)
+        u = np.kron(u1, u2)
         rho = family_state(sys4, 0.3).matrix
         rho_twisted = u @ rho @ u.conj().T
         val, _, _ = minimize_witness(rho_twisted, sys4,
@@ -287,7 +289,7 @@ class TestMinimizeWitness:
 
     def test_recovers_twisted_family_value_n6(self, sys6):
         rng = np.random.default_rng(23)
-        u = kron(haar_unitary(6, rng), haar_unitary(6, rng))
+        u = np.kron(haar_unitary(6, rng), haar_unitary(6, rng))
         rho_twisted = u @ family_state(sys6, 0.3).matrix @ u.conj().T
         val, _, _ = minimize_witness(rho_twisted, sys6,
                                      OptimizerBudget(restarts=2, iterations=200, seed=5))
@@ -405,6 +407,17 @@ class TestFunctionals:
             functionals(rho, sys4)
         with pytest.raises(DimensionError):
             functionals(np.stack([rho, rho]), coupled_system(6))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("function", [functionals, verdicts])
+    def test_non_finite_stack_is_rejected(self, sys4, function, entry):
+        # the raw stack is gated before any kernel sees it
+        stack = np.stack([family_state(sys4, 0.3).matrix] * 2)
+        stack[1, 2, 3] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+                function(stack, sys4)
 
 
 class TestMapProperties:

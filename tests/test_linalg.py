@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, hermitian_spectrum, kron, partial_trace, swap_operator,
-                      trace_norm)
-from entbound.linalg import MAX_KRON_DIM, trace_norms
+from entbound import DimensionError, hermitian_spectrum, trace_norm
+from entbound.linalg import trace_norms
 
 
 def rand_complex(rng, rows, cols):
@@ -82,77 +81,6 @@ class TestTraceNorm:
             u = rand_unitary(rng, 6)
             v = rand_unitary(rng, 6)
             assert trace_norm(u @ a @ v) == pytest.approx(trace_norm(a), abs=1e-9)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(21)
-        a = rand_complex(rng, 3, 3)
-        b = rand_complex(rng, 3, 3)
-        assert np.trace(kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b), abs=1e-12)
-
-    def test_mixed_product_oracle(self):
-        rng = np.random.default_rng(22)
-        a, b, c, d = (rand_complex(rng, 2, 2) for _ in range(4))
-        assert np.abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d)).max() < 1e-12
-
-    def test_index_convention(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        b = np.array([[2.0, 0.0], [0.0, 3.0]])
-        k = kron(a, b)
-        # (A x B)[(i*2+k),(j*2+l)] = A[i,j] B[k,l]
-        assert k[0 * 2 + 1, 1 * 2 + 1] == 3.0
-        assert k[0 * 2 + 0, 1 * 2 + 0] == 2.0
-
-    def test_size_guard(self):
-        big = np.eye(MAX_KRON_DIM // 2 + 1)
-        with pytest.raises(ValueError):
-            kron(big, np.eye(2))
-
-
-class TestPartialTrace:
-    def test_product_operator(self):
-        rng = np.random.default_rng(31)
-        a = rand_complex(rng, 4, 4)
-        b = rand_complex(rng, 4, 4)
-        got = partial_trace(kron(a, b), 4, 2)
-        assert np.abs(got - a * np.trace(b)).max() < 1e-12
-        got1 = partial_trace(kron(a, b), 4, 1)
-        assert np.abs(got1 - b * np.trace(a)).max() < 1e-12
-
-    def test_singlet_reduction(self, sys4):
-        p0 = np.outer(sys4.singlet, sys4.singlet.conj())
-        assert np.abs(partial_trace(p0, 4, 2) - np.eye(4) / 4).max() < 1e-12
-
-    def test_swap_reduction_matches_elementwise_sum_oracle(self):
-        # oracle: sum the swap entries by hand over the traced index
-        f = swap_operator(4)
-        oracle = np.zeros((4, 4), dtype=complex)
-        for b in range(4):
-            for d in range(4):
-                oracle[b, d] = sum(f[a * 4 + b, a * 4 + d] for a in range(4))
-        assert np.abs(oracle - np.eye(4)).max() == 0.0
-        assert np.abs(partial_trace(f, 4, 1) - oracle).max() < 1e-12
-
-    def test_trace_preserved_and_linear(self):
-        rng = np.random.default_rng(32)
-        m1 = rand_complex(rng, 9, 9)
-        m2 = rand_complex(rng, 9, 9)
-        for sub in (1, 2):
-            got = partial_trace(m1, 3, sub)
-            assert np.trace(got) == pytest.approx(np.trace(m1), abs=1e-12)
-            lin = partial_trace(2.0 * m1 - 0.5j * m2, 3, sub)
-            ref = 2.0 * got - 0.5j * partial_trace(m2, 3, sub)
-            assert np.abs(lin - ref).max() < 1e-12
-
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(10), 3, 2)
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(9), 3, 3)
 
 
 class TestHermitianSpectrum:

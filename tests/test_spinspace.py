@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, coupled_system, kron, singlet_vector,
+from entbound import (DimensionError, coupled_system, singlet_vector,
                       spin_operators, swap_operator, time_reversal_unitary,
                       time_reverse, total_spin_projectors)
 from entbound.criteria import partial_time_reversal
@@ -177,11 +177,11 @@ class TestStructuralInvariants:
     def test_casimir_commutes_with_swap_and_double_rotation(self, sys4):
         ops = spin_operators(4)
         eye = np.eye(4)
-        j2 = sum((kron(a, eye) + kron(eye, a)) @ (kron(a, eye) + kron(eye, a))
+        j2 = sum((np.kron(a, eye) + np.kron(eye, a)) @ (np.kron(a, eye) + np.kron(eye, a))
                  for a in ops)
         f = swap_operator(4)
         assert np.abs(j2 @ f - f @ j2).max() < 1e-10
-        vv = kron(sys4.v, sys4.v)
+        vv = np.kron(sys4.v, sys4.v)
         assert np.abs(vv @ j2 @ vv.conj().T - j2).max() < 1e-10
 
 
