@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (CriteriaVerdict, OptimizerBudget, evaluate_criteria,
-                       minimize_witness)
-from .spinspace import CoupledSpinSystem, _require_even
+from .criteria import CriteriaVerdict
+from .spinspace import _require_even
 
 
 def binary_entropy(x: float) -> float:
@@ -130,17 +129,6 @@ def report_from_verdict(verdict: CriteriaVerdict, n: int,
     )
 
 
-def concurrence_lower_bound(rho, sys: CoupledSpinSystem, optimize: bool = False,
-                            budget: OptimizerBudget | None = None) -> BoundReport:
-    """Evaluate the criteria on a state and apply :func:`report_from_verdict`.
-
-    ``optimize`` adds the witness functional sharpened over product unitaries.
-    """
-    verdict = evaluate_criteria(rho, sys)
-    f_opt = -minimize_witness(rho, sys, budget)[0] if optimize else None
-    return report_from_verdict(verdict, sys.n, f_opt)
-
-
 @dataclass(frozen=True)
 class FamilyCurvePoint:
     """One row of the singlet/Werner family sweep, the columns ``family`` prints.
@@ -163,19 +151,3 @@ class FamilyCurvePoint:
     eof_new: float
     eof_old: float
     eof_upper: float
-
-
-def isotropic_reference(n: int, fidelity: float) -> tuple[float, float, float]:
-    """(exact concurrence, partial-transpose bound, witness bound) for isotropic states.
-
-    Exact concurrence is sqrt(2n/(n-1)) (f - 1/n) above f = 1/n and zero
-    below; the partial-transpose bound reproduces it exactly, the witness
-    bound is the factor (n-2)/(n-1) weaker.
-    """
-    n = _require_even(n, minimum=4)
-    if not 0 <= fidelity <= 1:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    if fidelity <= 1 / n:
-        return 0.0, 0.0, 0.0
-    exact = float(np.sqrt(2 * n / (n - 1)) * (fidelity - 1 / n))
-    return exact, exact, float((n - 2) / (n - 1) * exact)

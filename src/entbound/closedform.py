@@ -1,14 +1,20 @@
-"""Closed-form reference values used to validate the numeric pipeline.
+"""Reference constructions and closed-form values that validate the numeric pipeline.
 
 The singlet/Werner mixture admits exact expressions for its partially
 transposed and realigned trace norms and for the witness expectation, and
 through them for every column of the ``family`` row; the witness spectrum
-has exact eigenvalues with counting-formula multiplicities.
-These functions evaluate those expressions directly from the formulas, with
-no matrix algebra, so agreement with the numeric route is a genuine
-end-to-end check.  Two further constructions of the witness matrix, from
-its definition as a lifted map and from its spectral decomposition, serve
-as references for the swap form that :func:`criteria.build_witness` uses.
+has exact eigenvalues with counting-formula multiplicities, and isotropic
+states have exact concurrence and bound values.  These functions evaluate
+those expressions directly from the formulas, with no matrix algebra, so
+agreement with the numeric route is a genuine end-to-end check.
+
+Below those sit the slower, more literal constructions that the
+production code is checked against: the spin matrices, the total-spin
+projectors and the dense swap F; the witness as a lifted map and from its
+spectral decomposition (references for :func:`criteria.build_witness`);
+the partial time reversal, and realignment as an index reshuffle
+(references for :func:`criteria.realign`).  Nothing in the package's
+production path calls this module except ``verify``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import FamilyCurvePoint, min_schmidt_entropy_hull
-from .criteria import extended_reduction_map
-from .linalg import DimensionError
-from .spinspace import CoupledSpinSystem, _require_even, total_spin_projectors
+from .criteria import _flip_signs, extended_reduction_map
+from .linalg import DimensionError, dagger
+from .spinspace import CoupledSpinSystem, _require_even
+from .states import as_matrix, haar_unitary
 
 
 def _check_args(n: int, lam: float) -> int:
@@ -101,6 +108,70 @@ def witness_spectrum(n: int) -> list[tuple[float, int]]:
     return [(-(n - 2.0), 1), (0.0, zero_mult), (2.0, two_mult)]
 
 
+def isotropic_reference(n: int, fidelity: float) -> tuple[float, float, float]:
+    """(exact concurrence, partial-transpose bound, witness bound) for isotropic states.
+
+    Exact concurrence is sqrt(2n/(n-1)) (f - 1/n) above f = 1/n and zero
+    below; the partial-transpose bound reproduces it exactly, the witness
+    bound is the factor (n-2)/(n-1) weaker.
+    """
+    n = _require_even(n, minimum=4)
+    if not 0 <= fidelity <= 1:
+        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
+    if fidelity <= 1 / n:
+        return 0.0, 0.0, 0.0
+    exact = float(np.sqrt(2 * n / (n - 1)) * (fidelity - 1 / n))
+    return exact, exact, float((n - 2) / (n - 1) * exact)
+
+
+def spin_operators(n: int):
+    """Spin matrices (Jx, Jy, Jz) for spin j = (n-1)/2 in the descending-m basis."""
+    n = int(n)
+    if n < 2:
+        raise DimensionError(f"need local dimension >= 2, got {n}")
+    j = (n - 1) / 2
+    ms = j - np.arange(n)
+    jz = np.diag(ms).astype(complex)
+    jplus = np.zeros((n, n), dtype=complex)
+    for i in range(1, n):
+        m = ms[i]
+        jplus[i - 1, i] = np.sqrt(j * (j + 1) - m * (m + 1))
+    jminus = dagger(jplus)
+    jx = (jplus + jminus) / 2
+    jy = (jplus - jminus) / 2j
+    return jx, jy, jz
+
+
+def total_spin_projectors(n: int) -> list[np.ndarray]:
+    """Projectors P_J onto total spin J = 0..n-1 of the coupled pair.
+
+    One Hermitian eigensolve of the Casimir
+    J^2 = sum_a (j_a otimes I + I otimes j_a)^2, whose eigenvalues J(J+1)
+    are integers with gaps >= 2; eigenvectors are grouped by
+    J = round((sqrt(1 + 4 lambda) - 1) / 2) and P_J = Q_J Q_J^dag, which is
+    idempotent to machine precision at every n.
+    """
+    n = _require_even(n, minimum=4)
+    eye = np.eye(n, dtype=complex)
+    j2 = np.zeros((n * n, n * n), dtype=complex)
+    for a in spin_operators(n):
+        total = np.kron(a, eye) + np.kron(eye, a)
+        j2 += total @ total
+    evals, q = np.linalg.eigh(j2)
+    spins = np.rint((np.sqrt(1 + 4 * evals) - 1) / 2).astype(int)
+    return [q[:, spins == bigj] @ dagger(q[:, spins == bigj]) for bigj in range(n)]
+
+
+def swap_operator(n: int) -> np.ndarray:
+    """Dense swap F (e_a otimes e_b) = e_b otimes e_a, the reference for the index map F."""
+    n = _require_even(n)
+    f = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            f[b * n + a, a * n + b] = 1.0
+    return f
+
+
 def lifted_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """N (I otimes Phi)(P_0): the extended reduction map on each subsystem-2 block."""
     n = sys.n
@@ -112,10 +183,30 @@ def lifted_witness(sys: CoupledSpinSystem) -> np.ndarray:
 
 
 def spectral_witness(sys: CoupledSpinSystem) -> np.ndarray:
-    """-(N-2) P_0 + 2 (P_2 + ... + P_{N-2}), as accurate as total_spin_projectors."""
+    """-(N-2) P_0 + 2 (P_2 + ... + P_{N-2}), as accurate as :func:`total_spin_projectors`."""
     n = sys.n
     projs = total_spin_projectors(n)
     return -(n - 2) * projs[0] + 2 * sum(projs[2:n - 1:2])
+
+
+def partial_time_reversal(rho, sys: CoupledSpinSystem) -> np.ndarray:
+    """(I otimes V) T2(rho) (I otimes V)^dag as the signed index permutation
+
+    out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
+    """
+    n = sys.n
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[:, ::-1, :, ::-1]
+    return (r.transpose(0, 3, 2, 1) * _flip_signs(n)).reshape(n * n, n * n)
+
+
+def realign_reshuffle(rho, n: int) -> np.ndarray:
+    """Realignment as the index reshuffle M[(i,j),(k,l)] = rho[(i,k),(j,l)].
+
+    Differs from :func:`criteria.realign` by an index permutation; the two
+    share their singular values, hence the same trace norm.
+    """
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
+    return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +248,6 @@ def overlap_kernel(cfg: FrameConfig, sys: CoupledSpinSystem) -> complex:
 
 def sample_frame_config(sys: CoupledSpinSystem, rng: np.random.Generator) -> FrameConfig:
     """Draw a random configuration from two Haar-random orthonormal frames."""
-    from .states import haar_unitary
-
     n = sys.n
     u1 = haar_unitary(n, rng)
     u2 = haar_unitary(n, rng)

@@ -8,10 +8,11 @@ the time-reversal extension of the reduction map,
 defined for even local dimension N >= 4.  Lifting it to the second factor
 of C^N otimes C^N and applying it to the singlet produces a Hermitian
 witness operator that detects entangled states with positive partial
-transpose; here it is built in its swap form I - N P_0 - F (the lifted and
-spectral constructions live in :mod:`closedform` as references).
+transpose; here it is built in its swap form I - N P_0 - F.
 Trace-norm criteria (partial transpose / realignment) live here as well, so
-one call evaluates all three detectors on a state.
+one call evaluates all three detectors on a state.  The lifted and spectral
+witness constructions, the matrix-product partial time reversal and the
+index-reshuffle realignment are references in :mod:`closedform`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (as_complex_matrix, as_complex_stack, dagger, trace_norm,
-                     trace_norms)
+from .linalg import as_complex_matrix, as_complex_stack, dagger, trace_norms
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import as_matrix, haar_unitary
 
@@ -65,21 +65,6 @@ def _flip_signs(n: int) -> np.ndarray:
     return np.multiply.outer(s, s)[None, :, None, :]
 
 
-def partial_time_reversal(rho, sys: CoupledSpinSystem) -> np.ndarray:
-    """(I otimes V) T2(rho) (I otimes V)^dag as the signed index permutation
-
-    out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
-    """
-    n = sys.n
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[:, ::-1, :, ::-1]
-    return (r.transpose(0, 3, 2, 1) * _flip_signs(n)).reshape(n * n, n * n)
-
-
-def partial_transpose_norm(rho, sys: CoupledSpinSystem) -> float:
-    """Trace norm of the partially transposed state; > 1 flags entanglement."""
-    return trace_norm(partial_transpose(rho, sys.n))
-
-
 def _realignments(stack: np.ndarray, n: int) -> np.ndarray:
     """The realignment of each matrix of a (B, n^2, n^2) stack (see :func:`realign`)."""
     r = stack.reshape(-1, n, n, n, n)[:, ::-1, :, :, ::-1]
@@ -97,28 +82,14 @@ def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
     return _realignments(as_matrix(rho, (n * n, n * n))[None], n)[0]
 
 
-def realign_reshuffle(rho, n: int) -> np.ndarray:
-    """Realignment as the index reshuffle M[(i,j),(k,l)] = rho[(i,k),(j,l)].
-
-    Differs from :func:`realign` by an index permutation; the two share
-    their singular values, hence the same trace norm.
-    """
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
-    return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
-def realign_norm(rho, sys: CoupledSpinSystem) -> float:
-    """Trace norm of the realigned state; > 1 flags entanglement."""
-    return trace_norm(realign(rho, sys))
-
-
 @lru_cache(maxsize=None)
 def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """The witness W = I - N P_0 - F, built once per system and cached read-only.
 
     W is filled in one array: N P_0 is subtracted on its N x N support, then F
     by index, the order of the dense sum, so every zero keeps its sign
-    (:func:`spinspace.swap_operator` is the reference).  W equals N (I otimes Phi) applied to the singlet projector and
+    (:func:`closedform.swap_operator` is the reference).  W equals
+    N (I otimes Phi) applied to the singlet projector and
     -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in
     :mod:`closedform` as references.  The spectrum is -(N-2) on the singlet,
     +2 on the even-J manifolds with J >= 2, and 0 on the odd-J (symmetric) manifolds.

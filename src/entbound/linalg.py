@@ -99,11 +99,6 @@ def _svd_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values of a square matrix: the B = 1 case of :func:`trace_norms`."""
-    return float(trace_norms(as_complex_matrix(m)[None])[0])
-
-
 def hermitian_spectrum(m):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 

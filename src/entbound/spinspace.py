@@ -1,10 +1,13 @@
-"""Structural operators of two coupled spins on C^N otimes C^N, N even.
+"""Structural data of two coupled spins on C^N otimes C^N, N even.
 
 A local dimension N corresponds to one particle of spin j = (N-1)/2; the
 local basis is ordered by descending magnetic quantum number m = j, ..., -j.
 Composite indices are subsystem-1 major: (a, b) -> a*N + b.  For even N the
 time-reversal rotation V is simultaneously unitary and skew-symmetric, which
 is the structural fact everything downstream relies on; odd N is rejected.
+This module holds V, the singlet and the cached :func:`coupled_system`; the
+spin matrices, the dense swap and the total-spin projectors are references
+in :mod:`closedform`.
 """
 
 from __future__ import annotations
@@ -22,24 +25,6 @@ def _require_even(n: int, minimum: int = 2) -> int:
     if n < minimum or n % 2 != 0:
         raise DimensionError(f"local dimension must be even and >= {minimum}, got {n}")
     return n
-
-
-def spin_operators(n: int):
-    """Spin matrices (Jx, Jy, Jz) for spin j = (n-1)/2 in the descending-m basis."""
-    n = int(n)
-    if n < 2:
-        raise DimensionError(f"need local dimension >= 2, got {n}")
-    j = (n - 1) / 2
-    ms = j - np.arange(n)
-    jz = np.diag(ms).astype(complex)
-    jplus = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        m = ms[i]
-        jplus[i - 1, i] = np.sqrt(j * (j + 1) - m * (m + 1))
-    jminus = dagger(jplus)
-    jx = (jplus + jminus) / 2
-    jy = (jplus - jminus) / 2j
-    return jx, jy, jz
 
 
 def time_reversal_unitary(n: int) -> np.ndarray:
@@ -62,39 +47,9 @@ def time_reverse(b, sys: "CoupledSpinSystem") -> np.ndarray:
     return sys.v @ as_complex_matrix(b, (sys.n, sys.n)).T @ dagger(sys.v)
 
 
-def swap_operator(n: int) -> np.ndarray:
-    """Dense swap F (e_a otimes e_b) = e_b otimes e_a; test reference for :func:`_swap_index`."""
-    n = _require_even(n)
-    f = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            f[b * n + a, a * n + b] = 1.0
-    return f
-
-
 def _swap_index(n: int) -> np.ndarray:
     """Column (i % n) n + i // n of the single 1 in row i of the swap F (a n + b -> b n + a)."""
     return np.arange(n * n).reshape(n, n).T.ravel()
-
-
-def total_spin_projectors(n: int) -> list[np.ndarray]:
-    """Projectors P_J onto total spin J = 0..n-1 of the coupled pair.
-
-    One Hermitian eigensolve of the Casimir
-    J^2 = sum_a (j_a otimes I + I otimes j_a)^2, whose eigenvalues J(J+1)
-    are integers with gaps >= 2; eigenvectors are grouped by
-    J = round((sqrt(1 + 4 lambda) - 1) / 2) and P_J = Q_J Q_J^dag, which is
-    idempotent to machine precision at every n.
-    """
-    n = _require_even(n, minimum=4)
-    eye = np.eye(n, dtype=complex)
-    j2 = np.zeros((n * n, n * n), dtype=complex)
-    for a in spin_operators(n):
-        total = np.kron(a, eye) + np.kron(eye, a)
-        j2 += total @ total
-    evals, q = np.linalg.eigh(j2)
-    spins = np.rint((np.sqrt(1 + 4 * evals) - 1) / 2).astype(int)
-    return [q[:, spins == bigj] @ dagger(q[:, spins == bigj]) for bigj in range(n)]
 
 
 def singlet_vector(n: int) -> np.ndarray:
@@ -115,7 +70,8 @@ class CoupledSpinSystem:
     """Precomputed fixed structure of C^N otimes C^N for one even N >= 4.
 
     Fields: ``n`` (one spin j = (n-1)/2), time-reversal rotation ``v`` (n x n), ``singlet``.
-    No n^2 x n^2 array is kept: the swap F is applied by index (reference :func:`swap_operator`).
+    No n^2 x n^2 array is kept: the swap F is applied by index
+    (reference :func:`closedform.swap_operator`).
     """
 
     n: int

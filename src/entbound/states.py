@@ -29,6 +29,19 @@ _DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
                    "density matrix has an eigenvalue below -1e-10")
 
 
+def _check_n_local(n) -> int:
+    """``n`` as a Python int if it is an integer >= 1 (a numpy integer too, not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionError(f"n_local must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
+def _check_finite(v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector contains NaN or Inf entries")
+    return v
+
+
 class _Owned:
     """A fresh array that only the library holds, handed to DensityMatrix without a copy."""
 
@@ -79,13 +92,15 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        n = _check_n_local(self.n_local)
         m = self.matrix
         m = np.asarray(m.array, dtype=np.complex128) if isinstance(m, _Owned) \
             else np.array(m, dtype=np.complex128)
         if m.ndim != 2:
             raise DimensionError(f"expected a matrix, got array of ndim {m.ndim}")
-        _check_densities(m[None], int(self.n_local))
+        _check_densities(m[None], n)
         m.setflags(write=False)
+        object.__setattr__(self, "n_local", n)
         object.__setattr__(self, "matrix", m)
 
 
@@ -98,13 +113,13 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.complex128)
-        n = int(self.n_local)
+        n = _check_n_local(self.n_local)
         if v.shape != (n * n,):
             raise DimensionError(f"state vector must have length {n * n}, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state vector contains NaN or Inf entries")
+        _check_finite(v)
         if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
             raise ValueError("state vector is not normalized within 1e-12")
+        object.__setattr__(self, "n_local", n)
         object.__setattr__(self, "vector", v)
 
     def projector(self) -> np.ndarray:
@@ -224,12 +239,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_product_unitary(sys: CoupledSpinSystem, seed):
-    """Pair (U1, U2) of independent Haar unitaries on the local space."""
-    rng = np.random.default_rng(seed)
-    return haar_unitary(sys.n, rng), haar_unitary(sys.n, rng)
-
-
 def schmidt_decompose(psi) -> SchmidtForm:
     """Schmidt decomposition of a bipartite pure state.
 
@@ -242,7 +251,7 @@ def schmidt_decompose(psi) -> SchmidtForm:
     if isinstance(psi, PureState):
         v = psi.vector
     else:
-        v = np.asarray(psi, dtype=np.complex128).reshape(-1)
+        v = _check_finite(np.asarray(psi, dtype=np.complex128).reshape(-1))
     norm = float(np.linalg.norm(v))
     if norm < 1e-13:
         raise ValueError("cannot Schmidt-decompose the zero vector")
@@ -254,15 +263,6 @@ def schmidt_decompose(psi) -> SchmidtForm:
     u, s, vh = np.linalg.svd(c)
     # psi = sum_i s_i u[:,i] otimes vh[i,:]  (no conjugation on the rows)
     return SchmidtForm(coefficients=s, basis_1=u, basis_2=vh.T)
-
-
-def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
-    """Rebuild the state vector sum_i alpha_i b1_i otimes b2_i."""
-    n = form.basis_1.shape[0]
-    out = np.zeros(n * n, dtype=np.complex128)
-    for i, alpha in enumerate(form.coefficients):
-        out += alpha * np.kron(form.basis_1[:, i], form.basis_2[:, i])
-    return out
 
 
 def concurrence_pure(psi) -> float:
@@ -279,14 +279,6 @@ def eof_pure(psi) -> float:
     p = schmidt_decompose(psi).coefficients ** 2
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
-
-
-def product_pure(a, b) -> PureState:
-    """Pure product state from two local vectors (normalized)."""
-    av = np.asarray(a, dtype=np.complex128)
-    bv = np.asarray(b, dtype=np.complex128)
-    v = np.kron(av / np.linalg.norm(av), bv / np.linalg.norm(bv))
-    return PureState(n_local=av.size, vector=v)
 
 
 def save_state(path, state) -> None:
@@ -312,9 +304,7 @@ def load_state(path):
             raise ValueError("state file is nested too deeply to parse") from None
     if not isinstance(obj, dict) or "n_local" not in obj:
         raise ValueError("state file must be a JSON object with an 'n_local' key")
-    n = obj["n_local"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"'n_local' must be a JSON integer, got {n!r}")
+    n = obj["n_local"]  # checked by the state class
     if "matrix" in obj:
         raw = _pairs(obj["matrix"], 3, "'matrix' must be a nested list of [re, im] pairs")
         return DensityMatrix(n_local=n, matrix=_Owned(raw[..., 0] + 1j * raw[..., 1]))

@@ -10,15 +10,16 @@ import time
 
 import numpy as np
 
-from entbound import (OptimizerBudget, build_witness, concurrence_lower_bound,
-                      coupled_system, eof_from_functional, extended_reduction_map,
-                      family_bounds_closed_form, family_state,
-                      isotropic_reference, isotropic_state,
-                      min_schmidt_entropy_hull, minimize_witness,
-                      partial_time_reversal, realign_norm, realign_reshuffle,
-                      trace_norm, twisted_witness, witness_value)
+from entbound import (OptimizerBudget, build_witness, coupled_system,
+                      eof_from_functional, evaluate_criteria, extended_reduction_map,
+                      family_state, isotropic_state, min_schmidt_entropy_hull,
+                      minimize_witness, twisted_witness, witness_value)
 from entbound.cli import main
+from entbound.closedform import (family_bounds_closed_form, isotropic_reference,
+                                 partial_time_reversal, realign_reshuffle)
+from entbound.linalg import trace_norms
 from entbound.states import haar_unitary, random_density
+from helpers import bound_report
 
 
 def report(name, ok, detail):
@@ -87,15 +88,15 @@ def test_criterion_05_figure2_reproduction():
     # oracle values recomputed from the minimal-entropy hull formulas
     new_ref = min_schmidt_entropy_hull(1.5, 4)     # 0.16033079773273232
     old_ref = min_schmidt_entropy_hull(1.25, 4)    # 0.05182768894868844
-    end_err = abs(concurrence_lower_bound(family_state(sys_, 1.0), sys_).eof_lower - 2.0)
-    quarter = concurrence_lower_bound(family_state(sys_, 0.25), sys_)
+    end_err = abs(bound_report(family_state(sys_, 1.0), sys_).eof_lower - 2.0)
+    quarter = bound_report(family_state(sys_, 0.25), sys_)
     new_got = quarter.eof_lower
     old_got = eof_from_functional(max(quarter.f_ppt, quarter.f_realign), 4)
     quarter_ok = (abs(new_got - 0.1603) <= 1e-3 and abs(old_got - 0.0518) <= 1e-3
                   and abs(new_got - new_ref) <= 1e-9 and abs(old_got - old_ref) <= 1e-9)
     dominance_ok = True
     for k in range(101):
-        rep = concurrence_lower_bound(family_state(sys_, k / 100), sys_)
+        rep = bound_report(family_state(sys_, k / 100), sys_)
         dominance_ok &= (rep.eof_lower
                          >= eof_from_functional(max(rep.f_ppt, rep.f_realign), 4) - 1e-12)
     ok = end_err <= 1e-9 and quarter_ok and dominance_ok
@@ -153,7 +154,7 @@ def test_criterion_08_isotropic_states():
         for k in range(21):
             f = k * 0.05
             exact, ppt_ref, wit_ref = isotropic_reference(n, f)
-            rep = concurrence_lower_bound(isotropic_state(sys_, f), sys_)
+            rep = bound_report(isotropic_state(sys_, f), sys_)
             if f > 1 / n:
                 worst_ppt = max(worst_ppt, abs(scale * max(rep.f_ppt, 0) - exact))
             worst_wit = max(worst_wit, abs(scale * max(rep.f_witness, 0) - wit_ref))
@@ -169,8 +170,8 @@ def test_criterion_09_realignment_cross_check():
     for k in range(100):
         rank = int(rng.integers(1, 17))
         rho = random_density(sys_, rank, rng).matrix
-        canonical = realign_norm(rho, sys_)
-        reshuffled = trace_norm(realign_reshuffle(rho, 4))
+        canonical = evaluate_criteria(rho, sys_).trace_norm_R
+        reshuffled = trace_norms(realign_reshuffle(rho, 4)[None])[0]
         worst = max(worst, abs(canonical - reshuffled))
     ok = worst <= 1e-9
     report("criterion 9 realignment cross-check", ok, f"max_norm_diff={worst:.2e}")

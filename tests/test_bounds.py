@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, binary_entropy, concurrence_lower_bound,
-                      concurrence_pure, eof_from_functional, eof_pure,
-                      extremal_schmidt_weight, family_bounds_closed_form,
-                      family_state, family_trace_norms, isotropic_reference,
-                      isotropic_state, min_schmidt_entropy, min_schmidt_entropy_hull,
-                      product_pure, random_pure, witness_spectrum)
+from entbound import (DimensionError, binary_entropy, concurrence_pure,
+                      eof_from_functional, eof_pure, extremal_schmidt_weight,
+                      family_state, isotropic_state, min_schmidt_entropy,
+                      min_schmidt_entropy_hull, random_pure)
+from entbound.closedform import (family_bounds_closed_form, family_trace_norms,
+                                 isotropic_reference, witness_spectrum)
+from helpers import bound_report, product_pure
 
 SCALE4 = np.sqrt(2 / 12)
 
@@ -91,14 +92,14 @@ class TestEntropyHull:
 
 class TestConcurrenceLowerBound:
     def test_family_witness_dominates_low_lambda(self, sys4):
-        report = concurrence_lower_bound(family_state(sys4, 0.1), sys4)
+        report = bound_report(family_state(sys4, 0.1), sys4)
         assert report.concurrence_lower == pytest.approx(SCALE4 * 0.2, abs=1e-10)
         assert report.f_witness == pytest.approx(0.2, abs=1e-12)
         assert report.f_ppt <= 1e-10
         assert report.f_realign <= 0.0
 
     def test_family_ppt_dominates_high_lambda(self, sys4):
-        report = concurrence_lower_bound(family_state(sys4, 0.75), sys4)
+        report = bound_report(family_state(sys4, 0.75), sys4)
         assert report.concurrence_lower == pytest.approx(0.816496580927726, abs=1e-9)
         assert report.f_ppt == pytest.approx(2.0, abs=1e-9)
         assert report.f_witness == pytest.approx(1.5, abs=1e-12)
@@ -108,7 +109,7 @@ class TestConcurrenceLowerBound:
         rng = np.random.default_rng(62)
         a = rng.normal(size=4) + 1j * rng.normal(size=4)
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        report = concurrence_lower_bound(product_pure(a, b), sys4)
+        report = bound_report(product_pure(a, b), sys4)
         assert report.concurrence_lower == pytest.approx(0.0, abs=1e-9)
         assert report.lambda0 == pytest.approx(1.0, abs=1e-9)
         assert report.eof_lower == pytest.approx(0.0, abs=1e-9)
@@ -141,27 +142,27 @@ class TestFamilyClosedForm:
 
 def eof_trace_norms_only(rho, sys_):
     """The older EoF bound: the entropy hull over the two trace-norm functionals."""
-    rep = concurrence_lower_bound(rho, sys_)
+    rep = bound_report(rho, sys_)
     return eof_from_functional(max(rep.f_ppt, rep.f_realign), sys_.n)
 
 
 class TestEofLowerBound:
     def test_family_endpoint(self, sys4):
         rho = family_state(sys4, 1.0)
-        assert concurrence_lower_bound(rho, sys4).eof_lower == pytest.approx(2.0, abs=1e-9)
+        assert bound_report(rho, sys4).eof_lower == pytest.approx(2.0, abs=1e-9)
         assert eof_trace_norms_only(rho, sys4) == pytest.approx(2.0, abs=1e-9)
 
     def test_family_quarter_point(self, sys4):
         # frozen oracle values: Lambda0 = 1.5 (with witness) and 1.25 (trace norms only)
         rho = family_state(sys4, 0.25)
-        assert concurrence_lower_bound(rho, sys4).eof_lower == pytest.approx(
+        assert bound_report(rho, sys4).eof_lower == pytest.approx(
             0.16033079773273232, abs=1e-9)
         assert eof_trace_norms_only(rho, sys4) == pytest.approx(
             0.05182768894868844, abs=1e-9)
 
     def test_maximally_mixed_gives_zero(self, sys4):
         rho = np.eye(16) / 16
-        assert concurrence_lower_bound(rho, sys4).eof_lower == 0.0
+        assert bound_report(rho, sys4).eof_lower == 0.0
 
     def test_witness_mode_dominates(self, sys4):
         rng = np.random.default_rng(63)
@@ -170,7 +171,7 @@ class TestEofLowerBound:
         from entbound import random_density
         states += [random_density(sys4, int(rng.integers(1, 17)), rng) for _ in range(20)]
         for rho in states:
-            assert concurrence_lower_bound(rho, sys4).eof_lower >= \
+            assert bound_report(rho, sys4).eof_lower >= \
                 eof_trace_norms_only(rho, sys4) - 1e-12
 
 
@@ -195,7 +196,7 @@ class TestIsotropicReference:
     def test_matches_numeric_pipeline(self, sys4):
         for f in np.linspace(0, 1, 11):
             exact, ppt_ref, wit_ref = isotropic_reference(4, float(f))
-            report = concurrence_lower_bound(isotropic_state(sys4, float(f)), sys4)
+            report = bound_report(isotropic_state(sys4, float(f)), sys4)
             assert SCALE4 * max(report.f_ppt, 0) == pytest.approx(ppt_ref, abs=1e-9)
             assert SCALE4 * max(report.f_witness, 0) == pytest.approx(wit_ref, abs=1e-9)
 
@@ -204,7 +205,7 @@ class TestBoundConsistency:
     def test_lower_bounds_below_pure_values(self, sys4):
         for seed in range(500):
             psi = random_pure(sys4, (2, seed))
-            report = concurrence_lower_bound(psi, sys4)
+            report = bound_report(psi, sys4)
             assert report.concurrence_lower <= concurrence_pure(psi) + 1e-8
             assert report.eof_lower <= eof_pure(psi) + 1e-8
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from entbound import (FrameConfig, family_trace_norms, family_witness_expectation,
-                      overlap_kernel, sample_frame_config, witness_spectrum)
+from entbound.closedform import (FrameConfig, family_trace_norms,
+                                 family_witness_expectation, overlap_kernel,
+                                 sample_frame_config, witness_spectrum)
 from entbound.linalg import DimensionError
 
 

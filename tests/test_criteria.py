@@ -10,16 +10,14 @@ import pytest
 
 import entbound
 from entbound import (DimensionError, OptimizerBudget, build_witness,
-                      concurrence_lower_bound, coupled_system, evaluate_criteria,
-                      extended_reduction_map, family_state, functionals,
-                      isotropic_state,
-                      minimize_witness, partial_time_reversal,
-                      partial_transpose, partial_transpose_norm, product_pure,
-                      random_pure, realign, realign_norm, realign_reshuffle,
-                      swap_operator, time_reverse, trace_norm, twisted_witness,
-                      verdicts, werner_state, witness_value)
-from entbound.linalg import hermitian_mask
+                      coupled_system, evaluate_criteria, extended_reduction_map,
+                      family_state, functionals, isotropic_state, minimize_witness,
+                      partial_transpose, random_pure, realign, time_reverse,
+                      twisted_witness, verdicts, werner_state, witness_value)
+from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
+from entbound.linalg import hermitian_mask, trace_norms
 from entbound.states import haar_unitary, random_density
+from helpers import product_pure
 
 
 def assert_same_bits(got, ref):
@@ -134,25 +132,27 @@ class TestTraceNormCriteria:
         rng = np.random.default_rng(12)
         for rank in (1, 4, 16):
             rho = random_density(sys4, rank, rng).matrix
-            assert partial_transpose_norm(rho, sys4) == pytest.approx(
-                trace_norm(partial_time_reversal(rho, sys4)), abs=1e-10)
+            assert evaluate_criteria(rho, sys4).trace_norm_T2 == pytest.approx(
+                trace_norms(partial_time_reversal(rho, sys4)[None])[0], abs=1e-10)
 
     def test_maximally_entangled(self, sys4):
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
-        assert partial_transpose_norm(p0, sys4) == pytest.approx(4.0, abs=1e-10)
-        assert realign_norm(p0, sys4) == pytest.approx(4.0, abs=1e-10)
+        v = evaluate_criteria(p0, sys4)
+        assert v.trace_norm_T2 == pytest.approx(4.0, abs=1e-10)
+        assert v.trace_norm_R == pytest.approx(4.0, abs=1e-10)
 
     def test_product_state(self, sys4):
         rng = np.random.default_rng(13)
         psi = product_pure(rand_state_vector(rng, 4), rand_state_vector(rng, 4))
         rho = psi.projector()
-        assert partial_transpose_norm(rho, sys4) == pytest.approx(1.0, abs=1e-10)
-        assert realign_norm(rho, sys4) == pytest.approx(1.0, abs=1e-10)
+        v = evaluate_criteria(rho, sys4)
+        assert v.trace_norm_T2 == pytest.approx(1.0, abs=1e-10)
+        assert v.trace_norm_R == pytest.approx(1.0, abs=1e-10)
 
     def test_family_branch_values(self, sys4):
-        assert partial_transpose_norm(family_state(sys4, 0.4).matrix, sys4) == \
+        assert evaluate_criteria(family_state(sys4, 0.4).matrix, sys4).trace_norm_T2 == \
             pytest.approx(1.7, abs=1e-12)
-        assert realign_norm(family_state(sys4, 0.1).matrix, sys4) == \
+        assert evaluate_criteria(family_state(sys4, 0.1).matrix, sys4).trace_norm_R == \
             pytest.approx(0.8, abs=1e-12)
 
     def test_reshuffle_matches_canonical_norm(self, sys4):
@@ -160,8 +160,8 @@ class TestTraceNormCriteria:
         for _ in range(20):
             rank = int(rng.integers(1, 17))
             rho = random_density(sys4, rank, rng).matrix
-            assert trace_norm(realign_reshuffle(rho, 4)) == pytest.approx(
-                realign_norm(rho, sys4), abs=1e-9)
+            assert trace_norms(realign_reshuffle(rho, 4)[None])[0] == pytest.approx(
+                evaluate_criteria(rho, sys4).trace_norm_R, abs=1e-9)
 
     def test_realign_shapes_reject(self, sys4):
         with pytest.raises(DimensionError):
@@ -316,14 +316,10 @@ STATE_FUNCTIONS = {
     "partial_time_reversal": partial_time_reversal,
     "realign": realign,
     "realign_reshuffle": lambda rho, sys_: realign_reshuffle(rho, sys_.n),
-    "partial_transpose_norm": partial_transpose_norm,
-    "realign_norm": realign_norm,
     "witness_value": lambda rho, sys_: witness_value(build_witness(sys_), rho),
     "minimize_witness": lambda rho, sys_: minimize_witness(
         rho, sys_, OptimizerBudget(restarts=2, iterations=5, seed=1)),
     "evaluate_criteria": evaluate_criteria,
-    "concurrence_lower_bound": lambda rho, sys_: concurrence_lower_bound(
-        rho, sys_, optimize=True, budget=OptimizerBudget(restarts=2, iterations=5, seed=1)),
 }
 
 
@@ -455,8 +451,8 @@ class TestMapProperties:
         rng = np.random.default_rng(23)
         for _ in range(20):
             rho = random_density(sys4, int(rng.integers(1, 17)), rng).matrix
-            assert abs(partial_transpose_norm(rho, sys4)
-                       - trace_norm(partial_time_reversal(rho, sys4))) < 1e-10
+            assert abs(evaluate_criteria(rho, sys4).trace_norm_T2
+                       - trace_norms(partial_time_reversal(rho, sys4)[None])[0]) < 1e-10
 
 
 def test_import_loads_no_scipy():

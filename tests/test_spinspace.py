@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, coupled_system, singlet_vector,
-                      spin_operators, swap_operator, time_reversal_unitary,
-                      time_reverse, total_spin_projectors)
-from entbound.criteria import partial_time_reversal
+from entbound import DimensionError, coupled_system, time_reversal_unitary, time_reverse
+from entbound.closedform import (partial_time_reversal, spin_operators, swap_operator,
+                                 total_spin_projectors)
 
 
 class TestTimeReversalUnitary:

@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       concurrence_pure, coupled_system, eof_pure,
                       evaluate_criteria, family_state, isotropic_state,
-                      load_state, product_pure, random_densities,
-                      random_density, random_product_unitary, random_pure, save_state,
-                      schmidt_decompose, schmidt_reconstruct, swap_operator,
-                      total_spin_projectors, werner_state, witness_value)
+                      load_state, random_densities, random_density, random_pure,
+                      save_state, schmidt_decompose, werner_state, witness_value)
+from entbound.closedform import swap_operator, total_spin_projectors
 from entbound.states import _check_densities, _Owned
+from helpers import product_pure, random_product_unitary, schmidt_reconstruct
 
 
 def non_hermitian():
@@ -86,6 +88,34 @@ class TestDensityMatrixValidation:
         m = np.eye(16, dtype=complex) / 16
         dm = DensityMatrix(n_local=4, matrix=_Owned(m))
         assert dm.matrix is m and not m.flags.writeable
+
+
+class TestLocalDimension:
+    """n_local is an integer >= 1, stored as a Python int."""
+
+    @pytest.mark.parametrize("n, size", [(4.7, 16), (-4, 16), (0, 1), (True, 1),
+                                         (np.float64(4.0), 16), ("4", 16)])
+    def test_density_matrix_rejects_bad_value(self, n, size):
+        with pytest.raises(DimensionError, match="n_local must be an integer >= 1"):
+            DensityMatrix(n_local=n, matrix=np.eye(size) / size)
+
+    @pytest.mark.parametrize("n, size", [(4.7, 16), (-4, 16), (0, 1), (True, 1)])
+    def test_pure_state_rejects_bad_value(self, n, size):
+        with pytest.raises(DimensionError, match="n_local must be an integer >= 1"):
+            PureState(n_local=n, vector=np.eye(size)[0])
+
+    def test_numpy_integer_survives_a_file_round_trip(self, tmp_path, sys4):
+        for state in (DensityMatrix(np.int64(4), family_state(sys4, 0.3).matrix),
+                      PureState(np.int64(4), sys4.singlet)):
+            assert type(state.n_local) is int
+            path = tmp_path / "state.json"
+            save_state(path, state)
+            back = load_state(path)
+            assert back.n_local == 4
+            if isinstance(state, DensityMatrix):
+                assert np.array_equal(back.matrix, state.matrix)
+            else:
+                assert np.array_equal(back.vector, state.vector)
 
 
 class TestDensityStack:
@@ -175,10 +205,10 @@ class TestWernerState:
         assert np.abs(rho - 2 / 20 * odd).max() < 1e-10
 
     def test_undetected(self, sys4):
-        from entbound import partial_transpose_norm, realign_norm
         rho = werner_state(sys4).matrix
-        assert partial_transpose_norm(rho, sys4) == pytest.approx(1.0, abs=1e-10)
-        assert realign_norm(rho, sys4) <= 1.0 + 1e-10
+        v = evaluate_criteria(rho, sys4)
+        assert v.trace_norm_T2 == pytest.approx(1.0, abs=1e-10)
+        assert v.trace_norm_R <= 1.0 + 1e-10
         assert witness_value(build_witness(sys4), rho) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -270,6 +300,16 @@ class TestSchmidt:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             schmidt_decompose(np.zeros(16))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    @pytest.mark.parametrize("function", [schmidt_decompose, concurrence_pure, eof_pure])
+    def test_rejects_non_finite(self, function, entry):
+        v = np.full(16, 0.25, dtype=complex)
+        v[5] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="state vector contains NaN or Inf entries"):
+                function(v)
 
 
 class TestPureMeasures:
