@@ -16,7 +16,7 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        evaluate_criteria, extended_reduction_map, functionals,
                        minimize_witness, partial_transpose, realign,
                        twisted_witness, verdicts, witness_value)
-from .linalg import DimensionError, hermitian_spectrum
+from .linalg import DimensionError
 from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,
                         time_reversal_unitary, time_reverse)
 from .states import (DensityMatrix, PureState, SchmidtForm, as_matrix,

@@ -76,17 +76,27 @@ def _constraint_value(f: float, n: int) -> float:
     return float(min(max(1.0 + f, 1.0), float(n)))
 
 
+def _check_functional(f: float, n: int) -> int:
+    """``n`` if it is even and >= 4 and the functional value ``f`` is finite, else raise."""
+    n = _require_even(n, minimum=4)
+    if not np.isfinite(f):
+        raise ValueError(f"functional value must be finite, got {f}")
+    return n
+
+
 def concurrence_from_functional(f: float, n: int) -> float:
-    """Concurrence lower bound sqrt(2/(n(n-1))) max(f, 0) from a functional value f."""
+    """Concurrence lower bound sqrt(2/(n(n-1))) max(f, 0) from a finite functional value f."""
+    n = _check_functional(f, n)
     # "+ 0.0" normalizes -0.0 from clamped negative functionals
     return float(np.sqrt(2 / (n * (n - 1))) * max(f, 0.0) + 0.0)
 
 
 def eof_from_functional(f: float, n: int) -> float:
-    """Entanglement-of-formation lower bound co R(1 + f) from a functional value f.
+    """Entanglement-of-formation lower bound co R(1 + f) from a finite functional value f.
 
     Over the two trace-norm functionals alone it is the older Chen-Albeverio-Fei bound.
     """
+    n = _check_functional(f, n)
     return min_schmidt_entropy_hull(_constraint_value(f, n), n)
 
 

@@ -96,7 +96,7 @@ def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """
     n = sys.n
     w = np.eye(n * n, dtype=complex)
-    idx = np.arange(n) * (n - 1) + n - 1  # a N + N-1-a: where the singlet is nonzero
+    idx = np.flatnonzero(sys.singlet)
     w[np.ix_(idx, idx)] -= n * np.outer(sys.singlet[idx], sys.singlet[idx].conj())
     w[np.arange(n * n), _swap_index(n)] -= 1
     trace = float(np.trace(w).real)
@@ -111,29 +111,43 @@ def _trace_product(w: np.ndarray, a: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", w, a).real)
 
 
-def witness_value(w: np.ndarray, rho) -> float:
+def witness_value(w, rho) -> float:
     """tr(W rho); negative values certify entanglement of rho."""
+    w = as_complex_matrix(w)
     return _trace_product(w, as_matrix(rho, w.shape))
 
 
-def twisted_witness(w: np.ndarray, u1, u2) -> np.ndarray:
-    """(U1 otimes U2) W (U1 otimes U2)^dag for unitary U1, U2."""
-    n = math.isqrt(w.shape[0])
+def _conjugate(m: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(U1 otimes U2) M (U1 otimes U2)^dag for arrays that are already gated."""
+    u = np.kron(u1, u2)
+    return u @ m @ dagger(u)
+
+
+def twisted_witness(w, u1, u2) -> np.ndarray:
+    """(U1 otimes U2) W (U1 otimes U2)^dag for an N^2 x N^2 W and unitary N x N U1, U2."""
+    n = math.isqrt(len(w))
+    w = as_complex_matrix(w, (n * n, n * n))
     a1, a2 = as_complex_matrix(u1, (n, n)), as_complex_matrix(u2, (n, n))
     for a in (a1, a2):
         if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
             raise ValueError("twist matrices must be unitary within 1e-10")
-    u = np.kron(a1, a2)
-    return u @ w @ dagger(u)
+    return _conjugate(w, a1, a2)
 
 
 @dataclass(frozen=True)
 class OptimizerBudget:
-    """Search effort for the local-unitary witness minimization."""
+    """Search effort for the witness minimization: integer restarts >= 1, iterations >= 0."""
 
     restarts: int = 8
     iterations: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        for value in (self.restarts, self.iterations):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"budget restarts and iterations must be integers, got {value!r}")
+        if self.restarts < 1 or self.iterations < 0:
+            raise ValueError("budget must have restarts >= 1 and iterations >= 0")
 
 
 def _geodesic_step(g: np.ndarray, mu: float, u: np.ndarray) -> np.ndarray:
@@ -142,24 +156,20 @@ def _geodesic_step(g: np.ndarray, mu: float, u: np.ndarray) -> np.ndarray:
     return (q * np.exp(1j * e)) @ dagger(q) @ u
 
 
-def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None = None):
+def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = OptimizerBudget()):
     """Minimize tr(W_U rho) over product unitaries U = U1 otimes U2.
 
     Returns ``(value, u1, u2)`` with value = tr((U1 otimes U2) W (.)^dag rho)
-    re-evaluated at the returned unitaries.  The identity twist is always a
-    candidate, so the result never exceeds tr(W rho).  Each restart takes up
-    to ``budget.iterations`` Riemannian steepest-descent steps on U(N) x U(N)
+    re-evaluated at the returned unitaries.  Each restart takes up to
+    ``budget.iterations`` Riemannian steepest-descent steps on U(N) x U(N)
     (Abrudan, Eriksson, Koivunen, IEEE TSP 56, 2008): for the twisted state
     sigma and C = sigma W - W sigma, the anti-Hermitian gradients G1 = tr_2 C
     and G2 = tr_1 C move U_k -> exp(mu G_k) U_k along geodesics.  mu halves
     until f drops by mu (|G1|^2 + |G2|^2) / 2 and doubles after each step; a
     restart ends early once the gradient vanishes.  Restarts draw independent
-    RNG streams split from the seed, with restart 0 starting at the identity.
+    RNG streams split from the seed.  Restart 0 starts at the identity, so it
+    is the identity candidate and the result never exceeds tr(W rho).
     """
-    if budget is None:
-        budget = OptimizerBudget()
-    if budget.restarts < 1 or budget.iterations < 0:
-        raise ValueError("budget must have restarts >= 1 and iterations >= 0")
     n = sys.n
     a = as_matrix(rho, (n * n, n * n))
     w = build_witness(sys)
@@ -168,12 +178,11 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
     # U replaced by its adjoint; twist the state and undo at the end.  The
     # loop only meets arrays it built itself, so nothing in it is gated.
     def twist(u1, u2):
-        u = np.kron(u1, u2)
-        sigma = u @ a @ dagger(u)
+        sigma = _conjugate(a, u1, u2)
         return _trace_product(w, sigma), sigma
 
     eye = np.eye(n)
-    best_val, best_u = twist(eye, eye)[0], (eye, eye)
+    best_val, best_u = np.inf, None
 
     streams = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
     for r in range(budget.restarts):
@@ -201,7 +210,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget | None
 
     # The witness twist that realizes the value is the adjoint of the state twist.
     u1, u2 = dagger(best_u[0]), dagger(best_u[1])
-    return witness_value(twisted_witness(w, u1, u2), rho), u1, u2
+    return _trace_product(twisted_witness(w, u1, u2), a), u1, u2
 
 
 def _functionals(stack: np.ndarray, sys: CoupledSpinSystem):

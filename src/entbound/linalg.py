@@ -1,18 +1,15 @@
 """Dense complex linear algebra kernel.
 
-The operand gates for raw arrays, the stacked trace norm and the Hermitian
-spectrum.  Robustness is preferred over speed throughout: Hermitian
-eigensolves instead of generic SVD where the input allows, defensive shape
-checks.  Tensor products and partial traces are plain ``np.kron`` and
-``einsum`` calls where they are needed, on arrays that are already gated.
+The operand gates for raw arrays and the stacked trace norm.  Robustness
+is preferred over speed throughout: Hermitian eigensolves instead of
+generic SVD where the input allows, defensive shape checks.  There is no
+tensor-product, partial-trace or spectrum helper: callers use numpy
+directly, on arrays that are already gated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# ||M - M^dag|| below this (relative) means M is treated as Hermitian.
-_HERMITIAN_DETECT_TOL = 1e-12
 
 
 class DimensionError(ValueError):
@@ -59,10 +56,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def hermitian_mask(stack: np.ndarray, tol: float = _HERMITIAN_DETECT_TOL) -> np.ndarray:
-    """Is ||M - M^dag||_max <= tol * max(1, ||M||_max)?  For a matrix or each matrix of a stack."""
+def hermitian_mask(stack: np.ndarray) -> np.ndarray:
+    """Is ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), for a matrix or each of a stack?"""
     scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1), initial=0.0))
-    return np.abs(stack - dagger(stack)).max(axis=(-2, -1), initial=0.0) <= tol * scale
+    return np.abs(stack - dagger(stack)).max(axis=(-2, -1), initial=0.0) <= 1e-12 * scale
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -98,17 +95,3 @@ def _hermitian_norms(stack: np.ndarray) -> np.ndarray:
 def _svd_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
-
-def hermitian_spectrum(m):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Raises ValueError if the input fails the Hermiticity check at relative
-    tolerance 1e-10.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"spectrum needs a square matrix, got {a.shape}")
-    if not hermitian_mask(a, tol=1e-10):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, q = np.linalg.eigh((a + dagger(a)) / 2)
-    return w, q

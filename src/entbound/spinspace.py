@@ -56,13 +56,10 @@ def singlet_vector(n: int) -> np.ndarray:
     """Unit vector of the total-spin-0 (maximally entangled) state.
 
     Angular-momentum coupling gives the J=0 combination
-    |psi0> = n^(-1/2) sum_m (-1)^(j-m) |j,m> otimes |j,-m>.
+    |psi0> = n^(-1/2) sum_m (-1)^(j-m) |j,m> otimes |j,-m>, the entries of V^T / sqrt(n).
     """
     n = _require_even(n, minimum=4)
-    psi = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        psi[i * n + (n - 1 - i)] = (-1) ** i
-    return psi / np.sqrt(n)
+    return time_reversal_unitary(n).T.ravel() / np.sqrt(n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ PUBLIC = [
     "concurrence_from_functional", "concurrence_pure", "coupled_system", "criteria",
     "eof_from_functional", "eof_pure", "evaluate_criteria", "extended_reduction_map",
     "extremal_schmidt_weight", "family_state", "functionals", "haar_unitary",
-    "hermitian_spectrum", "isotropic_state", "linalg", "load_state",
+    "isotropic_state", "linalg", "load_state",
     "min_schmidt_entropy", "min_schmidt_entropy_hull", "minimize_witness",
     "partial_transpose", "random_densities", "random_density", "random_pure", "realign",
     "report_from_verdict", "save_state", "schmidt_decompose", "singlet_vector",
@@ -24,8 +24,8 @@ PUBLIC = [
     "verdicts", "werner_state", "witness_value",
 ]
 
-# deleted wrappers, references moved to closedform or tests/helpers.py, and
-# closedform names that were re-exported
+# deleted wrappers and helpers, references moved to closedform or
+# tests/helpers.py, and closedform names that were re-exported
 REMOVED = [
     "trace_norm", "partial_transpose_norm", "realign_norm", "concurrence_lower_bound",
     "partial_time_reversal", "realign_reshuffle", "swap_operator", "spin_operators",
@@ -33,7 +33,7 @@ REMOVED = [
     "schmidt_reconstruct", "random_product_unitary", "product_pure",
     "FrameConfig", "family_bounds_closed_form", "family_trace_norms",
     "family_witness_expectation", "lifted_witness", "overlap_kernel",
-    "sample_frame_config", "spectral_witness", "witness_spectrum",
+    "sample_frame_config", "spectral_witness", "witness_spectrum", "hermitian_spectrum",
 ]
 
 MOVED_TO_CLOSEDFORM = ["partial_time_reversal", "realign_reshuffle", "swap_operator",

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, binary_entropy, concurrence_pure,
-                      eof_from_functional, eof_pure, extremal_schmidt_weight,
+from entbound import (DimensionError, binary_entropy, concurrence_from_functional,
+                      concurrence_pure, eof_from_functional, eof_pure, extremal_schmidt_weight,
                       family_state, isotropic_state, min_schmidt_entropy,
                       min_schmidt_entropy_hull, random_pure)
 from entbound.closedform import (family_bounds_closed_form, family_trace_norms,
@@ -26,6 +26,20 @@ SCALE4 = np.sqrt(2 / 12)
 def test_rejects_odd_or_small_local_dimension(call, n):
     with pytest.raises(DimensionError, match="even and >= 4"):
         call(n)
+
+
+@pytest.mark.parametrize("bound_map", [concurrence_from_functional, eof_from_functional])
+@pytest.mark.parametrize("f, n, error, message", [
+    (0.5, 1, DimensionError, "even and >= 4"),
+    (0.5, -1, DimensionError, "even and >= 4"),
+    (0.5, 5, DimensionError, "even and >= 4"),
+    (np.nan, 4, ValueError, "must be finite"),
+    (np.inf, 4, ValueError, "must be finite"),
+    (-np.inf, 4, ValueError, "must be finite"),
+], ids=["n=1", "n=-1", "n=5", "f=nan", "f=inf", "f=-inf"])
+def test_functional_maps_check_n_and_f(bound_map, f, n, error, message):
+    with pytest.raises(error, match=message):
+        bound_map(f, n)
 
 
 class TestEntropyHelpers:

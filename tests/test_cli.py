@@ -16,15 +16,16 @@ BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value
                "f_realign", "f_witness", "concurrence_lower", "lambda0", "eof_lower"}
 
 
-def count_calls(monkeypatch, function):
-    """Count calls of one entbound.linalg function made through any entbound module."""
+def count_calls(monkeypatch, function, owner=entbound.linalg):
+    """Count calls of ``owner.function`` made through it or through any entbound module."""
     calls = []
-    original = getattr(entbound.linalg, function)
+    original = getattr(owner, function)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, function, counting)
     for name, module in list(sys.modules.items()):
         if name.startswith("entbound") and getattr(module, function, None) is original:
             monkeypatch.setattr(module, function, counting)
@@ -383,16 +384,23 @@ def test_validated_state_is_not_rescanned(monkeypatch, sys4):
 
 
 def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
-    # only the returned unitaries are gated, once each, however long the search
+    # the operand passes the state gate once (a raw array is scanned there, a
+    # PureState builds its projector there); beyond that only W and the two
+    # returned unitaries are scanned, once each, however long the search
     dm = random_density(sys4, 4, 3)
-    counts = []
-    for iterations in (0, 20):
-        calls = count_calls(monkeypatch, "as_complex_matrix")
-        stack_calls = count_calls(monkeypatch, "as_complex_stack")
-        entbound.minimize_witness(dm, sys4, entbound.OptimizerBudget(1, iterations, 1))
-        counts.append((len(calls), len(stack_calls)))
-        monkeypatch.undo()
-    assert counts[0] == counts[1] and counts[0][1] == 0
+    pure = entbound.random_pure(sys4, np.random.default_rng(3))
+    for rho in (dm, dm.matrix, pure):
+        counts = []
+        for iterations in (0, 20):
+            calls = count_calls(monkeypatch, "as_complex_matrix")
+            stack_calls = count_calls(monkeypatch, "as_complex_stack")
+            gates = count_calls(monkeypatch, "as_matrix", entbound.states)
+            projectors = count_calls(monkeypatch, "projector", PureState)
+            entbound.minimize_witness(rho, sys4, entbound.OptimizerBudget(1, iterations, 1))
+            counts.append((len(calls), len(stack_calls), len(gates), len(projectors)))
+            monkeypatch.undo()
+        raw = isinstance(rho, np.ndarray)
+        assert counts[0] == counts[1] == (3 + raw, 0, 1, isinstance(rho, PureState))
 
 
 class TestWitnessCommand:
@@ -418,7 +426,7 @@ class TestWitnessCommand:
         w = entbound.build_witness(entbound.coupled_system(n))
         obj = {"n_local": n,
                "trace": float(np.trace(w).real),
-               "eigenvalues": [float(x) for x in entbound.hermitian_spectrum(w)[0]],
+               "eigenvalues": [float(x) for x in np.linalg.eigh(w)[0]],
                "matrix": [[[z.real, z.imag] for z in row] for row in w]}
         assert main(["witness", "--n", str(n), "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"

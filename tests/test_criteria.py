@@ -245,6 +245,29 @@ class TestTwistedWitness:
         with pytest.raises(ValueError):
             twisted_witness(w, 2 * np.eye(4), np.eye(4))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_witness_is_rejected(self, sys4, entry):
+        w = np.array(build_witness(sys4))
+        w[3, 5] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+                witness_value(w, family_state(sys4, 0.3))
+            with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+                twisted_witness(w, np.eye(4), np.eye(4))
+
+    def test_list_witness_same_as_array(self, sys4):
+        rng = np.random.default_rng(17)
+        w = build_witness(sys4)
+        u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
+        rho = random_density(sys4, 3, rng)
+        assert_same_bits(witness_value(w.tolist(), rho), witness_value(w, rho))
+        assert_same_bits(twisted_witness(w.tolist(), u1, u2), twisted_witness(w, u1, u2))
+
+    def test_rejects_witness_of_non_square_dimension(self):
+        with pytest.raises(DimensionError):
+            twisted_witness(np.eye(15), np.eye(3), np.eye(3))
+
 
 class TestMinimizeWitness:
     def test_zero_iterations_returns_identity_value(self, sys4):
@@ -298,6 +321,23 @@ class TestMinimizeWitness:
     def test_rejects_bad_budget(self, sys4):
         with pytest.raises(ValueError):
             minimize_witness(np.eye(16) / 16, sys4, OptimizerBudget(restarts=0))
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"restarts": 2.5}, TypeError), ({"iterations": 1.5}, TypeError),
+        ({"restarts": True}, TypeError), ({"iterations": False}, TypeError),
+        ({"restarts": 0}, ValueError), ({"iterations": -1}, ValueError),
+    ], ids=["float-restarts", "float-iterations", "bool-restarts", "bool-iterations",
+            "zero-restarts", "negative-iterations"])
+    def test_budget_checks_its_fields(self, fields, error):
+        with pytest.raises(error):
+            OptimizerBudget(**fields)
+
+    def test_budget_accepts_numpy_integers(self, sys4):
+        rho = random_density(sys4, 3, 21)
+        got = minimize_witness(rho, sys4, OptimizerBudget(np.int64(2), np.int32(5), 1))
+        ref = minimize_witness(rho, sys4, OptimizerBudget(2, 5, 1))
+        for part, ref_part in zip(got, ref):
+            assert_same_bits(part, ref_part)
 
     @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (6, 3)])
     def test_more_steps_never_worse(self, n, seed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entbound import DimensionError, hermitian_spectrum
+from entbound import DimensionError
 from entbound.linalg import trace_norms
 
 
@@ -77,24 +77,3 @@ class TestTraceNorm:
             v = rand_unitary(rng, 6)
             assert trace_norms((u @ a @ v)[None])[0] == pytest.approx(
                 trace_norms(a[None])[0], abs=1e-9)
-
-
-class TestHermitianSpectrum:
-    def test_sorted_diagonal(self):
-        w, q = hermitian_spectrum(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-        assert np.abs(q.conj().T @ q - np.eye(3)).max() < 1e-12
-
-    def test_trace_invariance_and_reconstruction(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            m = rand_hermitian(rng, 8)
-            w, q = hermitian_spectrum(m)
-            assert w.sum() == pytest.approx(np.trace(m).real, abs=1e-10)
-            recon = (q * w) @ q.conj().T
-            scale = np.linalg.norm(m)
-            assert np.linalg.norm(m - recon) <= 1e-9 * scale
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
