@@ -30,8 +30,8 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, _verdicts, build_witnes
                        evaluate_criteria, minimize_witness, twisted_witness,
                        witness_value)
 from .spinspace import coupled_system
-from .states import (family_state, haar_unitary, load_state, random_densities,
-                     random_pure, schmidt_decompose)
+from .states import (_family_densities, family_state, haar_unitary, load_state,
+                     random_densities, random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
@@ -43,7 +43,9 @@ SURVEY_CHUNK = 16
 SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 
 # --n is refused when N^2 exceeds this: every state and the witness are dense
-# N^2 x N^2 matrices, and 4096 x 4096 (N = 64) is already a usage limit
+# N^2 x N^2 matrices, 268 MB each at N = 64.  Family rows commute with J_z and
+# are validated and trace-normed block by block, O(N^4) work (about 1 s a
+# row at N = 64); any other state takes the dense O(N^6) eigensolves
 MAX_STATE_DIM = 4096
 
 
@@ -133,7 +135,7 @@ def cmd_survey(args) -> int:
     def chunks():
         if args.include_family:
             yield ([f"family({lam})" for lam in SURVEY_FAMILY_LAMBDAS],
-                   np.stack([family_state(sys_, lam).matrix for lam in SURVEY_FAMILY_LAMBDAS]))
+                   _family_densities(sys_, SURVEY_FAMILY_LAMBDAS))
         for start in range(0, args.samples, SURVEY_CHUNK):
             size = min(SURVEY_CHUNK, args.samples - start)
             yield ([f"random{k}" for k in range(start, start + size)],

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_complex_stack, dagger, trace_norms
+from .linalg import (_is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger,
+                     trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import as_matrix, haar_unitary
 
@@ -144,7 +145,7 @@ class OptimizerBudget:
 
     def __post_init__(self):
         for value in (self.restarts, self.iterations):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise TypeError(f"budget restarts and iterations must be integers, got {value!r}")
         if self.restarts < 1 or self.iterations < 0:
             raise ValueError("budget must have restarts >= 1 and iterations >= 0")
@@ -213,11 +214,43 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = Opti
     return _trace_product(twisted_witness(w, u1, u2), a), u1, u2
 
 
+@lru_cache(maxsize=None)
+def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
+    """The J_z sectors of T_2 rho (labels a - b) and of R rho (labels a + b), gathered from rho.
+
+    rho commutes with J_z when it vanishes between different a + b (local
+    index a holds m = j - a).  T_2 and R are signed index permutations that
+    carry exactly those zeros to the entries between different labels of
+    their own, so either sector set decides for rho.  The signs
+    (-1)^(b+d) of R are left out: they conjugate each block by a diagonal
+    of +-1, which keeps its singular values and its Hermiticity.
+    """
+    n2 = n * n
+
+    def t2(i, j):  # T_2 rho[(a, b), (c, d)] = rho[(a, d), (c, b)]
+        (a, b), (c, d) = np.divmod(i, n), np.divmod(j, n)
+        return (a * n + d) * n2 + c * n + b
+
+    def r(i, j):  # R rho[(a, b), (c, d)] = +-rho[(n-1-d, a), (c, n-1-b)], see realign
+        (a, b), (c, d) = np.divmod(i, n), np.divmod(j, n)
+        return ((n - 1 - d) * n + a) * n2 + c * n + n - 1 - b
+
+    a, b = np.divmod(np.arange(n2), n)
+    return _Sectors(a - b, t2), _Sectors(a + b, r)
+
+
 def _functionals(stack: np.ndarray, sys: CoupledSpinSystem):
     """The ungated core of :func:`functionals`, for a stack that is already gated or validated."""
     n = sys.n
-    t2 = trace_norms(_partial_transposes(stack, n))
-    rn = trace_norms(_realignments(stack, n))
+    t2_sectors, r_sectors = _sectors(n)
+    sector = t2_sectors.members(stack)  # decided once per state, for both T_2 and R
+    idx = np.flatnonzero(sector)
+    whole = stack[~sector] if len(idx) else stack
+    t2 = trace_norms(_partial_transposes(whole, n), t2_sectors.blocks(stack, idx))
+    rn = trace_norms(_realignments(whole, n), r_sectors.blocks(stack, idx))
+    if len(idx):  # trace_norms lists the whole matrices first
+        order = np.concatenate([np.flatnonzero(~sector), idx])
+        t2[order], rn[order] = t2.copy(), rn.copy()
     wval = np.einsum("ij,bji->b", build_witness(sys), stack).real
     return t2, rn, wval
 
@@ -226,10 +259,13 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
     The raw stack passes :func:`linalg.as_complex_stack` once.  T_2 and R
-    are signed index permutations of the whole stack, each followed by one
-    stacked :func:`linalg.trace_norms`; tr(W rho) is one contraction with
-    the cached witness.  Each state gets the bits it gets alone, in a stack
-    of one.
+    are signed index permutations, each followed by one
+    :func:`linalg.trace_norms`; tr(W rho) is one contraction with the cached
+    witness.  A state that vanishes exactly between different J_z sectors
+    (m_1 + m_2), such as the family, Werner and isotropic states, has its
+    T_2 rho and R rho blocks gathered straight from rho, O(N^4) work in all;
+    every other state is permuted whole, O(N^6).  Each state gets the bits
+    it gets alone, in a stack of one.
     """
     n2 = sys.n * sys.n
     return _functionals(as_complex_stack(stack, (n2, n2)), sys)

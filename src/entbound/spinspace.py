@@ -17,14 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DimensionError, as_complex_matrix, dagger
+from .linalg import DimensionError, _is_integer, as_complex_matrix, dagger
 
 
 def _require_even(n: int, minimum: int = 2) -> int:
-    n = int(n)
-    if n < minimum or n % 2 != 0:
-        raise DimensionError(f"local dimension must be even and >= {minimum}, got {n}")
-    return n
+    """``n`` as a Python int if it is an even integer >= ``minimum`` (a numpy integer too, not a bool)."""
+    if not _is_integer(n) or n < minimum or n % 2 != 0:
+        raise DimensionError(f"local dimension must be even and >= {minimum}, got {n!r}")
+    return int(n)
 
 
 def time_reversal_unitary(n: int) -> np.ndarray:

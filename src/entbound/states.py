@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DimensionError, _check_shape, as_complex_matrix,
+from .linalg import (DimensionError, _block_max, _block_spectra, _check_shape,
+                     _hermitian_error, _is_integer, _Sectors, as_complex_matrix,
                      as_complex_stack, dagger)
 from .spinspace import CoupledSpinSystem, _swap_index
 
@@ -31,7 +33,7 @@ _DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
 
 def _check_n_local(n) -> int:
     """``n`` as a Python int if it is an integer >= 1 (a numpy integer too, not a bool)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise DimensionError(f"n_local must be an integer >= 1, got {n!r}")
     return int(n)
 
@@ -51,29 +53,66 @@ class _Owned:
         self.array = array
 
 
+@lru_cache(maxsize=None)
+def _density_sectors(n: int) -> _Sectors:
+    """The J_z sectors of a state: composite index (a, b) carries the label a + b."""
+    a, b = np.divmod(np.arange(n * n), n)
+    return _Sectors(a + b, lambda i, j: i * (n * n) + j)
+
+
 def _check_densities(stack, n: int) -> np.ndarray:
     """Run the density checks on each matrix of a (B, N^2, N^2) stack; return it read-only.
 
     The NaN/Inf scan, the Hermiticity test, the trace test and the
-    smallest-eigenvalue test (one stacked eigensolve).  The first failing
+    smallest-eigenvalue test.  A matrix that vanishes exactly between
+    different J_z sectors (:func:`_density_sectors`) is tested on its
+    diagonal blocks, one stacked eigensolve per block size; the others go
+    through one stacked eigensolve of the whole matrices.  The first failing
     matrix raises the message of its first failing check, as if the matrices
     were checked one after another.
     """
     a = as_complex_stack(stack, (n * n, n * n))
     tr = np.trace(a, axis1=1, axis2=2)
     failed = np.zeros((len(_DENSITY_CHECKS), len(a)), dtype=bool)
-    ah = dagger(a)
-    failed[0] = np.abs(a - ah).max(axis=(1, 2)) > _HERM_TOL
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
-    ok = ~failed.any(axis=0)  # the eigensolve sees only matrices that passed so far
-    sym = (a + ah) / 2 if ok.all() else (a[ok] + ah[ok]) / 2
-    del ah  # one N^2 x N^2 copy per state fewer during the eigensolve
-    failed[2, ok] = np.linalg.eigvalsh(sym)[:, 0] < -_EIG_TOL
+    sectors = _density_sectors(n)
+    sector = sectors.members(a)
+    if not sector.any():
+        failed[0], failed[2] = _check_whole(a, failed[1])
+    else:
+        whole = ~sector
+        if whole.any():
+            failed[0, whole], failed[2, whole] = _check_whole(a[whole], failed[1, whole])
+        failed[0, sector], failed[2, sector] = _check_blocks(
+            sectors.blocks(a, np.flatnonzero(sector)), failed[1, sector])
     if failed.any():
         first = failed.any(axis=0).argmax()
         raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])
     a.setflags(write=False)
     return a
+
+
+def _check_whole(a: np.ndarray, trace_failed: np.ndarray):
+    """The Hermiticity and smallest-eigenvalue failures of each matrix of a (B, d, d) stack."""
+    ah = dagger(a)
+    herm_failed = np.abs(a - ah).max(axis=(1, 2)) > _HERM_TOL
+    ok = ~(herm_failed | trace_failed)  # the eigensolve sees only matrices that passed so far
+    sym = (a + ah) / 2 if ok.all() else (a[ok] + ah[ok]) / 2
+    del ah  # one N^2 x N^2 copy per state fewer during the eigensolve
+    eig_failed = np.zeros(len(a), dtype=bool)
+    eig_failed[ok] = np.linalg.eigvalsh(sym)[:, 0] < -_EIG_TOL
+    return herm_failed, eig_failed
+
+
+def _check_blocks(blocks: list, trace_failed: np.ndarray):
+    """:func:`_check_whole` for sector-diagonal matrices given by their blocks."""
+    herm_failed = _block_max(blocks, _hermitian_error) > _HERM_TOL
+    ok = ~(herm_failed | trace_failed)
+    eig_failed = np.zeros(len(ok), dtype=bool)
+    if ok.any():
+        spectra = _block_spectra(blocks if ok.all() else [b[ok] for b in blocks], ok[ok])
+        eig_failed[ok] = spectra.min(axis=1) < -_EIG_TOL
+    return herm_failed, eig_failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +214,23 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
     Every lam > 0 is entangled; for lam <= 1/(N+2) the state stays PPT, so
     only the witness detects it there.
     """
+    return DensityMatrix(n_local=sys.n, matrix=_Owned(_family_matrix(sys, lam)))
+
+
+def _family_matrix(sys: CoupledSpinSystem, lam: float) -> np.ndarray:
+    """The unvalidated matrix of :func:`family_state`."""
     if not 0 <= lam <= 1:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
-    n = sys.n
     p0 = np.outer(sys.singlet, sys.singlet.conj())
-    return DensityMatrix(n_local=n, matrix=_Owned(lam * p0 + (1 - lam) * _werner_matrix(sys)))
+    return lam * p0 + (1 - lam) * _werner_matrix(sys)
+
+
+def _family_densities(sys: CoupledSpinSystem, lams) -> np.ndarray:
+    """Validated read-only stack of family matrices, one per lam, checked as one stack.
+
+    Matrix k is bit-equal to ``family_state(sys, lams[k]).matrix``.
+    """
+    return _check_densities(np.stack([_family_matrix(sys, lam) for lam in lams]), sys.n)
 
 
 def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:

@@ -334,6 +334,14 @@ class TestSurveyCommand:
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
 
+    def test_family_chunk_is_validated_as_one_stack(self, monkeypatch, tmp_path):
+        # the five family states are one more chunk: one scan, two trace-norm calls
+        stack_scans = count_calls(monkeypatch, "as_complex_stack")
+        norms = count_calls(monkeypatch, "trace_norms")
+        assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert (len(stack_scans), len(norms)) == (4, 2 * 4)
+
     @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
     @pytest.mark.parametrize("family", [False, True])
     def test_chunks_match_one_state_at_a_time(self, capsys, samples, family):

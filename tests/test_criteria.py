@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 import entbound
-from entbound import (DimensionError, OptimizerBudget, build_witness,
+from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witness,
                       coupled_system, evaluate_criteria, extended_reduction_map,
                       family_state, functionals, isotropic_state, minimize_witness,
                       partial_transpose, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
-from entbound.linalg import hermitian_mask, trace_norms
-from entbound.states import haar_unitary, random_density
+from entbound.criteria import _partial_transposes, _realignments, _sectors
+from entbound.linalg import _block_spectra, hermitian_mask, trace_norms
+from entbound.states import (_check_densities, _density_sectors, haar_unitary,
+                             random_density)
 from helpers import product_pure
 
 
@@ -25,6 +27,14 @@ def assert_same_bits(got, ref):
     assert np.array_equal(got, ref)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
+def counted(function, calls):
+    """``function`` that appends to ``calls`` each time it runs."""
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    return wrapper
 
 
 def rand_state_vector(rng, n):
@@ -416,6 +426,94 @@ class TestEvaluateCriteria:
         assert v.ppt_violated and v.realignment_violated and v.witness_detects
 
 
+class TestSectorPath:
+    """States that commute with J_z are checked and trace-normed block by block."""
+
+    @staticmethod
+    def sector_states(n):
+        sys_ = coupled_system(n)
+        return ([family_state(sys_, lam) for lam in (0.0, 0.05, 1 / (n + 2), 0.3, 0.5, 0.8, 1.0)]
+                + [werner_state(sys_)]
+                + [isotropic_state(sys_, f) for f in (0.0, 1 / n, 0.5, 1.0)])
+
+    @staticmethod
+    def dense_values(m, n):
+        """Smallest eigenvalue, ||T_2 rho||_1 and ||R rho||_1 from the kernels on whole matrices."""
+        stack = m[None]
+        return (np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[0, 0],
+                trace_norms(_partial_transposes(stack, n))[0],
+                trace_norms(_realignments(stack, n))[0])
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_agrees_with_the_dense_kernels(self, n):
+        sys_ = coupled_system(n)
+        for rho in self.sector_states(n):
+            stack = rho.matrix[None]
+            assert _density_sectors(n).members(stack)[0]
+            assert _sectors(n)[0].members(stack)[0] and _sectors(n)[1].members(stack)[0]
+            blocks = _density_sectors(n).blocks(stack, np.array([0]))
+            smallest = _block_spectra(blocks, np.array([True])).min()
+            v = evaluate_criteria(rho, sys_)
+            got = (smallest, v.trace_norm_T2, v.trace_norm_R)
+            assert np.abs(np.subtract(got, self.dense_values(rho.matrix, n))).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_one_lapack_call_per_block_size(self, n, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
+        for rho in self.sector_states(n):
+            calls.clear()
+            functionals(rho.matrix[None], coupled_system(n))
+            assert len(calls) == 2 * n  # block sizes 1..N, for T_2 rho and for R rho
+
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    @pytest.mark.parametrize("position", [(0, -1), (0, 1)])
+    def test_one_off_sector_entry_takes_the_dense_path(self, n, position):
+        # (0, N^2 - 1) is the entry probed first, (0, 1) is found by the full scan
+        sys_ = coupled_system(n)
+        m = family_state(sys_, 0.3).matrix.copy()
+        m[position] = m[position[::-1]] = 1e-300
+        assert not _density_sectors(n).members(m[None])[0]
+        assert not _sectors(n)[0].members(m[None])[0]
+        v = evaluate_criteria(DensityMatrix(n_local=n, matrix=m), sys_)
+        # the dense kernel as it ran before the sector path: T_2 rho and R rho
+        # of the family are Hermitian, so each is one Hermitian eigensolve
+        for got, whole in ((v.trace_norm_T2, _partial_transposes(m[None], n)),
+                           (v.trace_norm_R, _realignments(m[None], n))):
+            ref = np.abs(np.linalg.eigvalsh((whole + whole.conj().swapaxes(1, 2)) / 2)).sum(axis=-1)
+            assert_same_bits(np.array([got]), ref)
+
+    @staticmethod
+    def block_defect(n, eigenvalue):
+        """I / N^2 with the label-1 block (indices 1 and N) rotated to eigenvalues e and 2/N^2 - e."""
+        m = np.eye(n * n, dtype=complex) / (n * n)
+        x = 1 / (n * n)
+        y = (x - eigenvalue) * np.exp(0.7j)
+        m[1, n], m[n, 1] = y, np.conj(y)
+        return m
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("offset", [-3e-11, 3e-11])
+    def test_block_eigenvalue_near_the_tolerance(self, sys4, n, offset):
+        m = self.block_defect(n, -1e-10 + offset)
+        assert _density_sectors(n).members(m[None])[0]
+        dense_rejects = np.linalg.eigvalsh(m)[0] < -1e-10
+        assert dense_rejects == (offset < 0)
+        if dense_rejects:
+            with pytest.raises(ValueError, match="^density matrix has an eigenvalue below -1e-10$"):
+                DensityMatrix(n_local=n, matrix=m)
+        else:
+            DensityMatrix(n_local=n, matrix=m)
+        # in a stack behind a dense state, with a non-Hermitian dense state after it
+        dense = random_density(coupled_system(n), 3, 1).matrix
+        bad = dense.copy()
+        bad[0, 1] += 1e-6
+        message = "eigenvalue below" if dense_rejects else "not Hermitian"
+        with pytest.raises(ValueError, match=message):
+            _check_densities([dense, m, bad], n)
+
+
 class TestFunctionals:
     """A stack gives each state the bits that evaluate_criteria gives it alone."""
 
@@ -436,6 +534,12 @@ class TestFunctionals:
         for values, field in zip(got, ("trace_norm_T2", "trace_norm_R", "witness_value")):
             assert_same_bits(values, np.array([getattr(v, field) for v in ref]))
         assert verdicts(stack, sys_) == ref
+
+    def test_empty_stack(self, sys4):
+        empty = np.zeros((0, 16, 16))
+        assert [f.shape for f in functionals(empty, sys4)] == [(0,)] * 3
+        assert verdicts(empty, sys4) == []
+        assert _check_densities(empty, 4).shape == (0, 16, 16)
 
     def test_stack_shape_is_checked(self, sys4):
         rho = family_state(sys4, 0.3).matrix

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entbound import DimensionError
-from entbound.linalg import trace_norms
+from entbound.linalg import hermitian_mask, trace_norms
 
 
 def rand_complex(rng, rows, cols):
@@ -77,3 +77,20 @@ class TestTraceNorm:
             v = rand_unitary(rng, 6)
             assert trace_norms((u @ a @ v)[None])[0] == pytest.approx(
                 trace_norms(a[None])[0], abs=1e-9)
+
+
+class TestHermitianMask:
+    def test_tolerance_is_relative_above_unit_scale(self):
+        # ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), member by member
+        rng = np.random.default_rng(15)
+        h = rand_hermitian(rng, 5)
+        h /= np.abs(h).max()
+        cases = [(h, 2e-12, False), (h, 5e-13, True),
+                 (1e4 * h, 5e-9, True), (1e4 * h, 5e-8, False)]
+        for m, skew, want in cases:
+            bent = m.copy()
+            bent[0, 1] += skew
+            assert bool(hermitian_mask(bent)) is want
+        stack = np.stack([m + (np.eye(5, k=1) * skew) for m, skew, _ in cases])
+        assert hermitian_mask(stack).tolist() == [want for _, _, want in cases]
+

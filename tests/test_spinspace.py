@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from entbound import DimensionError, coupled_system, time_reversal_unitary, time_reverse
+from entbound import (DimensionError, concurrence_from_functional, coupled_system,
+                      time_reversal_unitary, time_reverse)
 from entbound.closedform import (partial_time_reversal, spin_operators, swap_operator,
                                  total_spin_projectors)
 
@@ -202,3 +203,28 @@ class TestSystemCache:
             coupled_system(5)
         with pytest.raises(DimensionError):
             coupled_system(2)
+
+
+class TestLocalDimensionRule:
+    """Every even-N entry point takes an integer N, as ``n_local`` does, never a truncated one."""
+
+    CALLS = {
+        "coupled_system": coupled_system,
+        "concurrence_from_functional": lambda n: concurrence_from_functional(0.5, n),
+        "time_reversal_unitary": time_reversal_unitary,
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("n", [4.7, 2.9, 4.0, True, "4", None])
+    def test_rejects_non_integer(self, call, n):
+        with pytest.raises(DimensionError, match="even and >= "):
+            self.CALLS[call](n)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_accepts_numpy_integer(self, call):
+        got, ref = self.CALLS[call](np.int64(4)), self.CALLS[call](4)
+        if call == "coupled_system":
+            assert type(got.n) is int and got.n == 4
+            got, ref = got.singlet, ref.singlet
+        assert np.array_equal(got, ref)
+

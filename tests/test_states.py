@@ -9,7 +9,7 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       load_state, random_densities, random_density, random_pure,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
-from entbound.states import _check_densities, _Owned
+from entbound.states import _check_densities, _family_densities, _Owned
 from helpers import product_pure, random_product_unitary, schmidt_reconstruct
 
 
@@ -104,6 +104,15 @@ class TestLocalDimension:
         with pytest.raises(DimensionError, match="n_local must be an integer >= 1"):
             PureState(n_local=n, vector=np.eye(size)[0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_and_odd_dimensions_validate(self, n):
+        # only the criteria need an even N >= 4; a state of any size is checked
+        assert DensityMatrix(n_local=n, matrix=np.eye(n * n) / (n * n)).n_local == n
+        if n > 1:
+            negative = np.diag([2.0] + [-1.0 / (n * n - 1)] * (n * n - 1))
+            with pytest.raises(ValueError, match="eigenvalue below"):
+                DensityMatrix(n_local=n, matrix=negative)
+
     def test_numpy_integer_survives_a_file_round_trip(self, tmp_path, sys4):
         for state in (DensityMatrix(np.int64(4), family_state(sys4, 0.3).matrix),
                       PureState(np.int64(4), sys4.singlet)):
@@ -188,6 +197,15 @@ class TestFamilyState:
             assert np.array_equal(got, ref)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+    def test_stack_matches_one_at_a_time(self, sys6):
+        lams = (0.0, 0.05, 0.3, 1.0)
+        stack = _family_densities(sys6, lams)
+        assert not stack.flags.writeable
+        for got, lam in zip(stack, lams):
+            assert got.tobytes() == family_state(sys6, lam).matrix.tobytes()
+        with pytest.raises(ValueError, match="mixing parameter"):
+            _family_densities(sys6, (0.5, 1.5))
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_valid_density_on_grid(self, n):
