@@ -44,8 +44,10 @@ SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 
 # --n is refused when N^2 exceeds this: every state and the witness are dense
 # N^2 x N^2 matrices, 268 MB each at N = 64.  Family rows commute with J_z and
-# are validated and trace-normed block by block, O(N^4) work (about 1 s a
-# row at N = 64); any other state takes the dense O(N^6) eigensolves
+# are validated and trace-normed block by block, O(N^4) work (1.3-1.7 s a row
+# at N = 64 on 2 vCPUs); any other state takes the dense O(N^6) kernels: a
+# Cholesky factorization validates it (about 6 s at N = 64) and its trace
+# norms are eigensolves or SVDs
 MAX_STATE_DIM = 4096
 
 
@@ -57,7 +59,11 @@ def _fmt(x) -> str:
 
 
 def _even_n(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"local dimension must be an even integer >= 4, got {value!r}") from None
     if n < 4 or n % 2 != 0:
         raise argparse.ArgumentTypeError(f"local dimension must be even and >= 4, got {n}")
     if n * n > MAX_STATE_DIM:

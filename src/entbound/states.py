@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (DimensionError, _block_max, _block_spectra, _check_shape,
+from .linalg import (DimensionError, _block_max, _check_shape,
                      _hermitian_error, _is_integer, _Sectors, as_complex_matrix,
                      as_complex_stack, dagger)
 from .spinspace import CoupledSpinSystem, _swap_index
@@ -24,6 +24,7 @@ from .spinspace import CoupledSpinSystem, _swap_index
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
+_CERT_MARGIN = 1e-11  # delta of the Cholesky certificate in _eig_failed
 
 # the density checks in the order each state runs them, with their messages
 _DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
@@ -64,12 +65,15 @@ def _check_densities(stack, n: int) -> np.ndarray:
     """Run the density checks on each matrix of a (B, N^2, N^2) stack; return it read-only.
 
     The NaN/Inf scan, the Hermiticity test, the trace test and the
-    smallest-eigenvalue test.  A matrix that vanishes exactly between
+    smallest-eigenvalue test.  The eigenvalue test is a Cholesky certificate
+    (:func:`_eig_failed`): one stacked factorization, and an eigensolve of
+    the stack only if some factorization fails, so a valid stack is
+    validated without an eigensolve.  A matrix that vanishes exactly between
     different J_z sectors (:func:`_density_sectors`) is tested on its
-    diagonal blocks, one stacked eigensolve per block size; the others go
-    through one stacked eigensolve of the whole matrices.  The first failing
-    matrix raises the message of its first failing check, as if the matrices
-    were checked one after another.
+    diagonal blocks, one stack per block size; the others are tested as one
+    stack of whole matrices.  The first failing matrix raises the message of
+    its first failing check, as if the matrices were checked one after
+    another.
     """
     a = as_complex_stack(stack, (n * n, n * n))
     tr = np.trace(a, axis1=1, axis2=2)
@@ -93,26 +97,58 @@ def _check_densities(stack, n: int) -> np.ndarray:
 
 
 def _check_whole(a: np.ndarray, trace_failed: np.ndarray):
-    """The Hermiticity and smallest-eigenvalue failures of each matrix of a (B, d, d) stack."""
-    ah = dagger(a)
-    herm_failed = np.abs(a - ah).max(axis=(1, 2)) > _HERM_TOL
-    ok = ~(herm_failed | trace_failed)  # the eigensolve sees only matrices that passed so far
-    sym = (a + ah) / 2 if ok.all() else (a[ok] + ah[ok]) / 2
-    del ah  # one N^2 x N^2 copy per state fewer during the eigensolve
+    """The Hermiticity and smallest-eigenvalue failures of each matrix of a (B, d, d) stack.
+
+    Only the matrices that passed the Hermiticity and trace tests get the
+    eigenvalue test, as one stack: one Cholesky certificate, and one
+    eigensolve of that stack if the certificate fails (:func:`_eig_failed`).
+    """
+    herm_failed = _hermitian_error(a).max(axis=(1, 2)) > _HERM_TOL
+    ok = ~(herm_failed | trace_failed)
     eig_failed = np.zeros(len(a), dtype=bool)
-    eig_failed[ok] = np.linalg.eigvalsh(sym)[:, 0] < -_EIG_TOL
+    eig_failed[ok] = _eig_failed(a if ok.all() else a[ok])
     return herm_failed, eig_failed
 
 
 def _check_blocks(blocks: list, trace_failed: np.ndarray):
-    """:func:`_check_whole` for sector-diagonal matrices given by their blocks."""
+    """:func:`_check_whole` for sector-diagonal matrices given by their blocks.
+
+    Each (S, nb, k, k) block array is one stack for :func:`_eig_failed`.
+    """
     herm_failed = _block_max(blocks, _hermitian_error) > _HERM_TOL
     ok = ~(herm_failed | trace_failed)
     eig_failed = np.zeros(len(ok), dtype=bool)
     if ok.any():
-        spectra = _block_spectra(blocks if ok.all() else [b[ok] for b in blocks], ok[ok])
-        eig_failed[ok] = spectra.min(axis=1) < -_EIG_TOL
+        stacks = blocks if ok.all() else [b[ok] for b in blocks]
+        eig_failed[ok] = np.any([_eig_failed(b).any(axis=1) for b in stacks], axis=0)
     return herm_failed, eig_failed
+
+
+def _eig_failed(m: np.ndarray) -> np.ndarray:
+    """Has the Hermitian part of each matrix of a (..., k, k) stack an eigenvalue below -1e-10?
+
+    A Cholesky certificate decides the common case without an eigensolve.
+    With sym = (m + m^dag) / 2 and delta = 1e-11, one stacked factorization
+    of sym + (1e-10 - delta) I succeeds only if every smallest eigenvalue of
+    sym exceeds -1e-10 + delta less the backward error of the factorization,
+    of order k * eps * ||sym|| (about 1e-12 for a trace-1 matrix with
+    k <= 4096).  So a success means no matrix fails, and it never passes a
+    matrix that the eigensolve rejects.  numpy raises for the whole stack if
+    one factorization fails; then the stacked eigensolve of sym, rebuilt
+    unshifted, decides as it would alone.  The shift goes into the buffer
+    that holds sym; numpy's factor and its per-matrix work copy are the
+    only other arrays alive: for B = 1 the check peaks at four d x d
+    arrays here, and at three in the Hermiticity test.
+    """
+    sym = (m + dagger(m)) / 2
+    i = np.arange(m.shape[-1])
+    sym[..., i, i] += _EIG_TOL - _CERT_MARGIN
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        del sym
+        return np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0] < -_EIG_TOL
+    return np.zeros(m.shape[:-2], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +160,10 @@ class DensityMatrix:
     array and :func:`as_matrix` hands it on without a rescan.  The
     constructors of this module hand over arrays they built themselves,
     which are adopted without the copy.  Validation is the B = 1 case of the
-    stacked check that :func:`random_densities` runs.
+    stacked check that :func:`random_densities` runs: the NaN/Inf, Hermiticity
+    and trace tests, then a Cholesky factorization of the Hermitian part
+    shifted by 1e-10 - 1e-11 that certifies no eigenvalue lies below -1e-10.
+    Only if it fails does an eigensolve decide.
     """
 
     n_local: int

@@ -380,6 +380,55 @@ class TestSurveyCommand:
         assert large - small <= 2 ** 18
 
 
+def eigvalsh_calls_from_states(monkeypatch):
+    """Record each np.linalg.eigvalsh call made directly from entbound.states."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def spy(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "entbound.states":
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def not_positive_definite(*args, **kwargs):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+class TestDensityCertificate:
+    """A valid state passes the density check on a Cholesky factorization alone."""
+
+    @pytest.mark.parametrize("n, rank", [(4, 4), (4, 8), (4, 16), (6, 6), (6, 12), (6, 36)])
+    def test_valid_survey_makes_no_eigensolve_in_states(self, monkeypatch, tmp_path, n, rank):
+        argv = ["survey", "--n", str(n), "--rank", str(rank), "--samples", "16", "--seed", "2",
+                "--include-family", "--out", str(tmp_path / "s.csv")]
+        calls = eigvalsh_calls_from_states(monkeypatch)
+        assert main(argv) == 0
+        assert calls == []
+        # the spy does see the eigensolve once the certificate fails
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        assert main(argv) == 0
+        assert calls
+
+    @pytest.mark.parametrize("command", [
+        "survey --n 4 --rank 4 --include-family --samples 40 --seed 3",
+        "survey --n 6 --samples 40 --seed 3",
+        "bounds STATE"])
+    def test_eigensolve_fallback_prints_the_same_bytes(self, monkeypatch, capsys, tmp_path,
+                                                      command):
+        path = tmp_path / "rank4.json"
+        save_state(path, random_density(entbound.coupled_system(8), 4, 1))
+        argv = command.replace("STATE", str(path)).split()
+        assert main(argv) == 0
+        certified = capsys.readouterr()
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        assert main(argv) == 0
+        assert capsys.readouterr() == certified
+
+
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):
     # the trace norms of a validated stack scan nothing; a raw array is scanned once
     dm = random_density(sys4, 3, 2)
@@ -450,6 +499,13 @@ class TestUsageErrors:
         assert main(["witness", "--n", "66"]) == 1
         err = capsys.readouterr().err
         assert "N^2 <= 4096, got 66" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["family", "verify witness", "survey", "witness"])
+    def test_non_integer_local_dimension(self, capsys, command):
+        assert main(command.split() + ["--n", "x"]) == 1
+        err = capsys.readouterr().err
+        assert "local dimension must be an even integer >= 4, got 'x'" in err
+        assert "_even_n" not in err
 
     def test_memory_error_gives_one_line(self, monkeypatch, capsys):
         def exhausted(n):

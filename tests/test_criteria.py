@@ -494,7 +494,7 @@ class TestSectorPath:
         return m
 
     @pytest.mark.parametrize("n", [4, 8, 16])
-    @pytest.mark.parametrize("offset", [-3e-11, 3e-11])
+    @pytest.mark.parametrize("offset", [-3e-11, -1.2e-11, -0.8e-11, 0.8e-11, 1.2e-11, 3e-11])
     def test_block_eigenvalue_near_the_tolerance(self, sys4, n, offset):
         m = self.block_defect(n, -1e-10 + offset)
         assert _density_sectors(n).members(m[None])[0]

@@ -1,15 +1,16 @@
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       concurrence_pure, coupled_system, eof_pure,
-                      evaluate_criteria, family_state, isotropic_state,
+                      evaluate_criteria, family_state, haar_unitary, isotropic_state,
                       load_state, random_densities, random_density, random_pure,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
-from entbound.states import _check_densities, _family_densities, _Owned
+from entbound.states import _check_densities, _density_sectors, _family_densities, _Owned
 from helpers import product_pure, random_product_unitary, schmidt_reconstruct
 
 
@@ -168,6 +169,66 @@ class TestDensityStack:
                 assert np.array_equal(got, ref)
                 for part in (np.real, np.imag):
                     assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
+@lru_cache(maxsize=None)
+def haar(d):
+    return haar_unitary(d, np.random.default_rng(d))
+
+
+def rotated_diagonal(n, smallest):
+    """A dense trace-1 U D U^dag on C^N otimes C^N, U Haar-random.
+
+    D holds ``smallest``, N^2 / 2 - 1 zeros and N^2 / 2 positive entries.
+    """
+    d = n * n
+    rest = np.random.default_rng(n).uniform(0.5, 1.5, d // 2)
+    diag = np.concatenate([[smallest], np.zeros(d // 2 - 1), rest * (1 - smallest) / rest.sum()])
+    u = haar(d)
+    return (u * diag) @ u.conj().T
+
+
+@lru_cache(maxsize=None)
+def valid_and_non_hermitian(n):
+    valid = rotated_diagonal(n, 1e-3)
+    bad = valid.copy()
+    bad[0, 1] += 1e-6
+    for m in (valid, bad):
+        m.setflags(write=False)
+    return valid, bad
+
+
+class TestEigenvalueBoundary:
+    """Dense states with the smallest eigenvalue next to -1e-10 get the eigensolve's verdict.
+
+    The certificate factors sym + (1e-10 - 1e-11) I, so it decides alone
+    above -0.9e-10; from -0.92e-10 down the eigensolve decides, accepting
+    above -1e-10 and rejecting below.
+    """
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("offset", [-3e-11, -1.2e-11, -0.8e-11, 0.8e-11, 1.2e-11, 3e-11])
+    def test_verdict_and_route(self, monkeypatch, n, offset):
+        m = rotated_diagonal(n, -1e-10 + offset)
+        assert not _density_sectors(n).members(m[None])[0]
+        sym = (m + m.conj().T) / 2
+        rejects = bool(np.linalg.eigvalsh(sym[None])[0, 0] < -1e-10)
+        assert rejects == (offset < 0)
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or original(a))
+        if rejects:
+            with pytest.raises(ValueError, match="^density matrix has an eigenvalue below -1e-10$"):
+                DensityMatrix(n_local=n, matrix=m)
+        else:
+            DensityMatrix(n_local=n, matrix=m)
+        assert len(calls) == (offset < 1e-11)
+        # behind a valid dense state, with a non-Hermitian one after it
+        valid, bad = valid_and_non_hermitian(n)
+        message = DEFECTS["negative-eigenvalue" if rejects else "non-hermitian"][1]
+        with pytest.raises(ValueError) as stacked:
+            _check_densities([valid, m, bad], n)
+        assert str(stacked.value) == message
 
 
 class TestFamilyState:
