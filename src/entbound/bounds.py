@@ -127,6 +127,8 @@ def report_from_verdict(verdict: CriteriaVerdict, n: int,
     candidates = [f_ppt, f_realign, f_w]
     if f_witness_optimized is not None:
         candidates.append(f_witness_optimized)
+    for f in candidates:  # max() would skip a NaN that is not first
+        _check_functional(f, n)
     best = max(candidates)
     return BoundReport(
         f_ppt=f_ppt,

@@ -26,7 +26,7 @@ import numpy as np
 from .linalg import (_is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger,
                      trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
-from .states import as_matrix, haar_unitary
+from .states import _sector_members, as_matrix, haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
 VERDICT_TOL = 1e-9
@@ -219,9 +219,9 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
     """The J_z sectors of T_2 rho (labels a - b) and of R rho (labels a + b), gathered from rho.
 
     rho commutes with J_z when it vanishes between different a + b (local
-    index a holds m = j - a).  T_2 and R are signed index permutations that
-    carry exactly those zeros to the entries between different labels of
-    their own, so either sector set decides for rho.  The signs
+    index a holds m = j - a), which :func:`states._sector_members` decides.
+    T_2 and R are signed index permutations that carry exactly those zeros
+    to the entries between different labels of their own.  The signs
     (-1)^(b+d) of R are left out: they conjugate each block by a diagonal
     of +-1, which keeps its singular values and its Hermiticity.
     """
@@ -242,15 +242,18 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
 def _functionals(stack: np.ndarray, sys: CoupledSpinSystem):
     """The ungated core of :func:`functionals`, for a stack that is already gated or validated."""
     n = sys.n
-    t2_sectors, r_sectors = _sectors(n)
-    sector = t2_sectors.members(stack)  # decided once per state, for both T_2 and R
-    idx = np.flatnonzero(sector)
-    whole = stack[~sector] if len(idx) else stack
-    t2 = trace_norms(_partial_transposes(whole, n), t2_sectors.blocks(stack, idx))
-    rn = trace_norms(_realignments(whole, n), r_sectors.blocks(stack, idx))
-    if len(idx):  # trace_norms lists the whole matrices first
-        order = np.concatenate([np.flatnonzero(~sector), idx])
-        t2[order], rn[order] = t2.copy(), rn.copy()
+    t2, rn = np.empty(len(stack)), np.empty(len(stack))
+    sector = _sector_members(stack, n)  # decided once per state, for both T_2 and R
+    whole = ~sector
+    if whole.any():
+        dense = stack if whole.all() else stack[whole]
+        t2[whole] = trace_norms([_partial_transposes(dense, n)[:, None]])
+        rn[whole] = trace_norms([_realignments(dense, n)[:, None]])
+    if sector.any():
+        idx = np.flatnonzero(sector)
+        t2_sectors, r_sectors = _sectors(n)
+        t2[sector] = trace_norms(t2_sectors.blocks(stack, idx))
+        rn[sector] = trace_norms(r_sectors.blocks(stack, idx))
     wval = np.einsum("ij,bji->b", build_witness(sys), stack).real
     return t2, rn, wval
 

@@ -1,18 +1,21 @@
 """Complex linear algebra kernel: operand gates, trace norms and label sectors.
 
-The operand gates for raw arrays, the stacked trace norm and the sector
-kernel :class:`_Sectors`.  A matrix whose entries vanish exactly between
-different index labels (the J_z sectors of the family, Werner and isotropic
-states) is handled through its diagonal blocks: 2N - 1 blocks of size <= N
-instead of one N^2 x N^2 matrix, O(N^4) work instead of O(N^6).  Every
-other matrix takes the dense kernels.  Robustness is preferred over speed
-throughout: Hermitian eigensolves instead of generic SVD where the input
-allows, defensive shape checks.  There is no tensor-product, partial-trace
-or spectrum helper: callers use numpy directly, on arrays that are already
-gated.
+The operand gates for raw arrays, and one kernel per quantity for the
+Hermiticity test and the trace norm.  The kernels take each matrix as a
+list of its diagonal blocks, and a dense matrix is a member with one
+block.  A matrix whose entries vanish exactly between different index
+labels (the J_z sectors of the family, Werner and isotropic states) is
+gathered by :class:`_Sectors` into 2N - 1 blocks of size <= N instead of
+one N^2 x N^2 block, O(N^4) work instead of O(N^6).  Robustness is
+preferred over speed throughout: Hermitian eigensolves instead of generic
+SVD where the input allows, defensive shape checks.  There is no
+tensor-product, partial-trace or spectrum helper: callers use numpy
+directly, on arrays that are already gated.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -66,44 +69,40 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def hermitian_mask(stack: np.ndarray) -> np.ndarray:
-    """Is ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), for a matrix or each of a stack?"""
-    return _within_hermitian_tol(_hermitian_error(stack).max(axis=(-2, -1), initial=0.0),
-                                 lambda: np.abs(stack).max(axis=(-2, -1), initial=0.0))
+def hermitian_mask(blocks) -> np.ndarray:
+    """Is ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), for each member M given by its ``blocks``?
 
-
-def _within_hermitian_tol(err, absmax) -> np.ndarray:
-    """err <= 1e-12 * max(1, absmax()), where absmax() is computed only if some err exceeds 1e-12."""
+    ``blocks`` is a list of (S, nb, k, k) arrays, the diagonal blocks of S
+    members (see :func:`trace_norms`).  ||M||_max is taken over all blocks of
+    a member, and only if some error exceeds 1e-12.
+    """
+    err = _block_max(blocks, _hermitian_error)
     ok = err <= 1e-12
-    return ok if np.all(ok) else err <= 1e-12 * np.maximum(1.0, absmax())
+    return ok if np.all(ok) else err <= 1e-12 * np.maximum(1.0, _block_max(blocks, np.abs))
 
 
-def trace_norms(stack: np.ndarray, blocks=()) -> np.ndarray:
-    """Sums of singular values of finite complex matrices, one per matrix.
+def trace_norms(blocks) -> np.ndarray:
+    """Sums of singular values of finite complex matrices, one per member.
 
-    First one per matrix of the (B, d, d) ``stack``, then one per
-    sector-diagonal matrix given by its diagonal ``blocks`` (the list that
-    :meth:`_Sectors.blocks` gathers).  The (numerically) Hermitian members
-    go through Hermitian eigensolves (the sum of absolute eigenvalues), the
-    rest through SVDs: one stacked call per kind for the whole matrices, and
-    one per kind and block size for the blocks.  Both keep absolute
-    accuracy of order eps * ||M|| even for singular values at zero; squaring
-    the matrix first (eigensolve of M^dag M) would halve the attainable
+    A member M is given by its diagonal blocks: ``blocks`` is a list of
+    (S, nb, k, k) arrays, nb blocks of size k for each of the S members, so
+    the singular values of M are those of its blocks.  A whole (S, d, d)
+    stack is the one-block list ``[stack[:, None]]``, a view; the
+    sector-diagonal matrices of :class:`_Sectors` give one array per block
+    size.  The (numerically) Hermitian members go through Hermitian
+    eigensolves (the sum of absolute eigenvalues), the rest through SVDs:
+    one stacked call per kind and block size.  Both keep absolute accuracy
+    of order eps * ||M|| even for singular values at zero; squaring the
+    matrix first (eigensolve of M^dag M) would halve the attainable
     precision there, which the rank-deficient realignment checks cannot
     afford.  Each member gets the bits that the same kernel gives it alone.
     Nothing is scanned for NaN/Inf: the matrices come from a validated
     state stack or one that went through :func:`as_complex_stack`.
     """
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise DimensionError(f"trace norm needs a (B, d, d) stack, got shape {stack.shape}")
-    norms = []
-    if len(stack) or not blocks:
-        norms.append(np.abs(_spectra(stack, hermitian_mask(stack))).sum(axis=-1))
-    if blocks:
-        herm = _within_hermitian_tol(_block_max(blocks, _hermitian_error),
-                                     lambda: _block_max(blocks, np.abs))  # hermitian_mask of M
-        norms.append(np.abs(_block_spectra(blocks, herm)).sum(axis=-1))
-    return norms[0] if len(norms) == 1 else np.concatenate(norms)
+    for b in blocks:
+        if b.ndim != 4 or b.shape[2] != b.shape[3]:
+            raise DimensionError(f"trace norm needs (S, nb, k, k) blocks, got shape {b.shape}")
+    return np.abs(_block_spectra(blocks, hermitian_mask(blocks))).sum(axis=-1)
 
 
 def _spectra(m: np.ndarray, herm: np.ndarray) -> np.ndarray:
@@ -128,7 +127,7 @@ def _hermitian_error(m: np.ndarray) -> np.ndarray:
 
 def _block_max(blocks, f) -> np.ndarray:
     """The largest entry of ``f(block)`` over all blocks of each member (max norm of f(M))."""
-    return np.max([f(b).max(axis=(1, 2, 3), initial=0.0) for b in blocks], axis=0)
+    return reduce(np.maximum, [f(b).max(axis=(1, 2, 3), initial=0.0) for b in blocks])
 
 
 def _block_spectra(blocks, herm: np.ndarray) -> np.ndarray:
@@ -163,31 +162,12 @@ class _Sectors:
         for k in sorted({len(idx) for idx in sectors}):
             idx = np.array([i for i in sectors if len(i) == k])  # (nb, k)
             self.takes.append(source(idx[:, :, None], idx[:, None, :]))
-        self.inside = np.concatenate([take.ravel() for take in self.takes])
-        # a stored entry between the first and the last label, nonzero in any
-        # generic dense matrix (a block entry if there is only one label)
-        self.probe = source(sectors[0][0], sectors[-1][0])
-
-    def members(self, stack: np.ndarray) -> np.ndarray:
-        """Which stored matrices of a (B, d, d) stack give a sector-diagonal M.
-
-        One entry between labels rejects a dense matrix at once; the rest
-        are accepted only if every nonzero real and imaginary part of the
-        stored matrix lies inside the blocks.
-        """
-        flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
-        out = flat[:, self.probe] == 0
-        for k in np.flatnonzero(out):
-            out[k] = np.count_nonzero(flat[k].view(np.float64)) == \
-                np.count_nonzero(flat[k, self.inside].view(np.float64))
-        return out
 
     def blocks(self, stack: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
         """The blocks of M for the stored matrices ``stack[members]``: one (S, nb, k, k) array per size.
 
-        An empty list if ``members`` is empty, so :func:`trace_norms` takes its dense kernels alone.
+        ``members`` is an index array; whether a stored matrix gives a
+        sector-diagonal M is for the caller to decide.
         """
-        if not len(members):
-            return []
         flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
         return [flat[members[:, None, None, None], take] for take in self.takes]

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .linalg import (DimensionError, _block_max, _check_shape,
-                     _hermitian_error, _is_integer, _Sectors, as_complex_matrix,
-                     as_complex_stack, dagger)
+from .linalg import (DimensionError, _block_max, _check_shape, _hermitian_error, _is_integer,
+                     _Sectors, as_complex_matrix, as_complex_stack, dagger)
 from .spinspace import CoupledSpinSystem, _swap_index
 
 _HERM_TOL = 1e-10
@@ -61,6 +60,29 @@ def _density_sectors(n: int) -> _Sectors:
     return _Sectors(a + b, lambda i, j: i * (n * n) + j)
 
 
+@lru_cache(maxsize=None)
+def _sector_entries(n: int) -> np.ndarray:
+    """The flat positions of the entries of an N^2 x N^2 matrix inside its J_z sectors."""
+    return np.concatenate([take.ravel() for take in _density_sectors(n).takes])
+
+
+def _sector_members(stack: np.ndarray, n: int) -> np.ndarray:
+    """Which matrices of a (B, N^2, N^2) stack vanish exactly between different J_z sectors.
+
+    The one decision of the sector path, for the density check and the
+    functionals.  Entry (0, N^2 - 1), between the first and the last sector,
+    rejects a generic dense matrix at once; the rest are accepted only if
+    every nonzero real and imaginary part lies inside the sectors.
+    """
+    flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
+    out = flat[:, n * n - 1] == 0
+    inside = _sector_entries(n)
+    for k in np.flatnonzero(out):
+        out[k] = np.count_nonzero(flat[k].view(np.float64)) == \
+            np.count_nonzero(flat[k, inside].view(np.float64))
+    return out
+
+
 def _check_densities(stack, n: int) -> np.ndarray:
     """Run the density checks on each matrix of a (B, N^2, N^2) stack; return it read-only.
 
@@ -68,27 +90,24 @@ def _check_densities(stack, n: int) -> np.ndarray:
     smallest-eigenvalue test.  The eigenvalue test is a Cholesky certificate
     (:func:`_eig_failed`): one stacked factorization, and an eigensolve of
     the stack only if some factorization fails, so a valid stack is
-    validated without an eigensolve.  A matrix that vanishes exactly between
-    different J_z sectors (:func:`_density_sectors`) is tested on its
-    diagonal blocks, one stack per block size; the others are tested as one
-    stack of whole matrices.  The first failing matrix raises the message of
-    its first failing check, as if the matrices were checked one after
-    another.
+    validated without an eigensolve.  :func:`_check_blocks` runs once per
+    non-empty group of :func:`_sector_members`: the dense matrices as one
+    block each, the others as their J_z sector blocks.  The first failing
+    matrix raises the message of its first failing check, as if the
+    matrices were checked one after another.
     """
     a = as_complex_stack(stack, (n * n, n * n))
     tr = np.trace(a, axis1=1, axis2=2)
     failed = np.zeros((len(_DENSITY_CHECKS), len(a)), dtype=bool)
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
-    sectors = _density_sectors(n)
-    sector = sectors.members(a)
-    if not sector.any():
-        failed[0], failed[2] = _check_whole(a, failed[1])
-    else:
-        whole = ~sector
-        if whole.any():
-            failed[0, whole], failed[2, whole] = _check_whole(a[whole], failed[1, whole])
+    sector = _sector_members(a, n)
+    whole = ~sector
+    if whole.any():
+        failed[0, whole], failed[2, whole] = _check_blocks(
+            [(a if whole.all() else a[whole])[:, None]], failed[1, whole])
+    if sector.any():
         failed[0, sector], failed[2, sector] = _check_blocks(
-            sectors.blocks(a, np.flatnonzero(sector)), failed[1, sector])
+            _density_sectors(n).blocks(a, np.flatnonzero(sector)), failed[1, sector])
     if failed.any():
         first = failed.any(axis=0).argmax()
         raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])
@@ -96,31 +115,19 @@ def _check_densities(stack, n: int) -> np.ndarray:
     return a
 
 
-def _check_whole(a: np.ndarray, trace_failed: np.ndarray):
-    """The Hermiticity and smallest-eigenvalue failures of each matrix of a (B, d, d) stack.
-
-    Only the matrices that passed the Hermiticity and trace tests get the
-    eigenvalue test, as one stack: one Cholesky certificate, and one
-    eigensolve of that stack if the certificate fails (:func:`_eig_failed`).
-    """
-    herm_failed = _hermitian_error(a).max(axis=(1, 2)) > _HERM_TOL
-    ok = ~(herm_failed | trace_failed)
-    eig_failed = np.zeros(len(a), dtype=bool)
-    eig_failed[ok] = _eig_failed(a if ok.all() else a[ok])
-    return herm_failed, eig_failed
-
-
 def _check_blocks(blocks: list, trace_failed: np.ndarray):
-    """:func:`_check_whole` for sector-diagonal matrices given by their blocks.
+    """The Hermiticity and smallest-eigenvalue failures of each member given by its blocks.
 
-    Each (S, nb, k, k) block array is one stack for :func:`_eig_failed`.
+    ``blocks`` are (S, nb, k, k) arrays, as :func:`linalg.trace_norms` takes
+    them.  Only the members that passed the Hermiticity and trace tests get
+    the eigenvalue test, each block array as one stack for :func:`_eig_failed`.
     """
     herm_failed = _block_max(blocks, _hermitian_error) > _HERM_TOL
     ok = ~(herm_failed | trace_failed)
     eig_failed = np.zeros(len(ok), dtype=bool)
     if ok.any():
         stacks = blocks if ok.all() else [b[ok] for b in blocks]
-        eig_failed[ok] = np.any([_eig_failed(b).any(axis=1) for b in stacks], axis=0)
+        eig_failed[ok] = reduce(np.logical_or, [_eig_failed(b).any(axis=1) for b in stacks])
     return herm_failed, eig_failed
 
 
@@ -395,20 +402,21 @@ def load_state(path):
     if not isinstance(obj, dict) or "n_local" not in obj:
         raise ValueError("state file must be a JSON object with an 'n_local' key")
     n = obj["n_local"]  # checked by the state class
-    if "matrix" in obj:
-        raw = _pairs(obj["matrix"], 3, "'matrix' must be a nested list of [re, im] pairs")
-        return DensityMatrix(n_local=n, matrix=_Owned(raw[..., 0] + 1j * raw[..., 1]))
+    if "matrix" in obj:  # popped, so validation holds the complex matrix alone
+        m = _pairs(obj.pop("matrix"), 3, "'matrix' must be a nested list of [re, im] pairs")
+        return DensityMatrix(n_local=n, matrix=_Owned(m))
     if "vector" in obj:
-        raw = _pairs(obj["vector"], 2, "'vector' must be a list of [re, im] pairs")
-        return PureState(n_local=n, vector=raw[:, 0] + 1j * raw[:, 1])
+        v = _pairs(obj["vector"], 2, "'vector' must be a list of [re, im] pairs")
+        return PureState(n_local=n, vector=v)
     raise ValueError("state file must contain a 'matrix' or a 'vector' key")
 
 
 def _pairs(entries, ndim: int, message: str) -> np.ndarray:
+    """The complex array of a nested list of [re, im] pairs with ``ndim`` axes, pairs included."""
     try:
         raw = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(message) from None
     if raw.ndim != ndim or raw.shape[-1] != 2:
         raise ValueError(message)
-    return raw
+    return raw[..., 0] + 1j * raw[..., 1]

@@ -11,6 +11,11 @@ def bound_report(rho, sys_):
     return report_from_verdict(evaluate_criteria(rho, sys_), sys_.n)
 
 
+def one_block(stack):
+    """A (B, d, d) stack as members of one block each, as trace_norms and hermitian_mask take it."""
+    return [np.asarray(stack)[:, None]]
+
+
 def product_pure(a, b) -> PureState:
     """Pure product state from two local vectors (normalized)."""
     av = np.asarray(a, dtype=np.complex128)

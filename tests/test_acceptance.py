@@ -19,7 +19,7 @@ from entbound.closedform import (family_bounds_closed_form, isotropic_reference,
                                  partial_time_reversal, realign_reshuffle)
 from entbound.linalg import trace_norms
 from entbound.states import haar_unitary, random_density
-from helpers import bound_report
+from helpers import bound_report, one_block
 
 
 def report(name, ok, detail):
@@ -171,7 +171,7 @@ def test_criterion_09_realignment_cross_check():
         rank = int(rng.integers(1, 17))
         rho = random_density(sys_, rank, rng).matrix
         canonical = evaluate_criteria(rho, sys_).trace_norm_R
-        reshuffled = trace_norms(realign_reshuffle(rho, 4)[None])[0]
+        reshuffled = trace_norms(one_block(realign_reshuffle(rho, 4)[None]))[0]
         worst = max(worst, abs(canonical - reshuffled))
     ok = worst <= 1e-9
     report("criterion 9 realignment cross-check", ok, f"max_norm_diff={worst:.2e}")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, binary_entropy, concurrence_from_functional,
-                      concurrence_pure, eof_from_functional, eof_pure, extremal_schmidt_weight,
-                      family_state, isotropic_state, min_schmidt_entropy,
-                      min_schmidt_entropy_hull, random_pure)
+from entbound import (CriteriaVerdict, DimensionError, binary_entropy,
+                      concurrence_from_functional, concurrence_pure, eof_from_functional,
+                      eof_pure, extremal_schmidt_weight, family_state, isotropic_state,
+                      min_schmidt_entropy, min_schmidt_entropy_hull, random_pure,
+                      report_from_verdict)
 from entbound.closedform import (family_bounds_closed_form, family_trace_norms,
                                  isotropic_reference, witness_spectrum)
 from helpers import bound_report, product_pure
@@ -40,6 +41,20 @@ def test_rejects_odd_or_small_local_dimension(call, n):
 def test_functional_maps_check_n_and_f(bound_map, f, n, error, message):
     with pytest.raises(error, match=message):
         bound_map(f, n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("position", range(4),
+                         ids=["trace_norm_T2", "trace_norm_R", "witness_value", "optimized"])
+def test_report_rejects_a_non_finite_functional_in_any_position(bad, position):
+    # max() keeps a NaN only in first place, so each candidate is checked on its own
+    values = [1.5, 1.2, -0.3, 0.4]
+    values[position] = bad
+    verdict = CriteriaVerdict(ppt_violated=True, realignment_violated=True,
+                              witness_value=values[2], witness_detects=True,
+                              trace_norm_T2=values[0], trace_norm_R=values[1])
+    with pytest.raises(ValueError, match="^functional value must be finite, got "):
+        report_from_verdict(verdict, 4, values[3])
 
 
 class TestEntropyHelpers:

@@ -15,11 +15,11 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
                       partial_transpose, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
-from entbound.criteria import _partial_transposes, _realignments, _sectors
-from entbound.linalg import _block_spectra, hermitian_mask, trace_norms
-from entbound.states import (_check_densities, _density_sectors, haar_unitary,
-                             random_density)
-from helpers import product_pure
+from entbound.criteria import _partial_transposes, _realignments
+from entbound.linalg import _block_spectra, _Sectors, hermitian_mask, trace_norms
+from entbound.states import (_check_densities, _density_sectors, _sector_members,
+                             haar_unitary, random_density)
+from helpers import one_block, product_pure
 
 
 def assert_same_bits(got, ref):
@@ -143,7 +143,7 @@ class TestTraceNormCriteria:
         for rank in (1, 4, 16):
             rho = random_density(sys4, rank, rng).matrix
             assert evaluate_criteria(rho, sys4).trace_norm_T2 == pytest.approx(
-                trace_norms(partial_time_reversal(rho, sys4)[None])[0], abs=1e-10)
+                trace_norms(one_block(partial_time_reversal(rho, sys4)[None]))[0], abs=1e-10)
 
     def test_maximally_entangled(self, sys4):
         p0 = np.outer(sys4.singlet, sys4.singlet.conj())
@@ -170,7 +170,7 @@ class TestTraceNormCriteria:
         for _ in range(20):
             rank = int(rng.integers(1, 17))
             rho = random_density(sys4, rank, rng).matrix
-            assert trace_norms(realign_reshuffle(rho, 4)[None])[0] == pytest.approx(
+            assert trace_norms(one_block(realign_reshuffle(rho, 4)[None]))[0] == pytest.approx(
                 evaluate_criteria(rho, sys4).trace_norm_R, abs=1e-9)
 
     def test_realign_shapes_reject(self, sys4):
@@ -441,16 +441,15 @@ class TestSectorPath:
         """Smallest eigenvalue, ||T_2 rho||_1 and ||R rho||_1 from the kernels on whole matrices."""
         stack = m[None]
         return (np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[0, 0],
-                trace_norms(_partial_transposes(stack, n))[0],
-                trace_norms(_realignments(stack, n))[0])
+                trace_norms(one_block(_partial_transposes(stack, n)))[0],
+                trace_norms(one_block(_realignments(stack, n)))[0])
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_agrees_with_the_dense_kernels(self, n):
         sys_ = coupled_system(n)
         for rho in self.sector_states(n):
             stack = rho.matrix[None]
-            assert _density_sectors(n).members(stack)[0]
-            assert _sectors(n)[0].members(stack)[0] and _sectors(n)[1].members(stack)[0]
+            assert _sector_members(stack, n)[0]
             blocks = _density_sectors(n).blocks(stack, np.array([0]))
             smallest = _block_spectra(blocks, np.array([True])).min()
             v = evaluate_criteria(rho, sys_)
@@ -474,8 +473,7 @@ class TestSectorPath:
         sys_ = coupled_system(n)
         m = family_state(sys_, 0.3).matrix.copy()
         m[position] = m[position[::-1]] = 1e-300
-        assert not _density_sectors(n).members(m[None])[0]
-        assert not _sectors(n)[0].members(m[None])[0]
+        assert not _sector_members(m[None], n)[0]
         v = evaluate_criteria(DensityMatrix(n_local=n, matrix=m), sys_)
         # the dense kernel as it ran before the sector path: T_2 rho and R rho
         # of the family are Hermitian, so each is one Hermitian eigensolve
@@ -483,6 +481,27 @@ class TestSectorPath:
                            (v.trace_norm_R, _realignments(m[None], n))):
             ref = np.abs(np.linalg.eigvalsh((whole + whole.conj().swapaxes(1, 2)) / 2)).sum(axis=-1)
             assert_same_bits(np.array([got]), ref)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("position", [(0, -1), (0, 1)])
+    def test_density_check_and_functionals_share_the_decision(self, n, position, monkeypatch):
+        # an imaginary part alone puts an entry off the sectors; a signed zero does not
+        sys_ = coupled_system(n)
+        family = family_state(sys_, 0.3).matrix
+        gathered = []
+        monkeypatch.setattr(_Sectors, "blocks", counted(_Sectors.blocks, gathered))
+        for entry, sector in ((1e-300j, False), (complex(-0.0, -0.0), True)):
+            m = family.copy()
+            m[position], m[position[::-1]] = entry, np.conj(entry)
+            assert _sector_members(m[None], n)[0] == sector
+            gathered.clear()
+            _check_densities(m[None], n)
+            assert len(gathered) == sector
+            gathered.clear()
+            got = functionals(m[None], sys_)
+            assert len(gathered) == 2 * sector
+        for values, ref in zip(got, functionals(family[None], sys_)):
+            assert_same_bits(values, ref)
 
     @staticmethod
     def block_defect(n, eigenvalue):
@@ -497,7 +516,7 @@ class TestSectorPath:
     @pytest.mark.parametrize("offset", [-3e-11, -1.2e-11, -0.8e-11, 0.8e-11, 1.2e-11, 3e-11])
     def test_block_eigenvalue_near_the_tolerance(self, sys4, n, offset):
         m = self.block_defect(n, -1e-10 + offset)
-        assert _density_sectors(n).members(m[None])[0]
+        assert _sector_members(m[None], n)[0]
         dense_rejects = np.linalg.eigvalsh(m)[0] < -1e-10
         assert dense_rejects == (offset < 0)
         if dense_rejects:
@@ -525,7 +544,7 @@ class TestFunctionals:
                    for rank in (1, 2 * n, n * n) for k in range(3)]
         # family states have a Hermitian realignment and random ones do not,
         # so the realignment stack takes both trace-norm kernels
-        herm = [bool(hermitian_mask(realign(rho, sys_))) for rho in states]
+        herm = [bool(hermitian_mask(one_block(realign(rho, sys_)[None]))) for rho in states]
         assert any(herm) and not all(herm)
         states = states[::2] + states[1::2]  # interleave the two kinds
         stack = np.stack([rho.matrix for rho in states])
@@ -596,7 +615,7 @@ class TestMapProperties:
         for _ in range(20):
             rho = random_density(sys4, int(rng.integers(1, 17)), rng).matrix
             assert abs(evaluate_criteria(rho, sys4).trace_norm_T2
-                       - trace_norms(partial_time_reversal(rho, sys4)[None])[0]) < 1e-10
+                       - trace_norms(one_block(partial_time_reversal(rho, sys4)[None]))[0]) < 1e-10
 
 
 def test_import_loads_no_scipy():

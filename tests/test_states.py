@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -10,7 +11,8 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       load_state, random_densities, random_density, random_pure,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
-from entbound.states import _check_densities, _density_sectors, _family_densities, _Owned
+from entbound import states
+from entbound.states import _check_densities, _family_densities, _Owned, _sector_members
 from helpers import product_pure, random_product_unitary, schmidt_reconstruct
 
 
@@ -210,7 +212,7 @@ class TestEigenvalueBoundary:
     @pytest.mark.parametrize("offset", [-3e-11, -1.2e-11, -0.8e-11, 0.8e-11, 1.2e-11, 3e-11])
     def test_verdict_and_route(self, monkeypatch, n, offset):
         m = rotated_diagonal(n, -1e-10 + offset)
-        assert not _density_sectors(n).members(m[None])[0]
+        assert not _sector_members(m[None], n)[0]
         sym = (m + m.conj().T) / 2
         rejects = bool(np.linalg.eigvalsh(sym[None])[0, 0] < -1e-10)
         assert rejects == (offset < 0)
@@ -438,6 +440,21 @@ class TestStateFiles:
         back = load_state(path)
         assert isinstance(back, PureState)
         assert np.array_equal(back.vector, psi.vector)
+
+    def test_validation_holds_only_the_matrix(self, tmp_path, monkeypatch):
+        # the parsed JSON lists and the float pairs are freed before DensityMatrix validates
+        path = tmp_path / "rho.json"
+        save_state(path, random_density(coupled_system(8), 4, 1))
+        held = []
+        check = states._check_densities
+        monkeypatch.setattr(states, "_check_densities", lambda stack, n: (
+            held.append(tracemalloc.get_traced_memory()[0]) or check(stack, n)))
+        tracemalloc.start()
+        try:
+            back = load_state(path)
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] <= 1.5 * back.matrix.nbytes
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
