@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys as _sys
 from dataclasses import asdict, fields
 from functools import lru_cache
@@ -30,7 +31,7 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, _verdicts, build_witnes
                        evaluate_criteria, minimize_witness, twisted_witness,
                        witness_value)
 from .spinspace import coupled_system
-from .states import (_family_densities, family_state, haar_unitary, load_state,
+from .states import (_family_states, family_state, haar_unitary, load_state,
                      random_densities, random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
@@ -42,13 +43,17 @@ SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
 SURVEY_CHUNK = 16
 SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 
-# --n is refused when N^2 exceeds this: every state and the witness are dense
-# N^2 x N^2 matrices, 268 MB each at N = 64.  Family rows commute with J_z and
-# are validated and trace-normed block by block, O(N^4) work (1.3-1.7 s a row
-# at N = 64 on 2 vCPUs); any other state takes the dense O(N^6) kernels: a
-# Cholesky factorization validates it (about 6 s at N = 64) and its trace
-# norms are eigensolves or SVDs
+# --n is refused when N^2 exceeds this for the commands that build dense
+# N^2 x N^2 matrices (268 MB each at N = 64): survey, witness and verify
+# witness|appendixA.  A dense state is validated by a Cholesky factorization
+# (about 6 s at N = 64, 2 vCPU) and trace-normed by eigensolves or SVDs,
+# O(N^6).  The family states are built, validated and trace-normed as their
+# J_z blocks and never as a dense matrix, O(N^4) work and memory, so family
+# and verify appendixB|figures accept N up to MAX_SECTOR_N instead: a family
+# row takes about 0.1 s at N = 64, 0.7 s at N = 128 and 6 s (480 MB peak RSS)
+# at N = 256
 MAX_STATE_DIM = 4096
+MAX_SECTOR_N = 256
 
 
 def _fmt(x) -> str:
@@ -58,7 +63,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _even_n(value: str) -> int:
+def _local_dimension(value: str, limit: int, bound: str) -> int:
+    """An even integer N with 4 <= N <= limit, else an argparse error that states ``bound``."""
     try:
         n = int(value)
     except ValueError:
@@ -66,10 +72,19 @@ def _even_n(value: str) -> int:
             f"local dimension must be an even integer >= 4, got {value!r}") from None
     if n < 4 or n % 2 != 0:
         raise argparse.ArgumentTypeError(f"local dimension must be even and >= 4, got {n}")
-    if n * n > MAX_STATE_DIM:
-        raise argparse.ArgumentTypeError(
-            f"local dimension must satisfy N^2 <= {MAX_STATE_DIM}, got {n}")
+    if n > limit:
+        raise argparse.ArgumentTypeError(f"local dimension must satisfy {bound}, got {n}")
     return n
+
+
+def _even_n(value: str) -> int:
+    """--n of the commands that build dense states: N^2 <= MAX_STATE_DIM."""
+    return _local_dimension(value, math.isqrt(MAX_STATE_DIM), f"N^2 <= {MAX_STATE_DIM}")
+
+
+def _sector_n(value: str) -> int:
+    """--n of family and verify, which build the family states as J_z blocks."""
+    return _local_dimension(value, MAX_SECTOR_N, f"N <= {MAX_SECTOR_N}")
 
 
 def _family_row(sys_, lam: float) -> FamilyCurvePoint:
@@ -141,7 +156,7 @@ def cmd_survey(args) -> int:
     def chunks():
         if args.include_family:
             yield ([f"family({lam})" for lam in SURVEY_FAMILY_LAMBDAS],
-                   _family_densities(sys_, SURVEY_FAMILY_LAMBDAS))
+                   _family_states(sys_, SURVEY_FAMILY_LAMBDAS))
         for start in range(0, args.samples, SURVEY_CHUNK):
             size = min(SURVEY_CHUNK, args.samples - start)
             yield ([f"random{k}" for k in range(start, start + size)],
@@ -312,6 +327,9 @@ def cmd_verify(args) -> int:
             raise ValueError("this suite is randomized and requires an explicit --seed")
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
+    if args.n * args.n > MAX_STATE_DIM and {"witness", "appendixA"} & set(suites):
+        raise ValueError(f"local dimension must satisfy N^2 <= {MAX_STATE_DIM} "
+                         f"for the witness and appendixA suites, got {args.n}")
     pairs = None  # built once, for the first family suite, and shared
     for suite in suites:
         if suite == "witness":
@@ -335,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="sweep the singlet/Werner family, write CSV")
-    p.add_argument("--n", type=_even_n, default=4)
+    p.add_argument("--n", type=_sector_n, default=4)
     p.add_argument("--lambda-min", type=float, default=0.0)
     p.add_argument("--lambda-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=101)
@@ -352,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suite", choices=("witness", "appendixA", "appendixB",
                                      "figures", "all"))
-    p.add_argument("--n", type=_even_n, default=4)
+    p.add_argument("--n", type=_sector_n, default=4)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .linalg import (_is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger,
                      trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
-from .states import _sector_members, as_matrix, haar_unitary
+from .states import _as_stack, _sector_members, _SectorStates, as_matrix, haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
 VERDICT_TOL = 1e-9
@@ -94,6 +94,9 @@ def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in
     :mod:`closedform` as references.  The spectrum is -(N-2) on the singlet,
     +2 on the even-J manifolds with J >= 2, and 0 on the odd-J (symmetric) manifolds.
+    Only :func:`witness_value`, :func:`twisted_witness`, :func:`minimize_witness`,
+    the ``witness`` command and ``verify witness|appendixA`` use W itself;
+    :func:`functionals` reads tr(W rho) from the swap form without it.
     """
     n = sys.n
     w = np.eye(n * n, dtype=complex)
@@ -219,7 +222,8 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
     """The J_z sectors of T_2 rho (labels a - b) and of R rho (labels a + b), gathered from rho.
 
     rho commutes with J_z when it vanishes between different a + b (local
-    index a holds m = j - a), which :func:`states._sector_members` decides.
+    index a holds m = j - a): :func:`states._sector_members` decides this for
+    an array, and a :class:`states._SectorStates` is one by construction.
     T_2 and R are signed index permutations that carry exactly those zeros
     to the entries between different labels of their own.  The signs
     (-1)^(b+d) of R are left out: they conjugate each block by a diagonal
@@ -239,9 +243,45 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
     return _Sectors(a - b, t2), _Sectors(a + b, r)
 
 
-def _functionals(stack: np.ndarray, sys: CoupledSpinSystem):
-    """The ungated core of :func:`functionals`, for a stack that is already gated or validated."""
+@lru_cache(maxsize=None)
+def _witness_terms(sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat positions in rho that tr(W rho) reads, and psi_0 and its conjugate on its support.
+
+    In order, N^2 positions each: the diagonal entries, the entries
+    rho[i, j] with i and j on the support of psi_0 (N of them), and the
+    entries rho[i, F(i)].
+    """
+    n2 = sys.n ** 2
+    i = np.arange(n2)
+    support = np.flatnonzero(sys.singlet)
+    positions = np.concatenate([i * (n2 + 1), (support[:, None] * n2 + support).ravel(),
+                                i * n2 + _swap_index(sys.n)])
+    psi = sys.singlet[support]
+    return positions, psi, psi.conj()
+
+
+def _witness_values(take, sys: CoupledSpinSystem) -> np.ndarray:
+    """tr(W rho) = tr rho - N <psi_0|rho|psi_0> - tr F rho for each state, read through ``take``.
+
+    ``take(idx)`` returns rho.flat[idx] of each state as an (S, len(idx))
+    C-ordered array: 3 N^2 entries are read, and W is never built.  Each sum
+    runs over one row, so a state gets the same bits in any stack.
+    """
+    n, n2 = sys.n, sys.n ** 2
+    positions, psi, psi_conj = _witness_terms(sys)
+    values = take(positions)
+    diag, singlet, swap = values[:, :n2], values[:, n2:2 * n2], values[:, 2 * n2:]
+    expectation = ((singlet.reshape(-1, n, n) * psi).sum(axis=-1) * psi_conj).sum(axis=-1)
+    return (diag.sum(axis=-1) - n * expectation - swap.sum(axis=-1)).real
+
+
+def _functionals(stack, sys: CoupledSpinSystem):
+    """The ungated core of :func:`functionals`, for a gated or validated stack or :class:`_SectorStates`."""
     n = sys.n
+    if isinstance(stack, _SectorStates):  # their blocks are filled from their entries
+        t2_sectors, r_sectors = _sectors(n)
+        return (trace_norms(stack.blocks(t2_sectors)), trace_norms(stack.blocks(r_sectors)),
+                _witness_values(stack.take, sys))
     t2, rn = np.empty(len(stack)), np.empty(len(stack))
     sector = _sector_members(stack, n)  # decided once per state, for both T_2 and R
     whole = ~sector
@@ -254,8 +294,9 @@ def _functionals(stack: np.ndarray, sys: CoupledSpinSystem):
         t2_sectors, r_sectors = _sectors(n)
         t2[sector] = trace_norms(t2_sectors.blocks(stack, idx))
         rn[sector] = trace_norms(r_sectors.blocks(stack, idx))
-    wval = np.einsum("ij,bji->b", build_witness(sys), stack).real
-    return t2, rn, wval
+    flat = stack.reshape(len(stack), n ** 4)
+    # np.take is C-ordered; flat[:, idx] is not, and its row sums differ with B
+    return t2, rn, _witness_values(lambda idx: flat.take(idx, axis=1), sys)
 
 
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,12 +304,13 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
 
     The raw stack passes :func:`linalg.as_complex_stack` once.  T_2 and R
     are signed index permutations, each followed by one
-    :func:`linalg.trace_norms`; tr(W rho) is one contraction with the cached
-    witness.  A state that vanishes exactly between different J_z sectors
-    (m_1 + m_2), such as the family, Werner and isotropic states, has its
-    T_2 rho and R rho blocks gathered straight from rho, O(N^4) work in all;
-    every other state is permuted whole, O(N^6).  Each state gets the bits
-    it gets alone, in a stack of one.
+    :func:`linalg.trace_norms`; tr(W rho) is read from the swap form
+    W = I - N P_0 - F, O(N^2) entries of rho, without W.  A state that
+    vanishes exactly between different J_z sectors (m_1 + m_2), such as the
+    family, Werner and isotropic states, has its T_2 rho and R rho blocks
+    gathered straight from rho, O(N^4) work in all; every other state is
+    permuted whole, O(N^6).  Each state gets the bits it gets alone, in a
+    stack of one.
     """
     n2 = sys.n * sys.n
     return _functionals(as_complex_stack(stack, (n2, n2)), sys)
@@ -307,6 +349,8 @@ def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
     """Run the partial-transpose, realignment and witness tests on a state.
 
     The B = 1 case of :func:`verdicts`, gated by :func:`states.as_matrix`.
+    The family, Werner and isotropic states enter as their J_z blocks, so
+    their N^2 x N^2 matrix is never built here.
     """
     n2 = sys.n * sys.n
-    return _verdicts(as_matrix(rho, (n2, n2))[None], sys)[0]
+    return _verdicts(_as_stack(rho, (n2, n2)), sys)[0]

@@ -5,12 +5,13 @@ Hermiticity test and the trace norm.  The kernels take each matrix as a
 list of its diagonal blocks, and a dense matrix is a member with one
 block.  A matrix whose entries vanish exactly between different index
 labels (the J_z sectors of the family, Werner and isotropic states) is
-gathered by :class:`_Sectors` into 2N - 1 blocks of size <= N instead of
-one N^2 x N^2 block, O(N^4) work instead of O(N^6).  Robustness is
-preferred over speed throughout: Hermitian eigensolves instead of generic
-SVD where the input allows, defensive shape checks.  There is no
-tensor-product, partial-trace or spectrum helper: callers use numpy
-directly, on arrays that are already gated.
+read by :class:`_Sectors` as 2N - 1 blocks of size <= N instead of one
+N^2 x N^2 block, O(N^4) work instead of O(N^6): gathered from a stored
+matrix, or filled from the entries of a state that has no stored matrix.
+Robustness is preferred over speed throughout: Hermitian eigensolves
+instead of generic SVD where the input allows, defensive shape checks.
+There is no tensor-product, partial-trace or spectrum helper: callers use
+numpy directly, on arrays that are already gated.
 """
 
 from __future__ import annotations
@@ -146,22 +147,33 @@ class _Sectors:
     ``labels[i]`` is an integer label of composite index i.  M is
     sector-diagonal when M[i, j] is exactly zero wherever labels[i] !=
     labels[j]; its eigenvalues and singular values are then those of its
-    diagonal blocks, one per label value.  M is read from a stored (B, d, d)
-    stack: ``source(rows, cols)`` returns the flat positions of M[rows, cols]
-    in a stored matrix, so an index permutation of the stored matrix is
-    gathered block by block and never built whole.  Blocks of one size k
-    are gathered as one (S, nb, k, k) array, so a spectrum takes one LAPACK
-    call per block size.
+    diagonal blocks, one per label value.  M is read from a stored matrix:
+    ``source(rows, cols)`` returns the flat positions of M[rows, cols] in
+    it, so an index permutation of the stored matrix is gathered block by
+    block and never built whole.  ``positions`` lists the flat positions of
+    all blocks, the blocks of one size k together as (nb, k, k), so a
+    spectrum takes one LAPACK call per block size.
     """
 
     def __init__(self, labels: np.ndarray, source):
         # the indices of each label value, in label order
         sectors = [np.flatnonzero(labels == v) for v in range(labels.min(), labels.max() + 1)]
         sectors = [idx for idx in sectors if len(idx)]
-        self.takes = []
+        takes = []
         for k in sorted({len(idx) for idx in sectors}):
             idx = np.array([i for i in sectors if len(i) == k])  # (nb, k)
-            self.takes.append(source(idx[:, :, None], idx[:, None, :]))
+            takes.append(source(idx[:, :, None], idx[:, None, :]))
+        self.shapes = [take.shape for take in takes]
+        self.positions = np.concatenate([take.ravel() for take in takes])
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """The (S, nb, k, k) block arrays, as views, of (S, len(positions)) entries read at ``positions``."""
+        out, start = [], 0
+        for shape in self.shapes:
+            size = shape[0] * shape[1] * shape[2]
+            out.append(values[:, start:start + size].reshape(len(values), *shape))
+            start += size
+        return out
 
     def blocks(self, stack: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
         """The blocks of M for the stored matrices ``stack[members]``: one (S, nb, k, k) array per size.
@@ -170,4 +182,4 @@ class _Sectors:
         sector-diagonal M is for the caller to decide.
         """
         flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
-        return [flat[members[:, None, None, None], take] for take in self.takes]
+        return self.split(flat[members[:, None], self.positions])

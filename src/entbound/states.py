@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import chain
 
 import numpy as np
 
 from .linalg import (DimensionError, _block_max, _check_shape, _hermitian_error, _is_integer,
                      _Sectors, as_complex_matrix, as_complex_stack, dagger)
-from .spinspace import CoupledSpinSystem, _swap_index
+from .spinspace import CoupledSpinSystem
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _CERT_MARGIN = 1e-11  # delta of the Cholesky certificate in _eig_failed
+_ENTRY_CHUNK = 2 ** 18  # entries of a J_z block state computed at a time
 
 # the density checks in the order each state runs them, with their messages
 _DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
@@ -60,23 +62,19 @@ def _density_sectors(n: int) -> _Sectors:
     return _Sectors(a + b, lambda i, j: i * (n * n) + j)
 
 
-@lru_cache(maxsize=None)
-def _sector_entries(n: int) -> np.ndarray:
-    """The flat positions of the entries of an N^2 x N^2 matrix inside its J_z sectors."""
-    return np.concatenate([take.ravel() for take in _density_sectors(n).takes])
-
-
 def _sector_members(stack: np.ndarray, n: int) -> np.ndarray:
     """Which matrices of a (B, N^2, N^2) stack vanish exactly between different J_z sectors.
 
-    The one decision of the sector path, for the density check and the
-    functionals.  Entry (0, N^2 - 1), between the first and the last sector,
-    rejects a generic dense matrix at once; the rest are accepted only if
-    every nonzero real and imaginary part lies inside the sectors.
+    The one decision of the sector path for arrays from outside the
+    package (state files, raw stacks), shared by the density check and the
+    functionals; the J_z block states of :class:`_SectorStates` carry it
+    from construction.  Entry (0, N^2 - 1), between the first and the last
+    sector, rejects a generic dense matrix at once; the rest are accepted
+    only if every nonzero real and imaginary part lies inside the sectors.
     """
     flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
     out = flat[:, n * n - 1] == 0
-    inside = _sector_entries(n)
+    inside = _density_sectors(n).positions
     for k in np.flatnonzero(out):
         out[k] = np.count_nonzero(flat[k].view(np.float64)) == \
             np.count_nonzero(flat[k, inside].view(np.float64))
@@ -97,9 +95,7 @@ def _check_densities(stack, n: int) -> np.ndarray:
     matrices were checked one after another.
     """
     a = as_complex_stack(stack, (n * n, n * n))
-    tr = np.trace(a, axis1=1, axis2=2)
-    failed = np.zeros((len(_DENSITY_CHECKS), len(a)), dtype=bool)
-    failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
+    failed = _trace_failed(np.trace(a, axis1=1, axis2=2))
     sector = _sector_members(a, n)
     whole = ~sector
     if whole.any():
@@ -108,11 +104,23 @@ def _check_densities(stack, n: int) -> np.ndarray:
     if sector.any():
         failed[0, sector], failed[2, sector] = _check_blocks(
             _density_sectors(n).blocks(a, np.flatnonzero(sector)), failed[1, sector])
+    _raise_first(failed)
+    a.setflags(write=False)
+    return a
+
+
+def _trace_failed(tr: np.ndarray) -> np.ndarray:
+    """The (checks, B) failure table of a stack with traces ``tr``, its trace row filled in."""
+    failed = np.zeros((len(_DENSITY_CHECKS), len(tr)), dtype=bool)
+    failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
+    return failed
+
+
+def _raise_first(failed: np.ndarray) -> None:
+    """Raise the message of the first failing check of the first failing state, if any."""
     if failed.any():
         first = failed.any(axis=0).argmax()
         raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])
-    a.setflags(write=False)
-    return a
 
 
 def _check_blocks(blocks: list, trace_failed: np.ndarray):
@@ -170,7 +178,9 @@ class DensityMatrix:
     stacked check that :func:`random_densities` runs: the NaN/Inf, Hermiticity
     and trace tests, then a Cholesky factorization of the Hermitian part
     shifted by 1e-10 - 1e-11 that certifies no eigenvalue lies below -1e-10.
-    Only if it fails does an eigensolve decide.
+    Only if it fails does an eigensolve decide.  The family, Werner and
+    isotropic states are a private subclass that holds their J_z blocks
+    instead (:class:`_SectorDensity`) and builds ``matrix`` only on demand.
     """
 
     n_local: int
@@ -238,11 +248,113 @@ def as_matrix(rho, shape: tuple[int, int] | None = None) -> np.ndarray:
     return as_complex_matrix(rho, shape)
 
 
-def _werner_matrix(sys: CoupledSpinSystem) -> np.ndarray:
+class _SectorStates:
+    """S states that vanish exactly between different J_z sectors, held as their entries.
+
+    ``take(idx)`` returns rho.flat[idx] of each state as an (S, len(idx))
+    array for a 1-d ``idx``, so every block of rho, T_2 rho and R rho is filled at the
+    ``positions`` of a :class:`linalg._Sectors` and no N^2 x N^2 array is
+    built.  Being one is the sector decision: no scan of a matrix makes it.
+    ``shape`` is that of the (S, N^2, N^2) stack the states stand for.
+    """
+
+    __slots__ = ("n", "take", "shape")
+
+    def __init__(self, n: int, size: int, take):
+        self.n, self.take, self.shape = n, take, (size, n * n, n * n)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self, sectors: _Sectors) -> list[np.ndarray]:
+        """The (S, nb, k, k) block arrays of the matrices that ``sectors`` reads from rho."""
+        return sectors.split(self.take(sectors.positions))
+
+    def matrices(self) -> np.ndarray:
+        """The read-only (S, N^2, N^2) stack: the entries inside the sectors, zero outside."""
+        inside = _density_sectors(self.n).positions
+        m = np.zeros(self.shape, dtype=np.complex128)
+        m.reshape(len(self), -1)[:, inside] = self.take(inside)
+        m.setflags(write=False)
+        return m
+
+
+def _sector_states(n: int, size: int, entries) -> _SectorStates:
+    """The ``size`` states whose rho.flat[idx] are the rows of ``entries(idx)``, validated as one stack.
+
+    The trace test on the diagonal entries and :func:`_check_blocks` on the
+    J_z blocks, with the precedence and messages of :func:`_check_densities`.
+    """
+    def take(idx):  # a chunk at a time, so the temporaries of entries stay small at large N
+        out = np.empty((size, len(idx)), dtype=np.complex128)
+        for start in range(0, len(idx), _ENTRY_CHUNK):
+            out[:, start:start + _ENTRY_CHUNK] = entries(idx[start:start + _ENTRY_CHUNK])
+        return out
+
+    states = _SectorStates(n, size, take)
+    n2 = n * n
+    failed = _trace_failed(states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1))
+    failed[0], failed[2] = _check_blocks(states.blocks(_density_sectors(n)), failed[1])
+    _raise_first(failed)
+    return states
+
+
+class _SectorDensity(DensityMatrix):
+    """A validated DensityMatrix that commutes with J_z, held as its one-state :class:`_SectorStates`.
+
+    The criteria read its blocks through ``sectors``; ``matrix`` is
+    materialized, read-only, only when a caller asks for it.
+    """
+
+    def __init__(self, sectors: _SectorStates):
+        object.__setattr__(self, "n_local", sectors.n)
+        object.__setattr__(self, "sectors", sectors)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.sectors.matrices()[0]
+
+    def __repr__(self) -> str:  # the dataclass repr would build the matrix
+        return f"DensityMatrix(n_local={self.n_local}, matrix=<its J_z blocks>)"
+
+
+def _as_stack(rho, shape: tuple[int, int]):
+    """A state as a stack of one for the criteria: a J_z block state as its sectors, else (1, d, d)."""
+    if isinstance(rho, _SectorDensity):
+        return _check_shape(rho.sectors, shape)
+    return as_matrix(rho, shape)[None]
+
+
+# The entries of the structured states at flat positions idx: the arithmetic
+# of the dense N^2 x N^2 constructions, entry by entry, so they are bit-equal.
+
+def _singlet_entries(sys: CoupledSpinSystem, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """P_0[i, j], as np.outer(singlet, singlet.conj()) has it."""
+    return sys.singlet[i] * sys.singlet.conj()[j]
+
+
+def _werner_part(sys: CoupledSpinSystem, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """2 / (N (N + 1)) * ((I + F) / 2)[i, j], with I + F as a float."""
     n = sys.n
-    m = np.eye(n * n)
-    m[np.arange(n * n), _swap_index(n)] += 1
-    return 2 / (n * (n + 1)) * (m / 2)
+    a, b = np.divmod(i, n)
+    return 2 / (n * (n + 1)) * (np.add(i == j, j == b * n + a, dtype=float) / 2)
+
+
+def _werner_entries(sys: CoupledSpinSystem, idx: np.ndarray) -> np.ndarray:
+    return _werner_part(sys, *np.divmod(idx, sys.n ** 2))
+
+
+def _family_entries(sys: CoupledSpinSystem, lam, idx: np.ndarray) -> np.ndarray:
+    """One row per entry of ``lam``, a float or an (S, 1) column of them."""
+    i, j = np.divmod(idx, sys.n ** 2)
+    return lam * _singlet_entries(sys, i, j) + (1 - lam) * _werner_part(sys, i, j)
+
+
+def _isotropic_entries(sys: CoupledSpinSystem, fidelity: float, idx: np.ndarray) -> np.ndarray:
+    n2 = sys.n ** 2
+    i, j = np.divmod(idx, n2)
+    p0 = _singlet_entries(sys, i, j)
+    return fidelity * p0 + (1 - fidelity) * (((i == j) - p0) / (n2 - 1))
 
 
 def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
@@ -250,8 +362,9 @@ def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
 
     Equals the sum of the odd-J total-spin projectors; separable, invariant
     under all U otimes U, undetected by every criterion in this package.
+    Built and validated as its J_z blocks, like the family and isotropic states.
     """
-    return DensityMatrix(n_local=sys.n, matrix=_Owned(_werner_matrix(sys)))
+    return _SectorDensity(_sector_states(sys.n, 1, partial(_werner_entries, sys)))
 
 
 def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
@@ -260,23 +373,17 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
     Every lam > 0 is entangled; for lam <= 1/(N+2) the state stays PPT, so
     only the witness detects it there.
     """
-    return DensityMatrix(n_local=sys.n, matrix=_Owned(_family_matrix(sys, lam)))
+    return _SectorDensity(_family_states(sys, (lam,)))
 
 
-def _family_matrix(sys: CoupledSpinSystem, lam: float) -> np.ndarray:
-    """The unvalidated matrix of :func:`family_state`."""
-    if not 0 <= lam <= 1:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
-    p0 = np.outer(sys.singlet, sys.singlet.conj())
-    return lam * p0 + (1 - lam) * _werner_matrix(sys)
-
-
-def _family_densities(sys: CoupledSpinSystem, lams) -> np.ndarray:
-    """Validated read-only stack of family matrices, one per lam, checked as one stack.
-
-    Matrix k is bit-equal to ``family_state(sys, lams[k]).matrix``.
-    """
-    return _check_densities(np.stack([_family_matrix(sys, lam) for lam in lams]), sys.n)
+def _family_states(sys: CoupledSpinSystem, lams) -> _SectorStates:
+    """The family states at each lam, validated as one stack; state k is ``family_state(sys, lams[k])``."""
+    for lam in lams:
+        if not 0 <= lam <= 1:
+            raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
+    # one row of entries per lam: lam * x is the same product for a scalar and a column
+    column = np.array(lams, dtype=float)[:, None]
+    return _sector_states(sys.n, len(lams), partial(_family_entries, sys, column))
 
 
 def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
@@ -288,10 +395,7 @@ def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
     """
     if not 0 <= fidelity <= 1:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    n = sys.n
-    p0 = np.outer(sys.singlet, sys.singlet.conj())
-    rest = (np.eye(n * n) - p0) / (n * n - 1)
-    return DensityMatrix(n_local=n, matrix=_Owned(fidelity * p0 + (1 - fidelity) * rest))
+    return _SectorDensity(_sector_states(sys.n, 1, partial(_isotropic_entries, sys, fidelity)))
 
 
 def random_pure(sys: CoupledSpinSystem, seed) -> PureState:
@@ -395,28 +499,62 @@ def save_state(path, state) -> None:
 def load_state(path):
     """Read a DensityMatrix or PureState back from JSON (validating invariants)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ValueError("state file is nested too deeply to parse") from None
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("state file is nested too deeply to parse") from None
     if not isinstance(obj, dict) or "n_local" not in obj:
         raise ValueError("state file must be a JSON object with an 'n_local' key")
+    numbers = _only_numbers(text, len(obj))
+    del text
     n = obj["n_local"]  # checked by the state class
     if "matrix" in obj:  # popped, so validation holds the complex matrix alone
-        m = _pairs(obj.pop("matrix"), 3, "'matrix' must be a nested list of [re, im] pairs")
+        m = _pairs(obj.pop("matrix"), 3, numbers,
+                   "'matrix' must be a nested list of [re, im] pairs",
+                   "matrix contains NaN or Inf entries")
         return DensityMatrix(n_local=n, matrix=_Owned(m))
     if "vector" in obj:
-        v = _pairs(obj["vector"], 2, "'vector' must be a list of [re, im] pairs")
+        v = _pairs(obj["vector"], 2, numbers, "'vector' must be a list of [re, im] pairs",
+                   "state vector contains NaN or Inf entries")
         return PureState(n_local=n, vector=v)
     raise ValueError("state file must contain a 'matrix' or a 'vector' key")
 
 
-def _pairs(entries, ndim: int, message: str) -> np.ndarray:
-    """The complex array of a nested list of [re, im] pairs with ``ndim`` axes, pairs included."""
+def _only_numbers(text: str, keys: int) -> bool:
+    """Is every value in a JSON object text with ``keys`` keys a number, or a list of them?
+
+    True when the text holds no quote but those of the keys and no "u" or
+    "s", which every true, false and null has.  False only means that the
+    values must be checked one by one.
+    """
+    pos = -1
+    for _ in range(2 * keys + 1):  # str.find, unlike str.count, scans with memchr
+        pos = text.find('"', pos + 1)
+        if pos < 0:
+            break
+    return pos < 0 and "u" not in text and "s" not in text
+
+
+def _pairs(entries, ndim: int, numbers: bool, message: str, nonfinite: str) -> np.ndarray:
+    """The complex array of a nested list of [re, im] pairs with ``ndim`` axes, pairs included.
+
+    Every entry must be a JSON number.  numpy reads a string such as "0.5"
+    and a boolean as numbers, so the type of each entry is checked unless
+    ``numbers`` says the file holds nothing else.  An integer beyond the
+    double range raises ``nonfinite``, as an infinite entry does in validation.
+    """
     try:
         raw = np.asarray(entries, dtype=float)
+    except OverflowError:
+        raise ValueError(nonfinite) from None
     except (TypeError, ValueError):
         raise ValueError(message) from None
     if raw.ndim != ndim or raw.shape[-1] != 2:
         raise ValueError(message)
+    if not numbers:
+        for _ in range(ndim - 1):  # the shape is regular: every level above the entries is a list
+            entries = chain.from_iterable(entries)
+        if not {int, float}.issuperset(map(type, entries)):
+            raise ValueError(message)
     return raw[..., 0] + 1j * raw[..., 1]

@@ -4,11 +4,34 @@ import numpy as np
 
 from entbound import (PureState, SchmidtForm, evaluate_criteria, haar_unitary,
                       report_from_verdict)
+from entbound.spinspace import _swap_index
 
 
 def bound_report(rho, sys_):
     """The bound report of one state: its verdict through report_from_verdict."""
     return report_from_verdict(evaluate_criteria(rho, sys_), sys_.n)
+
+
+# Dense N^2 x N^2 oracles of the structured states, with the arithmetic the
+# package used before it built them as their J_z blocks.
+
+def werner_matrix(sys_) -> np.ndarray:
+    n = sys_.n
+    m = np.eye(n * n)
+    m[np.arange(n * n), _swap_index(n)] += 1
+    return 2 / (n * (n + 1)) * (m / 2)
+
+
+def family_matrix(sys_, lam) -> np.ndarray:
+    p0 = np.outer(sys_.singlet, sys_.singlet.conj())
+    return lam * p0 + (1 - lam) * werner_matrix(sys_)
+
+
+def isotropic_matrix(sys_, fidelity) -> np.ndarray:
+    n = sys_.n
+    p0 = np.outer(sys_.singlet, sys_.singlet.conj())
+    rest = (np.eye(n * n) - p0) / (n * n - 1)
+    return fidelity * p0 + (1 - fidelity) * rest
 
 
 def one_block(stack):

@@ -129,6 +129,35 @@ class TestFamilyCommand:
         assert len(calls) == 2 * 3
 
 
+    def test_row_builds_no_dense_matrix(self, monkeypatch):
+        # an N = 32 row reads neither W nor a dense rho: no witness is built, no
+        # matrix is scanned for its sectors, and the traced peak stays below one
+        # 1024 x 1024 complex array
+        sys_ = entbound.coupled_system(32)
+        cli._family_row(sys_, 0.3)  # warm the cached sector maps
+        misses = entbound.build_witness.cache_info().misses
+        scans = count_calls(monkeypatch, "_sector_members", entbound.states)
+        tracemalloc.start()
+        try:
+            row = cli._family_row(sys_, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entbound.build_witness.cache_info().misses == misses and not scans
+        assert peak < 1024 ** 2 * 16
+        assert row.tr_W_rho == pytest.approx(-0.4 * 30, abs=1e-12)
+
+    def test_accepts_block_state_dimensions(self, monkeypatch, capsys):
+        # family builds no dense state, so --n is bounded by MAX_SECTOR_N, not N^2 <= 4096
+        assert main(["family", "--n", "66", "--steps", "2"]) == 0
+        last = capsys.readouterr().out.splitlines()[2].split(",")
+        assert float(last[1]) == pytest.approx(-64.0, abs=1e-12) and float(last[3]) == 66.0
+        assert cli.build_parser().parse_args(["family", "--n", "256"]).n == 256
+        monkeypatch.setattr(cli, "coupled_system", None)
+        assert main(["family", "--n", "258"]) == 1
+        assert "N <= 256, got 258" in capsys.readouterr().err
+
+
 class TestBoundsCommand:
     def test_ppt_window_state(self, tmp_path, sys4, capsys):
         path = tmp_path / "rho.json"
@@ -203,6 +232,29 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: '") and "[re, im] pairs" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, pair", [
+        ("matrix", [int("1" + "0" * 400), 0]), ("matrix", ["0.0625", 0.0]),
+        ("matrix", [True, 0.0]), ("matrix", [0.0625, False]), ("matrix", [None, 0.0]),
+        ("vector", [int("1" + "0" * 400), 0]), ("vector", ["1", 0.0]), ("vector", [True, 0.0]),
+    ])
+    def test_entries_must_be_numbers(self, tmp_path, capsys, key, pair):
+        # numpy would read strings and booleans as numbers, and raise OverflowError
+        # for an integer beyond the double range
+        n = 4
+        if key == "matrix":
+            entries = [[[1 / 16 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
+            entries[0][0] = pair
+        else:
+            entries = [[1.0 if k == 0 else 0.0, 0.0] for k in range(16)]
+            entries[0] = pair
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_local": n, key: entries}))
+        assert main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "internal error" not in err
+        expected = "NaN or Inf" if isinstance(pair[0], int) and pair[0] > 1 else "[re, im] pairs"
+        assert expected in err
 
     @pytest.mark.parametrize("n_local", [None, 4.7, True, "4"])
     def test_rejects_non_integer_n_local(self, tmp_path, sys4, capsys, n_local):
@@ -335,12 +387,12 @@ class TestSurveyCommand:
         assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
 
     def test_family_chunk_is_validated_as_one_stack(self, monkeypatch, tmp_path):
-        # the five family states are one more chunk: one scan, two trace-norm calls
-        stack_scans = count_calls(monkeypatch, "as_complex_stack")
+        # the five family states are one more chunk: one check, two trace-norm calls
+        checks = count_calls(monkeypatch, "_check_blocks", entbound.states)
         norms = count_calls(monkeypatch, "trace_norms")
         assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert (len(stack_scans), len(norms)) == (4, 2 * 4)
+        assert (len(checks), len(norms)) == (4, 2 * 4)
 
     @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
     @pytest.mark.parametrize("family", [False, True])
@@ -499,6 +551,21 @@ class TestUsageErrors:
         assert main(["witness", "--n", "66"]) == 1
         err = capsys.readouterr().err
         assert "N^2 <= 4096, got 66" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["witness", "appendixA", "all"])
+    def test_dense_verify_suites_keep_the_dense_limit(self, monkeypatch, capsys, suite):
+        monkeypatch.setattr(cli, "coupled_system", None)
+        assert main(["verify", suite, "--n", "66", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "N^2 <= 4096 for the witness and appendixA suites, got 66" in err
+        assert "Traceback" not in err
+        assert main(["survey", "--n", "66", "--samples", "1", "--seed", "1"]) == 1
+        assert "N^2 <= 4096, got 66" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["appendixB", "figures"])
+    def test_family_verify_suites_accept_block_state_dimensions(self, suite):
+        assert cli.build_parser().parse_args(["verify", suite, "--n", "256"]).n == 256
+        assert main(["verify", suite, "--n", "258"]) == 1
 
     @pytest.mark.parametrize("command", ["family", "verify witness", "survey", "witness"])
     def test_non_integer_local_dimension(self, capsys, command):

@@ -554,6 +554,16 @@ class TestFunctionals:
             assert_same_bits(values, np.array([getattr(v, field) for v in ref]))
         assert verdicts(stack, sys_) == ref
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_swap_form_witness_matches_the_dense_witness(self, n):
+        # tr(W rho) from I - N P_0 - F, without W, against the contraction with W
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_density(sys_, int(rng.integers(1, n * n + 1)), rng).matrix
+                          for _ in range(8)] + [family_state(sys_, 0.3).matrix])
+        ref = np.einsum("ij,bji->b", build_witness(sys_), stack).real
+        assert np.abs(functionals(stack, sys_)[2] - ref).max() <= 1e-13
+
     def test_empty_stack(self, sys4):
         empty = np.zeros((0, 16, 16))
         assert [f.shape for f in functionals(empty, sys4)] == [(0,)] * 3

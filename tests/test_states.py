@@ -11,9 +11,10 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       load_state, random_densities, random_density, random_pure,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
-from entbound import states
-from entbound.states import _check_densities, _family_densities, _Owned, _sector_members
-from helpers import product_pure, random_product_unitary, schmidt_reconstruct
+from entbound import criteria, functionals, states
+from entbound.states import _check_densities, _family_states, _Owned, _sector_members
+from helpers import (family_matrix, isotropic_matrix, product_pure, random_product_unitary,
+                     schmidt_reconstruct, werner_matrix)
 
 
 def non_hermitian():
@@ -263,12 +264,12 @@ class TestFamilyState:
 
     def test_stack_matches_one_at_a_time(self, sys6):
         lams = (0.0, 0.05, 0.3, 1.0)
-        stack = _family_densities(sys6, lams)
+        stack = _family_states(sys6, lams).matrices()
         assert not stack.flags.writeable
         for got, lam in zip(stack, lams):
             assert got.tobytes() == family_state(sys6, lam).matrix.tobytes()
         with pytest.raises(ValueError, match="mixing parameter"):
-            _family_densities(sys6, (0.5, 1.5))
+            _family_states(sys6, (0.5, 1.5))
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_valid_density_on_grid(self, n):
@@ -313,6 +314,58 @@ class TestIsotropicState:
     def test_rejects_out_of_range(self, sys4):
         with pytest.raises(ValueError):
             isotropic_state(sys4, 1.01)
+
+
+class TestJzBlockStates:
+    """The family, Werner and isotropic states are built and validated as their J_z blocks."""
+
+    @staticmethod
+    def states_and_oracles(n):
+        sys_ = coupled_system(n)
+        out = [(werner_state(sys_), werner_matrix(sys_))]
+        out += [(family_state(sys_, float(lam)), family_matrix(sys_, float(lam)))
+                for lam in (*np.linspace(0, 1, 11), 1 / (n + 2), 0.05)]
+        out += [(isotropic_state(sys_, f), isotropic_matrix(sys_, f))
+                for f in (0.0, 1 / n, 1 / (n * n), 0.2, 0.5, 0.95, 1.0)]
+        return out
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_matrix_is_bit_equal_to_the_dense_oracle(self, n):
+        for state, oracle in self.states_and_oracles(n):
+            got = state.matrix
+            assert got.dtype == np.complex128 and not got.flags.writeable
+            assert got.tobytes() == oracle.astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_trace_norms_are_bit_equal_to_the_dense_stack(self, n):
+        sys_ = coupled_system(n)
+        for state, _ in self.states_and_oracles(n):
+            v = evaluate_criteria(state, sys_)
+            t2, rn, wval = functionals(state.matrix[None], sys_)
+            assert (v.trace_norm_T2, v.trace_norm_R) == (t2[0], rn[0])
+            assert v.witness_value == wval[0]
+
+    def test_matrix_is_built_only_on_demand(self, sys4, monkeypatch):
+        scans = []
+        for module in (states, criteria):
+            monkeypatch.setattr(module, "_sector_members",
+                                lambda *args: scans.append(1) or _sector_members(*args))
+        state = family_state(sys4, 0.3)
+        evaluate_criteria(state, sys4)
+        assert "matrix" not in vars(state) and not scans
+        assert state.matrix is state.matrix  # materialized once, then kept
+
+    def test_block_check_keeps_the_messages(self, sys4):
+        # a J_z block state runs the checks of _check_densities on its blocks
+        n2 = 16
+        for entries, message in (
+                (lambda idx: np.where(idx == 0, 2.0, 0.0), "trace differs"),
+                (lambda idx: np.where(idx == 1 * n2 + 4, 1j, 0.0) + (idx % (n2 + 1) == 0) / n2,
+                 "not Hermitian"),
+                (lambda idx: np.where(idx == 0, -1.0, np.where(idx == n2 + 1, 2.0, 0.0)),
+                 "eigenvalue below")):
+            with pytest.raises(ValueError, match=message):
+                states._sector_states(4, 1, entries)
 
 
 class TestSamplers:
@@ -455,6 +508,34 @@ class TestStateFiles:
         finally:
             tracemalloc.stop()
         assert held and held[0] <= 1.5 * back.matrix.nbytes
+
+    @pytest.mark.parametrize("extra, entry, loads", [
+        ({"comment": "true"}, 0.0, True),      # strings and literals outside the entries
+        ({"flag": None}, 0.0, True),
+        ({"true": 1}, False, False),           # a boolean entry in a file that says "true"
+        ({"note": "x"}, "0.0", False),         # a string entry next to a string value
+    ])
+    def test_entry_types_with_other_keys(self, tmp_path, extra, entry, loads):
+        import json
+        entries = [[[1 / 16 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
+        entries[0][1] = [entry, 0.0]
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"n_local": 4, "matrix": entries, **extra}))
+        if loads:
+            assert np.array_equal(load_state(path).matrix, np.eye(16) / 16)
+        else:
+            with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+                load_state(path)
+
+    @pytest.mark.parametrize("text, keys, numbers", [
+        ('{"n_local": 4, "matrix": [[[0.5, -1e-3], [1, 0]]]}', 2, True),
+        ('{"n_local": 4, "matrix": [[[0.5, true]]]}', 2, False),
+        ('{"n_local": 4, "matrix": [[[0.5, null]]]}', 2, False),
+        ('{"n_local": 4, "matrix": [[["0.5", 0]]]}', 2, False),
+        ('{"n_local": 4, "n_\\"local": 4, "matrix": []}', 3, False),
+    ])
+    def test_only_numbers(self, text, keys, numbers):
+        assert states._only_numbers(text, keys) == numbers
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
