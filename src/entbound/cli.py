@@ -87,6 +87,16 @@ def _sector_n(value: str) -> int:
     return _local_dimension(value, MAX_SECTOR_N, f"N <= {MAX_SECTOR_N}")
 
 
+def _seed(value: str) -> int:
+    """--seed of every randomized command: an integer >= 0, as numpy's seeding requires."""
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value!r}")
+
+
 def _family_row(sys_, lam: float) -> FamilyCurvePoint:
     """The numeric family row: one verdict and its bound report at lam."""
     n = sys_.n
@@ -122,15 +132,17 @@ def cmd_family(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    state = load_state(args.state)  # a PureState enters every criterion as its projector
-    sys_ = coupled_system(state.n_local)
-    if args.optimize and args.seed is None:
-        raise ValueError("--optimize requires an explicit --seed")
-    verdict = evaluate_criteria(state, sys_)
-    f_opt = None
+    budget = None  # the arguments are checked before the state file is read
     if args.optimize:
+        if args.seed is None:
+            raise ValueError("--optimize requires an explicit --seed")
         budget = OptimizerBudget(restarts=args.restarts, iterations=args.iterations,
                                  seed=args.seed)
+    state = load_state(args.state)  # a PureState enters every criterion as its projector
+    sys_ = coupled_system(state.n_local)
+    verdict = evaluate_criteria(state, sys_)
+    f_opt = None
+    if budget is not None:
         f_opt = -minimize_witness(state, sys_, budget)[0]
     report = report_from_verdict(verdict, sys_.n, f_opt)
     out = {"n_local": state.n_local, **asdict(verdict), **asdict(report)}
@@ -365,20 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sharpen the witness functional over product unitaries")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suite", choices=("witness", "appendixA", "appendixB",
                                      "figures", "all"))
     p.add_argument("--n", type=_sector_n, default=4)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("survey", help="criteria verdicts over random states, write CSV")
     p.add_argument("--n", type=_even_n, default=4)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--rank", type=int, default=None, help="Ginibre factor width (default N^2)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--include-family", action="store_true",
                    help="inject family states at lambda = 0.05..0.09")

@@ -11,9 +11,10 @@ the JSON state-file format exactly:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -26,6 +27,8 @@ _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _CERT_MARGIN = 1e-11  # delta of the Cholesky certificate in _eig_failed
 _ENTRY_CHUNK = 2 ** 18  # entries of a J_z block state computed at a time
+# the start of a matrix file as save_state writes it, which load_state reads a row at a time
+_MATRIX_HEAD = re.compile(r'\{"n_local": ([1-9][0-9]*), "matrix": \[')
 
 # the density checks in the order each state runs them, with their messages
 _DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
@@ -483,23 +486,52 @@ def eof_pure(psi) -> float:
 
 
 def save_state(path, state) -> None:
-    """Write a DensityMatrix or PureState as JSON ([re, im] entry pairs)."""
+    """Write a DensityMatrix or PureState as JSON ([re, im] entry pairs).
+
+    The bytes are those of ``json.dump`` of the nested pair lists, written a
+    matrix row at a time, so no nested list of the whole matrix is built:
+    ``{"n_local": N, "matrix": [row, row, ...]}`` with ``json.dumps`` of each
+    row's pairs, the layout that :func:`load_state` reads a row at a time.
+    """
     if isinstance(state, DensityMatrix):
-        obj = {"n_local": state.n_local,
-               "matrix": [[[z.real, z.imag] for z in row] for row in state.matrix]}
+        key = "matrix"
     elif isinstance(state, PureState):
-        obj = {"n_local": state.n_local,
-               "vector": [[z.real, z.imag] for z in state.vector]}
+        key = "vector"
     else:
         raise TypeError(f"cannot serialize {type(state).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(f'{{"n_local": {json.dumps(state.n_local)}, "{key}": ')
+        if key == "vector":
+            fh.write(_pair_text(state.vector))
+        else:
+            fh.write("[")
+            for i, row in enumerate(state.matrix):
+                fh.write(", " + _pair_text(row) if i else _pair_text(row))
+            fh.write("]")
+        fh.write("}")
+
+
+def _pair_text(v: np.ndarray) -> str:
+    """``json.dumps`` of the [re, im] pairs of a complex vector."""
+    return json.dumps(np.stack([v.real, v.imag], -1).tolist())
 
 
 def load_state(path):
-    """Read a DensityMatrix or PureState back from JSON (validating invariants)."""
+    """Read a DensityMatrix or PureState back from JSON (validating invariants).
+
+    A matrix file in the layout :func:`save_state` writes is decoded a row
+    at a time into the complex matrix (:func:`_matrix_rows`); any other file
+    (indented, other key order or keys, a vector, anything malformed) is
+    parsed whole.  Both give the same matrix, signed zeros included, and a
+    file that is not a valid state raises the same exception either way.
+    The file text is freed before the state is validated.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    parsed = _matrix_rows(text)
+    if parsed is not None:
+        del text
+        return DensityMatrix(n_local=parsed[0], matrix=_Owned(parsed[1]))
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -519,6 +551,52 @@ def load_state(path):
                    "state vector contains NaN or Inf entries")
         return PureState(n_local=n, vector=v)
     raise ValueError("state file must contain a 'matrix' or a 'vector' key")
+
+
+def _matrix_rows(text: str):
+    """``(n_local, matrix)`` of a matrix file in the layout of :func:`save_state`, else None.
+
+    The text must be ``{"n_local": <positive int>, "matrix": [`` and then
+    rows separated by ", " up to ``]}`` and optional JSON whitespace.  Each
+    row is one ``raw_decode``, so only one row of Python lists lives at a
+    time; its pairs fill one row of the preallocated complex matrix as
+    ``re + 1j * im``, the arithmetic of :func:`_pairs`.  The width d is that
+    of the first row, and every row must hold d pairs of two JSON numbers
+    for d rows.  Anything else, and any error of the decoding, returns None,
+    so the whole-file parse reports it with its own exception and message.
+    """
+    head = _MATRIX_HEAD.match(text)
+    if head is None:
+        return None
+    typed = not _only_numbers(text, 2)  # a string or a literal may stand for an entry
+    decode = json.JSONDecoder().raw_decode
+    pos, m = head.end(), None
+    try:
+        n = int(head[1])
+        for i in count():
+            row, pos = decode(text, pos)
+            if type(row) is not list:
+                return None
+            if m is None:  # a d x d matrix has d^2 pairs of at least "[0,0]" in the text
+                d = len(row)
+                if d == 0 or 5 * d * d > len(text):
+                    return None
+                m = np.empty((d, d), dtype=np.complex128)
+            if i == d or len(row) != d or set(map(len, row)) != {2} or (
+                    typed and not {int, float}.issuperset(map(type, chain.from_iterable(row)))):
+                return None
+            pairs = np.fromiter(chain.from_iterable(row), float, 2 * d)
+            m[i] = pairs[0::2] + 1j * pairs[1::2]
+            if text.startswith("]}", pos):
+                break
+            if not text.startswith(", ", pos):
+                return None
+            pos += 2
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None
+    if i + 1 != d or text[pos + 2:].strip(" \t\n\r"):
+        return None
+    return n, m
 
 
 def _only_numbers(text: str, keys: int) -> bool:

@@ -1,9 +1,11 @@
 """Test-only conveniences built from the public API."""
 
+from unittest import mock
+
 import numpy as np
 
-from entbound import (PureState, SchmidtForm, evaluate_criteria, haar_unitary,
-                      report_from_verdict)
+from entbound import (PureState, SchmidtForm, evaluate_criteria, haar_unitary, load_state,
+                      report_from_verdict, states)
 from entbound.spinspace import _swap_index
 
 
@@ -60,3 +62,13 @@ def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
     for i, alpha in enumerate(form.coefficients):
         out += alpha * np.kron(form.basis_1[:, i], form.basis_2[:, i])
     return out
+
+
+def load_whole_file(path):
+    """load_state with the row reader off: json.loads of the whole text, then the pair conversion.
+
+    The oracle of the row reader: every file must give the same state, or
+    the same exception and message, either way.
+    """
+    with mock.patch.object(states, "_matrix_rows", return_value=None):
+        return load_state(path)

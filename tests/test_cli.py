@@ -574,6 +574,37 @@ class TestUsageErrors:
         assert "local dimension must be an even integer >= 4, got 'x'" in err
         assert "_even_n" not in err
 
+    @pytest.mark.parametrize("argv", [
+        "survey --samples 1 --seed -1",
+        "survey --samples 1 --seed=-1",
+        "survey --samples 1 --seed 1.5",
+        "verify appendixA --seed -1",
+        "bounds state.json --optimize --seed -1",
+        "bounds state.json --seed -3",
+    ])
+    def test_negative_seed_is_a_usage_error(self, monkeypatch, capsys, argv):
+        # rejected while parsing: no state file is read, no generator is seeded
+        monkeypatch.setattr(cli, "load_state", None)
+        monkeypatch.setattr(cli, "coupled_system", None)
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be an integer >= 0, got" in err
+        assert "expected non-negative integer" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("options, message", [
+        ("--optimize", "--optimize requires an explicit --seed"),
+        ("--optimize --seed 1 --restarts 0", "budget must have restarts >= 1 and iterations >= 0"),
+        ("--optimize --seed 1 --iterations -1",
+         "budget must have restarts >= 1 and iterations >= 0"),
+    ])
+    def test_bounds_checks_its_arguments_before_the_file(self, monkeypatch, capsys,
+                                                        options, message):
+        read = []
+        monkeypatch.setattr(cli, "load_state", read.append)
+        assert main(["bounds", "missing.json"] + options.split()) == 1
+        assert read == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_memory_error_gives_one_line(self, monkeypatch, capsys):
         def exhausted(n):
             raise MemoryError

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -13,8 +14,8 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
 from entbound.closedform import swap_operator, total_spin_projectors
 from entbound import criteria, functionals, states
 from entbound.states import _check_densities, _family_states, _Owned, _sector_members
-from helpers import (family_matrix, isotropic_matrix, product_pure, random_product_unitary,
-                     schmidt_reconstruct, werner_matrix)
+from helpers import (family_matrix, isotropic_matrix, load_whole_file, product_pure,
+                     random_product_unitary, schmidt_reconstruct, werner_matrix)
 
 
 def non_hermitian():
@@ -477,6 +478,105 @@ class TestPureMeasures:
             assert off_sq >= off ** 2 / (4 * 3) - 1e-12
 
 
+def signed_zero_matrix():
+    """The maximally mixed N = 4 state with -0.0 real and imaginary parts off the diagonal."""
+    m = np.eye(16, dtype=complex) / 16
+    m[0, 1] = m[1, 0] = complex(-0.0, -0.0)
+    m[2, 3] = complex(0.0, -0.0)
+    m[3, 2] = complex(-0.0, 0.0)
+    return m
+
+
+def pair_lists(values: np.ndarray) -> list:
+    """The nested [re, im] lists of a complex array, as a state file holds them."""
+    return np.stack([values.real, values.imag], -1).tolist()
+
+
+def mixed_pairs():
+    """The [re, im] pairs of the maximally mixed N = 4 state."""
+    return [[[1 / 16 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
+
+
+def matrix_text(pairs=None, n_local=4, **dump):
+    """A matrix state file of ``pairs``, by default those of the maximally mixed state."""
+    pairs = mixed_pairs() if pairs is None else pairs
+    return json.dumps({"n_local": n_local, "matrix": pairs}, **dump)
+
+
+def with_pair(pair, row=0, col=1):
+    """The maximally mixed file text with one pair replaced."""
+    pairs = mixed_pairs()
+    pairs[row][col] = pair
+    return matrix_text(pairs)
+
+
+def number_forms():
+    """A valid state file whose numbers are written as ints, exponents and signed zeros."""
+    pairs = mixed_pairs()
+    pairs[0][5], pairs[5][0] = [-0.0, 1e-3], [0, -1e-3]
+    pairs[7][8], pairs[8][7] = [1e-300, 0], [1e-300, -0.0]
+    pairs[3][3] = [0.0625, -0.0]
+    return matrix_text(pairs).replace("0.0625", "6.25e-2", 1).replace("0.0625", "625E-4", 1)
+
+
+def deep_nesting():
+    deep = "[" * 100_000 + "]" * 100_000
+    return matrix_text().replace("[0.0, 0.0]", deep, 1)
+
+
+# (name, whether the row reader decodes it or None if either, file text): every
+# file must load to the state, or raise the exception and message, of the
+# whole-file parse
+STATE_FILES = [
+    ("save_state", True, lambda: matrix_text()),
+    ("ints-exponents-signed-zeros", True, number_forms),
+    ("signed-zero-matrix", True, lambda: matrix_text(pair_lists(signed_zero_matrix()))),
+    ("trailing-newline", True, lambda: matrix_text() + "\n"),
+    ("invalid-state", True, lambda: with_pair([0.5, 0.0])),
+    ("nan-entry", True, lambda: with_pair([float("nan"), 0.0])),
+    ("infinite-entry", True, lambda: matrix_text().replace("0.0625", "1e400", 1)),
+    ("huge-n-local", True, lambda: matrix_text(n_local=10 ** 6)),
+    # beyond the int digit limit of the interpreter, where it has one
+    ("5000-digit-n-local", None, lambda: matrix_text().replace("4", "4" * 5000, 1)),
+    ("bool-entry", False, lambda: with_pair([True, 0.0])),
+    ("string-entry", False, lambda: with_pair(["0.5", 0.0])),
+    ("null-entry", False, lambda: with_pair([None, 0.0])),
+    ("400-digit-integer", False, lambda: with_pair([10 ** 400, 0.0])),
+    ("short-pair", False, lambda: with_pair([0.0])),
+    ("long-pair", False, lambda: with_pair([0.0, 0.0, 0.0])),
+    ("list-entry", False, lambda: with_pair([[0.0], 0.0])),
+    ("string-pair", False, lambda: with_pair("00")),
+    ("object-pair", False, lambda: with_pair({"0": 0, "1": 0})),
+    ("short-first-row", False, lambda: matrix_text([mixed_pairs()[0][:15]] + mixed_pairs()[1:])),
+    ("missing-pair", False, lambda: matrix_text(mixed_pairs()[:15] + [mixed_pairs()[15][:15]])),
+    ("short-rows", False, lambda: matrix_text([row[:15] for row in mixed_pairs()])),
+    ("extra-row", False, lambda: matrix_text(mixed_pairs() + [[[0.0, 0.0]] * 16])),
+    ("fifteen-rows", False, lambda: matrix_text(mixed_pairs()[:15])),
+    ("truncated", False, lambda: matrix_text()[:-5]),
+    ("trailing-garbage", False, lambda: matrix_text() + "x"),
+    ("leading-zero", False, lambda: matrix_text().replace('"n_local": 4', '"n_local": 04')),
+    ("zero-n-local", False, lambda: matrix_text(n_local=0)),
+    ("float-n-local", False, lambda: matrix_text(n_local=4.0)),
+    ("deep-nesting", False, deep_nesting),
+    ("empty-matrix", False, lambda: matrix_text([])),
+    ("empty-row", False, lambda: matrix_text([[]])),
+    ("indent", False, lambda: matrix_text(indent=1)),
+    ("compact", False, lambda: matrix_text(separators=(",", ":"))),
+    ("reordered-keys", False,
+     lambda: json.dumps(dict(reversed(json.loads(matrix_text()).items())))),
+    ("extra-key", False, lambda: matrix_text()[:-1] + ', "comment": 1}'),
+    ("vector", False, lambda: json.dumps({"n_local": 2, "vector": [[0.5, 0]] * 4})),
+]
+
+
+def outcome(load, path):
+    """The state ``load`` returns, or the exception it raises."""
+    try:
+        return load(path)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
 class TestStateFiles:
     def test_density_round_trip(self, tmp_path, sys4):
         rho = family_state(sys4, 0.3)
@@ -536,6 +636,75 @@ class TestStateFiles:
     ])
     def test_only_numbers(self, text, keys, numbers):
         assert states._only_numbers(text, keys) == numbers
+
+    @pytest.mark.parametrize("make", [
+        lambda sys_: family_state(sys_, 0.3), lambda sys_: random_density(sys_, 5, 2),
+        lambda sys_: DensityMatrix(4, signed_zero_matrix()), lambda sys_: random_pure(sys_, 3),
+    ], ids=["family", "random", "negative-zero", "pure"])
+    def test_save_state_bytes_equal_one_dump(self, tmp_path, sys4, make):
+        state = make(sys4)
+        key, values = ("matrix", state.matrix) if isinstance(state, DensityMatrix) \
+            else ("vector", state.vector)
+        path = tmp_path / "state.json"
+        save_state(path, state)
+        assert path.read_text() == json.dumps({"n_local": 4, key: pair_lists(values)})
+
+    @pytest.mark.parametrize("rows, make", [(rows, make) for _, rows, make in STATE_FILES],
+                             ids=[name for name, _, _ in STATE_FILES])
+    def test_row_reader_matches_whole_file_parse(self, tmp_path, rows, make):
+        text = make()
+        assert (states._matrix_rows(text) is not None) == rows or rows is None
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        expected, got = outcome(load_whole_file, path), outcome(load_state, path)
+        if isinstance(expected, Exception):
+            assert (type(got), str(got)) == (type(expected), str(expected))
+        else:
+            assert type(got) is type(expected) and got.n_local == expected.n_local
+            key = "matrix" if isinstance(got, DensityMatrix) else "vector"
+            got, expected = getattr(got, key), getattr(expected, key)
+            # bit for bit: array_equal would take -0.0 for 0.0
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("state", ["family", "random"])
+    def test_save_state_file_takes_the_row_path(self, tmp_path, monkeypatch, sys4, state):
+        rho = family_state(sys4, 0.3) if state == "family" else random_density(sys4, 5, 2)
+        path = tmp_path / "rho.json"
+        save_state(path, rho)
+
+        def whole_file(*args, **kwargs):
+            raise AssertionError("the whole file was parsed")
+        monkeypatch.setattr(states.json, "loads", whole_file)
+        assert load_state(path).matrix.tobytes() == rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("state", ["family", "random"])
+    def test_load_state_builds_no_object_graph(self, tmp_path, state):
+        # reading the file holds its bytes and its text at once; after that the
+        # text, one row of Python lists and the matrix, then the matrix alone
+        sys8 = coupled_system(8)
+        rho = family_state(sys8, 0.3) if state == "family" else random_density(sys8, 4, 1)
+        path = tmp_path / "rho.json"
+        save_state(path, rho)
+        tracemalloc.start()
+        try:
+            back = load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size + 3 * back.matrix.nbytes
+
+    def test_wide_first_row_allocates_no_matrix(self, tmp_path):
+        # a first row of d pairs in a text too short to hold d rows: no d x d matrix
+        path = tmp_path / "wide.json"
+        path.write_text(matrix_text([[[0, 0]] * 4000]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=r"got \(1, 4000\)"):
+                load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * path.stat().st_size
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
