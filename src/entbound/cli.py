@@ -31,8 +31,8 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, _verdicts, build_witnes
                        evaluate_criteria, minimize_witness, twisted_witness,
                        witness_value)
 from .spinspace import coupled_system
-from .states import (_family_states, family_state, haar_unitary, load_state,
-                     random_densities, random_pure, schmidt_decompose)
+from .states import (_ENTRY_CHUNK, _density_sectors, _family_states, haar_unitary,
+                     load_state, random_densities, random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
@@ -97,24 +97,37 @@ def _seed(value: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value!r}")
 
 
-def _family_row(sys_, lam: float) -> FamilyCurvePoint:
-    """The numeric family row: one verdict and its bound report at lam."""
+def _family_rows(sys_, lams):
+    """The numeric family rows at each lam: a verdict and its bound report per row.
+
+    The grid is cut into chunks of _ENTRY_CHUNK // b rows (at least one),
+    b the J_z block entries of one state, so the block arrays of a chunk
+    stay near _ENTRY_CHUNK entries: 95 rows at N = 16, 11 at N = 32, one
+    from N = 64 up.  Each chunk is one validated stack and one
+    :func:`criteria._verdicts` call, so each block size takes one LAPACK
+    call per kind and chunk, and a row gets the bits that
+    ``family_state(sys_, lam)`` gets alone.  Rows are yielded as their
+    chunk finishes.
+    """
     n = sys_.n
-    v = evaluate_criteria(family_state(sys_, lam), sys_)
-    report = report_from_verdict(v, n)
-    return FamilyCurvePoint(
-        lam=lam,
-        tr_W_rho=v.witness_value + 0.0,
-        bound_witness=concurrence_from_functional(report.f_witness, n),
-        norm_T2=v.trace_norm_T2,
-        bound_ppt=concurrence_from_functional(report.f_ppt, n),
-        norm_R=v.trace_norm_R,
-        bound_realign=concurrence_from_functional(report.f_realign, n),
-        bound_upper=np.sqrt(2 * (n - 1) / n) * lam,
-        eof_new=report.eof_lower,
-        eof_old=eof_from_functional(max(report.f_ppt, report.f_realign), n),
-        eof_upper=lam * np.log2(n),
-    )
+    size = max(1, _ENTRY_CHUNK // len(_density_sectors(n).positions))
+    for start in range(0, len(lams), size):
+        chunk = lams[start:start + size]
+        for lam, v in zip(chunk, _verdicts(_family_states(sys_, chunk), sys_)):
+            report = report_from_verdict(v, n)
+            yield FamilyCurvePoint(
+                lam=lam,
+                tr_W_rho=v.witness_value + 0.0,
+                bound_witness=concurrence_from_functional(report.f_witness, n),
+                norm_T2=v.trace_norm_T2,
+                bound_ppt=concurrence_from_functional(report.f_ppt, n),
+                norm_R=v.trace_norm_R,
+                bound_realign=concurrence_from_functional(report.f_realign, n),
+                bound_upper=np.sqrt(2 * (n - 1) / n) * lam,
+                eof_new=report.eof_lower,
+                eof_old=eof_from_functional(max(report.f_ppt, report.f_realign), n),
+                eof_upper=lam * np.log2(n),
+            )
 
 
 def cmd_family(args) -> int:
@@ -124,7 +137,7 @@ def cmd_family(args) -> int:
         raise ValueError("need 0 <= lambda-min <= lambda-max <= 1")
     sys_ = coupled_system(args.n)
     grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    rows = (_family_row(sys_, float(lam)) for lam in grid)
+    rows = _family_rows(sys_, grid.tolist())
     _write_lines(args.out, chain(
         [",".join(FAMILY_COLUMNS)],
         (",".join(_fmt(getattr(row, f.name)) for f in fields(row)) for row in rows)))
@@ -314,9 +327,9 @@ _FAMILY_CHECKS = {
 
 def _family_pairs(n: int) -> list:
     """(printed family row, closed-form point) at lambda = 0, 0.01, ..., 1."""
-    sys_ = coupled_system(n)
-    return [(_family_row(sys_, k / 100), family_bounds_closed_form(n, k / 100))
-            for k in range(101)]
+    lams = [k / 100 for k in range(101)]
+    rows = _family_rows(coupled_system(n), lams)
+    return [(row, family_bounds_closed_form(n, lam)) for row, lam in zip(rows, lams)]
 
 
 def _verify_family(ck: _Checker, n: int, suite: str, pairs: list) -> None:

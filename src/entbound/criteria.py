@@ -74,6 +74,60 @@ def _realignments(stack: np.ndarray, n: int) -> np.ndarray:
     return signed.reshape(-1, n * n, n * n)
 
 
+@lru_cache(maxsize=None)
+def _pair_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The composite indices (a, a), then (a, c) and (c, a) for each a < c, of C^n otimes C^n."""
+    a, c = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), a * n + c, c * n + a
+
+
+def _pair_basis(x: np.ndarray, n: int, axis: int, phase: complex) -> np.ndarray:
+    """x along ``axis`` in the basis of the columns of Q (see :func:`_realignment_real_forms`).
+
+    The columns are e_(a,a), then (e_(a,c) + e_(c,a)) / sqrt 2 and
+    ``phase`` (e_(a,c) - e_(c,a)) / sqrt 2 for each a < c.
+    """
+    diag, up, lo = _pair_maps(n)
+    u, v = x.take(up, axis), x.take(lo, axis)
+    return np.concatenate([x.take(diag, axis), (u + v) / math.sqrt(2),
+                           phase * (u - v) / math.sqrt(2)], axis)
+
+
+def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
+    """C = Q^dag R_0 Q for each rho of a (B, n^2, n^2) stack, R_0[(a,c),(b,d)] = rho[(a,b),(c,d)].
+
+    Q is the fixed unitary whose columns are e_(a,a), (e_(a,c) + e_(c,a)) / sqrt 2
+    and i (e_(a,c) - e_(c,a)) / sqrt 2 for a < c.  R_0 is a signed
+    permutation of the transposed realignment, so C has its singular
+    values.  For Hermitian rho, conj(R_0) = P R_0 P with P the swap
+    (a,c) <-> (c,a), and P Q = conj(Q), so C is real.  Combined row pair by
+    row pair and then column pair by column pair, the imaginary parts of an
+    exactly Hermitian rho cancel to exact zeros; of any other rho they need not.
+    """
+    r0 = stack.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n)
+    return _pair_basis(_pair_basis(r0, n, 1, -1j), n, 2, 1j)
+
+
+def _realignment_norms(stack: np.ndarray, n: int) -> np.ndarray:
+    """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
+
+    A matrix whose :func:`_realignment_real_forms` C has no nonzero
+    imaginary entry gets the trace norm of the real C: a real eigensolve if
+    C is symmetric, a real SVD otherwise, about half the cost of the complex
+    kernels.  Every other matrix keeps the complex kernels on
+    :func:`_realignments`.  The choice is made per matrix, so each gets the
+    bits it gets alone.
+    """
+    c = _realignment_real_forms(stack, n)
+    real = ~c.imag.any(axis=(1, 2))
+    out = np.empty(len(stack))
+    if real.any():
+        out[real] = trace_norms([(c.real if real.all() else c.real[real])[:, None]])
+    if not real.all():
+        out[~real] = trace_norms([_realignments(stack[~real], n)[:, None]])
+    return out
+
+
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
     """Canonical realignment theta_2(F rho) as the signed index permutation
 
@@ -276,7 +330,13 @@ def _witness_values(take, sys: CoupledSpinSystem) -> np.ndarray:
 
 
 def _functionals(stack, sys: CoupledSpinSystem):
-    """The ungated core of :func:`functionals`, for a gated or validated stack or :class:`_SectorStates`."""
+    """The ungated core of :func:`functionals`, for a gated or validated stack or :class:`_SectorStates`.
+
+    A :class:`_SectorStates` and the sector members of an array stack are
+    normed on their J_z blocks; the dense members are permuted whole, and
+    their R rho is normed by :func:`_realignment_norms`, in real arithmetic
+    where rho is exactly Hermitian.
+    """
     n = sys.n
     if isinstance(stack, _SectorStates):  # their blocks are filled from their entries
         t2_sectors, r_sectors = _sectors(n)
@@ -288,7 +348,7 @@ def _functionals(stack, sys: CoupledSpinSystem):
     if whole.any():
         dense = stack if whole.all() else stack[whole]
         t2[whole] = trace_norms([_partial_transposes(dense, n)[:, None]])
-        rn[whole] = trace_norms([_realignments(dense, n)[:, None]])
+        rn[whole] = _realignment_norms(dense, n)
     if sector.any():
         idx = np.flatnonzero(sector)
         t2_sectors, r_sectors = _sectors(n)
@@ -309,8 +369,11 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     vanishes exactly between different J_z sectors (m_1 + m_2), such as the
     family, Werner and isotropic states, has its T_2 rho and R rho blocks
     gathered straight from rho, O(N^4) work in all; every other state is
-    permuted whole, O(N^6).  Each state gets the bits it gets alone, in a
-    stack of one.
+    permuted whole, O(N^6).  The realignment of a dense state whose real
+    form (:func:`_realignment_real_forms`) has no imaginary part, as for
+    every exactly Hermitian rho, is normed as that real matrix; any other
+    dense state keeps the complex kernels.  Each state gets the bits it
+    gets alone, in a stack of one.
     """
     n2 = sys.n * sys.n
     return _functionals(as_complex_stack(stack, (n2, n2)), sys)

@@ -83,7 +83,7 @@ def hermitian_mask(blocks) -> np.ndarray:
 
 
 def trace_norms(blocks) -> np.ndarray:
-    """Sums of singular values of finite complex matrices, one per member.
+    """Sums of singular values of finite complex or real matrices, one per member.
 
     A member M is given by its diagonal blocks: ``blocks`` is a list of
     (S, nb, k, k) arrays, nb blocks of size k for each of the S members, so
@@ -92,11 +92,14 @@ def trace_norms(blocks) -> np.ndarray:
     sector-diagonal matrices of :class:`_Sectors` give one array per block
     size.  The (numerically) Hermitian members go through Hermitian
     eigensolves (the sum of absolute eigenvalues), the rest through SVDs:
-    one stacked call per kind and block size.  Both keep absolute accuracy
-    of order eps * ||M|| even for singular values at zero; squaring the
-    matrix first (eigensolve of M^dag M) would halve the attainable
-    precision there, which the rank-deficient realignment checks cannot
-    afford.  Each member gets the bits that the same kernel gives it alone.
+    one stacked call per kind and block size.  Real blocks take LAPACK's
+    real kernels (dsyevd, dgesdd), about half the cost of the complex
+    ones; :func:`criteria.functionals` hands over the real form of the
+    realignment of an exactly Hermitian dense state.  Both kinds keep
+    absolute accuracy of order eps * ||M|| even for singular values at
+    zero; squaring the matrix first (eigensolve of M^dag M) would halve the
+    attainable precision there, which the rank-deficient realignment
+    checks cannot afford.  Each member gets the bits that the same kernel gives it alone.
     Nothing is scanned for NaN/Inf: the matrices come from a validated
     state stack or one that went through :func:`as_complex_stack`.
     """

@@ -1,17 +1,51 @@
 """Test-only conveniences built from the public API."""
 
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 
-from entbound import (PureState, SchmidtForm, evaluate_criteria, haar_unitary, load_state,
-                      report_from_verdict, states)
+from entbound import (FamilyCurvePoint, PureState, SchmidtForm, concurrence_from_functional,
+                      eof_from_functional, evaluate_criteria, family_state, haar_unitary,
+                      load_state, report_from_verdict, states)
+from entbound.cli import FAMILY_COLUMNS, _fmt
 from entbound.spinspace import _swap_index
 
 
 def bound_report(rho, sys_):
     """The bound report of one state: its verdict through report_from_verdict."""
     return report_from_verdict(evaluate_criteria(rho, sys_), sys_.n)
+
+
+def family_row(sys_, lam: float) -> FamilyCurvePoint:
+    """The numeric family row at lam, one state at a time: family_state and evaluate_criteria.
+
+    The oracle of ``cli._family_rows``, which evaluates a grid as stacks of
+    J_z block states: every row must have the same bits.
+    """
+    n = sys_.n
+    v = evaluate_criteria(family_state(sys_, lam), sys_)
+    report = report_from_verdict(v, n)
+    return FamilyCurvePoint(
+        lam=lam,
+        tr_W_rho=v.witness_value + 0.0,
+        bound_witness=concurrence_from_functional(report.f_witness, n),
+        norm_T2=v.trace_norm_T2,
+        bound_ppt=concurrence_from_functional(report.f_ppt, n),
+        norm_R=v.trace_norm_R,
+        bound_realign=concurrence_from_functional(report.f_realign, n),
+        bound_upper=np.sqrt(2 * (n - 1) / n) * lam,
+        eof_new=report.eof_lower,
+        eof_old=eof_from_functional(max(report.f_ppt, report.f_realign), n),
+        eof_upper=lam * np.log2(n),
+    )
+
+
+def family_csv(sys_, lams) -> str:
+    """The text ``family`` prints for the grid ``lams``, from the rows of :func:`family_row`."""
+    rows = (family_row(sys_, float(lam)) for lam in lams)
+    return "".join(line + "\n" for line in [",".join(FAMILY_COLUMNS)] + [
+        ",".join(_fmt(getattr(row, f.name)) for f in fields(row)) for row in rows])
 
 
 # Dense N^2 x N^2 oracles of the structured states, with the arithmetic the

@@ -10,6 +10,7 @@ import entbound
 from entbound import (PureState, closedform, cli, family_state, random_density,
                       save_state, werner_state)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, main
+from helpers import family_csv, family_row
 
 BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value",
                "witness_detects", "trace_norm_T2", "trace_norm_R", "f_ppt",
@@ -57,12 +58,12 @@ def shift_trace_norms(monkeypatch):
 
 
 def shift_printed_norm(monkeypatch):
-    family_row = cli._family_row
+    family_rows = cli._family_rows
 
-    def shifted(sys_, lam):
-        row = family_row(sys_, lam)
-        return dataclasses.replace(row, norm_T2=row.norm_T2 + 1e-6)
-    monkeypatch.setattr(cli, "_family_row", shifted)
+    def shifted(sys_, lams):
+        return (dataclasses.replace(row, norm_T2=row.norm_T2 + 1e-6)
+                for row in family_rows(sys_, lams))
+    monkeypatch.setattr(cli, "_family_rows", shifted)
 
 
 def shift_curves(monkeypatch):
@@ -122,30 +123,59 @@ class TestFamilyCommand:
     def test_unwritable_path(self):
         assert main(["family", "--steps", "2", "--out", "/nonexistent/dir/x.csv"]) == 1
 
-    def test_two_trace_norms_per_row(self, monkeypatch, tmp_path):
-        # each row is a stack of one: one stacked trace-norm call per functional
+    def test_two_trace_norms_per_sweep(self, monkeypatch, tmp_path):
+        # the grid is one stack at N = 4: one stacked trace-norm call per functional
         calls = count_calls(monkeypatch, "trace_norms")
         assert main(["family", "--steps", "3", "--out", str(tmp_path / "f.csv")]) == 0
-        assert len(calls) == 2 * 3
+        assert len(calls) == 2
 
+    @pytest.mark.parametrize("n, steps, lo, hi", [
+        (4, 101, 0.0, 1.0), (6, 101, 0.0, 1.0), (16, 101, 0.0, 1.0), (20, 101, 0.0, 1.0),
+        (4, 2, 0.0, 1.0), (16, 2, 0.0, 1.0), (64, 2, 0.0, 1.0),
+        (6, 11, 0.0, 1.0), (16, 11, 0.0, 1.0), (20, 11, 0.0, 1.0), (32, 11, 0.0, 1.0),
+        (32, 13, 0.0, 1.0), (64, 3, 0.0, 1.0),
+        (4, 11, 0.2, 0.35), (16, 7, 0.05, 0.3), (32, 12, 0.0, 0.125),
+    ])
+    def test_stdout_matches_the_row_oracle(self, capsys, n, steps, lo, hi):
+        # 95 rows a stack at N = 16, 49 at N = 20, 11 at N = 32 and 1 at N = 64,
+        # so some grids end with a short stack
+        assert main(["family", "--n", str(n), "--steps", str(steps),
+                     "--lambda-min", str(lo), "--lambda-max", str(hi)]) == 0
+        out = capsys.readouterr().out
+        assert out == family_csv(entbound.coupled_system(n), np.linspace(lo, hi, steps))
 
-    def test_row_builds_no_dense_matrix(self, monkeypatch):
-        # an N = 32 row reads neither W nor a dense rho: no witness is built, no
-        # matrix is scanned for its sectors, and the traced peak stays below one
-        # 1024 x 1024 complex array
-        sys_ = entbound.coupled_system(32)
-        cli._family_row(sys_, 0.3)  # warm the cached sector maps
+    def test_lapack_calls_do_not_grow_with_the_grid(self, monkeypatch, tmp_path):
+        # at N = 16 both grids are one stack, so each kernel makes the same calls
+        calls = {name: count_calls(monkeypatch, name, np.linalg)
+                 for name in ("eigvalsh", "svd", "cholesky")}
+        counts = []
+        for steps in (2, 11):
+            for c in calls.values():
+                c.clear()
+            assert main(["family", "--n", "16", "--steps", str(steps),
+                         "--out", str(tmp_path / "f.csv")]) == 0
+            counts.append({name: len(c) for name, c in calls.items()})
+        assert counts[0] == counts[1] and counts[0]["eigvalsh"] > 0
+
+    def test_row_builds_no_dense_matrix(self, monkeypatch, tmp_path):
+        # an 11-row N = 32 sweep reads neither W nor a dense rho: no witness is
+        # built, no matrix is scanned for its sectors, and the traced peak
+        # stays below one 1024 x 1024 complex array
+        out = tmp_path / "f.csv"
+        args = ["family", "--n", "32", "--steps", "11", "--out", str(out)]
+        assert main(args) == 0  # warm the cached sector maps
         misses = entbound.build_witness.cache_info().misses
         scans = count_calls(monkeypatch, "_sector_members", entbound.states)
         tracemalloc.start()
         try:
-            row = cli._family_row(sys_, 0.4)
+            assert main(args) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert entbound.build_witness.cache_info().misses == misses and not scans
         assert peak < 1024 ** 2 * 16
-        assert row.tr_W_rho == pytest.approx(-0.4 * 30, abs=1e-12)
+        _, rows = read_csv(out)
+        assert float(rows[4][1]) == pytest.approx(-0.4 * 30, abs=1e-12)
 
     def test_accepts_block_state_dimensions(self, monkeypatch, capsys):
         # family builds no dense state, so --n is bounded by MAX_SECTOR_N, not N^2 <= 4096
@@ -315,6 +345,20 @@ class TestVerifyCommand:
     def test_figures_suite(self, capsys, n):
         assert main(["verify", "figures", "--n", str(n)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["appendixB", "figures"])
+    def test_family_suites_print_the_oracle_rows(self, monkeypatch, capsys, suite):
+        pairs = cli._family_pairs(8)
+        assert main(["verify", suite, "--n", "8"]) == 0
+        got = capsys.readouterr().out
+        # the same suite on the rows of the oracle, one state at a time
+        monkeypatch.setattr(cli, "_family_rows",
+                            lambda sys_, lams: (family_row(sys_, lam) for lam in lams))
+        for (row, _), (ref, _) in zip(pairs, cli._family_pairs(8), strict=True):
+            assert list(map(cli._fmt, dataclasses.astuple(row))) == \
+                list(map(cli._fmt, dataclasses.astuple(ref)))
+        assert main(["verify", suite, "--n", "8"]) == 0
+        assert capsys.readouterr().out == got
 
     @pytest.mark.parametrize("suite, perturb", [
         ("witness", shift_witness),

@@ -12,10 +12,10 @@ import entbound
 from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witness,
                       coupled_system, evaluate_criteria, extended_reduction_map,
                       family_state, functionals, isotropic_state, minimize_witness,
-                      partial_transpose, random_pure, realign, time_reverse,
+                      partial_transpose, random_densities, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
-from entbound.criteria import _partial_transposes, _realignments
+from entbound.criteria import _partial_transposes, _realignment_real_forms, _realignments
 from entbound.linalg import _block_spectra, _Sectors, hermitian_mask, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _sector_members,
                              haar_unitary, random_density)
@@ -475,12 +475,21 @@ class TestSectorPath:
         m[position] = m[position[::-1]] = 1e-300
         assert not _sector_members(m[None], n)[0]
         v = evaluate_criteria(DensityMatrix(n_local=n, matrix=m), sys_)
-        # the dense kernel as it ran before the sector path: T_2 rho and R rho
-        # of the family are Hermitian, so each is one Hermitian eigensolve
-        for got, whole in ((v.trace_norm_T2, _partial_transposes(m[None], n)),
-                           (v.trace_norm_R, _realignments(m[None], n))):
-            ref = np.abs(np.linalg.eigvalsh((whole + whole.conj().swapaxes(1, 2)) / 2)).sum(axis=-1)
-            assert_same_bits(np.array([got]), ref)
+
+        def eigensolve_norm(whole):
+            return np.abs(np.linalg.eigvalsh((whole + whole.conj().swapaxes(1, 2)) / 2)).sum(axis=-1)
+
+        # the dense kernels: T_2 rho of the family is Hermitian, one complex
+        # eigensolve; rho is exactly Hermitian, so R rho is normed through
+        # its real form, which is symmetric: one real eigensolve
+        assert_same_bits(np.array([v.trace_norm_T2]),
+                         eigensolve_norm(_partial_transposes(m[None], n)))
+        real_form = _realignment_real_forms(m[None], n)
+        assert not real_form.imag.any() and hermitian_mask(one_block(real_form.real)).all()
+        assert_same_bits(np.array([v.trace_norm_R]), eigensolve_norm(real_form.real))
+        # the complex eigensolve of R rho that normed it before
+        assert abs(v.trace_norm_R - eigensolve_norm(_realignments(m[None], n))[0]) \
+            <= 1e-14 * max(1.0, v.trace_norm_R)
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("position", [(0, -1), (0, 1)])
@@ -531,6 +540,34 @@ class TestSectorPath:
         message = "eigenvalue below" if dense_rejects else "not Hermitian"
         with pytest.raises(ValueError, match=message):
             _check_densities([dense, m, bad], n)
+
+
+class TestRealRealignment:
+    """A dense, exactly Hermitian state has its realignment trace norm from a real matrix."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_exactly_hermitian_states_have_a_real_form(self, n):
+        sys_ = coupled_system(n)
+        for rank in sorted({1, 2, 4, 2 * n, n * n}):
+            stack = random_densities(sys_, rank, np.random.SeedSequence([n, rank]).spawn(3))
+            assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+            assert not _realignment_real_forms(stack, n).imag.any()
+            norms = functionals(stack, sys_)[1]
+            ref = np.linalg.svd(_realignments(stack, n), compute_uv=False).sum(axis=-1)
+            assert np.all(np.abs(norms - ref) <= 1e-14 * np.maximum(1.0, ref))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_nearly_hermitian_member_keeps_the_complex_kernel(self, n):
+        sys_ = coupled_system(n)
+        stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
+        stack[2, 0, 1] += 1e-13  # Hermitian within 1e-13 only
+        real = ~_realignment_real_forms(stack, n).imag.any(axis=(1, 2))
+        assert real.tolist() == [True, True, False, True]
+        got = functionals(stack, sys_)[1]
+        # the complex kernel, on R rho, as the parent normed every dense state
+        assert_same_bits(got[2:3], trace_norms(one_block(_realignments(stack[2:3], n))))
+        for k in (0, 1, 3):  # the exact members get the bits they get alone
+            assert_same_bits(got[k:k + 1], functionals(stack[k:k + 1], sys_)[1])
 
 
 class TestFunctionals:
