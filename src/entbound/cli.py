@@ -27,8 +27,8 @@ from . import closedform
 from .bounds import (FamilyCurvePoint, concurrence_from_functional,
                      eof_from_functional, report_from_verdict)
 from .closedform import family_bounds_closed_form
-from .criteria import (CriteriaVerdict, OptimizerBudget, _verdicts, build_witness,
-                       evaluate_criteria, minimize_witness, twisted_witness,
+from .criteria import (CriteriaVerdict, OptimizerBudget, _verdict_columns, _verdicts,
+                       build_witness, evaluate_criteria, minimize_witness, twisted_witness,
                        witness_value)
 from .spinspace import coupled_system
 from .states import (_ENTRY_CHUNK, _density_sectors, _family_states, haar_unitary,
@@ -37,6 +37,8 @@ from .states import (_ENTRY_CHUNK, _density_sectors, _family_states, haar_unitar
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
 SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
+# one survey row: the state name, then the CriteriaVerdict fields as _fmt prints them
+SURVEY_ROW = "%s,%s,%s,%r,%s,%r,%r"
 
 # survey evaluates random states this many at a time: enough to share the
 # per-call overhead of the stacked kernels, few enough that memory stays flat
@@ -191,15 +193,15 @@ def cmd_survey(args) -> int:
         yield ",".join(SURVEY_COLUMNS)
         n_states = n_ppt = n_re = n_wit = n_wit_only = 0
         for names, stack in chunks():  # validated stacks: the ungated core
-            for name, v in zip(names, _verdicts(stack, sys_)):
-                n_states += 1
-                n_ppt += v.ppt_violated
-                n_re += v.realignment_violated
-                n_wit += v.witness_detects
-                n_wit_only += v.witness_detects and not v.ppt_violated \
-                    and not v.realignment_violated
-                # getattr, not dataclasses.astuple, which deep-copies every field
-                yield ",".join([name, *(_fmt(getattr(v, c)) for c in SURVEY_COLUMNS[1:])])
+            columns = _verdict_columns(stack, sys_)
+            ppt, re, _, wit = columns[:4]
+            n_states += len(names)
+            n_ppt += int(ppt.sum())
+            n_re += int(re.sum())
+            n_wit += int(wit.sum())
+            n_wit_only += int((wit & ~ppt & ~re).sum())
+            # _fmt of each field: a bool prints as str, a float as repr
+            yield "\n".join([SURVEY_ROW % row for row in zip(names, *(c.tolist() for c in columns))])
         yield (f"# summary states={n_states} ppt={n_ppt} realign={n_re} "
                f"witness={n_wit} witness_only={n_wit_only}")
 

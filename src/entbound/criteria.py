@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (_is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger,
-                     trace_norms)
+from .linalg import (_hermitian_test, _is_integer, _Sectors, as_complex_matrix,
+                     as_complex_stack, dagger, trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import _as_stack, _sector_members, _SectorStates, as_matrix, haar_unitary
 
@@ -75,22 +75,17 @@ def _realignments(stack: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The composite indices (a, a), then (a, c) and (c, a) for each a < c, of C^n otimes C^n."""
-    a, c = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), a * n + c, c * n + a
+def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of R_0 in rho, in pair order: R_0 is read at rows[:, None] + cols.
 
-
-def _pair_basis(x: np.ndarray, n: int, axis: int, phase: complex) -> np.ndarray:
-    """x along ``axis`` in the basis of the columns of Q (see :func:`_realignment_real_forms`).
-
-    The columns are e_(a,a), then (e_(a,c) + e_(c,a)) / sqrt 2 and
-    ``phase`` (e_(a,c) - e_(c,a)) / sqrt 2 for each a < c.
+    R_0[(a,c),(b,d)] = rho[(a,b),(c,d)], at flat position (a n + b) n^2 + c n + d
+    of rho, so row (a, c) contributes a n^3 + c n and column (b, d) b n^2 + d.
+    The pair order lists (a, a), then (a, c) and then (c, a) for each a < c
+    (see :func:`_realignment_real_forms`).
     """
-    diag, up, lo = _pair_maps(n)
-    u, v = x.take(up, axis), x.take(lo, axis)
-    return np.concatenate([x.take(diag, axis), (u + v) / math.sqrt(2),
-                           phase * (u - v) / math.sqrt(2)], axis)
+    a, c = np.triu_indices(n, 1)
+    first, second = np.concatenate([np.arange(n), a, c]), np.concatenate([np.arange(n), c, a])
+    return first * n ** 3 + second * n, first * n * n + second
 
 
 def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
@@ -103,26 +98,49 @@ def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
     (a,c) <-> (c,a), and P Q = conj(Q), so C is real.  Combined row pair by
     row pair and then column pair by column pair, the imaginary parts of an
     exactly Hermitian rho cancel to exact zeros; of any other rho they need not.
+    R_0 is gathered once, rows and columns in pair order (:func:`_pair_offsets`);
+    each pass then overwrites the pair rows (then columns) in place, with
+    the complex arithmetic of (u + v) / sqrt 2 and phase (u - v) / sqrt 2.
     """
-    r0 = stack.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, n * n, n * n)
-    return _pair_basis(_pair_basis(r0, n, 1, -1j), n, 2, 1j)
+    m = n * (n - 1) // 2
+    rows, cols = _pair_offsets(n)
+    c = stack.reshape(len(stack), n ** 4).take(np.add.outer(rows, cols), axis=1)
+    for axis, phase in ((1, -1j), (2, 1j)):
+        u, v = (c[:, n:n + m], c[:, n + m:]) if axis == 1 else (c[:, :, n:n + m], c[:, :, n + m:])
+        plus, minus = u + v, u - v
+        np.divide(plus, math.sqrt(2), out=u)
+        np.multiply(phase, minus, out=minus)
+        np.divide(minus, math.sqrt(2), out=v)
+    return c
 
 
 def _realignment_norms(stack: np.ndarray, n: int) -> np.ndarray:
     """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
 
-    A matrix whose :func:`_realignment_real_forms` C has no nonzero
-    imaginary entry gets the trace norm of the real C: a real eigensolve if
-    C is symmetric, a real SVD otherwise, about half the cost of the complex
-    kernels.  Every other matrix keeps the complex kernels on
-    :func:`_realignments`.  The choice is made per matrix, so each gets the
-    bits it gets alone.
+    A Hermitian rho has a real :func:`_realignment_real_forms` C, normed as
+    a real matrix: a real eigensolve if C is symmetric, a real SVD
+    otherwise, about half the cost of the complex kernels.  The route is
+    chosen from rho before C is built (:func:`linalg._hermitian_test`): a
+    stack whose matrices all pass the bitwise certificate
+    :func:`linalg._exactly_hermitian` takes it without a scan of C.
+    Otherwise a matrix with rho = rho^dag in value (certified, or with
+    signed zeros the certificate refuses) takes it if C has no nonzero
+    imaginary entry, and any other matrix, Hermitian only within a
+    tolerance, goes to the complex kernels on :func:`_realignments` and
+    builds no C.  The choice is made per matrix, so each gets the bits it
+    gets alone.
     """
-    c = _realignment_real_forms(stack, n)
-    real = ~c.imag.any(axis=(1, 2))
+    exact, err = _hermitian_test([stack[:, None]])
+    if exact.all():
+        return trace_norms([_realignment_real_forms(stack, n).real[:, None]])
     out = np.empty(len(stack))
+    real = err == 0  # certified, or Hermitian in value only
     if real.any():
-        out[real] = trace_norms([(c.real if real.all() else c.real[real])[:, None]])
+        c = _realignment_real_forms(stack[real], n)
+        kept = ~c.imag.any(axis=(1, 2))  # an entry from 2^1023 up can overflow C
+        real[real] = kept
+        if kept.any():
+            out[real] = trace_norms([c[kept].real[:, None]])
     if not real.all():
         out[~real] = trace_norms([_realignments(stack[~real], n)[:, None]])
     return out
@@ -335,7 +353,7 @@ def _functionals(stack, sys: CoupledSpinSystem):
     A :class:`_SectorStates` and the sector members of an array stack are
     normed on their J_z blocks; the dense members are permuted whole, and
     their R rho is normed by :func:`_realignment_norms`, in real arithmetic
-    where rho is exactly Hermitian.
+    where rho is Hermitian.
     """
     n = sys.n
     if isinstance(stack, _SectorStates):  # their blocks are filled from their entries
@@ -369,11 +387,11 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     vanishes exactly between different J_z sectors (m_1 + m_2), such as the
     family, Werner and isotropic states, has its T_2 rho and R rho blocks
     gathered straight from rho, O(N^4) work in all; every other state is
-    permuted whole, O(N^6).  The realignment of a dense state whose real
-    form (:func:`_realignment_real_forms`) has no imaginary part, as for
-    every exactly Hermitian rho, is normed as that real matrix; any other
-    dense state keeps the complex kernels.  Each state gets the bits it
-    gets alone, in a stack of one.
+    permuted whole, O(N^6).  The realignment of a dense Hermitian state is
+    normed as its real form (:func:`_realignment_real_forms`), chosen from
+    rho before the form is built (:func:`_realignment_norms`); a dense
+    state Hermitian only within a tolerance keeps the complex kernels.
+    Each state gets the bits it gets alone, in a stack of one.
     """
     n2 = sys.n * sys.n
     return _functionals(as_complex_stack(stack, (n2, n2)), sys)
@@ -391,15 +409,19 @@ class CriteriaVerdict:
     trace_norm_R: float
 
 
-def _verdicts(stack: np.ndarray, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
+def _verdict_columns(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, ...]:
+    """The fields of :class:`CriteriaVerdict` as arrays, one entry per state, in field order.
+
+    For a stack that is already gated or validated, or a :class:`_SectorStates`.
+    """
+    t2, rn, wval = _functionals(stack, sys)
+    return t2 > 1 + VERDICT_TOL, rn > 1 + VERDICT_TOL, wval, wval < -VERDICT_TOL, t2, rn
+
+
+def _verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
     """The ungated core of :func:`verdicts`, for a stack that is already gated or validated."""
-    return [CriteriaVerdict(ppt_violated=t2 > 1 + VERDICT_TOL,
-                            realignment_violated=rn > 1 + VERDICT_TOL,
-                            witness_value=wval,
-                            witness_detects=wval < -VERDICT_TOL,
-                            trace_norm_T2=t2,
-                            trace_norm_R=rn)
-            for t2, rn, wval in zip(*(f.tolist() for f in _functionals(stack, sys)))]
+    return [CriteriaVerdict(*fields)
+            for fields in zip(*(c.tolist() for c in _verdict_columns(stack, sys)))]
 
 
 def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:

@@ -20,6 +20,8 @@ from functools import reduce
 
 import numpy as np
 
+_DOUBLING_LIMIT = 2.0 ** 1023  # x + x overflows from here on, and (x + x) / 2 is not x
+
 
 class DimensionError(ValueError):
     """Operand shape is incompatible with the requested operation."""
@@ -75,11 +77,75 @@ def hermitian_mask(blocks) -> np.ndarray:
 
     ``blocks`` is a list of (S, nb, k, k) arrays, the diagonal blocks of S
     members (see :func:`trace_norms`).  ||M||_max is taken over all blocks of
-    a member, and only if some error exceeds 1e-12.
+    a member, and only if some error exceeds 1e-12.  :func:`trace_norms`
+    runs this test only when some member fails the bitwise certificate
+    :func:`_exactly_hermitian`, which implies it.
     """
-    err = _block_max(blocks, _hermitian_error)
+    return _within_tolerance(blocks, _hermitian_test(blocks)[1])
+
+
+def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_mask`, given ||M - M^dag||_max of each member (:func:`_hermitian_test`)."""
     ok = err <= 1e-12
     return ok if np.all(ok) else err <= 1e-12 * np.maximum(1.0, _block_max(blocks, np.abs))
+
+
+def _exactly_hermitian(blocks) -> np.ndarray:
+    """Is (M + M^dag) / 2 equal to M bit for bit, for each member M given by its ``blocks``?
+
+    The certificate that lets a member skip the Hermiticity tolerance test
+    and the symmetrisation and still get their bits.  It holds exactly
+    when Re M is symmetric bit for bit (signed zeros included), every entry
+    of Im M + Im M^T is +0.0 (off-diagonal imaginary parts opposite, where
+    two +0.0 pass and two -0.0 do not; diagonal ones +0.0), and no entry
+    reaches 2^1023, where x + x overflows.  Sampled states and state files
+    are Hermitian in this sense, and T_2, a permutation that maps
+    conjugate pairs to conjugate pairs, keeps it.  The first two
+    conditions say that every entry of M - M^dag (real part
+    Re M - Re M^T, imaginary part Im M + Im M^T) has all bits zero, the
+    third is a maximum and a minimum (see :func:`_hermitian_test`).
+    """
+    return _hermitian_test(blocks)[0]
+
+
+def _hermitian_test(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate :func:`_exactly_hermitian` and ||M - M^dag||_max of each member.
+
+    M - M^dag is formed one block array at a time, in one array the size
+    of the block array.  A block array whose differences have all bits
+    zero gives its members error 0 with no further pass, so a stack that
+    is certified whole costs one difference, its maximum bit pattern and
+    the maximum and minimum of the entries, and no reduction member by
+    member.
+    """
+    size = len(blocks[0])
+    certified, err = np.ones(size, dtype=bool), np.zeros(size)
+    for b in blocks:
+        if np.iscomplexobj(b):
+            d = np.conjugate(b.swapaxes(-1, -2), order="C")
+            np.subtract(b, d, out=d)
+        else:
+            d = np.subtract(b, b.swapaxes(-1, -2), order="C")
+        bits = d.view(np.uint64)
+        if bits.max(initial=0):
+            block_err = np.abs(d).reshape(size, -1).max(axis=1)
+            err = np.maximum(err, block_err)
+            certified &= block_err == 0
+            if certified.any():  # a zero error can hide a -0.0, which the certificate refuses
+                certified[certified] = bits[certified].reshape(-1, bits[0].size).max(axis=1) == 0
+    if certified.any():
+        parts = [p for b in blocks for p in _float_parts(b)]
+        if not all(p.max() < _DOUBLING_LIMIT and p.min() > -_DOUBLING_LIMIT for p in parts):
+            for p in parts:
+                certified &= np.abs(p).reshape(size, -1).max(axis=1) < _DOUBLING_LIMIT
+    return certified, err
+
+
+def _float_parts(b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of ``b`` as float64 arrays: a real array itself, else one view or two parts."""
+    if not np.iscomplexobj(b):
+        return (b,)
+    return (b.view(np.float64),) if b.strides[-1] == b.itemsize else (b.real, b.imag)
 
 
 def trace_norms(blocks) -> np.ndarray:
@@ -92,31 +158,40 @@ def trace_norms(blocks) -> np.ndarray:
     sector-diagonal matrices of :class:`_Sectors` give one array per block
     size.  The (numerically) Hermitian members go through Hermitian
     eigensolves (the sum of absolute eigenvalues), the rest through SVDs:
-    one stacked call per kind and block size.  Real blocks take LAPACK's
-    real kernels (dsyevd, dgesdd), about half the cost of the complex
-    ones; :func:`criteria.functionals` hands over the real form of the
-    realignment of an exactly Hermitian dense state.  Both kinds keep
-    absolute accuracy of order eps * ||M|| even for singular values at
-    zero; squaring the matrix first (eigensolve of M^dag M) would halve the
-    attainable precision there, which the rank-deficient realignment
-    checks cannot afford.  Each member gets the bits that the same kernel gives it alone.
-    Nothing is scanned for NaN/Inf: the matrices come from a validated
-    state stack or one that went through :func:`as_complex_stack`.
+    one stacked call per kind and block size.  When every member passes
+    the bitwise certificate :func:`_exactly_hermitian` (T_2 rho of a
+    sampled or loaded state does), the eigensolve gets the blocks as they
+    are; otherwise :func:`hermitian_mask` decides and the eigensolve gets
+    (M + M^dag) / 2, which is M itself, bit for bit, for a certified
+    member.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd),
+    about half the cost of the complex ones; :func:`criteria.functionals`
+    hands over the real form of the realignment of an exactly Hermitian
+    dense state.  Both kinds keep absolute accuracy of order eps * ||M||
+    even for singular values at zero; squaring the matrix first
+    (eigensolve of M^dag M) would halve the attainable precision there,
+    which the rank-deficient realignment checks cannot afford.  Each
+    member gets the bits that the same kernel gives it alone.  Nothing is
+    scanned for NaN/Inf: the matrices come from a validated state stack or
+    one that went through :func:`as_complex_stack`.
     """
     for b in blocks:
         if b.ndim != 4 or b.shape[2] != b.shape[3]:
             raise DimensionError(f"trace norm needs (S, nb, k, k) blocks, got shape {b.shape}")
-    return np.abs(_block_spectra(blocks, hermitian_mask(blocks))).sum(axis=-1)
+    certified, err = _hermitian_test(blocks)
+    exact = bool(certified.all())
+    herm = certified if exact else _within_tolerance(blocks, err)
+    return np.abs(_block_spectra(blocks, herm, exact)).sum(axis=-1)
 
 
-def _spectra(m: np.ndarray, herm: np.ndarray) -> np.ndarray:
+def _spectra(m: np.ndarray, herm: np.ndarray, exact: bool = False) -> np.ndarray:
     """Eigenvalues of the Hermitian part of each m[k] where herm[k] holds, else singular values.
 
     ``m`` holds matrices along its last two axes, member k at ``m[k]``: one
-    stacked eigensolve and one stacked SVD at most.
+    stacked eigensolve and one stacked SVD at most.  ``exact`` says that
+    each matrix is its own Hermitian part bit for bit, so none is symmetrised.
     """
     if herm.all():
-        return np.linalg.eigvalsh((m + dagger(m)) / 2)
+        return np.linalg.eigvalsh(m if exact else (m + dagger(m)) / 2)
     if not herm.any():
         return np.linalg.svd(m, compute_uv=False)
     out = np.empty(m.shape[:-1])
@@ -125,23 +200,19 @@ def _spectra(m: np.ndarray, herm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_error(m: np.ndarray) -> np.ndarray:
-    return np.abs(m - dagger(m))
-
-
 def _block_max(blocks, f) -> np.ndarray:
     """The largest entry of ``f(block)`` over all blocks of each member (max norm of f(M))."""
     return reduce(np.maximum, [f(b).max(axis=(1, 2, 3), initial=0.0) for b in blocks])
 
 
-def _block_spectra(blocks, herm: np.ndarray) -> np.ndarray:
+def _block_spectra(blocks, herm: np.ndarray, exact: bool = False) -> np.ndarray:
     """The :func:`_spectra` of each member given by its blocks, as a (S, d) array.
 
     The blocks of one size are one LAPACK call per kind, and each row is
     laid out in the same order whatever S is, so a row sum or minimum does
     not depend on the other members.
     """
-    return np.concatenate([_spectra(b, herm).reshape(len(b), -1) for b in blocks], axis=1)
+    return np.concatenate([_spectra(b, herm, exact).reshape(len(b), -1) for b in blocks], axis=1)
 
 
 class _Sectors:

@@ -18,8 +18,8 @@ from itertools import chain, count
 
 import numpy as np
 
-from .linalg import (DimensionError, _block_max, _check_shape, _hermitian_error, _is_integer,
-                     _Sectors, as_complex_matrix, as_complex_stack, dagger)
+from .linalg import (DimensionError, _check_shape, _hermitian_test, _is_integer, _Sectors,
+                     as_complex_matrix, as_complex_stack, dagger)
 from .spinspace import CoupledSpinSystem
 
 _HERM_TOL = 1e-10
@@ -91,7 +91,11 @@ def _check_densities(stack, n: int) -> np.ndarray:
     smallest-eigenvalue test.  The eigenvalue test is a Cholesky certificate
     (:func:`_eig_failed`): one stacked factorization, and an eigensolve of
     the stack only if some factorization fails, so a valid stack is
-    validated without an eigensolve.  :func:`_check_blocks` runs once per
+    validated without an eigensolve.  A stack that passes the bitwise
+    certificate :func:`linalg._exactly_hermitian`, as sampled states and
+    state files do, skips the Hermiticity tolerance test and is factored
+    in place, its diagonal shifted and written back, so no copy of a
+    matrix is made.  :func:`_check_blocks` runs once per
     non-empty group of :func:`_sector_members`: the dense matrices as one
     block each, the others as their J_z sector blocks.  The first failing
     matrix raises the message of its first failing check, as if the
@@ -130,19 +134,31 @@ def _check_blocks(blocks: list, trace_failed: np.ndarray):
     """The Hermiticity and smallest-eigenvalue failures of each member given by its blocks.
 
     ``blocks`` are (S, nb, k, k) arrays, as :func:`linalg.trace_norms` takes
-    them.  Only the members that passed the Hermiticity and trace tests get
-    the eigenvalue test, each block array as one stack for :func:`_eig_failed`.
+    them.  :func:`linalg._hermitian_test` gives the Hermiticity error, which
+    it measures only on block arrays that are not exactly Hermitian, and
+    the bitwise certificate, which lets :func:`_eig_failed` factor a stack
+    certified whole in place.  Only the members that passed the
+    Hermiticity and trace tests get the eigenvalue test, each block array
+    as one stack.
     """
-    herm_failed = _block_max(blocks, _hermitian_error) > _HERM_TOL
+    certified, err = _hermitian_test(blocks)
+    exact = bool(certified.all())
+    herm_failed = err > _HERM_TOL
     ok = ~(herm_failed | trace_failed)
+    if ok.all():
+        return herm_failed, _eig_failed_members(blocks, exact)
     eig_failed = np.zeros(len(ok), dtype=bool)
     if ok.any():
-        stacks = blocks if ok.all() else [b[ok] for b in blocks]
-        eig_failed[ok] = reduce(np.logical_or, [_eig_failed(b).any(axis=1) for b in stacks])
+        eig_failed[ok] = _eig_failed_members([b[ok] for b in blocks], exact)
     return herm_failed, eig_failed
 
 
-def _eig_failed(m: np.ndarray) -> np.ndarray:
+def _eig_failed_members(blocks: list, exact: bool) -> np.ndarray:
+    """Has any block of each member an eigenvalue below -1e-10 (see :func:`_eig_failed`)?"""
+    return reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1) for b in blocks])
+
+
+def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
     """Has the Hermitian part of each matrix of a (..., k, k) stack an eigenvalue below -1e-10?
 
     A Cholesky certificate decides the common case without an eigensolve.
@@ -152,21 +168,31 @@ def _eig_failed(m: np.ndarray) -> np.ndarray:
     of order k * eps * ||sym|| (about 1e-12 for a trace-1 matrix with
     k <= 4096).  So a success means no matrix fails, and it never passes a
     matrix that the eigensolve rejects.  numpy raises for the whole stack if
-    one factorization fails; then the stacked eigensolve of sym, rebuilt
-    unshifted, decides as it would alone.  The shift goes into the buffer
-    that holds sym; numpy's factor and its per-matrix work copy are the
-    only other arrays alive: for B = 1 the check peaks at four d x d
-    arrays here, and at three in the Hermiticity test.
+    one factorization fails; then the stacked eigensolve of sym decides as
+    it would alone.  The shift goes into the diagonal of sym and is undone
+    by writing the saved diagonal back, bit for bit.  ``exact`` says that
+    every matrix passed :func:`linalg._exactly_hermitian`, so sym is m bit
+    for bit and m itself takes the shift (a read-only m is copied first):
+    for B = 1 the check then peaks at three d x d arrays, m, numpy's factor
+    and its per-matrix work copy, and through sym at four.
     """
-    sym = (m + dagger(m)) / 2
+    if not exact:
+        m = (m + dagger(m)) / 2
+    elif not m.flags.writeable:
+        m = m.copy()
     i = np.arange(m.shape[-1])
-    sym[..., i, i] += _EIG_TOL - _CERT_MARGIN
+    diagonal = m[..., i, i]
+    m[..., i, i] += _EIG_TOL - _CERT_MARGIN
     try:
-        np.linalg.cholesky(sym)
+        np.linalg.cholesky(m)
+        factored = True
     except np.linalg.LinAlgError:
-        del sym
-        return np.linalg.eigvalsh((m + dagger(m)) / 2)[..., 0] < -_EIG_TOL
-    return np.zeros(m.shape[:-2], dtype=bool)
+        factored = False
+    finally:
+        m[..., i, i] = diagonal
+    if factored:
+        return np.zeros(m.shape[:-2], dtype=bool)
+    return np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,16 +436,28 @@ def random_pure(sys: CoupledSpinSystem, seed) -> PureState:
 
 
 def _sample_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:
-    """Unvalidated stack of G G^dag / tr, one complex Gaussian N^2 x rank factor G per seed."""
+    """Unvalidated stack of G G^dag / tr, one complex Gaussian N^2 x rank factor G per seed.
+
+    G = X + 1j Y with X, Y standard normal: each seed's stream fills one
+    (2, N^2, rank) slot of a buffer for the whole stack, X first, as two
+    ``normal`` draws would.  ``normal`` returns 0.0 + 1.0 z for the
+    standard normal z, which differs from z only for z = -0.0, so the
+    buffer gets one += 0.0.  The complex stack is then built once, with
+    the arithmetic of X + 1j * Y, and normalized in place.
+    """
     n2 = sys.n * sys.n
     if not 1 <= rank <= n2:
         raise ValueError(f"rank must lie in [1, {n2}], got {rank}")
-    g = np.empty((len(seeds), n2, rank), dtype=np.complex128)
+    draws = np.empty((len(seeds), 2, n2, rank))
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        g[k] = rng.normal(size=(n2, rank)) + 1j * rng.normal(size=(n2, rank))
+        np.random.default_rng(seed).standard_normal(out=draws[k])
+    draws += 0.0
+    g = np.multiply(1j, draws[:, 1])
+    g += draws[:, 0]
+    del draws
     m = g @ dagger(g)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return m
 
 
 def random_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Test-only conveniences built from the public API."""
 
-from dataclasses import fields
+import contextlib
+from dataclasses import astuple, fields
 from unittest import mock
 
 import numpy as np
 
 from entbound import (FamilyCurvePoint, PureState, SchmidtForm, concurrence_from_functional,
-                      eof_from_functional, evaluate_criteria, family_state, haar_unitary,
-                      load_state, report_from_verdict, states)
-from entbound.cli import FAMILY_COLUMNS, _fmt
+                      criteria, eof_from_functional, evaluate_criteria, family_state,
+                      haar_unitary, linalg, load_state, random_density, report_from_verdict,
+                      states)
+from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, SURVEY_FAMILY_LAMBDAS, _fmt
 from entbound.spinspace import _swap_index
 
 
@@ -46,6 +48,48 @@ def family_csv(sys_, lams) -> str:
     rows = (family_row(sys_, float(lam)) for lam in lams)
     return "".join(line + "\n" for line in [",".join(FAMILY_COLUMNS)] + [
         ",".join(_fmt(getattr(row, f.name)) for f in fields(row)) for row in rows])
+
+
+def survey_csv(sys_, rank: int, samples: int, seed: int, include_family: bool = False) -> str:
+    """The text ``survey`` prints, one state at a time: random_density and evaluate_criteria.
+
+    The oracle of ``cli.cmd_survey``, which samples, validates and
+    evaluates its states as stacks and prints its rows without building a
+    verdict per state: every row must have the same bits.
+    """
+    named = [(f"family({lam})", family_state(sys_, lam))
+             for lam in (SURVEY_FAMILY_LAMBDAS if include_family else ())]
+    named += [(f"random{k}", random_density(sys_, rank, child))
+              for k, child in enumerate(np.random.SeedSequence(seed).spawn(samples))]
+    lines = [",".join(SURVEY_COLUMNS)]
+    counts = [0, 0, 0, 0]
+    for name, rho in named:
+        v = evaluate_criteria(rho, sys_)
+        lines.append(",".join([name, *map(_fmt, astuple(v))]))
+        counts = [c + x for c, x in zip(counts, (
+            v.ppt_violated, v.realignment_violated, v.witness_detects,
+            v.witness_detects and not v.ppt_violated and not v.realignment_violated))]
+    lines.append("# summary states={} ppt={} realign={} witness={} witness_only={}".format(
+        len(named), *counts))
+    return "".join(line + "\n" for line in lines)
+
+
+def tolerance_path():
+    """A context in which the exact-Hermiticity certificate passes no member.
+
+    Every density check, trace norm and realignment route then takes the
+    Hermiticity tolerance path: the oracle of the certificate, which may
+    only skip work whose result it already knows, never change a bit.
+    """
+    test = linalg._hermitian_test
+
+    def certifies_nothing(blocks):
+        return np.zeros(len(blocks[0]), dtype=bool), test(blocks)[1]
+
+    patches = contextlib.ExitStack()
+    for module in (linalg, states, criteria):
+        patches.enter_context(mock.patch.object(module, "_hermitian_test", certifies_nothing))
+    return patches
 
 
 # Dense N^2 x N^2 oracles of the structured states, with the arithmetic the

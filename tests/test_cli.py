@@ -10,7 +10,7 @@ import entbound
 from entbound import (PureState, closedform, cli, family_state, random_density,
                       save_state, werner_state)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, main
-from helpers import family_csv, family_row
+from helpers import family_csv, family_row, survey_csv, tolerance_path
 
 BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value",
                "witness_detects", "trace_norm_T2", "trace_norm_R", "f_ppt",
@@ -464,6 +464,16 @@ class TestSurveyCommand:
             len(states), *counts))
         assert got == "".join(line + "\n" for line in lines)
 
+    @pytest.mark.parametrize("n, rank", [(6, 4), (6, 12), (6, 36)])
+    @pytest.mark.parametrize("family", [False, True])
+    def test_chunks_match_the_survey_oracle(self, capsys, n, rank, family):
+        # 17 samples are a full chunk and a chunk of one; the oracle builds
+        # each state with random_density and a verdict with evaluate_criteria
+        assert main(["survey", "--n", str(n), "--samples", "17", "--rank", str(rank),
+                     "--seed", "7"] + (["--include-family"] if family else [])) == 0
+        assert capsys.readouterr().out == survey_csv(entbound.coupled_system(n), rank, 17, 7,
+                                                     family)
+
     def test_memory_does_not_grow_with_samples(self, tmp_path):
         survey_peak_bytes(tmp_path, 1)  # warm caches and imports
         small = survey_peak_bytes(tmp_path, 20)
@@ -523,6 +533,44 @@ class TestDensityCertificate:
         monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
         assert main(argv) == 0
         assert capsys.readouterr() == certified
+
+
+class TestHermiticityCertificate:
+    """The exact-Hermiticity certificate skips work and changes no output byte."""
+
+    @pytest.mark.parametrize("command", [
+        "survey --n 4 --rank 4 --include-family --samples 40 --seed 3",
+        "survey --n 6 --samples 40 --seed 3",
+        "survey --n 6 --rank 12 --samples 20 --seed 5 --include-family",
+        "bounds STATE"])
+    def test_tolerance_path_prints_the_same_bytes(self, capsys, tmp_path, command):
+        path = tmp_path / "rank4.json"
+        save_state(path, random_density(entbound.coupled_system(8), 4, 1))
+        argv = command.replace("STATE", str(path)).split()
+        assert main(argv) == 0
+        certified = capsys.readouterr()
+        with tolerance_path():
+            assert main(argv) == 0
+        assert capsys.readouterr() == certified
+
+    def test_valid_survey_is_certified_throughout(self, monkeypatch, tmp_path):
+        # every sampled and family state passes the certificate, and so do its
+        # T_2 and J_z blocks; only the real forms C of R, not symmetric, fail it
+        results = []
+        test = entbound.linalg._hermitian_test
+
+        def spy(blocks):
+            certified, err = test(blocks)
+            results.append((np.iscomplexobj(blocks[0]), bool(certified.all())))
+            return certified, err
+
+        for module in (entbound.linalg, entbound.states, entbound.criteria):
+            monkeypatch.setattr(module, "_hermitian_test", spy)
+        assert main(["survey", "--n", "6", "--rank", "12", "--samples", "20", "--seed", "2",
+                     "--include-family", "--out", str(tmp_path / "s.csv")]) == 0
+        # the family chunk: check, T_2, R; two dense chunks: check, T_2, R's rho and C
+        assert len(results) == 3 + 2 * 4
+        assert all(certified == is_complex for is_complex, certified in results)
 
 
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):

@@ -10,7 +10,7 @@ import pytest
 
 import entbound
 from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witness,
-                      coupled_system, evaluate_criteria, extended_reduction_map,
+                      coupled_system, criteria, evaluate_criteria, extended_reduction_map,
                       family_state, functionals, isotropic_state, minimize_witness,
                       partial_transpose, random_densities, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
@@ -568,6 +568,27 @@ class TestRealRealignment:
         assert_same_bits(got[2:3], trace_norms(one_block(_realignments(stack[2:3], n))))
         for k in (0, 1, 3):  # the exact members get the bits they get alone
             assert_same_bits(got[k:k + 1], functionals(stack[k:k + 1], sys_)[1])
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_nearly_hermitian_member_builds_no_real_form(self, monkeypatch, n):
+        # the member Hermitian only within 1e-13 goes straight to the complex
+        # kernel and builds no C; only the exact members build it
+        sys_ = coupled_system(n)
+        stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
+        stack[2, 0, 1] += 1e-13
+        seen = {}
+        for name in ("_realignment_real_forms", "_realignments"):
+            def spy(s, n_, original=getattr(criteria, name), name=name):
+                seen.setdefault(name, []).append(s.copy())
+                return original(s, n_)
+            monkeypatch.setattr(criteria, name, spy)
+        got = functionals(stack, sys_)[1]
+        assert [len(s) for s in seen["_realignment_real_forms"]] == [3]
+        assert np.array_equal(seen["_realignment_real_forms"][0], stack[[0, 1, 3]])
+        assert [len(s) for s in seen["_realignments"]] == [1]
+        assert np.array_equal(seen["_realignments"][0], stack[[2]])
+        monkeypatch.undo()
+        assert_same_bits(got, functionals(stack, sys_)[1])
 
 
 class TestFunctionals:

@@ -1,9 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from entbound import DimensionError
-from entbound.linalg import hermitian_mask, trace_norms
-from helpers import one_block
+from entbound import DensityMatrix, DimensionError, coupled_system, functionals, random_density
+from entbound.linalg import _exactly_hermitian, hermitian_mask, trace_norms
+from entbound.states import _check_densities
+from helpers import one_block, tolerance_path
 
 
 def norm(m):
@@ -106,3 +109,135 @@ class TestHermitianMask:
         assert hermitian_mask([scale, skewed]).tolist() == [True, False, False]
         assert hermitian_mask([skewed, scale]).tolist() == [True, False, False]
         assert hermitian_mask([skewed]).tolist() == [False, False, False]
+
+
+def edge_base(n: int) -> np.ndarray:
+    """An exactly Hermitian dense N^2 x N^2 state far inside the valid states.
+
+    Half a random state and half the maximally mixed one: its smallest
+    eigenvalue is at least 1 / (2 N^2), so editing one small entry keeps it
+    valid, and no entry vanishes, so it stays off the J_z sector path.
+    """
+    d = n * n
+    rho = random_density(coupled_system(n), d, n).matrix
+    return (rho + np.eye(d) / d) / 2
+
+
+def smallest_pair(m: np.ndarray) -> tuple[int, int]:
+    """The off-diagonal position (i, j), i < j, of the entry of least modulus."""
+    i, j = np.triu_indices(len(m), 1)
+    k = np.abs(m[i, j]).argmin()
+    return int(i[k]), int(j[k])
+
+
+def signed_zero_real(m, i, j):
+    m[i, j], m[j, i] = complex(0.0, m[i, j].imag), complex(-0.0, m[j, i].imag)
+
+
+def both_minus_zero_imag(m, i, j):
+    m[i, j], m[j, i] = complex(m[i, j].real, -0.0), complex(m[i, j].real, -0.0)
+
+
+def both_plus_zero_imag(m, i, j):
+    m[i, j], m[j, i] = complex(m[i, j].real, 0.0), complex(m[i, j].real, 0.0)
+
+
+def minus_zero_diagonal(m, i, j):
+    m[i, i] = complex(m[i, i].real, -0.0)
+
+
+def one_ulp(m, i, j):
+    m[i, j] = complex(np.nextafter(m[i, j].real, np.inf), m[i, j].imag)
+
+
+def skew_1e13(m, i, j):
+    m[i, j] += 1e-13
+
+
+def nan_entry(m, i, j):
+    m[i, j] = complex(np.nan, 0.0)
+
+
+# each edit, and whether the edited matrix passes the certificate
+EDGES = {"signed zero real part": (signed_zero_real, False),
+         "two -0.0 imaginary parts": (both_minus_zero_imag, False),
+         "two +0.0 imaginary parts": (both_plus_zero_imag, True),
+         "-0.0 diagonal imaginary part": (minus_zero_diagonal, False),
+         "1 ulp": (one_ulp, False),
+         "1e-13": (skew_1e13, False)}
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, want):
+    """Equal outcomes: arrays (or tuples of them) bit for bit, anything else by ==."""
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                              np.ascontiguousarray(want).view(np.uint8))
+    elif isinstance(want, tuple) and want and isinstance(want[0], np.ndarray):
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert got == want
+
+
+class TestExactHermiticityCertificate:
+    """Each edge of the bitwise certificate gets the bits of the tolerance path."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_edge_takes_the_bits_of_the_tolerance_path(self, n, edge):
+        edit, certified = EDGES[edge]
+        base = edge_base(n)
+        m = base.copy()
+        edit(m, *smallest_pair(m))
+        # the certificate decides member by member, in a stack with exact members
+        stack = np.stack([base, m, base.T])
+        assert _exactly_hermitian(one_block(stack)).tolist() == [True, certified, True]
+        sys_ = coupled_system(n)
+        for f, args in ((_check_densities, (stack, n)), (functionals, (stack, sys_)),
+                        (functionals, (m[None], sys_)),
+                        (lambda a: DensityMatrix(n, a).matrix, (m,))):
+            got = outcome(f, *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+            with tolerance_path():
+                want = outcome(f, *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+            assert_same(got, want)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_nan_is_rejected_first(self, n):
+        base = edge_base(n)
+        m = base.copy()
+        nan_entry(m, *smallest_pair(m))
+        stack = np.stack([base, m])
+        message = "matrix contains NaN or Inf entries"
+        for f, args in ((_check_densities, (stack, n)), (functionals, (stack, coupled_system(n)))):
+            for context in (contextlib.nullcontext(), tolerance_path()):
+                with context, pytest.raises(ValueError, match=f"^{message}$"):
+                    f(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(n, m)
+
+    def test_entries_where_doubling_overflows_are_not_certified(self):
+        # (x + x) / 2 is inf for x >= 2^1023, so such a member takes the tolerance path
+        for x, certified in ((2.0 ** 1022, True), (2.0 ** 1023, False), (-(2.0 ** 1023), False)):
+            m = np.diag([x, 1.0])
+            assert _exactly_hermitian(one_block(m[None])).tolist() == [certified]
+            assert _exactly_hermitian(one_block(m[None].astype(complex))).tolist() == [certified]
+
+    def test_real_and_strided_members(self):
+        rng = np.random.default_rng(3)
+        h = rand_hermitian(rng, 5)
+        # real members: a symmetric and an antisymmetric one
+        assert _exactly_hermitian(one_block(np.stack([h.real, h.imag]))).tolist() == [True, False]
+        both = np.stack([h, 1j * h])  # 1j h is anti-Hermitian
+        assert _exactly_hermitian(one_block(both)).tolist() == [True, False]
+        # the real parts of a complex stack, a strided view
+        assert _exactly_hermitian(one_block(both.real)).tolist() == [True, False]
+        # transposed views, whose rows are not contiguous: h^T = conj(h) is Hermitian too
+        assert _exactly_hermitian(one_block(both.swapaxes(1, 2))).tolist() == [True, False]

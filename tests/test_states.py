@@ -175,6 +175,41 @@ class TestDensityStack:
                     assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
 
 
+    def test_certified_dense_check_holds_no_copy(self):
+        # an exactly Hermitian state takes its shift in place: the check holds
+        # the Hermiticity difference, then numpy's factor, never a copy of rho
+        # or (rho + rho^dag) / 2 beside it (the eigenvalue-test peak was two sizes)
+        stack = random_density(coupled_system(16), 4, 1).matrix[None].copy()
+        _check_densities(stack.copy(), 16)  # warm the caches of N = 16
+        tracemalloc.start()
+        try:
+            _check_densities(stack, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stack.nbytes
+
+    @pytest.mark.parametrize("smallest, message", [
+        (1e-3, None), (-0.95e-10, None), (-1e-3, DEFECTS["negative-eigenvalue"][1])])
+    def test_check_leaves_its_input_bits(self, smallest, message):
+        # the diagonal shift of the certificate is undone bit for bit, whether the
+        # factorization succeeds or the eigensolve decides; read-only input is copied
+        m = rotated_diagonal(4, smallest)
+        m = (m + m.conj().T) / 2  # exactly Hermitian, so m itself takes the shift
+        valid = random_density(coupled_system(4), 16, 3).matrix
+        for stack in (np.stack([valid, m]), np.stack([m, m.T])):
+            before = stack.copy()
+            for a in (stack, before.copy()):
+                a.setflags(write=a is stack)
+                try:
+                    _check_densities(a, 4)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == message
+                assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
+
+
 @lru_cache(maxsize=None)
 def haar(d):
     return haar_unitary(d, np.random.default_rng(d))
