@@ -31,8 +31,8 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, _verdict_columns, _verd
                        build_witness, evaluate_criteria, minimize_witness, twisted_witness,
                        witness_value)
 from .spinspace import coupled_system
-from .states import (_ENTRY_CHUNK, _density_sectors, _family_states, haar_unitary,
-                     load_state, random_densities, random_pure, schmidt_decompose)
+from .states import (_ENTRY_CHUNK, _check_densities, _density_sectors, _family_states,
+                     _sample_densities, haar_unitary, load_state, random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
@@ -187,13 +187,13 @@ def cmd_survey(args) -> int:
         for start in range(0, args.samples, SURVEY_CHUNK):
             size = min(SURVEY_CHUNK, args.samples - start)
             yield ([f"random{k}" for k in range(start, start + size)],
-                   random_densities(sys_, rank, root.spawn(size)))
+                   _check_densities(_sample_densities(sys_, rank, root.spawn(size)), args.n))
 
     def lines():
         yield ",".join(SURVEY_COLUMNS)
         n_states = n_ppt = n_re = n_wit = n_wit_only = 0
-        for names, stack in chunks():  # validated stacks: the ungated core
-            columns = _verdict_columns(stack, sys_)
+        for names, states in chunks():  # validated records: the ungated core
+            columns = _verdict_columns(states, sys_)
             ppt, re, _, wit = columns[:4]
             n_states += len(names)
             n_ppt += int(ppt.sum())

@@ -23,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (_hermitian_test, _is_integer, _Sectors, as_complex_matrix,
-                     as_complex_stack, dagger, trace_norms)
+from .linalg import (_is_integer, _Sectors, _spectral_norms, as_complex_matrix, as_complex_stack,
+                     dagger, trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
-from .states import _as_stack, _sector_members, _SectorStates, as_matrix, haar_unitary
+from .states import _as_states, _States, as_matrix, haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
 VERDICT_TOL = 1e-9
@@ -114,15 +114,16 @@ def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _realignment_norms(stack: np.ndarray, n: int) -> np.ndarray:
+def _realignment_norms(stack: np.ndarray, n: int, certified: np.ndarray,
+                       err: np.ndarray) -> np.ndarray:
     """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
 
     A Hermitian rho has a real :func:`_realignment_real_forms` C, normed as
     a real matrix: a real eigensolve if C is symmetric, a real SVD
     otherwise, about half the cost of the complex kernels.  The route is
-    chosen from rho before C is built (:func:`linalg._hermitian_test`): a
-    stack whose matrices all pass the bitwise certificate
-    :func:`linalg._exactly_hermitian` takes it without a scan of C.
+    chosen before C is built, from the Hermiticity decision of the state
+    record (``certified`` and ``err`` of rho, :class:`states._States`): a
+    stack whose matrices are all certified takes it without a scan of C.
     Otherwise a matrix with rho = rho^dag in value (certified, or with
     signed zeros the certificate refuses) takes it if C has no nonzero
     imaginary entry, and any other matrix, Hermitian only within a
@@ -130,8 +131,7 @@ def _realignment_norms(stack: np.ndarray, n: int) -> np.ndarray:
     builds no C.  The choice is made per matrix, so each gets the bits it
     gets alone.
     """
-    exact, err = _hermitian_test([stack[:, None]])
-    if exact.all():
+    if certified.all():
         return trace_norms([_realignment_real_forms(stack, n).real[:, None]])
     out = np.empty(len(stack))
     real = err == 0  # certified, or Hermitian in value only
@@ -294,10 +294,11 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
     """The J_z sectors of T_2 rho (labels a - b) and of R rho (labels a + b), gathered from rho.
 
     rho commutes with J_z when it vanishes between different a + b (local
-    index a holds m = j - a): :func:`states._sector_members` decides this for
-    an array, and a :class:`states._SectorStates` is one by construction.
-    T_2 and R are signed index permutations that carry exactly those zeros
-    to the entries between different labels of their own.  The signs
+    index a holds m = j - a), as the ``sector`` members of a
+    :class:`states._States` record do.  T_2 and R are signed index
+    permutations that carry exactly those zeros to the entries between
+    different labels of their own; T_2 carries rho's J_z blocks, entry for
+    entry, to the blocks of T_2 rho.  The signs
     (-1)^(b+d) of R are left out: they conjugate each block by a diagonal
     of +-1, which keeps its singular values and its Hermiticity.
     """
@@ -347,42 +348,40 @@ def _witness_values(take, sys: CoupledSpinSystem) -> np.ndarray:
     return (diag.sum(axis=-1) - n * expectation - swap.sum(axis=-1)).real
 
 
-def _functionals(stack, sys: CoupledSpinSystem):
-    """The ungated core of :func:`functionals`, for a gated or validated stack or :class:`_SectorStates`.
+def _functionals(states: _States, sys: CoupledSpinSystem):
+    """The ungated core of :func:`functionals`, for a :class:`states._States` record.
 
-    A :class:`_SectorStates` and the sector members of an array stack are
-    normed on their J_z blocks; the dense members are permuted whole, and
-    their R rho is normed by :func:`_realignment_norms`, in real arithmetic
-    where rho is Hermitian.
+    Every decision is read from the record.  Its sector members are normed
+    on their J_z blocks; its dense members are permuted whole, and their
+    R rho is normed by :func:`_realignment_norms`, in real arithmetic where
+    rho is Hermitian.  T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag) entry
+    for entry, so T_2 rho takes the Hermiticity test of rho straight into
+    :func:`linalg._spectral_norms`; only R rho of a sector member and the
+    real form C of a dense one get a test of their own.
     """
-    n = sys.n
-    if isinstance(stack, _SectorStates):  # their blocks are filled from their entries
-        t2_sectors, r_sectors = _sectors(n)
-        return (trace_norms(stack.blocks(t2_sectors)), trace_norms(stack.blocks(r_sectors)),
-                _witness_values(stack.take, sys))
-    t2, rn = np.empty(len(stack)), np.empty(len(stack))
-    sector = _sector_members(stack, n)  # decided once per state, for both T_2 and R
-    whole = ~sector
-    if whole.any():
-        dense = stack if whole.all() else stack[whole]
-        t2[whole] = trace_norms([_partial_transposes(dense, n)[:, None]])
-        rn[whole] = _realignment_norms(dense, n)
+    n, sector = sys.n, states.sector
+    t2, rn = np.empty(len(states)), np.empty(len(states))
+    if not sector.all():
+        whole, dense = ~sector, states.dense()
+        test = states.certified[whole], states.err[whole]
+        t2[whole] = _spectral_norms([_partial_transposes(dense, n)[:, None]], *test)
+        rn[whole] = _realignment_norms(dense, n, *test)
     if sector.any():
-        idx = np.flatnonzero(sector)
         t2_sectors, r_sectors = _sectors(n)
-        t2[sector] = trace_norms(t2_sectors.blocks(stack, idx))
-        rn[sector] = trace_norms(r_sectors.blocks(stack, idx))
-    flat = stack.reshape(len(stack), n ** 4)
-    # np.take is C-ordered; flat[:, idx] is not, and its row sums differ with B
-    return t2, rn, _witness_values(lambda idx: flat.take(idx, axis=1), sys)
+        test = states.certified[sector], states.err[sector]
+        t2[sector] = _spectral_norms(states.blocks(t2_sectors), *test)
+        rn[sector] = trace_norms(states.blocks(r_sectors))
+    return t2, rn, _witness_values(states.take, sys)
 
 
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
-    The raw stack passes :func:`linalg.as_complex_stack` once.  T_2 and R
-    are signed index permutations, each followed by one
-    :func:`linalg.trace_norms`; tr(W rho) is read from the swap form
+    The raw stack passes :func:`linalg.as_complex_stack` once, and its
+    :class:`states._States` record decides once per state whether it is a
+    sector state and whether it is exactly Hermitian, without the density
+    checks.  T_2 and R are signed index permutations, each followed
+    by one trace-norm call; tr(W rho) is read from the swap form
     W = I - N P_0 - F, O(N^2) entries of rho, without W.  A state that
     vanishes exactly between different J_z sectors (m_1 + m_2), such as the
     family, Werner and isotropic states, has its T_2 rho and R rho blocks
@@ -393,8 +392,8 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     state Hermitian only within a tolerance keeps the complex kernels.
     Each state gets the bits it gets alone, in a stack of one.
     """
-    n2 = sys.n * sys.n
-    return _functionals(as_complex_stack(stack, (n2, n2)), sys)
+    a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
+    return _functionals(_States(sys.n, len(a), array=a), sys)
 
 
 @dataclass(frozen=True)
@@ -409,33 +408,31 @@ class CriteriaVerdict:
     trace_norm_R: float
 
 
-def _verdict_columns(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, ...]:
-    """The fields of :class:`CriteriaVerdict` as arrays, one entry per state, in field order.
-
-    For a stack that is already gated or validated, or a :class:`_SectorStates`.
-    """
-    t2, rn, wval = _functionals(stack, sys)
+def _verdict_columns(states: _States, sys: CoupledSpinSystem) -> tuple[np.ndarray, ...]:
+    """The fields of :class:`CriteriaVerdict` as arrays, one entry per state of a record, in field order."""
+    t2, rn, wval = _functionals(states, sys)
     return t2 > 1 + VERDICT_TOL, rn > 1 + VERDICT_TOL, wval, wval < -VERDICT_TOL, t2, rn
 
 
-def _verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
-    """The ungated core of :func:`verdicts`, for a stack that is already gated or validated."""
+def _verdicts(states: _States, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
+    """The ungated core of :func:`verdicts`, for a :class:`states._States` record."""
     return [CriteriaVerdict(*fields)
-            for fields in zip(*(c.tolist() for c in _verdict_columns(stack, sys)))]
+            for fields in zip(*(c.tolist() for c in _verdict_columns(states, sys)))]
 
 
 def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
     """One verdict per state of a raw (B, N^2, N^2) stack, gated once (see :func:`functionals`)."""
-    n2 = sys.n * sys.n
-    return _verdicts(as_complex_stack(stack, (n2, n2)), sys)
+    a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
+    return _verdicts(_States(sys.n, len(a), array=a), sys)
 
 
 def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
     """Run the partial-transpose, realignment and witness tests on a state.
 
-    The B = 1 case of :func:`verdicts`, gated by :func:`states.as_matrix`.
-    The family, Werner and isotropic states enter as their J_z blocks, so
-    their N^2 x N^2 matrix is never built here.
+    The B = 1 case of :func:`verdicts`.  A DensityMatrix enters as the
+    record of its validation, so nothing about it is decided again, and the
+    family, Werner and isotropic states enter as their J_z blocks, so their
+    N^2 x N^2 matrix is never built here; anything else is gated by
+    :func:`states.as_matrix`.
     """
-    n2 = sys.n * sys.n
-    return _verdicts(_as_stack(rho, (n2, n2)), sys)[0]
+    return _verdicts(_as_states(rho, sys.n), sys)[0]

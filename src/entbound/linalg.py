@@ -6,8 +6,8 @@ list of its diagonal blocks, and a dense matrix is a member with one
 block.  A matrix whose entries vanish exactly between different index
 labels (the J_z sectors of the family, Werner and isotropic states) is
 read by :class:`_Sectors` as 2N - 1 blocks of size <= N instead of one
-N^2 x N^2 block, O(N^4) work instead of O(N^6): gathered from a stored
-matrix, or filled from the entries of a state that has no stored matrix.
+N^2 x N^2 block, O(N^4) work instead of O(N^6): read at its positions
+from a stored matrix, or from the entries of a state that has no stored matrix.
 Robustness is preferred over speed throughout: Hermitian eigensolves
 instead of generic SVD where the input allows, defensive shape checks.
 There is no tensor-product, partial-trace or spectrum helper: callers use
@@ -77,9 +77,9 @@ def hermitian_mask(blocks) -> np.ndarray:
 
     ``blocks`` is a list of (S, nb, k, k) arrays, the diagonal blocks of S
     members (see :func:`trace_norms`).  ||M||_max is taken over all blocks of
-    a member, and only if some error exceeds 1e-12.  :func:`trace_norms`
-    runs this test only when some member fails the bitwise certificate
-    :func:`_exactly_hermitian`, which implies it.
+    a member, and only if some error exceeds 1e-12.  :func:`_spectral_norms`
+    runs this test only when some member fails the bitwise certificate of
+    :func:`_hermitian_test`, which implies it.
     """
     return _within_tolerance(blocks, _hermitian_test(blocks)[1])
 
@@ -87,36 +87,30 @@ def hermitian_mask(blocks) -> np.ndarray:
 def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
     """:func:`hermitian_mask`, given ||M - M^dag||_max of each member (:func:`_hermitian_test`)."""
     ok = err <= 1e-12
-    return ok if np.all(ok) else err <= 1e-12 * np.maximum(1.0, _block_max(blocks, np.abs))
-
-
-def _exactly_hermitian(blocks) -> np.ndarray:
-    """Is (M + M^dag) / 2 equal to M bit for bit, for each member M given by its ``blocks``?
-
-    The certificate that lets a member skip the Hermiticity tolerance test
-    and the symmetrisation and still get their bits.  It holds exactly
-    when Re M is symmetric bit for bit (signed zeros included), every entry
-    of Im M + Im M^T is +0.0 (off-diagonal imaginary parts opposite, where
-    two +0.0 pass and two -0.0 do not; diagonal ones +0.0), and no entry
-    reaches 2^1023, where x + x overflows.  Sampled states and state files
-    are Hermitian in this sense, and T_2, a permutation that maps
-    conjugate pairs to conjugate pairs, keeps it.  The first two
-    conditions say that every entry of M - M^dag (real part
-    Re M - Re M^T, imaginary part Im M + Im M^T) has all bits zero, the
-    third is a maximum and a minimum (see :func:`_hermitian_test`).
-    """
-    return _hermitian_test(blocks)[0]
+    if np.all(ok):
+        return ok
+    largest = reduce(np.maximum, [np.abs(b).max(axis=(1, 2, 3), initial=0.0) for b in blocks])
+    return err <= 1e-12 * np.maximum(1.0, largest)
 
 
 def _hermitian_test(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The certificate :func:`_exactly_hermitian` and ||M - M^dag||_max of each member.
+    """The exact-Hermiticity certificate and ||M - M^dag||_max of each member M given by its ``blocks``.
 
-    M - M^dag is formed one block array at a time, in one array the size
-    of the block array.  A block array whose differences have all bits
-    zero gives its members error 0 with no further pass, so a stack that
-    is certified whole costs one difference, its maximum bit pattern and
-    the maximum and minimum of the entries, and no reduction member by
-    member.
+    The certificate says that (M + M^dag) / 2 equals M bit for bit, which
+    lets a member skip the Hermiticity tolerance test and the
+    symmetrisation and still get their bits.  It holds exactly when every
+    entry of M - M^dag (real part Re M - Re M^T, imaginary part
+    Im M + Im M^T) has all bits zero, signed zeros included (off-diagonal
+    imaginary parts opposite, where two +0.0 pass and two -0.0 do not;
+    diagonal ones +0.0), and no entry reaches 2^1023, where x + x
+    overflows.  Sampled states and state files are Hermitian in this sense.
+    T_2, a permutation that maps each entry of M - M^dag to one of
+    T_2 M - (T_2 M)^dag, keeps both results bit for bit.  M - M^dag is
+    formed one block array at a time, in one array the size of the block
+    array.  A block array whose differences have all bits zero gives its
+    members error 0 with no further pass, so a stack that is certified
+    whole costs one difference, its maximum bit pattern and the maximum
+    and minimum of the entries, and no reduction member by member.
     """
     size = len(blocks[0])
     certified, err = np.ones(size, dtype=bool), np.zeros(size)
@@ -156,28 +150,32 @@ def trace_norms(blocks) -> np.ndarray:
     the singular values of M are those of its blocks.  A whole (S, d, d)
     stack is the one-block list ``[stack[:, None]]``, a view; the
     sector-diagonal matrices of :class:`_Sectors` give one array per block
-    size.  The (numerically) Hermitian members go through Hermitian
-    eigensolves (the sum of absolute eigenvalues), the rest through SVDs:
-    one stacked call per kind and block size.  When every member passes
-    the bitwise certificate :func:`_exactly_hermitian` (T_2 rho of a
-    sampled or loaded state does), the eigensolve gets the blocks as they
-    are; otherwise :func:`hermitian_mask` decides and the eigensolve gets
-    (M + M^dag) / 2, which is M itself, bit for bit, for a certified
-    member.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd),
-    about half the cost of the complex ones; :func:`criteria.functionals`
-    hands over the real form of the realignment of an exactly Hermitian
-    dense state.  Both kinds keep absolute accuracy of order eps * ||M||
-    even for singular values at zero; squaring the matrix first
-    (eigensolve of M^dag M) would halve the attainable precision there,
-    which the rank-deficient realignment checks cannot afford.  Each
-    member gets the bits that the same kernel gives it alone.  Nothing is
-    scanned for NaN/Inf: the matrices come from a validated state stack or
-    one that went through :func:`as_complex_stack`.
+    size.  :func:`_hermitian_test`, then the kernel :func:`_spectral_norms`.
+    Nothing is scanned for NaN/Inf: the matrices come from a validated
+    state stack or one that went through :func:`as_complex_stack`.
     """
     for b in blocks:
         if b.ndim != 4 or b.shape[2] != b.shape[3]:
             raise DimensionError(f"trace norm needs (S, nb, k, k) blocks, got shape {b.shape}")
-    certified, err = _hermitian_test(blocks)
+    return _spectral_norms(blocks, *_hermitian_test(blocks))
+
+
+def _spectral_norms(blocks, certified: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """The trace norms of :func:`trace_norms`, given :func:`_hermitian_test` of the members.
+
+    The (numerically) Hermitian members go through Hermitian eigensolves
+    (the sum of absolute eigenvalues), the rest through SVDs: one stacked
+    call per kind and block size.  When every member is ``certified``, the
+    eigensolve gets the blocks as they are; otherwise
+    :func:`_within_tolerance` decides and the eigensolve gets
+    (M + M^dag) / 2, which is M itself, bit for bit, for a certified
+    member.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd), about
+    half the cost of the complex ones.  Both kinds keep absolute accuracy
+    of order eps * ||M|| even for singular values at zero; squaring the
+    matrix first (eigensolve of M^dag M) would halve the attainable
+    precision there, which the rank-deficient realignment checks cannot
+    afford.  Each member gets the bits that the same kernel gives it alone.
+    """
     exact = bool(certified.all())
     herm = certified if exact else _within_tolerance(blocks, err)
     return np.abs(_block_spectra(blocks, herm, exact)).sum(axis=-1)
@@ -198,11 +196,6 @@ def _spectra(m: np.ndarray, herm: np.ndarray, exact: bool = False) -> np.ndarray
     out[herm] = _spectra(m[herm], herm[herm])
     out[~herm] = _spectra(m[~herm], herm[~herm])
     return out
-
-
-def _block_max(blocks, f) -> np.ndarray:
-    """The largest entry of ``f(block)`` over all blocks of each member (max norm of f(M))."""
-    return reduce(np.maximum, [f(b).max(axis=(1, 2, 3), initial=0.0) for b in blocks])
 
 
 def _block_spectra(blocks, herm: np.ndarray, exact: bool = False) -> np.ndarray:
@@ -226,7 +219,9 @@ class _Sectors:
     it, so an index permutation of the stored matrix is gathered block by
     block and never built whole.  ``positions`` lists the flat positions of
     all blocks, the blocks of one size k together as (nb, k, k), so a
-    spectrum takes one LAPACK call per block size.
+    spectrum takes one LAPACK call per block size.  They are uint32 while
+    the largest fits, as it does for the J_z sectors of a state up to
+    N = 256 (N^4 - 1 < 2^32), and int64 beyond.
     """
 
     def __init__(self, labels: np.ndarray, source):
@@ -238,7 +233,9 @@ class _Sectors:
             idx = np.array([i for i in sectors if len(i) == k])  # (nb, k)
             takes.append(source(idx[:, :, None], idx[:, None, :]))
         self.shapes = [take.shape for take in takes]
-        self.positions = np.concatenate([take.ravel() for take in takes])
+        dtype = np.uint32 if max(take.max() for take in takes) < 2 ** 32 else np.int64
+        self.positions = np.concatenate([take.ravel() for take in takes], dtype=dtype,
+                                        casting="unsafe")
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """The (S, nb, k, k) block arrays, as views, of (S, len(positions)) entries read at ``positions``."""
@@ -248,12 +245,3 @@ class _Sectors:
             out.append(values[:, start:start + size].reshape(len(values), *shape))
             start += size
         return out
-
-    def blocks(self, stack: np.ndarray, members: np.ndarray) -> list[np.ndarray]:
-        """The blocks of M for the stored matrices ``stack[members]``: one (S, nb, k, k) array per size.
-
-        ``members`` is an index array; whether a stored matrix gives a
-        sector-diagonal M is for the caller to decide.
-        """
-        flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
-        return self.split(flat[members[:, None], self.positions])

@@ -68,12 +68,12 @@ def _density_sectors(n: int) -> _Sectors:
 def _sector_members(stack: np.ndarray, n: int) -> np.ndarray:
     """Which matrices of a (B, N^2, N^2) stack vanish exactly between different J_z sectors.
 
-    The one decision of the sector path for arrays from outside the
-    package (state files, raw stacks), shared by the density check and the
-    functionals; the J_z block states of :class:`_SectorStates` carry it
-    from construction.  Entry (0, N^2 - 1), between the first and the last
-    sector, rejects a generic dense matrix at once; the rest are accepted
-    only if every nonzero real and imaginary part lies inside the sectors.
+    The sector decision for arrays from outside the package (state files,
+    raw stacks), made once per state when its :class:`_States` record is
+    built; a state built from its entries is one by construction.  Entry
+    (0, N^2 - 1), between the first and the last sector, rejects a generic
+    dense matrix at once; the rest are accepted only if every nonzero real
+    and imaginary part lies inside the sectors.
     """
     flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
     out = flat[:, n * n - 1] == 0
@@ -84,78 +84,112 @@ def _sector_members(stack: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _check_densities(stack, n: int) -> np.ndarray:
-    """Run the density checks on each matrix of a (B, N^2, N^2) stack; return it read-only.
+class _States:
+    """S states on C^N otimes C^N and the decisions made about them, once per state.
 
-    The NaN/Inf scan, the Hermiticity test, the trace test and the
-    smallest-eigenvalue test.  The eigenvalue test is a Cholesky certificate
-    (:func:`_eig_failed`): one stacked factorization, and an eigensolve of
-    the stack only if some factorization fails, so a valid stack is
-    validated without an eigensolve.  A stack that passes the bitwise
-    certificate :func:`linalg._exactly_hermitian`, as sampled states and
-    state files do, skips the Hermiticity tolerance test and is factored
-    in place, its diagonal shifted and written back, so no copy of a
-    matrix is made.  :func:`_check_blocks` runs once per
-    non-empty group of :func:`_sector_members`: the dense matrices as one
-    block each, the others as their J_z sector blocks.  The first failing
-    matrix raises the message of its first failing check, as if the
-    matrices were checked one after another.
+    A stack is held as ``array``; the family, Werner and isotropic states
+    as ``entries``, a picklable function that returns rho.flat[idx] of each
+    state, and no N^2 x N^2 array is built.  ``shape`` is that of the
+    (S, N^2, N^2) stack they stand for.  ``sector`` says which states
+    vanish exactly between different J_z sectors, so that rho, T_2 rho and
+    R rho are read as blocks at the ``positions`` of a :class:`linalg._Sectors`.
+    ``certified`` and ``err`` are :func:`linalg._hermitian_test` of rho.
+
+    A gated stack is decided here, without the density checks: the sector
+    scan :func:`_sector_members` and the test of each whole matrix (a
+    sector member vanishes off its J_z blocks, so its blocks have the same
+    ``err``, and they are certified whenever it is).  Entry-built states
+    are sector states by construction, and :func:`_sector_states` tests
+    their J_z blocks, the only entries they have.
+    """
+
+    __slots__ = ("n", "shape", "array", "entries", "sector", "certified", "err")
+
+    def __init__(self, n: int, size: int, array: np.ndarray | None = None, entries=None):
+        self.n, self.shape, self.array, self.entries = n, (size, n * n, n * n), array, entries
+        if array is None:
+            self.sector = np.ones(size, dtype=bool)
+        else:
+            self.sector = _sector_members(array, n)
+            self.certified, self.err = _hermitian_test([array[:, None]])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """rho.flat[idx] of each state, a C-ordered (S, len(idx)) array, for a 1-d ``idx``."""
+        if self.array is not None:
+            # np.take is C-ordered; flat[:, idx] is not, and its row sums differ with S
+            return self.array.reshape(len(self), self.shape[1] * self.shape[2]).take(idx, axis=1)
+        out = np.empty((len(self), len(idx)), dtype=np.complex128)
+        for start in range(0, len(idx), _ENTRY_CHUNK):  # the temporaries of entries stay small
+            out[:, start:start + _ENTRY_CHUNK] = self.entries(idx[start:start + _ENTRY_CHUNK])
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The (S', N^2, N^2) stack of the members that are not sector states."""
+        return self.array if not self.sector.any() else self.array[~self.sector]
+
+    def blocks(self, sectors: _Sectors) -> list[np.ndarray]:
+        """The (S', nb, k, k) block arrays of the sector members that ``sectors`` reads from rho."""
+        values = self.take(sectors.positions)
+        return sectors.split(values if self.sector.all() else values[self.sector])
+
+    def matrices(self) -> np.ndarray:
+        """The read-only (S, N^2, N^2) stack of entry-built states: the entries inside the sectors."""
+        inside = _density_sectors(self.n).positions
+        m = np.zeros(self.shape, dtype=np.complex128)
+        m.reshape(len(self), self.shape[1] * self.shape[2])[:, inside] = self.take(inside)
+        m.setflags(write=False)
+        return m
+
+
+def _check_densities(stack, n: int) -> _States:
+    """Run the density checks on each matrix of a (B, N^2, N^2) stack; return its decided record.
+
+    The NaN/Inf scan of :func:`linalg.as_complex_stack`, the record's
+    decisions, then :func:`_validate` with the traces of the matrices.  The
+    stack, held by the record, is made read-only.
     """
     a = as_complex_stack(stack, (n * n, n * n))
-    failed = _trace_failed(np.trace(a, axis1=1, axis2=2))
-    sector = _sector_members(a, n)
-    whole = ~sector
-    if whole.any():
-        failed[0, whole], failed[2, whole] = _check_blocks(
-            [(a if whole.all() else a[whole])[:, None]], failed[1, whole])
-    if sector.any():
-        failed[0, sector], failed[2, sector] = _check_blocks(
-            _density_sectors(n).blocks(a, np.flatnonzero(sector)), failed[1, sector])
-    _raise_first(failed)
+    states = _validate(_States(n, len(a), array=a), np.trace(a, axis1=1, axis2=2))
     a.setflags(write=False)
-    return a
+    return states
 
 
-def _trace_failed(tr: np.ndarray) -> np.ndarray:
-    """The (checks, B) failure table of a stack with traces ``tr``, its trace row filled in."""
-    failed = np.zeros((len(_DENSITY_CHECKS), len(tr)), dtype=bool)
+def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _States:
+    """The Hermiticity, trace and smallest-eigenvalue tests of a decided record with traces ``tr``.
+
+    The Hermiticity test reads the record's ``err``.  The eigenvalue test,
+    a Cholesky certificate (:func:`_eig_failed`), factors the members that
+    passed the other two: the dense ones as one block each, the sector ones
+    as their J_z ``blocks`` (gathered here unless given).  A group whose
+    tested members are all ``certified`` is not symmetrised, and tested
+    whole it is factored in place.  The first failing state raises the
+    message of its first failing check, as if checked one after another.
+    """
+    groups = []
+    if not states.sector.all():
+        groups.append((~states.sector, [states.dense()[:, None]]))
+    if states.sector.any():
+        groups.append((states.sector, states.blocks(_density_sectors(states.n))
+                       if blocks is None else blocks))
+    failed = np.zeros((len(_DENSITY_CHECKS), len(states)), dtype=bool)
+    failed[0] = states.err > _HERM_TOL
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
-    return failed
-
-
-def _raise_first(failed: np.ndarray) -> None:
-    """Raise the message of the first failing check of the first failing state, if any."""
+    ok = ~(failed[0] | failed[1])
+    for members, blocks in groups:
+        check = ok[members]
+        if check.any():
+            if not check.all():
+                blocks, members = [b[check] for b in blocks], members & ok
+            exact = bool(states.certified[members].all())
+            failed[2, members] = reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1)
+                                                        for b in blocks])
     if failed.any():
         first = failed.any(axis=0).argmax()
         raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])
-
-
-def _check_blocks(blocks: list, trace_failed: np.ndarray):
-    """The Hermiticity and smallest-eigenvalue failures of each member given by its blocks.
-
-    ``blocks`` are (S, nb, k, k) arrays, as :func:`linalg.trace_norms` takes
-    them.  :func:`linalg._hermitian_test` gives the Hermiticity error, which
-    it measures only on block arrays that are not exactly Hermitian, and
-    the bitwise certificate, which lets :func:`_eig_failed` factor a stack
-    certified whole in place.  Only the members that passed the
-    Hermiticity and trace tests get the eigenvalue test, each block array
-    as one stack.
-    """
-    certified, err = _hermitian_test(blocks)
-    exact = bool(certified.all())
-    herm_failed = err > _HERM_TOL
-    ok = ~(herm_failed | trace_failed)
-    if ok.all():
-        return herm_failed, _eig_failed_members(blocks, exact)
-    eig_failed = np.zeros(len(ok), dtype=bool)
-    if ok.any():
-        eig_failed[ok] = _eig_failed_members([b[ok] for b in blocks], exact)
-    return herm_failed, eig_failed
-
-
-def _eig_failed_members(blocks: list, exact: bool) -> np.ndarray:
-    """Has any block of each member an eigenvalue below -1e-10 (see :func:`_eig_failed`)?"""
-    return reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1) for b in blocks])
+    return states
 
 
 def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
@@ -171,8 +205,8 @@ def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
     one factorization fails; then the stacked eigensolve of sym decides as
     it would alone.  The shift goes into the diagonal of sym and is undone
     by writing the saved diagonal back, bit for bit.  ``exact`` says that
-    every matrix passed :func:`linalg._exactly_hermitian`, so sym is m bit
-    for bit and m itself takes the shift (a read-only m is copied first):
+    every matrix has the certificate of :func:`linalg._hermitian_test`, so
+    sym is m bit for bit and m itself takes the shift (a read-only m is copied first):
     for B = 1 the check then peaks at three d x d arrays, m, numpy's factor
     and its per-matrix work copy, and through sym at four.
     """
@@ -207,9 +241,11 @@ class DensityMatrix:
     stacked check that :func:`random_densities` runs: the NaN/Inf, Hermiticity
     and trace tests, then a Cholesky factorization of the Hermitian part
     shifted by 1e-10 - 1e-11 that certifies no eigenvalue lies below -1e-10.
-    Only if it fails does an eigensolve decide.  The family, Werner and
-    isotropic states are a private subclass that holds their J_z blocks
-    instead (:class:`_SectorDensity`) and builds ``matrix`` only on demand.
+    Only if it fails does an eigensolve decide.  The state keeps the
+    one-state :class:`_States` record of its check, whose stack is a view of
+    ``matrix``, so the criteria reuse its decisions.  The family, Werner and
+    isotropic states are a private subclass whose record holds their
+    entries instead (:class:`_SectorDensity`) and builds ``matrix`` only on demand.
     """
 
     n_local: int
@@ -222,10 +258,20 @@ class DensityMatrix:
             else np.array(m, dtype=np.complex128)
         if m.ndim != 2:
             raise DimensionError(f"expected a matrix, got array of ndim {m.ndim}")
-        _check_densities(m[None], n)
+        states = _check_densities(m[None], n)
         m.setflags(write=False)
         object.__setattr__(self, "n_local", n)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_states", states)
+
+    def __getstate__(self):  # matrix is a view of the record's stack, or built from its entries
+        return {"n_local": self.n_local, "_states": self._states}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        if self._states.array is not None:
+            self._states.array.setflags(write=False)
+            vars(self)["matrix"] = self._states.array[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,81 +323,44 @@ def as_matrix(rho, shape: tuple[int, int] | None = None) -> np.ndarray:
     return as_complex_matrix(rho, shape)
 
 
-class _SectorStates:
-    """S states that vanish exactly between different J_z sectors, held as their entries.
-
-    ``take(idx)`` returns rho.flat[idx] of each state as an (S, len(idx))
-    array for a 1-d ``idx``, so every block of rho, T_2 rho and R rho is filled at the
-    ``positions`` of a :class:`linalg._Sectors` and no N^2 x N^2 array is
-    built.  Being one is the sector decision: no scan of a matrix makes it.
-    ``shape`` is that of the (S, N^2, N^2) stack the states stand for.
-    """
-
-    __slots__ = ("n", "take", "shape")
-
-    def __init__(self, n: int, size: int, take):
-        self.n, self.take, self.shape = n, take, (size, n * n, n * n)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def blocks(self, sectors: _Sectors) -> list[np.ndarray]:
-        """The (S, nb, k, k) block arrays of the matrices that ``sectors`` reads from rho."""
-        return sectors.split(self.take(sectors.positions))
-
-    def matrices(self) -> np.ndarray:
-        """The read-only (S, N^2, N^2) stack: the entries inside the sectors, zero outside."""
-        inside = _density_sectors(self.n).positions
-        m = np.zeros(self.shape, dtype=np.complex128)
-        m.reshape(len(self), -1)[:, inside] = self.take(inside)
-        m.setflags(write=False)
-        return m
-
-
-def _sector_states(n: int, size: int, entries) -> _SectorStates:
+def _sector_states(n: int, size: int, entries) -> _States:
     """The ``size`` states whose rho.flat[idx] are the rows of ``entries(idx)``, validated as one stack.
 
-    The trace test on the diagonal entries and :func:`_check_blocks` on the
-    J_z blocks, with the precedence and messages of :func:`_check_densities`.
+    Their J_z blocks are all the entries they have: the record is decided on
+    them, and :func:`_validate` tests them, with the traces summed from the
+    diagonal entries.
     """
-    def take(idx):  # a chunk at a time, so the temporaries of entries stay small at large N
-        out = np.empty((size, len(idx)), dtype=np.complex128)
-        for start in range(0, len(idx), _ENTRY_CHUNK):
-            out[:, start:start + _ENTRY_CHUNK] = entries(idx[start:start + _ENTRY_CHUNK])
-        return out
-
-    states = _SectorStates(n, size, take)
+    states = _States(n, size, entries=entries)
+    blocks = states.blocks(_density_sectors(n))
+    states.certified, states.err = _hermitian_test(blocks)
     n2 = n * n
-    failed = _trace_failed(states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1))
-    failed[0], failed[2] = _check_blocks(states.blocks(_density_sectors(n)), failed[1])
-    _raise_first(failed)
-    return states
+    return _validate(states, states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1), blocks)
 
 
 class _SectorDensity(DensityMatrix):
-    """A validated DensityMatrix that commutes with J_z, held as its one-state :class:`_SectorStates`.
+    """A validated DensityMatrix that commutes with J_z, held as the entries of its :class:`_States`.
 
-    The criteria read its blocks through ``sectors``; ``matrix`` is
+    The criteria read its blocks through its record; ``matrix`` is
     materialized, read-only, only when a caller asks for it.
     """
 
-    def __init__(self, sectors: _SectorStates):
-        object.__setattr__(self, "n_local", sectors.n)
-        object.__setattr__(self, "sectors", sectors)
+    def __init__(self, states: _States):
+        object.__setattr__(self, "n_local", states.n)
+        object.__setattr__(self, "_states", states)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.sectors.matrices()[0]
+        return self._states.matrices()[0]
 
     def __repr__(self) -> str:  # the dataclass repr would build the matrix
         return f"DensityMatrix(n_local={self.n_local}, matrix=<its J_z blocks>)"
 
 
-def _as_stack(rho, shape: tuple[int, int]):
-    """A state as a stack of one for the criteria: a J_z block state as its sectors, else (1, d, d)."""
-    if isinstance(rho, _SectorDensity):
-        return _check_shape(rho.sectors, shape)
-    return as_matrix(rho, shape)[None]
+def _as_states(rho, n: int) -> _States:
+    """A state as a record of one for the criteria: a DensityMatrix's own, else a gated matrix's."""
+    if isinstance(rho, DensityMatrix):
+        return _check_shape(rho._states, (n * n, n * n))
+    return _States(n, 1, array=as_matrix(rho, (n * n, n * n))[None])
 
 
 # The entries of the structured states at flat positions idx: the arithmetic
@@ -405,7 +414,7 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
     return _SectorDensity(_family_states(sys, (lam,)))
 
 
-def _family_states(sys: CoupledSpinSystem, lams) -> _SectorStates:
+def _family_states(sys: CoupledSpinSystem, lams) -> _States:
     """The family states at each lam, validated as one stack; state k is ``family_state(sys, lams[k])``."""
     for lam in lams:
         if not 0 <= lam <= 1:
@@ -465,7 +474,7 @@ def random_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:
 
     Matrix k is bit-equal to ``random_density(sys, rank, seeds[k]).matrix``.
     """
-    return _check_densities(_sample_densities(sys, rank, seeds), sys.n)
+    return _check_densities(_sample_densities(sys, rank, seeds), sys.n).array
 
 
 def random_density(sys: CoupledSpinSystem, rank: int, seed) -> DensityMatrix:

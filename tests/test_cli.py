@@ -125,7 +125,8 @@ class TestFamilyCommand:
 
     def test_two_trace_norms_per_sweep(self, monkeypatch, tmp_path):
         # the grid is one stack at N = 4: one stacked trace-norm call per functional
-        calls = count_calls(monkeypatch, "trace_norms")
+        # (every trace norm, through trace_norms or not, runs the spectrum kernel once)
+        calls = count_calls(monkeypatch, "_spectral_norms")
         assert main(["family", "--steps", "3", "--out", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 2
 
@@ -306,10 +307,20 @@ class TestBoundsCommand:
         assert keys == BOUNDS_KEYS | ({"f_witness_optimized"} if optimize else set())
         assert len(keys) == 13 + optimize
 
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_one_sector_scan_per_report(self, tmp_path, sys4, monkeypatch, capsys, structured):
+        # the state's record is decided when the file is validated, and the
+        # criteria read it: the sector scan runs once, for a dense or a family file
+        path = tmp_path / "rho.json"
+        save_state(path, family_state(sys4, 0.3) if structured else random_density(sys4, 5, 2))
+        scans = count_calls(monkeypatch, "_sector_members", entbound.states)
+        assert main(["bounds", str(path)]) == 0
+        assert len(scans) == 1
+
     def test_two_trace_norms_per_report(self, tmp_path, sys4, monkeypatch, capsys):
         path = tmp_path / "rho.json"
         save_state(path, family_state(sys4, 0.3))
-        calls = count_calls(monkeypatch, "trace_norms")
+        calls = count_calls(monkeypatch, "_spectral_norms")
         assert main(["bounds", str(path)]) == 0
         assert len(calls) == 2
 
@@ -425,15 +436,23 @@ class TestSurveyCommand:
         # when it is validated, and its functionals take two stacked trace norms
         stack_scans = count_calls(monkeypatch, "as_complex_stack")
         matrix_scans = count_calls(monkeypatch, "as_complex_matrix")
-        norms = count_calls(monkeypatch, "trace_norms")
+        norms = count_calls(monkeypatch, "_spectral_norms")
         assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
 
+    def test_one_sector_scan_per_dense_chunk(self, monkeypatch, tmp_path):
+        # three dense chunks are scanned once each; the family chunk is built
+        # from its entries and is never scanned
+        scans = count_calls(monkeypatch, "_sector_members", entbound.states)
+        assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(scans) == 3
+
     def test_family_chunk_is_validated_as_one_stack(self, monkeypatch, tmp_path):
         # the five family states are one more chunk: one check, two trace-norm calls
-        checks = count_calls(monkeypatch, "_check_blocks", entbound.states)
-        norms = count_calls(monkeypatch, "trace_norms")
+        checks = count_calls(monkeypatch, "_validate", entbound.states)
+        norms = count_calls(monkeypatch, "_spectral_norms")
         assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(checks), len(norms)) == (4, 2 * 4)
@@ -554,8 +573,8 @@ class TestHermiticityCertificate:
         assert capsys.readouterr() == certified
 
     def test_valid_survey_is_certified_throughout(self, monkeypatch, tmp_path):
-        # every sampled and family state passes the certificate, and so do its
-        # T_2 and J_z blocks; only the real forms C of R, not symmetric, fail it
+        # every sampled and family state passes the certificate, and so do the
+        # J_z blocks of R; only the real forms C of R, not symmetric, fail it
         results = []
         test = entbound.linalg._hermitian_test
 
@@ -564,12 +583,13 @@ class TestHermiticityCertificate:
             results.append((np.iscomplexobj(blocks[0]), bool(certified.all())))
             return certified, err
 
-        for module in (entbound.linalg, entbound.states, entbound.criteria):
+        for module in (entbound.linalg, entbound.states):
             monkeypatch.setattr(module, "_hermitian_test", spy)
         assert main(["survey", "--n", "6", "--rank", "12", "--samples", "20", "--seed", "2",
                      "--include-family", "--out", str(tmp_path / "s.csv")]) == 0
-        # the family chunk: check, T_2, R; two dense chunks: check, T_2, R's rho and C
-        assert len(results) == 3 + 2 * 4
+        # the family chunk: rho's blocks and R's; two dense chunks: rho and C.
+        # T_2 rho takes the test of rho, and R's route reads it from the record
+        assert len(results) == 2 + 2 * 2
         assert all(certified == is_complex for is_complex, certified in results)
 
 

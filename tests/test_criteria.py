@@ -450,7 +450,8 @@ class TestSectorPath:
         for rho in self.sector_states(n):
             stack = rho.matrix[None]
             assert _sector_members(stack, n)[0]
-            blocks = _density_sectors(n).blocks(stack, np.array([0]))
+            sectors = _density_sectors(n)
+            blocks = sectors.split(stack.reshape(1, -1)[:, sectors.positions])
             smallest = _block_spectra(blocks, np.array([True])).min()
             v = evaluate_criteria(rho, sys_)
             got = (smallest, v.trace_norm_T2, v.trace_norm_R)
@@ -498,7 +499,7 @@ class TestSectorPath:
         sys_ = coupled_system(n)
         family = family_state(sys_, 0.3).matrix
         gathered = []
-        monkeypatch.setattr(_Sectors, "blocks", counted(_Sectors.blocks, gathered))
+        monkeypatch.setattr(_Sectors, "split", counted(_Sectors.split, gathered))
         for entry, sector in ((1e-300j, False), (complex(-0.0, -0.0), True)):
             m = family.copy()
             m[position], m[position[::-1]] = entry, np.conj(entry)

@@ -3,10 +3,13 @@ import contextlib
 import numpy as np
 import pytest
 
-from entbound import DensityMatrix, DimensionError, coupled_system, functionals, random_density
-from entbound.linalg import _exactly_hermitian, hermitian_mask, trace_norms
-from entbound.states import _check_densities
-from helpers import one_block, tolerance_path
+from entbound import (DensityMatrix, DimensionError, coupled_system, family_state, functionals,
+                      random_density)
+from entbound.criteria import _partial_transposes, _sectors
+from entbound.linalg import (_hermitian_test, _Sectors, _within_tolerance, hermitian_mask,
+                             trace_norms)
+from entbound.states import _check_densities, _density_sectors, _States
+from helpers import exactly_hermitian, one_block, tolerance_path
 
 
 def norm(m):
@@ -154,6 +157,10 @@ def skew_1e13(m, i, j):
     m[i, j] += 1e-13
 
 
+def huge_pair(m, i, j):
+    m[i, j] = m[j, i] = 2.0 ** 1023
+
+
 def nan_entry(m, i, j):
     m[i, j] = complex(np.nan, 0.0)
 
@@ -199,10 +206,10 @@ class TestExactHermiticityCertificate:
         edit(m, *smallest_pair(m))
         # the certificate decides member by member, in a stack with exact members
         stack = np.stack([base, m, base.T])
-        assert _exactly_hermitian(one_block(stack)).tolist() == [True, certified, True]
+        assert exactly_hermitian(one_block(stack)).tolist() == [True, certified, True]
         sys_ = coupled_system(n)
-        for f, args in ((_check_densities, (stack, n)), (functionals, (stack, sys_)),
-                        (functionals, (m[None], sys_)),
+        for f, args in ((lambda s, n: _check_densities(s, n).array, (stack, n)),
+                        (functionals, (stack, sys_)), (functionals, (m[None], sys_)),
                         (lambda a: DensityMatrix(n, a).matrix, (m,))):
             got = outcome(f, *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
             with tolerance_path():
@@ -223,21 +230,76 @@ class TestExactHermiticityCertificate:
         with pytest.raises(ValueError, match=f"^{message}$"):
             DensityMatrix(n, m)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("edge", sorted(EDGES) + ["2^1023 pair"])
+    @pytest.mark.parametrize("kind", ["dense", "sector"])
+    def test_partial_transpose_keeps_the_test_of_rho(self, n, edge, kind):
+        # T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag) entry for entry, so the
+        # blocks of T_2 rho get the certificate, the error and the tolerance
+        # mask of the blocks of rho, bit for bit; the criteria rely on it
+        if kind == "dense":
+            m = edge_base(n)
+            i, j = smallest_pair(m)
+        else:  # the family state, edited inside one J_z sector
+            m = family_state(coupled_system(n), 0.3).matrix.copy()
+            i, j = 1, n  # (a, b) = (0, 1) and (1, 0), both of label 1
+        edit = EDGES[edge][0] if edge in EDGES else huge_pair
+        edit(m, i, j)
+        if kind == "dense":
+            rho_blocks, t2_blocks = one_block(m[None]), one_block(_partial_transposes(m[None], n))
+        else:
+            flat = m.reshape(1, -1)
+            rho_blocks, t2_blocks = (sectors.split(flat[:, sectors.positions])
+                                     for sectors in (_density_sectors(n), _sectors(n)[0]))
+        test, t2_test = _hermitian_test(rho_blocks), _hermitian_test(t2_blocks)
+        assert_same(t2_test, test)
+        assert_same(_within_tolerance(t2_blocks, t2_test[1]), _within_tolerance(rho_blocks, test[1]))
+        # the record tests rho whole, and a sector state vanishes off its blocks
+        states = _States(n, 1, array=m[None])
+        assert states.sector.tolist() == [kind == "sector"]
+        assert_same((states.certified, states.err), test)
+        if edge in EDGES:  # the functionals read that decision: the bits of the tolerance path,
+            got = functionals(m[None], coupled_system(n))  # and of T_2 rho tested on its own
+            assert_same(got[0], trace_norms(t2_blocks))
+            with tolerance_path():
+                assert_same(got, functionals(m[None], coupled_system(n)))
+
     def test_entries_where_doubling_overflows_are_not_certified(self):
         # (x + x) / 2 is inf for x >= 2^1023, so such a member takes the tolerance path
         for x, certified in ((2.0 ** 1022, True), (2.0 ** 1023, False), (-(2.0 ** 1023), False)):
             m = np.diag([x, 1.0])
-            assert _exactly_hermitian(one_block(m[None])).tolist() == [certified]
-            assert _exactly_hermitian(one_block(m[None].astype(complex))).tolist() == [certified]
+            assert exactly_hermitian(one_block(m[None])).tolist() == [certified]
+            assert exactly_hermitian(one_block(m[None].astype(complex))).tolist() == [certified]
 
     def test_real_and_strided_members(self):
         rng = np.random.default_rng(3)
         h = rand_hermitian(rng, 5)
         # real members: a symmetric and an antisymmetric one
-        assert _exactly_hermitian(one_block(np.stack([h.real, h.imag]))).tolist() == [True, False]
+        assert exactly_hermitian(one_block(np.stack([h.real, h.imag]))).tolist() == [True, False]
         both = np.stack([h, 1j * h])  # 1j h is anti-Hermitian
-        assert _exactly_hermitian(one_block(both)).tolist() == [True, False]
+        assert exactly_hermitian(one_block(both)).tolist() == [True, False]
         # the real parts of a complex stack, a strided view
-        assert _exactly_hermitian(one_block(both.real)).tolist() == [True, False]
+        assert exactly_hermitian(one_block(both.real)).tolist() == [True, False]
         # transposed views, whose rows are not contiguous: h^T = conj(h) is Hermitian too
-        assert _exactly_hermitian(one_block(both.swapaxes(1, 2))).tolist() == [True, False]
+        assert exactly_hermitian(one_block(both.swapaxes(1, 2))).tolist() == [True, False]
+
+
+class TestSectorPositions:
+    """The cached J_z position maps are uint32 while the largest position fits."""
+
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_state_maps_are_uint32(self, n):
+        for sectors in (_density_sectors(n), *_sectors(n)):
+            assert sectors.positions.dtype == np.uint32
+            assert int(sectors.positions.max()) <= n ** 4 - 1
+
+    def test_largest_uint32_position_stays_uint32(self):
+        sectors = _Sectors(np.array([0, 0]), lambda i, j: (2 * i + j) * (2 ** 32 - 1) // 3)
+        assert sectors.positions.dtype == np.uint32
+        assert sectors.positions.tolist() == [0, 1431655765, 2863311530, 2 ** 32 - 1]
+
+    def test_position_beyond_uint32_stays_int64(self):
+        sectors = _Sectors(np.array([0, 1, 1]), lambda i, j: i * 2 ** 32 + j)
+        assert sectors.positions.dtype == np.int64
+        big = 2 ** 32
+        assert sectors.positions.tolist() == [0, big + 1, big + 2, 2 * big + 1, 2 * big + 2]

@@ -1,10 +1,13 @@
 import json
+import pickle
 import tracemalloc
 import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
+
+from dataclasses import astuple
 
 from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       concurrence_pure, coupled_system, eof_pure,
@@ -381,11 +384,34 @@ class TestJzBlockStates:
             assert (v.trace_norm_T2, v.trace_norm_R) == (t2[0], rn[0])
             assert v.witness_value == wval[0]
 
+    @pytest.mark.parametrize("make", [lambda s: family_state(s, 0.3), werner_state,
+                                      lambda s: isotropic_state(s, 0.4)])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_pickle_round_trip_keeps_the_blocks(self, make, n):
+        sys_ = coupled_system(n)
+        state = make(sys_)
+        back = pickle.loads(pickle.dumps(state))
+        assert type(back) is type(state) and "matrix" not in vars(back)
+        ref = evaluate_criteria(state, sys_)
+        got = evaluate_criteria(back, sys_)
+        assert np.array(astuple(got)).tobytes() == np.array(astuple(ref)).tobytes()
+        assert "matrix" not in vars(back)  # the criteria read the unpickled blocks
+        assert back.matrix.tobytes() == state.matrix.tobytes() and not back.matrix.flags.writeable
+        # a state whose matrix was read is still pickled as its blocks
+        assert "matrix" not in vars(pickle.loads(pickle.dumps(state)))
+
+    def test_pickle_round_trip_of_a_dense_state(self, sys4):
+        state = random_density(sys4, 5, 3)
+        data = pickle.dumps(state)
+        assert len(data) < 1.5 * state.matrix.nbytes  # the matrix is pickled once
+        back = pickle.loads(data)
+        assert back.matrix.tobytes() == state.matrix.tobytes() and not back.matrix.flags.writeable
+        assert evaluate_criteria(back, sys4) == evaluate_criteria(state, sys4)
+
     def test_matrix_is_built_only_on_demand(self, sys4, monkeypatch):
         scans = []
-        for module in (states, criteria):
-            monkeypatch.setattr(module, "_sector_members",
-                                lambda *args: scans.append(1) or _sector_members(*args))
+        monkeypatch.setattr(states, "_sector_members",
+                            lambda *args: scans.append(1) or _sector_members(*args))
         state = family_state(sys4, 0.3)
         evaluate_criteria(state, sys4)
         assert "matrix" not in vars(state) and not scans
