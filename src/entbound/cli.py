@@ -52,8 +52,8 @@ SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 # O(N^6).  The family states are built, validated and trace-normed as their
 # J_z blocks and never as a dense matrix, O(N^4) work and memory, so family
 # and verify appendixB|figures accept N up to MAX_SECTOR_N instead: a family
-# row takes about 0.1 s at N = 64, 0.7 s at N = 128 and 6 s (480 MB peak RSS)
-# at N = 256
+# row takes about 0.1 s at N = 64, 0.5 s at N = 128 and 4 s at N = 256, where
+# family --n 256 --steps 2 peaks at about 355 MB RSS (2 vCPU, OpenBLAS)
 MAX_STATE_DIM = 4096
 MAX_SECTOR_N = 256
 

@@ -72,20 +72,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def hermitian_mask(blocks) -> np.ndarray:
+def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
     """Is ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), for each member M given by its ``blocks``?
 
-    ``blocks`` is a list of (S, nb, k, k) arrays, the diagonal blocks of S
-    members (see :func:`trace_norms`).  ||M||_max is taken over all blocks of
-    a member, and only if some error exceeds 1e-12.  :func:`_spectral_norms`
-    runs this test only when some member fails the bitwise certificate of
-    :func:`_hermitian_test`, which implies it.
+    ``err`` is ||M - M^dag||_max of each member (:func:`_hermitian_test`,
+    whose certificate implies this test); ||M||_max is taken over all blocks
+    of a member, and only if some error exceeds 1e-12.
     """
-    return _within_tolerance(blocks, _hermitian_test(blocks)[1])
-
-
-def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_mask`, given ||M - M^dag||_max of each member (:func:`_hermitian_test`)."""
     ok = err <= 1e-12
     if np.all(ok):
         return ok
@@ -163,12 +156,13 @@ def trace_norms(blocks) -> np.ndarray:
 def _spectral_norms(blocks, certified: np.ndarray, err: np.ndarray) -> np.ndarray:
     """The trace norms of :func:`trace_norms`, given :func:`_hermitian_test` of the members.
 
-    The (numerically) Hermitian members go through Hermitian eigensolves
-    (the sum of absolute eigenvalues), the rest through SVDs: one stacked
-    call per kind and block size.  When every member is ``certified``, the
-    eigensolve gets the blocks as they are; otherwise
-    :func:`_within_tolerance` decides and the eigensolve gets
-    (M + M^dag) / 2, which is M itself, bit for bit, for a certified
+    The spectrum kernel.  The (numerically) Hermitian members go through
+    Hermitian eigensolves (the sum of absolute eigenvalues), the rest
+    through SVDs: one stacked call per kind and block size, with no masked
+    copy for a block array whose members are all of one kind.  When every
+    member is ``certified``, the eigensolve gets the blocks as they are;
+    otherwise :func:`_within_tolerance` decides and the eigensolve gets the
+    :func:`_hermitian_part`, which is M itself, bit for bit, for a certified
     member.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd), about
     half the cost of the complex ones.  Both kinds keep absolute accuracy
     of order eps * ||M|| even for singular values at zero; squaring the
@@ -178,34 +172,23 @@ def _spectral_norms(blocks, certified: np.ndarray, err: np.ndarray) -> np.ndarra
     """
     exact = bool(certified.all())
     herm = certified if exact else _within_tolerance(blocks, err)
-    return np.abs(_block_spectra(blocks, herm, exact)).sum(axis=-1)
+    spectra = []
+    for b in blocks:
+        if herm.all():
+            s = np.linalg.eigvalsh(_hermitian_part(b, exact))
+        elif not herm.any():
+            s = np.linalg.svd(b, compute_uv=False)
+        else:
+            s = np.empty(b.shape[:-1])
+            s[herm] = np.linalg.eigvalsh(_hermitian_part(b[herm], False))
+            s[~herm] = np.linalg.svd(b[~herm], compute_uv=False)
+        spectra.append(s.reshape(len(b), -1))
+    return np.abs(np.concatenate(spectra, axis=1)).sum(axis=-1)
 
 
-def _spectra(m: np.ndarray, herm: np.ndarray, exact: bool = False) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of each m[k] where herm[k] holds, else singular values.
-
-    ``m`` holds matrices along its last two axes, member k at ``m[k]``: one
-    stacked eigensolve and one stacked SVD at most.  ``exact`` says that
-    each matrix is its own Hermitian part bit for bit, so none is symmetrised.
-    """
-    if herm.all():
-        return np.linalg.eigvalsh(m if exact else (m + dagger(m)) / 2)
-    if not herm.any():
-        return np.linalg.svd(m, compute_uv=False)
-    out = np.empty(m.shape[:-1])
-    out[herm] = _spectra(m[herm], herm[herm])
-    out[~herm] = _spectra(m[~herm], herm[~herm])
-    return out
-
-
-def _block_spectra(blocks, herm: np.ndarray, exact: bool = False) -> np.ndarray:
-    """The :func:`_spectra` of each member given by its blocks, as a (S, d) array.
-
-    The blocks of one size are one LAPACK call per kind, and each row is
-    laid out in the same order whatever S is, so a row sum or minimum does
-    not depend on the other members.
-    """
-    return np.concatenate([_spectra(b, herm, exact).reshape(len(b), -1) for b in blocks], axis=1)
+def _hermitian_part(m: np.ndarray, exact: bool) -> np.ndarray:
+    """(m + m^dag) / 2 of each matrix, or ``m`` itself where ``exact`` says that is the same bits."""
+    return m if exact else (m + dagger(m)) / 2
 
 
 class _Sectors:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, count
 
 import numpy as np
 
-from .linalg import (DimensionError, _check_shape, _hermitian_test, _is_integer, _Sectors,
-                     as_complex_matrix, as_complex_stack, dagger)
+from .linalg import (DimensionError, _check_shape, _hermitian_part, _hermitian_test, _is_integer,
+                     _Sectors, as_complex_matrix, as_complex_stack, dagger)
 from .spinspace import CoupledSpinSystem
 
 _HERM_TOL = 1e-10
@@ -193,43 +193,47 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
 
 
 def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
-    """Has the Hermitian part of each matrix of a (..., k, k) stack an eigenvalue below -1e-10?
+    """Has the Hermitian part of each block of an (S, nb, k, k) array an eigenvalue below -1e-10?
 
     A Cholesky certificate decides the common case without an eigensolve.
-    With sym = (m + m^dag) / 2 and delta = 1e-11, one stacked factorization
-    of sym + (1e-10 - delta) I succeeds only if every smallest eigenvalue of
-    sym exceeds -1e-10 + delta less the backward error of the factorization,
-    of order k * eps * ||sym|| (about 1e-12 for a trace-1 matrix with
-    k <= 4096).  So a success means no matrix fails, and it never passes a
-    matrix that the eigensolve rejects.  numpy raises for the whole stack if
-    one factorization fails; then the stacked eigensolve of sym decides as
-    it would alone.  The shift goes into the diagonal of sym and is undone
-    by writing the saved diagonal back, bit for bit.  ``exact`` says that
+    With sym = :func:`linalg._hermitian_part` of m and delta = 1e-11, one
+    stacked factorization of sym + (1e-10 - delta) I succeeds only if every
+    smallest eigenvalue of sym exceeds -1e-10 + delta less the backward
+    error of the factorization, of order k * eps * ||sym|| (about 1e-12 for
+    a trace-1 matrix with k <= 4096).  So a success means no matrix fails,
+    and it never passes a matrix that the eigensolve rejects.  numpy raises
+    for the whole stack if one factorization fails; then the stacked
+    eigensolve of sym decides as it would alone.  The shift goes into the
+    diagonal of sym and is undone by writing the saved diagonal back, bit
+    for bit.  A sym that overflowed (m has an entry from 2^1023 up) fails
+    untested: a Hermitian matrix of trace 1 +- 1e-10 with no eigenvalue
+    below -1e-10 has no entry above 1 + k * 1e-10.  ``exact`` says that
     every matrix has the certificate of :func:`linalg._hermitian_test`, so
-    sym is m bit for bit and m itself takes the shift (a read-only m is copied first):
-    for B = 1 the check then peaks at three d x d arrays, m, numpy's factor
-    and its per-matrix work copy, and through sym at four.
+    sym is m bit for bit and m itself takes the shift (a read-only m is
+    copied first): for B = 1 the check then peaks at three d x d arrays, m,
+    numpy's factor and its per-matrix work copy, and through sym at four.
     """
-    if not exact:
-        m = (m + dagger(m)) / 2
-    elif not m.flags.writeable:
+    if exact and not m.flags.writeable:
         m = m.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _hermitian_part(m, exact)
+    failed = np.zeros(m.shape[:-2], dtype=bool) if exact else ~np.isfinite(m).all(axis=(-2, -1))
+    if failed.any():
+        m = m[~failed]
     i = np.arange(m.shape[-1])
     diagonal = m[..., i, i]
     m[..., i, i] += _EIG_TOL - _CERT_MARGIN
     try:
         np.linalg.cholesky(m)
-        factored = True
     except np.linalg.LinAlgError:
-        factored = False
+        m[..., i, i] = diagonal  # the eigensolve reads sym unshifted
+        failed[~failed] = (np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL).ravel()
     finally:
         m[..., i, i] = diagonal
-    if factored:
-        return np.zeros(m.shape[:-2], dtype=bool)
-    return np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL
+    return failed
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DensityMatrix:
     """Validated bipartite density matrix on C^N otimes C^N.
 
@@ -243,9 +247,10 @@ class DensityMatrix:
     shifted by 1e-10 - 1e-11 that certifies no eigenvalue lies below -1e-10.
     Only if it fails does an eigensolve decide.  The state keeps the
     one-state :class:`_States` record of its check, whose stack is a view of
-    ``matrix``, so the criteria reuse its decisions.  The family, Werner and
-    isotropic states are a private subclass whose record holds their
-    entries instead (:class:`_SectorDensity`) and builds ``matrix`` only on demand.
+    ``matrix``, so the criteria reuse its decisions.  The record of a family,
+    Werner or isotropic state holds its entries instead, and ``matrix`` is
+    built, read-only, when it is first read (:func:`dataclasses.replace`
+    reads it, and gives a state checked as a dense one).
     """
 
     n_local: int
@@ -263,6 +268,16 @@ class DensityMatrix:
         object.__setattr__(self, "n_local", n)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_states", states)
+
+    def __getattr__(self, name):  # the matrix of a state whose record holds its entries
+        if name != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = vars(self)["matrix"] = self._states.matrices()[0]
+        return m
+
+    def __repr__(self) -> str:  # the matrix is not built to be shown
+        matrix = "<its J_z blocks>" if self._states.array is None else repr(self.matrix)
+        return f"DensityMatrix(n_local={self.n_local}, matrix={matrix})"
 
     def __getstate__(self):  # matrix is a view of the record's stack, or built from its entries
         return {"n_local": self.n_local, "_states": self._states}
@@ -337,23 +352,11 @@ def _sector_states(n: int, size: int, entries) -> _States:
     return _validate(states, states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1), blocks)
 
 
-class _SectorDensity(DensityMatrix):
-    """A validated DensityMatrix that commutes with J_z, held as the entries of its :class:`_States`.
-
-    The criteria read its blocks through its record; ``matrix`` is
-    materialized, read-only, only when a caller asks for it.
-    """
-
-    def __init__(self, states: _States):
-        object.__setattr__(self, "n_local", states.n)
-        object.__setattr__(self, "_states", states)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self._states.matrices()[0]
-
-    def __repr__(self) -> str:  # the dataclass repr would build the matrix
-        return f"DensityMatrix(n_local={self.n_local}, matrix=<its J_z blocks>)"
+def _sector_density(states: _States) -> DensityMatrix:
+    """The DensityMatrix of a one-state record that holds its entries: ``matrix`` is built when read."""
+    rho = object.__new__(DensityMatrix)
+    rho.__setstate__({"n_local": states.n, "_states": states})
+    return rho
 
 
 def _as_states(rho, n: int) -> _States:
@@ -402,7 +405,7 @@ def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
     under all U otimes U, undetected by every criterion in this package.
     Built and validated as its J_z blocks, like the family and isotropic states.
     """
-    return _SectorDensity(_sector_states(sys.n, 1, partial(_werner_entries, sys)))
+    return _sector_density(_sector_states(sys.n, 1, partial(_werner_entries, sys)))
 
 
 def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
@@ -411,7 +414,7 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
     Every lam > 0 is entangled; for lam <= 1/(N+2) the state stays PPT, so
     only the witness detects it there.
     """
-    return _SectorDensity(_family_states(sys, (lam,)))
+    return _sector_density(_family_states(sys, (lam,)))
 
 
 def _family_states(sys: CoupledSpinSystem, lams) -> _States:
@@ -433,7 +436,7 @@ def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
     """
     if not 0 <= fidelity <= 1:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    return _SectorDensity(_sector_states(sys.n, 1, partial(_isotropic_entries, sys, fidelity)))
+    return _sector_density(_sector_states(sys.n, 1, partial(_isotropic_entries, sys, fidelity)))
 
 
 def random_pure(sys: CoupledSpinSystem, seed) -> PureState:

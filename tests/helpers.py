@@ -79,6 +79,11 @@ def exactly_hermitian(blocks):
     return linalg._hermitian_test(blocks)[0]
 
 
+def hermitian_mask(blocks):
+    """Is each member given by its blocks Hermitian within the tolerance of linalg._within_tolerance?"""
+    return linalg._within_tolerance(blocks, linalg._hermitian_test(blocks)[1])
+
+
 def tolerance_path():
     """A context in which the exact-Hermiticity certificate passes no member.
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,18 @@ class TestBoundsCommand:
                    for i in range(16)]
         path.write_text(json.dumps({"n_local": 4, "matrix": entries}))
         assert main(["bounds", str(path)]) == 1
+
+    def test_entry_where_symmetrising_overflows_gives_one_line(self, tmp_path, capsys):
+        # (rho + rho^dag) / 2 overflows from 2^1023 up: the density check
+        # rejects the state, with no numpy warning and no LAPACK error
+        entries = [[[1 / 16 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
+        entries[0][1] = entries[1][0] = [2.0 ** 1023, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n_local": 4, "matrix": entries}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", str(path)]) == 1
+        assert capsys.readouterr().err == "error: density matrix has an eigenvalue below -1e-10\n"
 
     def test_missing_file(self):
         assert main(["bounds", "/no/such/file.json"]) == 1

@@ -6,10 +6,9 @@ import pytest
 from entbound import (DensityMatrix, DimensionError, coupled_system, family_state, functionals,
                       random_density)
 from entbound.criteria import _partial_transposes, _sectors
-from entbound.linalg import (_hermitian_test, _Sectors, _within_tolerance, hermitian_mask,
-                             trace_norms)
+from entbound.linalg import _hermitian_test, _Sectors, _within_tolerance, trace_norms
 from entbound.states import _check_densities, _density_sectors, _States
-from helpers import exactly_hermitian, one_block, tolerance_path
+from helpers import exactly_hermitian, hermitian_mask, one_block, tolerance_path
 
 
 def norm(m):
@@ -56,7 +55,7 @@ class TestTraceNorm:
         with pytest.raises(DimensionError):
             trace_norms(one_block(np.ones((2, 3))[None]))
 
-    def test_stack_gives_each_matrix_its_own_bits(self):
+    def test_stack_gives_each_matrix_its_own_bits(self, monkeypatch):
         # a mixed stack: Hermitian members take the eigensolve, the rest the SVD
         rng = np.random.default_rng(14)
         mats = [rand_hermitian(rng, 6), rand_complex(rng, 6, 6), rand_complex(rng, 6, 6),
@@ -65,6 +64,37 @@ class TestTraceNorm:
         assert got.tolist() == [norm(m) for m in mats]
         pair = one_block(np.stack(mats[:1] + mats[3:4]))
         assert trace_norms(pair).tolist() == got[[0, 3]].tolist()
+        # members of two blocks of size 3 and one of size 4: certified, Hermitian
+        # within the tolerance, and not Hermitian
+        kinds = ["certified", "tolerance", "skew", "certified", "skew", "tolerance"]
+        small, large = [], []
+        for kind in kinds:
+            small.append(np.stack([rand_hermitian(rng, 3), rand_hermitian(rng, 3)]))
+            large.append(rand_hermitian(rng, 4)[None])
+            if kind == "tolerance":
+                large[-1][0, 0, 1] += 1e-14
+            elif kind == "skew":
+                small[-1] = small[-1] + 0.5 * rand_complex(rng, 3, 3)
+        blocks = [np.stack(small), np.stack(large)]
+        assert exactly_hermitian(blocks).tolist() == [kind == "certified" for kind in kinds]
+        assert hermitian_mask(blocks).tolist() == [kind != "skew" for kind in kinds]
+        alone = [trace_norms([b[k:k + 1] for b in blocks]) for k in range(len(kinds))]
+        calls = []
+        for name in ("eigvalsh", "svd"):
+            def spy(m, *args, name=name, kernel=getattr(np.linalg, name), **kwargs):
+                calls.append((name, m))
+                return kernel(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        # one eigensolve and one SVD per block size, and each member its own bits
+        got = trace_norms(blocks)
+        assert sorted(name for name, _ in calls) == ["eigvalsh", "eigvalsh", "svd", "svd"]
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+        # a block array of one kind goes to LAPACK as it is, without a masked copy
+        for kind, name in (("certified", "eigvalsh"), ("skew", "svd")):
+            same = [b[[k for k, other in enumerate(kinds) if other == kind]] for b in blocks]
+            calls.clear()
+            trace_norms(same)
+            assert [(called, m is b) for (called, m), b in zip(calls, same)] == [(name, True)] * 2
 
     def test_stack_rejects_non_square(self):
         with pytest.raises(DimensionError):

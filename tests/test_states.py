@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 import tracemalloc
@@ -39,11 +40,19 @@ def with_nan():
     return m
 
 
+def huge_pair(value=2.0 ** 1023):
+    """A trace-1 matrix, Hermitian bit for bit, with ``value`` at (0, 1) and its conjugate at (1, 0)."""
+    m = np.eye(16, dtype=complex) / 16
+    m[0, 1], m[1, 0] = value, np.conj(value)
+    return m
+
+
 # one invalid 16 x 16 matrix per density check, with the message it raises
 DEFECTS = {
     "non-hermitian": (non_hermitian, "density matrix is not Hermitian within 1e-10"),
     "wrong-trace": (lambda: np.eye(16) / 8, "density matrix trace differs from 1 beyond 1e-10"),
     "negative-eigenvalue": (negative_eigenvalue, "density matrix has an eigenvalue below -1e-10"),
+    "overflowing-pair": (huge_pair, "density matrix has an eigenvalue below -1e-10"),
     "nan": (with_nan, "matrix contains NaN or Inf entries"),
 }
 
@@ -155,6 +164,20 @@ class TestDensityStack:
         stack = [np.eye(16) / 16, negative_eigenvalue(), non_hermitian()]
         with pytest.raises(ValueError, match="eigenvalue below"):
             _check_densities(stack, 4)
+
+    @pytest.mark.parametrize("value", [2.0 ** 1023, -(2.0 ** 1023), 2.0 ** 1023 * 1j])
+    def test_entry_where_symmetrising_overflows_is_rejected(self, sys4, value):
+        # (m + m^dag) / 2 is inf from 2^1023 up, which a Cholesky factorization
+        # accepts; a valid state has no entry above 1 + 16e-10, so m fails the
+        # eigenvalue test, and the first failing member still decides the message
+        message = DEFECTS["negative-eigenvalue"][1]
+        stack = [random_density(sys4, 3, 1).matrix, huge_pair(value), non_hermitian()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                DensityMatrix(n_local=4, matrix=huge_pair(value))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _check_densities(stack, 4)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):
@@ -407,6 +430,17 @@ class TestJzBlockStates:
         back = pickle.loads(data)
         assert back.matrix.tobytes() == state.matrix.tobytes() and not back.matrix.flags.writeable
         assert evaluate_criteria(back, sys4) == evaluate_criteria(state, sys4)
+
+    @pytest.mark.parametrize("make", [lambda s: family_state(s, 0.3), werner_state,
+                                      lambda s: isotropic_state(s, 0.4)])
+    def test_replace_gives_a_dense_state(self, make, sys4):
+        state = make(sys4)
+        dense = dataclasses.replace(state, n_local=4)
+        assert type(dense) is DensityMatrix and "matrix" in vars(dense)
+        assert dense.matrix.tobytes() == state.matrix.tobytes() and not dense.matrix.flags.writeable
+        assert evaluate_criteria(dense, sys4) == evaluate_criteria(state, sys4)
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            dataclasses.replace(state, matrix=negative_eigenvalue())
 
     def test_matrix_is_built_only_on_demand(self, sys4, monkeypatch):
         scans = []
