@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import sys as _sys
+import textwrap
 from dataclasses import asdict, fields
 from functools import lru_cache
 from itertools import chain
@@ -229,20 +230,12 @@ def _witness_json_lines(n: int, w: np.ndarray, evals: np.ndarray):
     The record is {"n_local", "trace", "eigenvalues", "matrix": rows of
     [re, im] pairs}; only one row is ever held as text, not the whole matrix.
     """
-    def items(values, indent):  # the body of an indented JSON list
-        return ",\n".join(indent + v for v in values)
-
-    yield "{"
-    yield f'  "n_local": {n},'
-    yield f'  "trace": {_fmt(np.trace(w).real)},'
-    yield '  "eigenvalues": ['
-    yield items(map(_fmt, evals.tolist()), "    ")
-    yield "  ],"
-    yield '  "matrix": ['
+    head = json.dumps({"n_local": n, "trace": float(np.trace(w).real),
+                       "eigenvalues": evals.tolist(), "matrix": []}, indent=2)
+    yield head[:-len("]\n}")]  # up to and with '"matrix": ['
     for k, row in enumerate(w):
-        pairs = (f"[\n        {re!r},\n        {im!r}\n      ]"
-                 for re, im in zip(row.real.tolist(), row.imag.tolist()))
-        yield "    [\n" + items(pairs, "      ") + "\n    ]" + ("," if k + 1 < len(w) else "")
+        pairs = json.dumps(np.stack([row.real, row.imag], -1).tolist(), indent=2)
+        yield textwrap.indent(pairs, "    ") + ("," if k + 1 < len(w) else "")
     yield "  ]"
     yield "}"
 

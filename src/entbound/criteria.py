@@ -114,35 +114,23 @@ def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _realignment_norms(stack: np.ndarray, n: int, certified: np.ndarray,
-                       err: np.ndarray) -> np.ndarray:
+def _realignment_norms(stack: np.ndarray, n: int, err: np.ndarray) -> np.ndarray:
     """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
 
-    A Hermitian rho has a real :func:`_realignment_real_forms` C, normed as
-    a real matrix: a real eigensolve if C is symmetric, a real SVD
-    otherwise, about half the cost of the complex kernels.  The route is
-    chosen before C is built, from the Hermiticity decision of the state
-    record (``certified`` and ``err`` of rho, :class:`states._States`): a
-    stack whose matrices are all certified takes it without a scan of C.
-    Otherwise a matrix with rho = rho^dag in value (certified, or with
-    signed zeros the certificate refuses) takes it if C has no nonzero
-    imaginary entry, and any other matrix, Hermitian only within a
-    tolerance, goes to the complex kernels on :func:`_realignments` and
-    builds no C.  The choice is made per matrix, so each gets the bits it
-    gets alone.
+    The route is read from ``err``, ||rho - rho^dag||_max from the state
+    record.  A matrix with err 0 equals rho^dag in value, signed zeros
+    aside, so the imaginary parts of its :func:`_realignment_real_forms` C
+    cancel to zeros and ``C.real`` takes the real kernels, about half the
+    cost of the complex ones.  Any other matrix goes to the complex kernels
+    on :func:`_realignments` and builds no C.  Each gets the bits it gets alone.
     """
-    if certified.all():
+    real = err == 0
+    if real.all():
         return trace_norms([_realignment_real_forms(stack, n).real[:, None]])
     out = np.empty(len(stack))
-    real = err == 0  # certified, or Hermitian in value only
     if real.any():
-        c = _realignment_real_forms(stack[real], n)
-        kept = ~c.imag.any(axis=(1, 2))  # an entry from 2^1023 up can overflow C
-        real[real] = kept
-        if kept.any():
-            out[real] = trace_norms([c[kept].real[:, None]])
-    if not real.all():
-        out[~real] = trace_norms([_realignments(stack[~real], n)[:, None]])
+        out[real] = trace_norms([_realignment_real_forms(stack[real], n).real[:, None]])
+    out[~real] = trace_norms([_realignments(stack[~real], n)[:, None]])
     return out
 
 
@@ -363,9 +351,9 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     t2, rn = np.empty(len(states)), np.empty(len(states))
     if not sector.all():
         whole, dense = ~sector, states.dense()
-        test = states.certified[whole], states.err[whole]
-        t2[whole] = _spectral_norms([_partial_transposes(dense, n)[:, None]], *test)
-        rn[whole] = _realignment_norms(dense, n, *test)
+        certified, err = states.certified[whole], states.err[whole]
+        t2[whole] = _spectral_norms([_partial_transposes(dense, n)[:, None]], certified, err)
+        rn[whole] = _realignment_norms(dense, n, err)
     if sector.any():
         t2_sectors, r_sectors = _sectors(n)
         test = states.certified[sector], states.err[sector]

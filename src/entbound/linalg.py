@@ -20,7 +20,10 @@ from functools import reduce
 
 import numpy as np
 
-_DOUBLING_LIMIT = 2.0 ** 1023  # x + x overflows from here on, and (x + x) / 2 is not x
+# No real or imaginary part of a gated entry reaches this bound.  Each entry of the real
+# realignment form C = Q^dag R_0 Q is a sum of four entries of rho, halved, so C stays below
+# 2^1022, and every sum of two entries a kernel forms (rho + rho^dag, x + x, C + C^T) is finite.
+_ENTRY_LIMIT = 2.0 ** 1021
 
 
 class DimensionError(ValueError):
@@ -40,6 +43,11 @@ def _check_shape(a: np.ndarray, shape: tuple[int, int] | None) -> np.ndarray:
 
 
 def _as_complex(m, ndim: int, shape: tuple[int, int] | None) -> np.ndarray:
+    """``m`` as complex128 of ``ndim`` and ``shape``, finite and below :data:`_ENTRY_LIMIT`.
+
+    NaN/Inf is reported first.  The range is read from the maxima and
+    minima of the real and imaginary parts, views, with no temporary array.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != ndim:
         what = "a matrix" if ndim == 2 else "a stack of matrices"
@@ -47,11 +55,14 @@ def _as_complex(m, ndim: int, shape: tuple[int, int] | None) -> np.ndarray:
     _check_shape(a, shape)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
+    if not all(p.max(initial=0.0) < _ENTRY_LIMIT and p.min(initial=0.0) > -_ENTRY_LIMIT
+               for p in (a.real, a.imag)):
+        raise ValueError("matrix has a real or imaginary part of magnitude 2^1021 or more")
     return a
 
 
 def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce to a 2-d complex128 array of exact ``shape`` (if given), rejecting NaN/Inf.
+    """Coerce to a 2-d complex128 array of exact ``shape`` (if given), rejecting NaN/Inf and range.
 
     The operand gate for raw arrays, which each public function applies once;
     :func:`states.as_matrix` passes validated states without this scan.
@@ -60,7 +71,7 @@ def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 
 def as_complex_stack(m, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce to a (B, rows, cols) complex128 stack of ``shape`` matrices, rejecting NaN/Inf.
+    """Coerce to a (B, rows, cols) complex128 stack of ``shape`` matrices, rejecting bad entries.
 
     The operand gate of :func:`as_complex_matrix` for B matrices at once.
     """
@@ -95,15 +106,16 @@ def _hermitian_test(blocks) -> tuple[np.ndarray, np.ndarray]:
     entry of M - M^dag (real part Re M - Re M^T, imaginary part
     Im M + Im M^T) has all bits zero, signed zeros included (off-diagonal
     imaginary parts opposite, where two +0.0 pass and two -0.0 do not;
-    diagonal ones +0.0), and no entry reaches 2^1023, where x + x
-    overflows.  Sampled states and state files are Hermitian in this sense.
+    diagonal ones +0.0); x + x is then exact, as no entry that reaches a
+    kernel is at :data:`_ENTRY_LIMIT` or beyond.  Sampled states and state
+    files are Hermitian in this sense.
     T_2, a permutation that maps each entry of M - M^dag to one of
     T_2 M - (T_2 M)^dag, keeps both results bit for bit.  M - M^dag is
     formed one block array at a time, in one array the size of the block
     array.  A block array whose differences have all bits zero gives its
     members error 0 with no further pass, so a stack that is certified
-    whole costs one difference, its maximum bit pattern and the maximum
-    and minimum of the entries, and no reduction member by member.
+    whole costs one difference and its maximum bit pattern, and no
+    reduction member by member.
     """
     size = len(blocks[0])
     certified, err = np.ones(size, dtype=bool), np.zeros(size)
@@ -120,19 +132,7 @@ def _hermitian_test(blocks) -> tuple[np.ndarray, np.ndarray]:
             certified &= block_err == 0
             if certified.any():  # a zero error can hide a -0.0, which the certificate refuses
                 certified[certified] = bits[certified].reshape(-1, bits[0].size).max(axis=1) == 0
-    if certified.any():
-        parts = [p for b in blocks for p in _float_parts(b)]
-        if not all(p.max() < _DOUBLING_LIMIT and p.min() > -_DOUBLING_LIMIT for p in parts):
-            for p in parts:
-                certified &= np.abs(p).reshape(size, -1).max(axis=1) < _DOUBLING_LIMIT
     return certified, err
-
-
-def _float_parts(b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The entries of ``b`` as float64 arrays: a real array itself, else one view or two parts."""
-    if not np.iscomplexobj(b):
-        return (b,)
-    return (b.view(np.float64),) if b.strides[-1] == b.itemsize else (b.real, b.imag)
 
 
 def trace_norms(blocks) -> np.ndarray:
@@ -144,8 +144,9 @@ def trace_norms(blocks) -> np.ndarray:
     stack is the one-block list ``[stack[:, None]]``, a view; the
     sector-diagonal matrices of :class:`_Sectors` give one array per block
     size.  :func:`_hermitian_test`, then the kernel :func:`_spectral_norms`.
-    Nothing is scanned for NaN/Inf: the matrices come from a validated
-    state stack or one that went through :func:`as_complex_stack`.
+    Nothing is scanned for NaN/Inf or range: the matrices come from a
+    validated state stack or one that went through :func:`as_complex_stack`,
+    or are built from such entries within the bound of :data:`_ENTRY_LIMIT`.
     """
     for b in blocks:
         if b.ndim != 4 or b.shape[2] != b.shape[3]:

@@ -49,15 +49,6 @@ def _check_finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-class _Owned:
-    """A fresh array that only the library holds, handed to DensityMatrix without a copy."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 @lru_cache(maxsize=None)
 def _density_sectors(n: int) -> _Sectors:
     """The J_z sectors of a state: composite index (a, b) carries the label a + b."""
@@ -147,7 +138,7 @@ class _States:
 def _check_densities(stack, n: int) -> _States:
     """Run the density checks on each matrix of a (B, N^2, N^2) stack; return its decided record.
 
-    The NaN/Inf scan of :func:`linalg.as_complex_stack`, the record's
+    The NaN/Inf and range gate of :func:`linalg.as_complex_stack`, the record's
     decisions, then :func:`_validate` with the traces of the matrices.  The
     stack, held by the record, is made read-only.
     """
@@ -205,9 +196,10 @@ def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
     for the whole stack if one factorization fails; then the stacked
     eigensolve of sym decides as it would alone.  The shift goes into the
     diagonal of sym and is undone by writing the saved diagonal back, bit
-    for bit.  A sym that overflowed (m has an entry from 2^1023 up) fails
-    untested: a Hermitian matrix of trace 1 +- 1e-10 with no eigenvalue
-    below -1e-10 has no entry above 1 + k * 1e-10.  ``exact`` says that
+    for bit.  Every entry of m lies below the gate's bound
+    (:data:`linalg._ENTRY_LIMIT`), so sym is finite; a factorization that
+    overflows fails, by numpy's error or by a factor whose diagonal is not
+    finite, and the eigensolve scales its input.  ``exact`` says that
     every matrix has the certificate of :func:`linalg._hermitian_test`, so
     sym is m bit for bit and m itself takes the shift (a read-only m is
     copied first): for B = 1 the check then peaks at three d x d arrays, m,
@@ -215,22 +207,18 @@ def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
     """
     if exact and not m.flags.writeable:
         m = m.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _hermitian_part(m, exact)
-    failed = np.zeros(m.shape[:-2], dtype=bool) if exact else ~np.isfinite(m).all(axis=(-2, -1))
-    if failed.any():
-        m = m[~failed]
+    m = _hermitian_part(m, exact)
     i = np.arange(m.shape[-1])
     diagonal = m[..., i, i]
     m[..., i, i] += _EIG_TOL - _CERT_MARGIN
-    try:
-        np.linalg.cholesky(m)
+    try:  # OpenBLAS passes the NaN pivot of an overflowing complex |l|^2, so the diagonal is read
+        if np.isfinite(np.linalg.cholesky(m).diagonal(0, -2, -1)).all():
+            return np.zeros(m.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
-        m[..., i, i] = diagonal  # the eigensolve reads sym unshifted
-        failed[~failed] = (np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL).ravel()
+        pass
     finally:
-        m[..., i, i] = diagonal
-    return failed
+        m[..., i, i] = diagonal  # the eigensolve reads sym unshifted
+    return np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -240,14 +228,15 @@ class DensityMatrix:
     ``matrix`` is a read-only complex128 copy of the input, made before it is
     validated, so the caller cannot change a validated state through its own
     array and :func:`as_matrix` hands it on without a rescan.  The
-    constructors of this module hand over arrays they built themselves,
-    which are adopted without the copy.  Validation is the B = 1 case of the
-    stacked check that :func:`random_densities` runs: the NaN/Inf, Hermiticity
-    and trace tests, then a Cholesky factorization of the Hermitian part
-    shifted by 1e-10 - 1e-11 that certifies no eigenvalue lies below -1e-10.
+    constructors of this module wrap the record of an array they built and
+    validated (:func:`_from_record`), without the copy.  Validation is the
+    B = 1 case of the stacked check that :func:`random_densities` runs: the
+    NaN/Inf, range, Hermiticity and trace tests, then a Cholesky
+    factorization of the Hermitian part shifted by 1e-10 - 1e-11 that
+    certifies no eigenvalue lies below -1e-10.
     Only if it fails does an eigensolve decide.  The state keeps the
-    one-state :class:`_States` record of its check, whose stack is a view of
-    ``matrix``, so the criteria reuse its decisions.  The record of a family,
+    one-state :class:`_States` record of its check, and ``matrix`` is a view
+    of its stack, so the criteria reuse its decisions.  The record of a family,
     Werner or isotropic state holds its entries instead, and ``matrix`` is
     built, read-only, when it is first read (:func:`dataclasses.replace`
     reads it, and gives a state checked as a dense one).
@@ -258,16 +247,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_n_local(self.n_local)
-        m = self.matrix
-        m = np.asarray(m.array, dtype=np.complex128) if isinstance(m, _Owned) \
-            else np.array(m, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2:
             raise DimensionError(f"expected a matrix, got array of ndim {m.ndim}")
-        states = _check_densities(m[None], n)
-        m.setflags(write=False)
-        object.__setattr__(self, "n_local", n)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_states", states)
+        self.__setstate__({"n_local": n, "_states": _check_densities(m[None], n)})
 
     def __getattr__(self, name):  # the matrix of a state whose record holds its entries
         if name != "matrix":
@@ -352,8 +335,8 @@ def _sector_states(n: int, size: int, entries) -> _States:
     return _validate(states, states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1), blocks)
 
 
-def _sector_density(states: _States) -> DensityMatrix:
-    """The DensityMatrix of a one-state record that holds its entries: ``matrix`` is built when read."""
+def _from_record(states: _States) -> DensityMatrix:
+    """The DensityMatrix of a validated one-state record: ``matrix`` is a view or built when read."""
     rho = object.__new__(DensityMatrix)
     rho.__setstate__({"n_local": states.n, "_states": states})
     return rho
@@ -405,7 +388,7 @@ def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
     under all U otimes U, undetected by every criterion in this package.
     Built and validated as its J_z blocks, like the family and isotropic states.
     """
-    return _sector_density(_sector_states(sys.n, 1, partial(_werner_entries, sys)))
+    return _from_record(_sector_states(sys.n, 1, partial(_werner_entries, sys)))
 
 
 def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
@@ -414,7 +397,7 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
     Every lam > 0 is entangled; for lam <= 1/(N+2) the state stays PPT, so
     only the witness detects it there.
     """
-    return _sector_density(_family_states(sys, (lam,)))
+    return _from_record(_family_states(sys, (lam,)))
 
 
 def _family_states(sys: CoupledSpinSystem, lams) -> _States:
@@ -436,7 +419,7 @@ def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
     """
     if not 0 <= fidelity <= 1:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    return _sector_density(_sector_states(sys.n, 1, partial(_isotropic_entries, sys, fidelity)))
+    return _from_record(_sector_states(sys.n, 1, partial(_isotropic_entries, sys, fidelity)))
 
 
 def random_pure(sys: CoupledSpinSystem, seed) -> PureState:
@@ -482,7 +465,7 @@ def random_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:
 
 def random_density(sys: CoupledSpinSystem, rank: int, seed) -> DensityMatrix:
     """Random density matrix G G^dag / tr from a complex Gaussian N^2 x rank factor."""
-    return DensityMatrix(n_local=sys.n, matrix=_Owned(_sample_densities(sys, rank, [seed])[0]))
+    return _from_record(_check_densities(_sample_densities(sys, rank, [seed]), sys.n))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -581,7 +564,7 @@ def load_state(path):
     parsed = _matrix_rows(text)
     if parsed is not None:
         del text
-        return DensityMatrix(n_local=parsed[0], matrix=_Owned(parsed[1]))
+        return _from_record(_check_densities(parsed[1][None], parsed[0]))
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -595,7 +578,7 @@ def load_state(path):
         m = _pairs(obj.pop("matrix"), 3, numbers,
                    "'matrix' must be a nested list of [re, im] pairs",
                    "matrix contains NaN or Inf entries")
-        return DensityMatrix(n_local=n, matrix=_Owned(m))
+        return _from_record(_check_densities(m[None], _check_n_local(n)))
     if "vector" in obj:
         v = _pairs(obj["vector"], 2, numbers, "'vector' must be a list of [re, im] pairs",
                    "state vector contains NaN or Inf entries")

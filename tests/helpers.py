@@ -7,9 +7,9 @@ from unittest import mock
 import numpy as np
 
 from entbound import (FamilyCurvePoint, PureState, SchmidtForm, concurrence_from_functional,
-                      criteria, eof_from_functional, evaluate_criteria, family_state,
-                      haar_unitary, linalg, load_state, random_density, report_from_verdict,
-                      states)
+                      coupled_system, criteria, eof_from_functional, evaluate_criteria,
+                      family_state, haar_unitary, linalg, load_state, random_density,
+                      report_from_verdict, states)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, SURVEY_FAMILY_LAMBDAS, _fmt
 from entbound.spinspace import _swap_index
 
@@ -160,3 +160,66 @@ def load_whole_file(path):
     """
     with mock.patch.object(states, "_matrix_rows", return_value=None):
         return load_state(path)
+
+
+# Edits of one off-diagonal pair (i, j) of a dense state at the edges of the
+# exact-Hermiticity certificate.
+
+def edge_base(n: int) -> np.ndarray:
+    """An exactly Hermitian dense N^2 x N^2 state far inside the valid states.
+
+    Half a random state and half the maximally mixed one: its smallest
+    eigenvalue is at least 1 / (2 N^2), so editing one small entry keeps it
+    valid, and no entry vanishes, so it stays off the J_z sector path.
+    """
+    d = n * n
+    rho = random_density(coupled_system(n), d, n).matrix
+    return (rho + np.eye(d) / d) / 2
+
+
+def smallest_pair(m: np.ndarray) -> tuple[int, int]:
+    """The off-diagonal position (i, j), i < j, of the entry of least modulus."""
+    i, j = np.triu_indices(len(m), 1)
+    k = np.abs(m[i, j]).argmin()
+    return int(i[k]), int(j[k])
+
+
+def signed_zero_real(m, i, j):
+    m[i, j], m[j, i] = complex(0.0, m[i, j].imag), complex(-0.0, m[j, i].imag)
+
+
+def both_minus_zero_imag(m, i, j):
+    m[i, j], m[j, i] = complex(m[i, j].real, -0.0), complex(m[i, j].real, -0.0)
+
+
+def both_plus_zero_imag(m, i, j):
+    m[i, j], m[j, i] = complex(m[i, j].real, 0.0), complex(m[i, j].real, 0.0)
+
+
+def minus_zero_diagonal(m, i, j):
+    m[i, i] = complex(m[i, i].real, -0.0)
+
+
+def one_ulp(m, i, j):
+    m[i, j] = complex(np.nextafter(m[i, j].real, np.inf), m[i, j].imag)
+
+
+def skew_1e13(m, i, j):
+    m[i, j] += 1e-13
+
+
+def huge_pair(m, i, j):
+    m[i, j] = m[j, i] = 2.0 ** 1023
+
+
+def nan_entry(m, i, j):
+    m[i, j] = complex(np.nan, 0.0)
+
+
+# each edit, and whether the edited matrix passes the certificate
+EDGES = {"signed zero real part": (signed_zero_real, False),
+         "two -0.0 imaginary parts": (both_minus_zero_imag, False),
+         "two +0.0 imaginary parts": (both_plus_zero_imag, True),
+         "-0.0 diagonal imaginary part": (minus_zero_diagonal, False),
+         "1 ulp": (one_ulp, False),
+         "1e-13": (skew_1e13, False)}

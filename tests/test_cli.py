@@ -242,7 +242,7 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 1
 
     def test_entry_where_symmetrising_overflows_gives_one_line(self, tmp_path, capsys):
-        # (rho + rho^dag) / 2 overflows from 2^1023 up: the density check
+        # (rho + rho^dag) / 2 overflows from 2^1023 up: the operand gate
         # rejects the state, with no numpy warning and no LAPACK error
         entries = [[[1 / 16 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
         entries[0][1] = entries[1][0] = [2.0 ** 1023, 0.0]
@@ -251,7 +251,8 @@ class TestBoundsCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["bounds", str(path)]) == 1
-        assert capsys.readouterr().err == "error: density matrix has an eigenvalue below -1e-10\n"
+        assert capsys.readouterr().err == (
+            "error: matrix has a real or imaginary part of magnitude 2^1021 or more\n")
 
     def test_missing_file(self):
         assert main(["bounds", "/no/such/file.json"]) == 1

@@ -19,7 +19,12 @@ from entbound.criteria import _partial_transposes, _realignment_real_forms, _rea
 from entbound.linalg import _Sectors, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _sector_members,
                              haar_unitary, random_density)
-from helpers import hermitian_mask, one_block, product_pure
+from helpers import (EDGES, edge_base, hermitian_mask, one_block, product_pure, smallest_pair,
+                     tolerance_path)
+
+# the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
+SIGNED_ZEROS = ["signed zero real part", "two -0.0 imaginary parts", "two +0.0 imaginary parts",
+                "-0.0 diagonal imaginary part"]
 
 
 def assert_same_bits(got, ref):
@@ -590,6 +595,27 @@ class TestRealRealignment:
         assert np.array_equal(seen["_realignments"][0], stack[[2]])
         monkeypatch.undo()
         assert_same_bits(got, functionals(stack, sys_)[1])
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("edge", SIGNED_ZEROS)
+    def test_signed_zero_member_takes_the_real_form(self, monkeypatch, n, edge):
+        # rho = rho^dag in value, whether or not the certificate passes it:
+        # C is real, and the member is normed as C.real, in a stack and alone
+        base = edge_base(n)
+        m = base.copy()
+        EDGES[edge][0](m, *smallest_pair(m))
+        stack = np.stack([base, m])
+        c = _realignment_real_forms(stack, n)
+        assert not c.imag.any()
+        want = trace_norms([c.real[:, None]])
+        calls = []
+        monkeypatch.setattr(criteria, "_realignments", counted(_realignments, calls))
+        sys_ = coupled_system(n)
+        assert_same_bits(functionals(stack, sys_)[1], want)
+        assert_same_bits(functionals(m[None], sys_)[1], want[1:])
+        with tolerance_path():
+            assert_same_bits(functionals(stack, sys_)[1], want)
+        assert not calls
 
 
 class TestFunctionals:

@@ -1,14 +1,17 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
 
-from entbound import (DensityMatrix, DimensionError, coupled_system, family_state, functionals,
-                      random_density)
+from entbound import (DensityMatrix, DimensionError, coupled_system, evaluate_criteria,
+                      family_state, functionals, verdicts)
 from entbound.criteria import _partial_transposes, _sectors
-from entbound.linalg import _hermitian_test, _Sectors, _within_tolerance, trace_norms
+from entbound.linalg import (_hermitian_test, _Sectors, _within_tolerance, as_complex_matrix,
+                             as_complex_stack, trace_norms)
 from entbound.states import _check_densities, _density_sectors, _States
-from helpers import exactly_hermitian, hermitian_mask, one_block, tolerance_path
+from helpers import (EDGES, edge_base, exactly_hermitian, hermitian_mask, huge_pair, nan_entry,
+                     one_block, smallest_pair, tolerance_path)
 
 
 def norm(m):
@@ -144,66 +147,6 @@ class TestHermitianMask:
         assert hermitian_mask([skewed]).tolist() == [False, False, False]
 
 
-def edge_base(n: int) -> np.ndarray:
-    """An exactly Hermitian dense N^2 x N^2 state far inside the valid states.
-
-    Half a random state and half the maximally mixed one: its smallest
-    eigenvalue is at least 1 / (2 N^2), so editing one small entry keeps it
-    valid, and no entry vanishes, so it stays off the J_z sector path.
-    """
-    d = n * n
-    rho = random_density(coupled_system(n), d, n).matrix
-    return (rho + np.eye(d) / d) / 2
-
-
-def smallest_pair(m: np.ndarray) -> tuple[int, int]:
-    """The off-diagonal position (i, j), i < j, of the entry of least modulus."""
-    i, j = np.triu_indices(len(m), 1)
-    k = np.abs(m[i, j]).argmin()
-    return int(i[k]), int(j[k])
-
-
-def signed_zero_real(m, i, j):
-    m[i, j], m[j, i] = complex(0.0, m[i, j].imag), complex(-0.0, m[j, i].imag)
-
-
-def both_minus_zero_imag(m, i, j):
-    m[i, j], m[j, i] = complex(m[i, j].real, -0.0), complex(m[i, j].real, -0.0)
-
-
-def both_plus_zero_imag(m, i, j):
-    m[i, j], m[j, i] = complex(m[i, j].real, 0.0), complex(m[i, j].real, 0.0)
-
-
-def minus_zero_diagonal(m, i, j):
-    m[i, i] = complex(m[i, i].real, -0.0)
-
-
-def one_ulp(m, i, j):
-    m[i, j] = complex(np.nextafter(m[i, j].real, np.inf), m[i, j].imag)
-
-
-def skew_1e13(m, i, j):
-    m[i, j] += 1e-13
-
-
-def huge_pair(m, i, j):
-    m[i, j] = m[j, i] = 2.0 ** 1023
-
-
-def nan_entry(m, i, j):
-    m[i, j] = complex(np.nan, 0.0)
-
-
-# each edit, and whether the edited matrix passes the certificate
-EDGES = {"signed zero real part": (signed_zero_real, False),
-         "two -0.0 imaginary parts": (both_minus_zero_imag, False),
-         "two +0.0 imaginary parts": (both_plus_zero_imag, True),
-         "-0.0 diagonal imaginary part": (minus_zero_diagonal, False),
-         "1 ulp": (one_ulp, False),
-         "1e-13": (skew_1e13, False)}
-
-
 def outcome(f, *args):
     """f(*args), or the type and message of what it raised."""
     try:
@@ -294,13 +237,6 @@ class TestExactHermiticityCertificate:
             with tolerance_path():
                 assert_same(got, functionals(m[None], coupled_system(n)))
 
-    def test_entries_where_doubling_overflows_are_not_certified(self):
-        # (x + x) / 2 is inf for x >= 2^1023, so such a member takes the tolerance path
-        for x, certified in ((2.0 ** 1022, True), (2.0 ** 1023, False), (-(2.0 ** 1023), False)):
-            m = np.diag([x, 1.0])
-            assert exactly_hermitian(one_block(m[None])).tolist() == [certified]
-            assert exactly_hermitian(one_block(m[None].astype(complex))).tolist() == [certified]
-
     def test_real_and_strided_members(self):
         rng = np.random.default_rng(3)
         h = rand_hermitian(rng, 5)
@@ -312,6 +248,97 @@ class TestExactHermiticityCertificate:
         assert exactly_hermitian(one_block(both.real)).tolist() == [True, False]
         # transposed views, whose rows are not contiguous: h^T = conj(h) is Hermitian too
         assert exactly_hermitian(one_block(both.swapaxes(1, 2))).tolist() == [True, False]
+
+
+RANGE = "matrix has a real or imaginary part of magnitude 2^1021 or more"
+BELOW = float(np.nextafter(2.0 ** 1021, 0))  # the largest part the gate passes
+
+
+def two_pairs(m: np.ndarray, value) -> np.ndarray:
+    """m with ``value`` at (0, 1) and (0, 2) and its conjugate at (1, 0) and (2, 0)."""
+    for j in (1, 2):
+        m[0, j], m[j, 0] = value, np.conj(value)
+    return m
+
+
+def raised(f, *args) -> str:
+    """The message of the ValueError that f(*args) raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            f(*args)
+    return str(exc.value)
+
+
+class TestEntryRange:
+    """The gate rejects a real or imaginary part from 2^1021 up; below that every kernel is finite."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_gate_bound(self, dtype):
+        for x in (BELOW, 2.0 ** 1021, 2.0 ** 1022, 2.0 ** 1023):
+            for value in (x, -x) + ((1j * x, -1j * x) if dtype is complex else ()):
+                m = np.diag([value, 1.0]).astype(dtype)
+                if x == BELOW:
+                    assert as_complex_stack(m[None]).tolist() == [m.tolist()]
+                else:
+                    assert raised(as_complex_stack, m[None]) == RANGE
+                    assert raised(as_complex_matrix, m) == RANGE
+
+    def test_overflowing_pair_gets_the_gate_line(self):
+        # the maximally mixed 16 x 16 state with a real 2^1023 off-diagonal
+        # pair, whose (rho + rho^dag) / 2 once reached the eigensolve as inf
+        m = np.eye(16) / 16
+        m[0, 1] = m[1, 0] = 2.0 ** 1023
+        sys_ = coupled_system(4)
+        for f, arg in ((functionals, m[None]), (verdicts, m[None]), (evaluate_criteria, m)):
+            assert raised(f, arg, sys_) == RANGE
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_largest_entries_give_finite_norms(self, n):
+        # every sum of two entries that the kernels form stays finite: no
+        # warning, and the bits of the path that symmetrises every member
+        base = edge_base(n)
+        stack = np.stack([base] + [two_pairs(base.copy(), value) for value in
+                                   (BELOW, -BELOW, 1j * BELOW, complex(BELOW, BELOW))])
+        sys_ = coupled_system(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = functionals(stack, sys_)
+            assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
+            assert (got[0][1:] > 2.0 ** 1021).all() and (got[1][1:] > 2.0 ** 1021).all()
+            with tolerance_path():
+                assert_same(got, functionals(stack, sys_))
+            for k in range(len(stack)):
+                assert_same(tuple(f[k:k + 1] for f in got), functionals(stack[k:k + 1], sys_))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_largest_entries_fail_the_eigenvalue_test(self, n):
+        # the Cholesky factorization overflows and fails, and the eigensolve
+        # decides, with m factored in place and with its symmetrised copy; a
+        # complex pair overflows |l|^2 in the factor from about 2^510 up
+        message = "density matrix has an eigenvalue below -1e-10"
+        for value in (BELOW, -BELOW, 1j * BELOW, complex(BELOW, BELOW),
+                      complex(2.0 ** 511, 2.0 ** 511)):
+            m = two_pairs(edge_base(n), value)
+            assert raised(DensityMatrix, n, m) == message
+            with tolerance_path():
+                assert raised(DensityMatrix, n, m) == message
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("value", [2.0 ** 1021, -(2.0 ** 1021), 2.0 ** 1021 * 1j, 2.0 ** 1023])
+    def test_over_range_member_rejects_the_stack(self, n, value):
+        base = edge_base(n)
+        over = base.copy()
+        i, j = smallest_pair(over)
+        over[i, j], over[j, i] = value, np.conj(value)
+        stack = np.stack([base, over, base])
+        sys_ = coupled_system(n)
+        for f, args in ((_check_densities, (stack, n)), (functionals, (stack, sys_)),
+                        (verdicts, (stack, sys_)), (DensityMatrix, (n, over))):
+            assert raised(f, *args) == RANGE
+        nan = base.copy()
+        nan_entry(nan, i, j)  # NaN/Inf is reported first
+        assert raised(_check_densities, np.stack([over, nan]), n) == "matrix contains NaN or Inf entries"
 
 
 class TestSectorPositions:

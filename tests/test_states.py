@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import re
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -17,7 +18,7 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
 from entbound import criteria, functionals, states
-from entbound.states import _check_densities, _family_states, _Owned, _sector_members
+from entbound.states import _check_densities, _family_states, _sector_members
 from helpers import (family_matrix, isotropic_matrix, load_whole_file, product_pure,
                      random_product_unitary, schmidt_reconstruct, werner_matrix)
 
@@ -52,7 +53,7 @@ DEFECTS = {
     "non-hermitian": (non_hermitian, "density matrix is not Hermitian within 1e-10"),
     "wrong-trace": (lambda: np.eye(16) / 8, "density matrix trace differs from 1 beyond 1e-10"),
     "negative-eigenvalue": (negative_eigenvalue, "density matrix has an eigenvalue below -1e-10"),
-    "overflowing-pair": (huge_pair, "density matrix has an eigenvalue below -1e-10"),
+    "overflowing-pair": (huge_pair, "matrix has a real or imaginary part of magnitude 2^1021 or more"),
     "nan": (with_nan, "matrix contains NaN or Inf entries"),
 }
 
@@ -101,10 +102,26 @@ class TestDensityMatrixValidation:
         assert evaluate_criteria(dm, sys4) == before
 
 
-    def test_library_arrays_are_adopted_not_copied(self):
-        m = np.eye(16, dtype=complex) / 16
-        dm = DensityMatrix(n_local=4, matrix=_Owned(m))
-        assert dm.matrix is m and not m.flags.writeable
+    def test_library_arrays_are_adopted_not_copied(self, monkeypatch, tmp_path, sys4):
+        # random_density and both load_state branches validate the array they
+        # built and wrap its record: the state's matrix is that array, read-only
+        path, indented = tmp_path / "rows.json", tmp_path / "indented.json"
+        save_state(path, random_density(sys4, 3, 1))
+        indented.write_text(json.dumps(json.loads(path.read_text()), indent=1))  # parsed whole
+        built = []
+        for name in ("_sample_densities", "_matrix_rows", "_pairs"):
+            def spy(*args, original=getattr(states, name)):
+                built.append(original(*args))
+                return built[-1]
+            monkeypatch.setattr(states, name, spy)
+        for make, array in ((lambda: random_density(sys4, 3, 1), lambda out: out[0]),
+                            (lambda: load_state(path), lambda out: out[1]),
+                            (lambda: load_state(indented), lambda out: out)):
+            built.clear()
+            dm = make()
+            m = array(built[-1])
+            assert np.shares_memory(dm.matrix, m) and dm.matrix.shape == m.shape == (16, 16)
+            assert not dm.matrix.flags.writeable
 
 
 class TestLocalDimension:
@@ -165,18 +182,21 @@ class TestDensityStack:
         with pytest.raises(ValueError, match="eigenvalue below"):
             _check_densities(stack, 4)
 
-    @pytest.mark.parametrize("value", [2.0 ** 1023, -(2.0 ** 1023), 2.0 ** 1023 * 1j])
-    def test_entry_where_symmetrising_overflows_is_rejected(self, sys4, value):
-        # (m + m^dag) / 2 is inf from 2^1023 up, which a Cholesky factorization
-        # accepts; a valid state has no entry above 1 + 16e-10, so m fails the
-        # eigenvalue test, and the first failing member still decides the message
-        message = DEFECTS["negative-eigenvalue"][1]
+    @pytest.mark.parametrize("value, defect", [
+        (2.0 ** 1023, "overflowing-pair"), (-(2.0 ** 1023), "overflowing-pair"),
+        (2.0 ** 1023 * 1j, "overflowing-pair"), (2.0 ** 1020, "negative-eigenvalue")])
+    def test_entry_where_symmetrising_overflows_is_rejected(self, sys4, value, defect):
+        # (m + m^dag) / 2 is inf from 2^1023 up: the gate rejects every part
+        # from 2^1021 up, for the whole stack.  Below that, a valid state has
+        # no entry above 1 + 16e-10, so m fails the eigenvalue test, and the
+        # first failing member still decides the message
+        message = DEFECTS[defect][1]
         stack = [random_density(sys4, 3, 1).matrix, huge_pair(value), non_hermitian()]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 DensityMatrix(n_local=4, matrix=huge_pair(value))
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 _check_densities(stack, 4)
 
     def test_rejects_wrong_shape(self):
