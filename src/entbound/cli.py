@@ -17,7 +17,6 @@ import contextlib
 import json
 import math
 import sys as _sys
-import textwrap
 from dataclasses import asdict, fields
 from functools import lru_cache
 from itertools import chain
@@ -229,13 +228,18 @@ def _witness_json_lines(n: int, w: np.ndarray, evals: np.ndarray):
 
     The record is {"n_local", "trace", "eigenvalues", "matrix": rows of
     [re, im] pairs}; only one row is ever held as text, not the whole matrix.
+    A row's numbers are ``json.dumps`` of its flat number list, without
+    ``indent``, so the C encoder writes them; the indented pairs are joined
+    around them.
     """
     head = json.dumps({"n_local": n, "trace": float(np.trace(w).real),
                        "eigenvalues": evals.tolist(), "matrix": []}, indent=2)
     yield head[:-len("]\n}")]  # up to and with '"matrix": ['
     for k, row in enumerate(w):
-        pairs = json.dumps(np.stack([row.real, row.imag], -1).tolist(), indent=2)
-        yield textwrap.indent(pairs, "    ") + ("," if k + 1 < len(w) else "")
+        numbers = json.dumps(np.stack([row.real, row.imag], -1).ravel().tolist())[1:-1].split(", ")
+        pairs = "\n      ],\n      [\n        ".join(
+            map(",\n        ".join, zip(numbers[0::2], numbers[1::2])))
+        yield f"    [\n      [\n        {pairs}\n      ]\n    ]" + ("," if k + 1 < len(w) else "")
     yield "  ]"
     yield "}"
 

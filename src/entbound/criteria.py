@@ -118,20 +118,15 @@ def _realignment_norms(stack: np.ndarray, n: int, err: np.ndarray) -> np.ndarray
     """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
 
     The route is read from ``err``, ||rho - rho^dag||_max from the state
-    record.  A matrix with err 0 equals rho^dag in value, signed zeros
-    aside, so the imaginary parts of its :func:`_realignment_real_forms` C
-    cancel to zeros and ``C.real`` takes the real kernels, about half the
-    cost of the complex ones.  Any other matrix goes to the complex kernels
-    on :func:`_realignments` and builds no C.  Each gets the bits it gets alone.
+    record.  If every matrix has err 0, each equals rho^dag in value, signed
+    zeros aside, so the imaginary parts of its :func:`_realignment_real_forms`
+    C cancel to zeros and ``C.real`` takes the real kernels, about half the
+    cost of the complex ones.  Any other stack goes to the complex kernels on
+    :func:`_realignments` and builds no C.
     """
-    real = err == 0
-    if real.all():
-        return trace_norms([_realignment_real_forms(stack, n).real[:, None]])
-    out = np.empty(len(stack))
-    if real.any():
-        out[real] = trace_norms([_realignment_real_forms(stack[real], n).real[:, None]])
-    out[~real] = trace_norms([_realignments(stack[~real], n)[:, None]])
-    return out
+    if err.any():
+        return trace_norms([_realignments(stack, n)[:, None]])
+    return trace_norms([_realignment_real_forms(stack, n).real[:, None]])
 
 
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
@@ -282,7 +277,7 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
     """The J_z sectors of T_2 rho (labels a - b) and of R rho (labels a + b), gathered from rho.
 
     rho commutes with J_z when it vanishes between different a + b (local
-    index a holds m = j - a), as the ``sector`` members of a
+    index a holds m = j - a), as the states of a ``sector``
     :class:`states._States` record do.  T_2 and R are signed index
     permutations that carry exactly those zeros to the entries between
     different labels of their own; T_2 carries rho's J_z blocks, entry for
@@ -339,46 +334,42 @@ def _witness_values(take, sys: CoupledSpinSystem) -> np.ndarray:
 def _functionals(states: _States, sys: CoupledSpinSystem):
     """The ungated core of :func:`functionals`, for a :class:`states._States` record.
 
-    Every decision is read from the record.  Its sector members are normed
-    on their J_z blocks; its dense members are permuted whole, and their
+    Every decision is read from the record, once for the stack.  A sector
+    stack is normed on its J_z blocks; any other is permuted whole, and its
     R rho is normed by :func:`_realignment_norms`, in real arithmetic where
-    rho is Hermitian.  T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag) entry
-    for entry, so T_2 rho takes the Hermiticity test of rho straight into
-    :func:`linalg._spectral_norms`; only R rho of a sector member and the
-    real form C of a dense one get a test of their own.
+    every rho is exactly Hermitian.  T_2 rho - (T_2 rho)^dag =
+    T_2 (rho - rho^dag) entry for entry, so T_2 rho takes the Hermiticity
+    test of rho straight into :func:`linalg._spectral_norms`; only the
+    blocks of R rho and the real form C get a test of their own.
     """
-    n, sector = sys.n, states.sector
-    t2, rn = np.empty(len(states)), np.empty(len(states))
-    if not sector.all():
-        whole, dense = ~sector, states.dense()
-        certified, err = states.certified[whole], states.err[whole]
-        t2[whole] = _spectral_norms([_partial_transposes(dense, n)[:, None]], certified, err)
-        rn[whole] = _realignment_norms(dense, n, err)
-    if sector.any():
+    n = sys.n
+    if states.sector:
         t2_sectors, r_sectors = _sectors(n)
-        test = states.certified[sector], states.err[sector]
-        t2[sector] = _spectral_norms(states.blocks(t2_sectors), *test)
-        rn[sector] = trace_norms(states.blocks(r_sectors))
+        t2 = _spectral_norms(states.blocks(t2_sectors), states.certified, states.err)
+        rn = trace_norms(states.blocks(r_sectors))
+    else:
+        t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]],
+                             states.certified, states.err)
+        rn = _realignment_norms(states.array, n, states.err)
     return t2, rn, _witness_values(states.take, sys)
 
 
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
-    The raw stack passes :func:`linalg.as_complex_stack` once, and its
-    :class:`states._States` record decides once per state whether it is a
-    sector state and whether it is exactly Hermitian, without the density
-    checks.  T_2 and R are signed index permutations, each followed
-    by one trace-norm call; tr(W rho) is read from the swap form
-    W = I - N P_0 - F, O(N^2) entries of rho, without W.  A state that
-    vanishes exactly between different J_z sectors (m_1 + m_2), such as the
-    family, Werner and isotropic states, has its T_2 rho and R rho blocks
-    gathered straight from rho, O(N^4) work in all; every other state is
-    permuted whole, O(N^6).  The realignment of a dense Hermitian state is
-    normed as its real form (:func:`_realignment_real_forms`), chosen from
-    rho before the form is built (:func:`_realignment_norms`); a dense
-    state Hermitian only within a tolerance keeps the complex kernels.
-    Each state gets the bits it gets alone, in a stack of one.
+    The raw stack passes :func:`linalg.as_complex_stack` once; T_2 and R
+    are signed index permutations, each followed by one trace-norm call, and
+    tr(W rho) is read from the swap form W = I - N P_0 - F, O(N^2) entries
+    of rho, without W.  Each route is decided once for the stack: J_z blocks
+    gathered straight from rho, O(N^4) work, only if every state vanishes
+    exactly between different sectors (m_1 + m_2), as the family, Werner and
+    isotropic states do, else whole matrices, O(N^6); the real form of R rho
+    (:func:`_realignment_norms`) only if every rho is exactly Hermitian; the
+    eigensolve only if every member passes the Hermiticity tolerance
+    (:func:`linalg._spectral_norms`).  A state gets the bits it gets alone in
+    any stack whose states agree on these three decisions, as every stack a
+    command builds does; any other stack takes the general route (dense,
+    complex realignment, SVD), within rounding of those bits.
     """
     a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
     return _functionals(_States(sys.n, len(a), array=a), sys)
@@ -409,7 +400,7 @@ def _verdicts(states: _States, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
 
 
 def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
-    """One verdict per state of a raw (B, N^2, N^2) stack, gated once (see :func:`functionals`)."""
+    """One verdict per state of a raw (B, N^2, N^2) stack (see :func:`functionals`)."""
     a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
     return _verdicts(_States(sys.n, len(a), array=a), sys)
 

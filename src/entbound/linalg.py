@@ -20,10 +20,11 @@ from functools import reduce
 
 import numpy as np
 
-# No real or imaginary part of a gated entry reaches this bound.  Each entry of the real
-# realignment form C = Q^dag R_0 Q is a sum of four entries of rho, halved, so C stays below
-# 2^1022, and every sum of two entries a kernel forms (rho + rho^dag, x + x, C + C^T) is finite.
-_ENTRY_LIMIT = 2.0 ** 1021
+# No real or imaginary part of a gated entry reaches this bound, so every entry has modulus
+# below 2^990.5.  A trace norm of a d x d matrix is at most d^2 times its largest entry modulus,
+# and d <= 2^16 in practice (a complex d x d array with d = 2^16 takes 64 GiB), so every trace
+# norm, witness row sum and symmetrised pair (rho + rho^dag, x + x, C + C^T) stays below 2^1023.
+_ENTRY_LIMIT = 2.0 ** 990
 
 
 class DimensionError(ValueError):
@@ -45,19 +46,20 @@ def _check_shape(a: np.ndarray, shape: tuple[int, int] | None) -> np.ndarray:
 def _as_complex(m, ndim: int, shape: tuple[int, int] | None) -> np.ndarray:
     """``m`` as complex128 of ``ndim`` and ``shape``, finite and below :data:`_ENTRY_LIMIT`.
 
-    NaN/Inf is reported first.  The range is read from the maxima and
-    minima of the real and imaginary parts, views, with no temporary array.
+    The array is C-contiguous, a copy only if the input is not.  One ``max``
+    and one ``min`` over its float64 view test both bounds; NaN/Inf fails
+    them too, so only then is ``isfinite`` run, and NaN/Inf is reported first.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != ndim:
         what = "a matrix" if ndim == 2 else "a stack of matrices"
         raise DimensionError(f"expected {what}, got array of ndim {a.ndim}")
     _check_shape(a, shape)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    if not all(p.max(initial=0.0) < _ENTRY_LIMIT and p.min(initial=0.0) > -_ENTRY_LIMIT
-               for p in (a.real, a.imag)):
-        raise ValueError("matrix has a real or imaginary part of magnitude 2^1021 or more")
+    parts = a.reshape(-1).view(np.float64)
+    if not (parts.max(initial=0.0) < _ENTRY_LIMIT and parts.min(initial=0.0) > -_ENTRY_LIMIT):
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix contains NaN or Inf entries")
+        raise ValueError("matrix has a real or imaginary part of magnitude 2^990 or more")
     return a
 
 
@@ -157,34 +159,26 @@ def trace_norms(blocks) -> np.ndarray:
 def _spectral_norms(blocks, certified: np.ndarray, err: np.ndarray) -> np.ndarray:
     """The trace norms of :func:`trace_norms`, given :func:`_hermitian_test` of the members.
 
-    The spectrum kernel.  The (numerically) Hermitian members go through
-    Hermitian eigensolves (the sum of absolute eigenvalues), the rest
-    through SVDs: one stacked call per kind and block size, with no masked
-    copy for a block array whose members are all of one kind.  When every
-    member is ``certified``, the eigensolve gets the blocks as they are;
-    otherwise :func:`_within_tolerance` decides and the eigensolve gets the
-    :func:`_hermitian_part`, which is M itself, bit for bit, for a certified
-    member.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd), about
-    half the cost of the complex ones.  Both kinds keep absolute accuracy
-    of order eps * ||M|| even for singular values at zero; squaring the
-    matrix first (eigensolve of M^dag M) would halve the attainable
-    precision there, which the rank-deficient realignment checks cannot
-    afford.  Each member gets the bits that the same kernel gives it alone.
+    The spectrum kernel, one route per call: Hermitian eigensolves (the sum
+    of absolute eigenvalues) if every member is Hermitian within
+    :func:`_within_tolerance`, else SVDs, one stacked LAPACK call per block
+    size.  If every member is ``certified``, the eigensolve gets the blocks
+    as they are, else their :func:`_hermitian_part`, which is M itself, bit
+    for bit, for a certified member.  Real blocks take LAPACK's real kernels
+    (dsyevd, dgesdd), about half the cost of the complex ones.  Both kinds
+    keep absolute accuracy of order eps * ||M|| even for singular values at
+    zero; squaring the matrix first (eigensolve of M^dag M) would halve the
+    attainable precision there, which the rank-deficient realignment checks
+    cannot afford.
     """
     exact = bool(certified.all())
-    herm = certified if exact else _within_tolerance(blocks, err)
-    spectra = []
-    for b in blocks:
-        if herm.all():
-            s = np.linalg.eigvalsh(_hermitian_part(b, exact))
-        elif not herm.any():
-            s = np.linalg.svd(b, compute_uv=False)
-        else:
-            s = np.empty(b.shape[:-1])
-            s[herm] = np.linalg.eigvalsh(_hermitian_part(b[herm], False))
-            s[~herm] = np.linalg.svd(b[~herm], compute_uv=False)
-        spectra.append(s.reshape(len(b), -1))
-    return np.abs(np.concatenate(spectra, axis=1)).sum(axis=-1)
+    if exact or _within_tolerance(blocks, err).all():
+        spectra = [np.linalg.eigvalsh(_hermitian_part(b, exact)) for b in blocks]
+    else:
+        spectra = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    # (S, nb, k) each; an explicit width, as an empty stack has no -1 to infer
+    return np.abs(np.concatenate([s.reshape(len(s), s.shape[1] * s.shape[2])
+                                  for s in spectra], axis=1)).sum(axis=-1)
 
 
 def _hermitian_part(m: np.ndarray, exact: bool) -> np.ndarray:

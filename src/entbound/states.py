@@ -56,39 +56,37 @@ def _density_sectors(n: int) -> _Sectors:
     return _Sectors(a + b, lambda i, j: i * (n * n) + j)
 
 
-def _sector_members(stack: np.ndarray, n: int) -> np.ndarray:
-    """Which matrices of a (B, N^2, N^2) stack vanish exactly between different J_z sectors.
+def _is_sector_stack(stack: np.ndarray, n: int) -> bool:
+    """Do all matrices of a (B, N^2, N^2) stack vanish exactly between different J_z sectors?
 
     The sector decision for arrays from outside the package (state files,
-    raw stacks), made once per state when its :class:`_States` record is
-    built; a state built from its entries is one by construction.  Entry
+    raw stacks), made once per stack when its :class:`_States` record is
+    built; entry-built states are sector states by construction.  Entry
     (0, N^2 - 1), between the first and the last sector, rejects a generic
-    dense matrix at once; the rest are accepted only if every nonzero real
-    and imaginary part lies inside the sectors.
+    dense matrix at once; otherwise the stack is accepted only if every
+    nonzero real and imaginary part lies inside the sectors.
     """
     flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
-    out = flat[:, n * n - 1] == 0
-    inside = _density_sectors(n).positions
-    for k in np.flatnonzero(out):
-        out[k] = np.count_nonzero(flat[k].view(np.float64)) == \
-            np.count_nonzero(flat[k, inside].view(np.float64))
-    return out
+    if flat[:, n * n - 1].any():
+        return False
+    inside = flat.take(_density_sectors(n).positions, axis=1).view(np.float64)
+    return bool(np.count_nonzero(flat.view(np.float64)) == np.count_nonzero(inside))
 
 
 class _States:
-    """S states on C^N otimes C^N and the decisions made about them, once per state.
+    """S states on C^N otimes C^N and the decisions made about them, once per stack.
 
     A stack is held as ``array``; the family, Werner and isotropic states
     as ``entries``, a picklable function that returns rho.flat[idx] of each
     state, and no N^2 x N^2 array is built.  ``shape`` is that of the
-    (S, N^2, N^2) stack they stand for.  ``sector`` says which states
-    vanish exactly between different J_z sectors, so that rho, T_2 rho and
+    (S, N^2, N^2) stack they stand for.  ``sector`` says that every state
+    vanishes exactly between different J_z sectors, so that rho, T_2 rho and
     R rho are read as blocks at the ``positions`` of a :class:`linalg._Sectors`.
-    ``certified`` and ``err`` are :func:`linalg._hermitian_test` of rho.
+    ``certified`` and ``err`` are :func:`linalg._hermitian_test` of each rho.
 
     A gated stack is decided here, without the density checks: the sector
-    scan :func:`_sector_members` and the test of each whole matrix (a
-    sector member vanishes off its J_z blocks, so its blocks have the same
+    scan :func:`_is_sector_stack` and the test of each whole matrix (a
+    sector state vanishes off its J_z blocks, so its blocks have the same
     ``err``, and they are certified whenever it is).  Entry-built states
     are sector states by construction, and :func:`_sector_states` tests
     their J_z blocks, the only entries they have.
@@ -99,9 +97,9 @@ class _States:
     def __init__(self, n: int, size: int, array: np.ndarray | None = None, entries=None):
         self.n, self.shape, self.array, self.entries = n, (size, n * n, n * n), array, entries
         if array is None:
-            self.sector = np.ones(size, dtype=bool)
+            self.sector = True
         else:
-            self.sector = _sector_members(array, n)
+            self.sector = _is_sector_stack(array, n)
             self.certified, self.err = _hermitian_test([array[:, None]])
 
     def __len__(self) -> int:
@@ -117,14 +115,9 @@ class _States:
             out[:, start:start + _ENTRY_CHUNK] = self.entries(idx[start:start + _ENTRY_CHUNK])
         return out
 
-    def dense(self) -> np.ndarray:
-        """The (S', N^2, N^2) stack of the members that are not sector states."""
-        return self.array if not self.sector.any() else self.array[~self.sector]
-
     def blocks(self, sectors: _Sectors) -> list[np.ndarray]:
-        """The (S', nb, k, k) block arrays of the sector members that ``sectors`` reads from rho."""
-        values = self.take(sectors.positions)
-        return sectors.split(values if self.sector.all() else values[self.sector])
+        """The (S, nb, k, k) block arrays that ``sectors`` reads from each rho of a sector stack."""
+        return sectors.split(self.take(sectors.positions))
 
     def matrices(self) -> np.ndarray:
         """The read-only (S, N^2, N^2) stack of entry-built states: the entries inside the sectors."""
@@ -152,31 +145,21 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
     """The Hermiticity, trace and smallest-eigenvalue tests of a decided record with traces ``tr``.
 
     The Hermiticity test reads the record's ``err``.  The eigenvalue test,
-    a Cholesky certificate (:func:`_eig_failed`), factors the members that
-    passed the other two: the dense ones as one block each, the sector ones
-    as their J_z ``blocks`` (gathered here unless given).  A group whose
-    tested members are all ``certified`` is not symmetrised, and tested
-    whole it is factored in place.  The first failing state raises the
-    message of its first failing check, as if checked one after another.
+    a Cholesky certificate (:func:`_eig_failed`), factors one block list:
+    the J_z ``blocks`` of a sector record (gathered here unless given), else
+    each whole matrix as one block.  If every state is ``certified``, none
+    is symmetrised, and each block array is factored in place.  The first
+    failing state raises the message of its first failing check, as if
+    checked one after another.
     """
-    groups = []
-    if not states.sector.all():
-        groups.append((~states.sector, [states.dense()[:, None]]))
-    if states.sector.any():
-        groups.append((states.sector, states.blocks(_density_sectors(states.n))
-                       if blocks is None else blocks))
+    if blocks is None:
+        blocks = states.blocks(_density_sectors(states.n)) if states.sector \
+            else [states.array[:, None]]
     failed = np.zeros((len(_DENSITY_CHECKS), len(states)), dtype=bool)
     failed[0] = states.err > _HERM_TOL
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
-    ok = ~(failed[0] | failed[1])
-    for members, blocks in groups:
-        check = ok[members]
-        if check.any():
-            if not check.all():
-                blocks, members = [b[check] for b in blocks], members & ok
-            exact = bool(states.certified[members].all())
-            failed[2, members] = reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1)
-                                                        for b in blocks])
+    exact = bool(states.certified.all())
+    failed[2] = reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1) for b in blocks])
     if failed.any():
         first = failed.any(axis=0).argmax()
         raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])

@@ -167,7 +167,7 @@ class TestFamilyCommand:
         args = ["family", "--n", "32", "--steps", "11", "--out", str(out)]
         assert main(args) == 0  # warm the cached sector maps
         misses = entbound.build_witness.cache_info().misses
-        scans = count_calls(monkeypatch, "_sector_members", entbound.states)
+        scans = count_calls(monkeypatch, "_is_sector_stack", entbound.states)
         tracemalloc.start()
         try:
             assert main(args) == 0
@@ -252,7 +252,7 @@ class TestBoundsCommand:
             warnings.simplefilter("error")
             assert main(["bounds", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "error: matrix has a real or imaginary part of magnitude 2^1021 or more\n")
+            "error: matrix has a real or imaginary part of magnitude 2^990 or more\n")
 
     def test_missing_file(self):
         assert main(["bounds", "/no/such/file.json"]) == 1
@@ -327,7 +327,7 @@ class TestBoundsCommand:
         # criteria read it: the sector scan runs once, for a dense or a family file
         path = tmp_path / "rho.json"
         save_state(path, family_state(sys4, 0.3) if structured else random_density(sys4, 5, 2))
-        scans = count_calls(monkeypatch, "_sector_members", entbound.states)
+        scans = count_calls(monkeypatch, "_is_sector_stack", entbound.states)
         assert main(["bounds", str(path)]) == 0
         assert len(scans) == 1
 
@@ -458,7 +458,7 @@ class TestSurveyCommand:
     def test_one_sector_scan_per_dense_chunk(self, monkeypatch, tmp_path):
         # three dense chunks are scanned once each; the family chunk is built
         # from its entries and is never scanned
-        scans = count_calls(monkeypatch, "_sector_members", entbound.states)
+        scans = count_calls(monkeypatch, "_is_sector_stack", entbound.states)
         assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(scans) == 3

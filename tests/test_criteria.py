@@ -17,7 +17,7 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
 from entbound.criteria import _partial_transposes, _realignment_real_forms, _realignments
 from entbound.linalg import _Sectors, trace_norms
-from entbound.states import (_check_densities, _density_sectors, _sector_members,
+from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
                              haar_unitary, random_density)
 from helpers import (EDGES, edge_base, hermitian_mask, one_block, product_pure, smallest_pair,
                      tolerance_path)
@@ -454,7 +454,7 @@ class TestSectorPath:
         sys_ = coupled_system(n)
         for rho in self.sector_states(n):
             stack = rho.matrix[None]
-            assert _sector_members(stack, n)[0]
+            assert _is_sector_stack(stack, n)
             sectors = _density_sectors(n)
             blocks = sectors.split(stack.reshape(1, -1)[:, sectors.positions])
             smallest = min(np.linalg.eigvalsh(b).min() for b in blocks)
@@ -479,7 +479,7 @@ class TestSectorPath:
         sys_ = coupled_system(n)
         m = family_state(sys_, 0.3).matrix.copy()
         m[position] = m[position[::-1]] = 1e-300
-        assert not _sector_members(m[None], n)[0]
+        assert not _is_sector_stack(m[None], n)
         v = evaluate_criteria(DensityMatrix(n_local=n, matrix=m), sys_)
 
         def eigensolve_norm(whole):
@@ -508,7 +508,7 @@ class TestSectorPath:
         for entry, sector in ((1e-300j, False), (complex(-0.0, -0.0), True)):
             m = family.copy()
             m[position], m[position[::-1]] = entry, np.conj(entry)
-            assert _sector_members(m[None], n)[0] == sector
+            assert _is_sector_stack(m[None], n) == sector
             gathered.clear()
             _check_densities(m[None], n)
             assert len(gathered) == sector
@@ -517,6 +517,18 @@ class TestSectorPath:
             assert len(gathered) == 2 * sector
         for values, ref in zip(got, functionals(family[None], sys_)):
             assert_same_bits(values, ref)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_strided_stack_is_read_as_its_copy(self, n):
+        # a stack with a strided last axis: the gate hands on a C-ordered copy,
+        # so the sector scan views its float parts, and every bit is the copy's
+        sys_ = coupled_system(n)
+        for rho in (family_state(sys_, 0.3), random_density(sys_, 2, n)):
+            wide = np.zeros((1, n * n, 2 * n * n), dtype=complex)
+            wide[0, :, ::2] = rho.matrix
+            want = functionals(rho.matrix[None], sys_)
+            for got, ref in zip(functionals(wide[:, :, ::2], sys_), want):
+                assert_same_bits(got, ref)
 
     @staticmethod
     def block_defect(n, eigenvalue):
@@ -531,7 +543,7 @@ class TestSectorPath:
     @pytest.mark.parametrize("offset", [-3e-11, -1.2e-11, -0.8e-11, 0.8e-11, 1.2e-11, 3e-11])
     def test_block_eigenvalue_near_the_tolerance(self, sys4, n, offset):
         m = self.block_defect(n, -1e-10 + offset)
-        assert _sector_members(m[None], n)[0]
+        assert _is_sector_stack(m[None], n)
         dense_rejects = np.linalg.eigvalsh(m)[0] < -1e-10
         assert dense_rejects == (offset < 0)
         if dense_rejects:
@@ -570,15 +582,23 @@ class TestRealRealignment:
         real = ~_realignment_real_forms(stack, n).imag.any(axis=(1, 2))
         assert real.tolist() == [True, True, False, True]
         got = functionals(stack, sys_)[1]
-        # the complex kernel, on R rho, as the parent normed every dense state
-        assert_same_bits(got[2:3], trace_norms(one_block(_realignments(stack[2:3], n))))
-        for k in (0, 1, 3):  # the exact members get the bits they get alone
-            assert_same_bits(got[k:k + 1], functionals(stack[k:k + 1], sys_)[1])
+        # one member is not exactly Hermitian, so the whole stack takes the
+        # complex kernel on R rho, within rounding of each member alone
+        assert_same_bits(got, trace_norms(one_block(_realignments(stack, n))))
+        for k in range(len(stack)):
+            alone = functionals(stack[k:k + 1], sys_)[1][0]
+            assert abs(got[k] - alone) <= 1e-12 * max(1.0, abs(alone))
+        # the exact members alone are a real-form stack, with the bits each gets alone
+        exact = stack[[0, 1, 3]]
+        got = functionals(exact, sys_)[1]
+        assert_same_bits(got, trace_norms([_realignment_real_forms(exact, n).real[:, None]]))
+        for k in range(len(exact)):
+            assert_same_bits(got[k:k + 1], functionals(exact[k:k + 1], sys_)[1])
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_nearly_hermitian_member_builds_no_real_form(self, monkeypatch, n):
-        # the member Hermitian only within 1e-13 goes straight to the complex
-        # kernel and builds no C; only the exact members build it
+        # the member Hermitian only within 1e-13 sends the whole stack straight
+        # to the complex kernel: one realignment of all four members, and no C
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
         stack[2, 0, 1] += 1e-13
@@ -589,10 +609,9 @@ class TestRealRealignment:
                 return original(s, n_)
             monkeypatch.setattr(criteria, name, spy)
         got = functionals(stack, sys_)[1]
-        assert [len(s) for s in seen["_realignment_real_forms"]] == [3]
-        assert np.array_equal(seen["_realignment_real_forms"][0], stack[[0, 1, 3]])
-        assert [len(s) for s in seen["_realignments"]] == [1]
-        assert np.array_equal(seen["_realignments"][0], stack[[2]])
+        assert "_realignment_real_forms" not in seen
+        assert [len(s) for s in seen["_realignments"]] == [4]
+        assert np.array_equal(seen["_realignments"][0], stack)
         monkeypatch.undo()
         assert_same_bits(got, functionals(stack, sys_)[1])
 
@@ -619,25 +638,42 @@ class TestRealRealignment:
 
 
 class TestFunctionals:
-    """A stack gives each state the bits that evaluate_criteria gives it alone."""
+    """A stack whose states agree on their routes gives each its bits from evaluate_criteria."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_bit_equal_to_one_state_at_a_time(self, n):
+    def test_bit_equal_to_one_state_at_a_time(self, n, monkeypatch):
         sys_ = coupled_system(n)
-        states = [family_state(sys_, lam) for lam in (0.0, 0.05, 1 / (n + 2), 0.5, 1.0)]
-        states += [random_density(sys_, rank, (n, rank, k))
-                   for rank in (1, 2 * n, n * n) for k in range(3)]
-        # family states have a Hermitian realignment and random ones do not,
-        # so the realignment stack takes both trace-norm kernels
-        herm = [bool(hermitian_mask(one_block(realign(rho, sys_)[None]))) for rho in states]
+        family = [family_state(sys_, lam) for lam in (0.0, 0.05, 1 / (n + 2), 0.5, 1.0)]
+        dense = [random_density(sys_, rank, (n, rank, k))
+                 for rank in (1, 2 * n, n * n) for k in range(3)]
+        fields = ("trace_norm_T2", "trace_norm_R", "witness_value")
+
+        def alone(states):
+            ref = [evaluate_criteria(rho, sys_) for rho in states]
+            return ref, [np.array([getattr(v, field) for v in ref]) for field in fields]
+
+        # a stack of one kind takes the route each of its states takes alone
+        for states in (family, dense):
+            stack = np.stack([rho.matrix for rho in states])
+            ref, columns = alone(states)
+            for values, column in zip(functionals(stack, sys_), columns):
+                assert_same_bits(values, column)
+            assert verdicts(stack, sys_) == ref
+        # family states have a Hermitian realignment and random ones do not;
+        # interleaved, the stack is not all sector states, so it is permuted
+        # whole, and each state is within rounding of its value alone
+        herm = [bool(hermitian_mask(one_block(realign(rho, sys_)[None])))
+                for rho in family + dense]
         assert any(herm) and not all(herm)
-        states = states[::2] + states[1::2]  # interleave the two kinds
-        stack = np.stack([rho.matrix for rho in states])
-        got = functionals(stack, sys_)
-        ref = [evaluate_criteria(rho, sys_) for rho in states]
-        for values, field in zip(got, ("trace_norm_T2", "trace_norm_R", "witness_value")):
-            assert_same_bits(values, np.array([getattr(v, field) for v in ref]))
-        assert verdicts(stack, sys_) == ref
+        states = (family + dense)[::2] + (family + dense)[1::2]
+        calls = []
+        monkeypatch.setattr(criteria, "_partial_transposes", counted(_partial_transposes, calls))
+        got = functionals(np.stack([rho.matrix for rho in states]), sys_)
+        assert len(calls) == 1
+        columns = alone(states)[1]
+        for values, column in zip(got[:2], columns[:2]):
+            assert np.all(np.abs(values - column) <= 1e-12 * np.maximum(1.0, np.abs(column)))
+        assert_same_bits(got[2], columns[2])  # tr(W rho) reads the same entries on every route
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_swap_form_witness_matches_the_dense_witness(self, n):

@@ -59,14 +59,16 @@ class TestTraceNorm:
             trace_norms(one_block(np.ones((2, 3))[None]))
 
     def test_stack_gives_each_matrix_its_own_bits(self, monkeypatch):
-        # a mixed stack: Hermitian members take the eigensolve, the rest the SVD
+        # a mixed stack takes the SVD for every member, within rounding of each
+        # member alone; a stack of Hermitian members keeps its eigensolve bits
         rng = np.random.default_rng(14)
         mats = [rand_hermitian(rng, 6), rand_complex(rng, 6, 6), rand_complex(rng, 6, 6),
                 rand_hermitian(rng, 6), rand_complex(rng, 6, 6)]
         got = trace_norms(one_block(np.stack(mats)))
-        assert got.tolist() == [norm(m) for m in mats]
+        alone = np.array([norm(m) for m in mats])
+        assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
         pair = one_block(np.stack(mats[:1] + mats[3:4]))
-        assert trace_norms(pair).tolist() == got[[0, 3]].tolist()
+        assert trace_norms(pair).tolist() == alone[[0, 3]].tolist()
         # members of two blocks of size 3 and one of size 4: certified, Hermitian
         # within the tolerance, and not Hermitian
         kinds = ["certified", "tolerance", "skew", "certified", "skew", "tolerance"]
@@ -81,17 +83,23 @@ class TestTraceNorm:
         blocks = [np.stack(small), np.stack(large)]
         assert exactly_hermitian(blocks).tolist() == [kind == "certified" for kind in kinds]
         assert hermitian_mask(blocks).tolist() == [kind != "skew" for kind in kinds]
-        alone = [trace_norms([b[k:k + 1] for b in blocks]) for k in range(len(kinds))]
+        alone = np.concatenate([trace_norms([b[k:k + 1] for b in blocks])
+                                for k in range(len(kinds))])
         calls = []
         for name in ("eigvalsh", "svd"):
             def spy(m, *args, name=name, kernel=getattr(np.linalg, name), **kwargs):
                 calls.append((name, m))
                 return kernel(m, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
-        # one eigensolve and one SVD per block size, and each member its own bits
+        # one SVD per block size, each member within rounding of its value alone
         got = trace_norms(blocks)
-        assert sorted(name for name, _ in calls) == ["eigvalsh", "eigvalsh", "svd", "svd"]
-        assert got.tobytes() == np.concatenate(alone).tobytes()
+        assert sorted(name for name, _ in calls) == ["svd", "svd"]
+        assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
+        # the Hermitian members alone: one eigensolve per block size, and their own bits
+        herm = [k for k, kind in enumerate(kinds) if kind != "skew"]
+        calls.clear()
+        assert trace_norms([b[herm] for b in blocks]).tobytes() == alone[herm].tobytes()
+        assert sorted(name for name, _ in calls) == ["eigvalsh", "eigvalsh"]
         # a block array of one kind goes to LAPACK as it is, without a masked copy
         for kind, name in (("certified", "eigvalsh"), ("skew", "svd")):
             same = [b[[k for k, other in enumerate(kinds) if other == kind]] for b in blocks]
@@ -229,7 +237,7 @@ class TestExactHermiticityCertificate:
         assert_same(_within_tolerance(t2_blocks, t2_test[1]), _within_tolerance(rho_blocks, test[1]))
         # the record tests rho whole, and a sector state vanishes off its blocks
         states = _States(n, 1, array=m[None])
-        assert states.sector.tolist() == [kind == "sector"]
+        assert states.sector is (kind == "sector")
         assert_same((states.certified, states.err), test)
         if edge in EDGES:  # the functionals read that decision: the bits of the tolerance path,
             got = functionals(m[None], coupled_system(n))  # and of T_2 rho tested on its own
@@ -250,8 +258,8 @@ class TestExactHermiticityCertificate:
         assert exactly_hermitian(one_block(both.swapaxes(1, 2))).tolist() == [True, False]
 
 
-RANGE = "matrix has a real or imaginary part of magnitude 2^1021 or more"
-BELOW = float(np.nextafter(2.0 ** 1021, 0))  # the largest part the gate passes
+RANGE = "matrix has a real or imaginary part of magnitude 2^990 or more"
+BELOW = float(np.nextafter(2.0 ** 990, 0))  # the largest part the gate passes
 
 
 def two_pairs(m: np.ndarray, value) -> np.ndarray:
@@ -271,11 +279,11 @@ def raised(f, *args) -> str:
 
 
 class TestEntryRange:
-    """The gate rejects a real or imaginary part from 2^1021 up; below that every kernel is finite."""
+    """The gate rejects a real or imaginary part from 2^990 up; below that every kernel is finite."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_gate_bound(self, dtype):
-        for x in (BELOW, 2.0 ** 1021, 2.0 ** 1022, 2.0 ** 1023):
+        for x in (BELOW, 2.0 ** 990, 2.0 ** 1021, 2.0 ** 1023):
             for value in (x, -x) + ((1j * x, -1j * x) if dtype is complex else ()):
                 m = np.diag([value, 1.0]).astype(dtype)
                 if x == BELOW:
@@ -305,11 +313,24 @@ class TestEntryRange:
             warnings.simplefilter("error")
             got = functionals(stack, sys_)
             assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
-            assert (got[0][1:] > 2.0 ** 1021).all() and (got[1][1:] > 2.0 ** 1021).all()
+            assert (got[0][1:] > 2.0 ** 990).all() and (got[1][1:] > 2.0 ** 990).all()
             with tolerance_path():
                 assert_same(got, functionals(stack, sys_))
             for k in range(len(stack)):
                 assert_same(tuple(f[k:k + 1] for f in got), functionals(stack[k:k + 1], sys_))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_largest_fills_give_finite_functionals(self, n):
+        # a trace norm or a witness row sum adds up to d^2 entries: below the
+        # bound every one is finite, for x I (a sector state), an all-x fill
+        # and an all-x(1 + i) fill, with no warning
+        d, sys_ = n * n, coupled_system(n)
+        for m in (BELOW * np.eye(d), np.full((d, d), BELOW), np.full((d, d), BELOW * (1 + 1j))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = functionals(m[None], sys_)
+            assert all(np.isfinite(f).all() for f in got)
+            assert got[0][0] >= BELOW and got[1][0] >= BELOW
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_largest_entries_fail_the_eigenvalue_test(self, n):
@@ -325,7 +346,7 @@ class TestEntryRange:
                 assert raised(DensityMatrix, n, m) == message
 
     @pytest.mark.parametrize("n", [4, 6])
-    @pytest.mark.parametrize("value", [2.0 ** 1021, -(2.0 ** 1021), 2.0 ** 1021 * 1j, 2.0 ** 1023])
+    @pytest.mark.parametrize("value", [2.0 ** 990, -(2.0 ** 990), 2.0 ** 990 * 1j, 2.0 ** 1023])
     def test_over_range_member_rejects_the_stack(self, n, value):
         base = edge_base(n)
         over = base.copy()

@@ -18,7 +18,7 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
 from entbound import criteria, functionals, states
-from entbound.states import _check_densities, _family_states, _sector_members
+from entbound.states import _check_densities, _family_states, _is_sector_stack
 from helpers import (family_matrix, isotropic_matrix, load_whole_file, product_pure,
                      random_product_unitary, schmidt_reconstruct, werner_matrix)
 
@@ -53,7 +53,7 @@ DEFECTS = {
     "non-hermitian": (non_hermitian, "density matrix is not Hermitian within 1e-10"),
     "wrong-trace": (lambda: np.eye(16) / 8, "density matrix trace differs from 1 beyond 1e-10"),
     "negative-eigenvalue": (negative_eigenvalue, "density matrix has an eigenvalue below -1e-10"),
-    "overflowing-pair": (huge_pair, "matrix has a real or imaginary part of magnitude 2^1021 or more"),
+    "overflowing-pair": (huge_pair, "matrix has a real or imaginary part of magnitude 2^990 or more"),
     "nan": (with_nan, "matrix contains NaN or Inf entries"),
 }
 
@@ -184,10 +184,10 @@ class TestDensityStack:
 
     @pytest.mark.parametrize("value, defect", [
         (2.0 ** 1023, "overflowing-pair"), (-(2.0 ** 1023), "overflowing-pair"),
-        (2.0 ** 1023 * 1j, "overflowing-pair"), (2.0 ** 1020, "negative-eigenvalue")])
+        (2.0 ** 1023 * 1j, "overflowing-pair"), (2.0 ** 989, "negative-eigenvalue")])
     def test_entry_where_symmetrising_overflows_is_rejected(self, sys4, value, defect):
         # (m + m^dag) / 2 is inf from 2^1023 up: the gate rejects every part
-        # from 2^1021 up, for the whole stack.  Below that, a valid state has
+        # from 2^990 up, for the whole stack.  Below that, a valid state has
         # no entry above 1 + 16e-10, so m fails the eigenvalue test, and the
         # first failing member still decides the message
         message = DEFECTS[defect][1]
@@ -295,7 +295,7 @@ class TestEigenvalueBoundary:
     @pytest.mark.parametrize("offset", [-3e-11, -1.2e-11, -0.8e-11, 0.8e-11, 1.2e-11, 3e-11])
     def test_verdict_and_route(self, monkeypatch, n, offset):
         m = rotated_diagonal(n, -1e-10 + offset)
-        assert not _sector_members(m[None], n)[0]
+        assert not _is_sector_stack(m[None], n)
         sym = (m + m.conj().T) / 2
         rejects = bool(np.linalg.eigvalsh(sym[None])[0, 0] < -1e-10)
         assert rejects == (offset < 0)
@@ -464,8 +464,8 @@ class TestJzBlockStates:
 
     def test_matrix_is_built_only_on_demand(self, sys4, monkeypatch):
         scans = []
-        monkeypatch.setattr(states, "_sector_members",
-                            lambda *args: scans.append(1) or _sector_members(*args))
+        monkeypatch.setattr(states, "_is_sector_stack",
+                            lambda *args: scans.append(1) or _is_sector_stack(*args))
         state = family_state(sys4, 0.3)
         evaluate_criteria(state, sys4)
         assert "matrix" not in vars(state) and not scans
