@@ -40,20 +40,20 @@ SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
 # one survey row: the state name, then the CriteriaVerdict fields as _fmt prints them
 SURVEY_ROW = "%s,%s,%s,%r,%s,%r,%r"
 
-# survey evaluates random states this many at a time: enough to share the
-# per-call overhead of the stacked kernels, few enough that memory stays flat
+# survey evaluates random states this many at a time, fewer from N = 12 up so
+# that a chunk (about four state sizes a state) stays near _ENTRY_CHUNK entries
 SURVEY_CHUNK = 16
 SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 
 # --n is refused when N^2 exceeds this for the commands that build dense
-# N^2 x N^2 matrices (268 MB each at N = 64): survey, witness and verify
-# witness|appendixA.  A dense state is validated by a Cholesky factorization
-# (about 6 s at N = 64, 2 vCPU) and trace-normed by eigensolves or SVDs,
-# O(N^6).  The family states are built, validated and trace-normed as their
-# J_z blocks and never as a dense matrix, O(N^4) work and memory, so family
-# and verify appendixB|figures accept N up to MAX_SECTOR_N instead: a family
-# row takes about 0.1 s at N = 64, 0.5 s at N = 128 and 4 s at N = 256, where
-# family --n 256 --steps 2 peaks at about 355 MB RSS (2 vCPU, OpenBLAS)
+# N^2 x N^2 matrices (268 MB each at N = 64): survey, one state a chunk from
+# N = 24 up, witness and verify witness|appendixA.  A dense state is
+# validated by a Cholesky factorization (about 6 s at N = 64, 2 vCPU) and
+# trace-normed by eigensolves or SVDs, O(N^6).  The family states are built,
+# validated and trace-normed as their J_z blocks, O(N^4) work and memory, so
+# family and verify appendixB|figures accept N up to MAX_SECTOR_N instead: a
+# family row takes about 0.1 s at N = 64, 0.5 s at N = 128 and 4 s at
+# N = 256, where family --n 256 --steps 2 peaks at about 355 MB RSS (2 vCPU, OpenBLAS)
 MAX_STATE_DIM = 4096
 MAX_SECTOR_N = 256
 
@@ -176,6 +176,7 @@ def cmd_survey(args) -> int:
     if not 1 <= rank <= n2:
         raise ValueError(f"--rank must lie in [1, {n2}]")
     root = np.random.SeedSequence(args.seed)
+    chunk = min(SURVEY_CHUNK, max(1, _ENTRY_CHUNK // n2 ** 2))
 
     # a chunk of states and their lines at a time, so memory does not grow
     # with --samples; spawn(k) per chunk gives the same child streams as one
@@ -184,8 +185,8 @@ def cmd_survey(args) -> int:
         if args.include_family:
             yield ([f"family({lam})" for lam in SURVEY_FAMILY_LAMBDAS],
                    _family_states(sys_, SURVEY_FAMILY_LAMBDAS))
-        for start in range(0, args.samples, SURVEY_CHUNK):
-            size = min(SURVEY_CHUNK, args.samples - start)
+        for start in range(0, args.samples, chunk):
+            size = min(chunk, args.samples - start)
             yield ([f"random{k}" for k in range(start, start + size)],
                    _check_densities(_sample_densities(sys_, rank, root.spawn(size)), args.n))
 

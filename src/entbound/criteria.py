@@ -118,11 +118,12 @@ def _realignment_norms(stack: np.ndarray, n: int, err: np.ndarray) -> np.ndarray
     """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
 
     The route is read from ``err``, ||rho - rho^dag||_max from the state
-    record.  If every matrix has err 0, each equals rho^dag in value, signed
-    zeros aside, so the imaginary parts of its :func:`_realignment_real_forms`
-    C cancel to zeros and ``C.real`` takes the real kernels, about half the
-    cost of the complex ones.  Any other stack goes to the complex kernels on
-    :func:`_realignments` and builds no C.
+    record, the number that decides every Hermitian shortcut.  If every
+    matrix has err 0, each equals rho^dag in value, so the imaginary parts
+    of its :func:`_realignment_real_forms` C cancel to zeros and ``C.real``
+    takes the real kernels, about half the cost of the complex ones.  Any
+    other stack goes to the complex kernels on :func:`_realignments` and
+    builds no C.
     """
     if err.any():
         return trace_norms([_realignments(stack, n)[:, None]])
@@ -337,19 +338,18 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     Every decision is read from the record, once for the stack.  A sector
     stack is normed on its J_z blocks; any other is permuted whole, and its
     R rho is normed by :func:`_realignment_norms`, in real arithmetic where
-    every rho is exactly Hermitian.  T_2 rho - (T_2 rho)^dag =
-    T_2 (rho - rho^dag) entry for entry, so T_2 rho takes the Hermiticity
-    test of rho straight into :func:`linalg._spectral_norms`; only the
-    blocks of R rho and the real form C get a test of their own.
+    every rho has ``err`` 0.  T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag)
+    entry for entry, so T_2 rho takes the ``err`` of rho straight into
+    :func:`linalg._spectral_norms`; only the blocks of R rho and the real
+    form C get a test of their own.
     """
     n = sys.n
     if states.sector:
         t2_sectors, r_sectors = _sectors(n)
-        t2 = _spectral_norms(states.blocks(t2_sectors), states.certified, states.err)
+        t2 = _spectral_norms(states.blocks(t2_sectors), states.err)
         rn = trace_norms(states.blocks(r_sectors))
     else:
-        t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]],
-                             states.certified, states.err)
+        t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]], states.err)
         rn = _realignment_norms(states.array, n, states.err)
     return t2, rn, _witness_values(states.take, sys)
 
@@ -364,7 +364,7 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     gathered straight from rho, O(N^4) work, only if every state vanishes
     exactly between different sectors (m_1 + m_2), as the family, Werner and
     isotropic states do, else whole matrices, O(N^6); the real form of R rho
-    (:func:`_realignment_norms`) only if every rho is exactly Hermitian; the
+    (:func:`_realignment_norms`) only if every rho equals rho^dag in value; the
     eigensolve only if every member passes the Hermiticity tolerance
     (:func:`linalg._spectral_norms`).  A state gets the bits it gets alone in
     any stack whose states agree on these three decisions, as every stack a

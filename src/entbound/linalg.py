@@ -23,7 +23,7 @@ import numpy as np
 # No real or imaginary part of a gated entry reaches this bound, so every entry has modulus
 # below 2^990.5.  A trace norm of a d x d matrix is at most d^2 times its largest entry modulus,
 # and d <= 2^16 in practice (a complex d x d array with d = 2^16 takes 64 GiB), so every trace
-# norm, witness row sum and symmetrised pair (rho + rho^dag, x + x, C + C^T) stays below 2^1023.
+# norm, witness row sum and symmetrised pair (rho + rho^dag, C + C^T) stays below 2^1023.
 _ENTRY_LIMIT = 2.0 ** 990
 
 
@@ -88,9 +88,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
     """Is ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), for each member M given by its ``blocks``?
 
-    ``err`` is ||M - M^dag||_max of each member (:func:`_hermitian_test`,
-    whose certificate implies this test); ||M||_max is taken over all blocks
-    of a member, and only if some error exceeds 1e-12.
+    ``err`` is ||M - M^dag||_max of each member (:func:`_hermitian_test`);
+    ||M||_max is taken over all blocks of a member, and only if some error
+    exceeds 1e-12.
     """
     ok = err <= 1e-12
     if np.all(ok):
@@ -99,42 +99,22 @@ def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
     return err <= 1e-12 * np.maximum(1.0, largest)
 
 
-def _hermitian_test(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The exact-Hermiticity certificate and ||M - M^dag||_max of each member M given by its ``blocks``.
+def _hermitian_test(blocks) -> np.ndarray:
+    """||M - M^dag||_max of each member M given by its ``blocks``, the one Hermiticity number.
 
-    The certificate says that (M + M^dag) / 2 equals M bit for bit, which
-    lets a member skip the Hermiticity tolerance test and the
-    symmetrisation and still get their bits.  It holds exactly when every
-    entry of M - M^dag (real part Re M - Re M^T, imaginary part
-    Im M + Im M^T) has all bits zero, signed zeros included (off-diagonal
-    imaginary parts opposite, where two +0.0 pass and two -0.0 do not;
-    diagonal ones +0.0); x + x is then exact, as no entry that reaches a
-    kernel is at :data:`_ENTRY_LIMIT` or beyond.  Sampled states and state
-    files are Hermitian in this sense.
-    T_2, a permutation that maps each entry of M - M^dag to one of
-    T_2 M - (T_2 M)^dag, keeps both results bit for bit.  M - M^dag is
-    formed one block array at a time, in one array the size of the block
-    array.  A block array whose differences have all bits zero gives its
-    members error 0 with no further pass, so a stack that is certified
-    whole costs one difference and its maximum bit pattern, and no
-    reduction member by member.
+    Every Hermitian shortcut reads it: 0 (M equals M^dag in value), within
+    :func:`_within_tolerance`, or beyond.  T_2 maps each entry of M - M^dag
+    to one of T_2 M - (T_2 M)^dag, so it keeps the error bit for bit.
+    M - M^dag is formed one block array at a time, in one array the size of
+    the block array, and its moduli only if some entry is nonzero.
     """
-    size = len(blocks[0])
-    certified, err = np.ones(size, dtype=bool), np.zeros(size)
+    err = np.zeros(len(blocks[0]))
     for b in blocks:
-        if np.iscomplexobj(b):
-            d = np.conjugate(b.swapaxes(-1, -2), order="C")
-            np.subtract(b, d, out=d)
-        else:
-            d = np.subtract(b, b.swapaxes(-1, -2), order="C")
-        bits = d.view(np.uint64)
-        if bits.max(initial=0):
-            block_err = np.abs(d).reshape(size, -1).max(axis=1)
-            err = np.maximum(err, block_err)
-            certified &= block_err == 0
-            if certified.any():  # a zero error can hide a -0.0, which the certificate refuses
-                certified[certified] = bits[certified].reshape(-1, bits[0].size).max(axis=1) == 0
-    return certified, err
+        d = np.conjugate(b.swapaxes(-1, -2), order="C")
+        np.subtract(b, d, out=d)
+        if d.any():
+            err = np.maximum(err, np.abs(d).reshape(len(b), -1).max(axis=1))
+    return err
 
 
 def trace_norms(blocks) -> np.ndarray:
@@ -153,26 +133,25 @@ def trace_norms(blocks) -> np.ndarray:
     for b in blocks:
         if b.ndim != 4 or b.shape[2] != b.shape[3]:
             raise DimensionError(f"trace norm needs (S, nb, k, k) blocks, got shape {b.shape}")
-    return _spectral_norms(blocks, *_hermitian_test(blocks))
+    return _spectral_norms(blocks, _hermitian_test(blocks))
 
 
-def _spectral_norms(blocks, certified: np.ndarray, err: np.ndarray) -> np.ndarray:
+def _spectral_norms(blocks, err: np.ndarray) -> np.ndarray:
     """The trace norms of :func:`trace_norms`, given :func:`_hermitian_test` of the members.
 
-    The spectrum kernel, one route per call: Hermitian eigensolves (the sum
-    of absolute eigenvalues) if every member is Hermitian within
-    :func:`_within_tolerance`, else SVDs, one stacked LAPACK call per block
-    size.  If every member is ``certified``, the eigensolve gets the blocks
-    as they are, else their :func:`_hermitian_part`, which is M itself, bit
-    for bit, for a certified member.  Real blocks take LAPACK's real kernels
-    (dsyevd, dgesdd), about half the cost of the complex ones.  Both kinds
-    keep absolute accuracy of order eps * ||M|| even for singular values at
-    zero; squaring the matrix first (eigensolve of M^dag M) would halve the
-    attainable precision there, which the rank-deficient realignment checks
-    cannot afford.
+    The spectrum kernel, one route per call, read from ``err``: Hermitian
+    eigensolves (the sum of absolute eigenvalues) if every member is
+    Hermitian within :func:`_within_tolerance`, else SVDs, one stacked
+    LAPACK call per block size.  If every error is 0, the eigensolve gets
+    the blocks as they are, else their :func:`_hermitian_part`.  Real
+    blocks take LAPACK's real kernels (dsyevd, dgesdd), about half the cost
+    of the complex ones.  Both kinds keep absolute accuracy of order
+    eps * ||M|| even for singular values at zero; squaring the matrix first
+    (eigensolve of M^dag M) would halve the attainable precision there,
+    which the rank-deficient realignment checks cannot afford.
     """
-    exact = bool(certified.all())
-    if exact or _within_tolerance(blocks, err).all():
+    exact = not err.any()
+    if _within_tolerance(blocks, err).all():
         spectra = [np.linalg.eigvalsh(_hermitian_part(b, exact)) for b in blocks]
     else:
         spectra = [np.linalg.svd(b, compute_uv=False) for b in blocks]
@@ -182,7 +161,7 @@ def _spectral_norms(blocks, certified: np.ndarray, err: np.ndarray) -> np.ndarra
 
 
 def _hermitian_part(m: np.ndarray, exact: bool) -> np.ndarray:
-    """(m + m^dag) / 2 of each matrix, or ``m`` itself where ``exact`` says that is the same bits."""
+    """(m + m^dag) / 2 of each matrix, or ``m`` itself where ``exact`` says m equals m^dag in value."""
     return m if exact else (m + dagger(m)) / 2
 
 

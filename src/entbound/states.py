@@ -82,17 +82,16 @@ class _States:
     (S, N^2, N^2) stack they stand for.  ``sector`` says that every state
     vanishes exactly between different J_z sectors, so that rho, T_2 rho and
     R rho are read as blocks at the ``positions`` of a :class:`linalg._Sectors`.
-    ``certified`` and ``err`` are :func:`linalg._hermitian_test` of each rho.
+    ``err``, ||rho - rho^dag||_max of each rho, decides every Hermitian shortcut.
 
     A gated stack is decided here, without the density checks: the sector
     scan :func:`_is_sector_stack` and the test of each whole matrix (a
     sector state vanishes off its J_z blocks, so its blocks have the same
-    ``err``, and they are certified whenever it is).  Entry-built states
-    are sector states by construction, and :func:`_sector_states` tests
-    their J_z blocks, the only entries they have.
+    ``err``).  Entry-built states are sector states by construction, and
+    :func:`_sector_states` tests their J_z blocks, the only entries they have.
     """
 
-    __slots__ = ("n", "shape", "array", "entries", "sector", "certified", "err")
+    __slots__ = ("n", "shape", "array", "entries", "sector", "err")
 
     def __init__(self, n: int, size: int, array: np.ndarray | None = None, entries=None):
         self.n, self.shape, self.array, self.entries = n, (size, n * n, n * n), array, entries
@@ -100,7 +99,7 @@ class _States:
             self.sector = True
         else:
             self.sector = _is_sector_stack(array, n)
-            self.certified, self.err = _hermitian_test([array[:, None]])
+            self.err = _hermitian_test([array[:, None]])
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -147,8 +146,8 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
     The Hermiticity test reads the record's ``err``.  The eigenvalue test,
     a Cholesky certificate (:func:`_eig_failed`), factors one block list:
     the J_z ``blocks`` of a sector record (gathered here unless given), else
-    each whole matrix as one block.  If every state is ``certified``, none
-    is symmetrised, and each block array is factored in place.  The first
+    each whole matrix as one block.  If every state has ``err`` 0, none is
+    symmetrised, and each block array is factored in place.  The first
     failing state raises the message of its first failing check, as if
     checked one after another.
     """
@@ -158,7 +157,7 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
     failed = np.zeros((len(_DENSITY_CHECKS), len(states)), dtype=bool)
     failed[0] = states.err > _HERM_TOL
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
-    exact = bool(states.certified.all())
+    exact = not states.err.any()
     failed[2] = reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1) for b in blocks])
     if failed.any():
         first = failed.any(axis=0).argmax()
@@ -166,7 +165,7 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
     return states
 
 
-def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
+def _eig_failed(m: np.ndarray, exact: bool) -> np.ndarray:
     """Has the Hermitian part of each block of an (S, nb, k, k) array an eigenvalue below -1e-10?
 
     A Cholesky certificate decides the common case without an eigensolve.
@@ -183,10 +182,10 @@ def _eig_failed(m: np.ndarray, exact: bool = False) -> np.ndarray:
     (:data:`linalg._ENTRY_LIMIT`), so sym is finite; a factorization that
     overflows fails, by numpy's error or by a factor whose diagonal is not
     finite, and the eigensolve scales its input.  ``exact`` says that
-    every matrix has the certificate of :func:`linalg._hermitian_test`, so
-    sym is m bit for bit and m itself takes the shift (a read-only m is
-    copied first): for B = 1 the check then peaks at three d x d arrays, m,
-    numpy's factor and its per-matrix work copy, and through sym at four.
+    every matrix has error 0 (:func:`linalg._hermitian_test`), so sym is m
+    and m itself takes the shift (a read-only m is copied first): for B = 1
+    the check then peaks at three d x d arrays, m, numpy's factor and its
+    per-matrix work copy, and through sym at four.
     """
     if exact and not m.flags.writeable:
         m = m.copy()
@@ -313,7 +312,7 @@ def _sector_states(n: int, size: int, entries) -> _States:
     """
     states = _States(n, size, entries=entries)
     blocks = states.blocks(_density_sectors(n))
-    states.certified, states.err = _hermitian_test(blocks)
+    states.err = _hermitian_test(blocks)
     n2 = n * n
     return _validate(states, states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1), blocks)
 

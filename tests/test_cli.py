@@ -518,6 +518,22 @@ class TestSurveyCommand:
         large = survey_peak_bytes(tmp_path, 1000, "--n", "4", "--rank", "1")
         assert large - small <= 2 ** 18
 
+    @pytest.mark.parametrize("n, sizes", [(10, [16, 1]), (12, [12, 5]), (16, [4, 4, 4, 4, 1])])
+    def test_chunks_shrink_with_n(self, monkeypatch, tmp_path, n, sizes):
+        # 16 states a chunk up to N = 10, then _ENTRY_CHUNK // N^4 (at least one)
+        seen = []
+        check = cli._check_densities
+        monkeypatch.setattr(cli, "_check_densities", lambda a, n_: seen.append(len(a)) or check(a, n_))
+        assert main(["survey", "--n", str(n), "--samples", "17", "--rank", "4", "--seed", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert seen == sizes
+
+    def test_chunk_peak_stays_within_a_few_state_sizes(self, tmp_path):
+        # a chunk holds about four state sizes a state, so the 4 states of a
+        # chunk at N = 16 stay below 20 state sizes
+        survey_peak_bytes(tmp_path, 1, "--n", "16")  # warm caches and imports
+        assert survey_peak_bytes(tmp_path, 16, "--n", "16") <= 20 * 16 * 16 ** 4
+
 
 def eigvalsh_calls_from_states(monkeypatch):
     """Record each np.linalg.eigvalsh call made directly from entbound.states."""
@@ -569,7 +585,7 @@ class TestDensityCertificate:
 
 
 class TestHermiticityCertificate:
-    """The exact-Hermiticity certificate skips work and changes no output byte."""
+    """The exact routes of ||rho - rho^dag||_max = 0 skip work and change no output byte."""
 
     @pytest.mark.parametrize("command", [
         "survey --n 4 --rank 4 --include-family --samples 40 --seed 3",
@@ -581,21 +597,21 @@ class TestHermiticityCertificate:
         save_state(path, random_density(entbound.coupled_system(8), 4, 1))
         argv = command.replace("STATE", str(path)).split()
         assert main(argv) == 0
-        certified = capsys.readouterr()
+        exact = capsys.readouterr()
         with tolerance_path():
             assert main(argv) == 0
-        assert capsys.readouterr() == certified
+        assert capsys.readouterr() == exact
 
-    def test_valid_survey_is_certified_throughout(self, monkeypatch, tmp_path):
-        # every sampled and family state passes the certificate, and so do the
-        # J_z blocks of R; only the real forms C of R, not symmetric, fail it
+    def test_valid_survey_has_error_zero_throughout(self, monkeypatch, tmp_path):
+        # every sampled and family state has ||rho - rho^dag||_max exactly 0, and
+        # so do the J_z blocks of R; only the real forms C of R, not symmetric, do not
         results = []
         test = entbound.linalg._hermitian_test
 
         def spy(blocks):
-            certified, err = test(blocks)
-            results.append((np.iscomplexobj(blocks[0]), bool(certified.all())))
-            return certified, err
+            err = test(blocks)
+            results.append((np.iscomplexobj(blocks[0]), not err.any()))
+            return err
 
         for module in (entbound.linalg, entbound.states):
             monkeypatch.setattr(module, "_hermitian_test", spy)
@@ -604,7 +620,7 @@ class TestHermiticityCertificate:
         # the family chunk: rho's blocks and R's; two dense chunks: rho and C.
         # T_2 rho takes the test of rho, and R's route reads it from the record
         assert len(results) == 2 + 2 * 2
-        assert all(certified == is_complex for is_complex, certified in results)
+        assert all(exact == is_complex for is_complex, exact in results)
 
 
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):

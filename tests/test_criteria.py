@@ -618,7 +618,7 @@ class TestRealRealignment:
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", SIGNED_ZEROS)
     def test_signed_zero_member_takes_the_real_form(self, monkeypatch, n, edge):
-        # rho = rho^dag in value, whether or not the certificate passes it:
+        # rho = rho^dag in value, so its error is 0, whatever its signed zeros:
         # C is real, and the member is normed as C.real, in a stack and alone
         base = edge_base(n)
         m = base.copy()

@@ -4,14 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from entbound import (DensityMatrix, DimensionError, coupled_system, evaluate_criteria,
-                      family_state, functionals, verdicts)
+from entbound import (DensityMatrix, DimensionError, coupled_system, criteria, evaluate_criteria,
+                      family_state, functionals, linalg, states, verdicts)
 from entbound.criteria import _partial_transposes, _sectors
 from entbound.linalg import (_hermitian_test, _Sectors, _within_tolerance, as_complex_matrix,
                              as_complex_stack, trace_norms)
 from entbound.states import _check_densities, _density_sectors, _States
 from helpers import (EDGES, edge_base, exactly_hermitian, hermitian_mask, huge_pair, nan_entry,
-                     one_block, smallest_pair, tolerance_path)
+                     one_block, signed_zero_real, smallest_pair, symmetrised, tolerance_path)
 
 
 def norm(m):
@@ -69,9 +69,9 @@ class TestTraceNorm:
         assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
         pair = one_block(np.stack(mats[:1] + mats[3:4]))
         assert trace_norms(pair).tolist() == alone[[0, 3]].tolist()
-        # members of two blocks of size 3 and one of size 4: certified, Hermitian
+        # members of two blocks of size 3 and one of size 4: of error 0, Hermitian
         # within the tolerance, and not Hermitian
-        kinds = ["certified", "tolerance", "skew", "certified", "skew", "tolerance"]
+        kinds = ["exact", "tolerance", "skew", "exact", "skew", "tolerance"]
         small, large = [], []
         for kind in kinds:
             small.append(np.stack([rand_hermitian(rng, 3), rand_hermitian(rng, 3)]))
@@ -81,7 +81,7 @@ class TestTraceNorm:
             elif kind == "skew":
                 small[-1] = small[-1] + 0.5 * rand_complex(rng, 3, 3)
         blocks = [np.stack(small), np.stack(large)]
-        assert exactly_hermitian(blocks).tolist() == [kind == "certified" for kind in kinds]
+        assert exactly_hermitian(blocks).tolist() == [kind == "exact" for kind in kinds]
         assert hermitian_mask(blocks).tolist() == [kind != "skew" for kind in kinds]
         alone = np.concatenate([trace_norms([b[k:k + 1] for b in blocks])
                                 for k in range(len(kinds))])
@@ -101,7 +101,7 @@ class TestTraceNorm:
         assert trace_norms([b[herm] for b in blocks]).tobytes() == alone[herm].tobytes()
         assert sorted(name for name, _ in calls) == ["eigvalsh", "eigvalsh"]
         # a block array of one kind goes to LAPACK as it is, without a masked copy
-        for kind, name in (("certified", "eigvalsh"), ("skew", "svd")):
+        for kind, name in (("exact", "eigvalsh"), ("skew", "svd")):
             same = [b[[k for k, other in enumerate(kinds) if other == kind]] for b in blocks]
             calls.clear()
             trace_norms(same)
@@ -176,18 +176,18 @@ def assert_same(got, want):
 
 
 class TestExactHermiticityCertificate:
-    """Each edge of the bitwise certificate gets the bits of the tolerance path."""
+    """Each edge of ||rho - rho^dag||_max = 0 gets the bits of the path that symmetrises always."""
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", sorted(EDGES))
     def test_edge_takes_the_bits_of_the_tolerance_path(self, n, edge):
-        edit, certified = EDGES[edge]
+        edit, exact = EDGES[edge]
         base = edge_base(n)
         m = base.copy()
         edit(m, *smallest_pair(m))
-        # the certificate decides member by member, in a stack with exact members
+        # the error is taken member by member, in a stack with exact members
         stack = np.stack([base, m, base.T])
-        assert exactly_hermitian(one_block(stack)).tolist() == [True, certified, True]
+        assert exactly_hermitian(one_block(stack)).tolist() == [True, exact, True]
         sys_ = coupled_system(n)
         for f, args in ((lambda s, n: _check_densities(s, n).array, (stack, n)),
                         (functionals, (stack, sys_)), (functionals, (m[None], sys_)),
@@ -216,8 +216,8 @@ class TestExactHermiticityCertificate:
     @pytest.mark.parametrize("kind", ["dense", "sector"])
     def test_partial_transpose_keeps_the_test_of_rho(self, n, edge, kind):
         # T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag) entry for entry, so the
-        # blocks of T_2 rho get the certificate, the error and the tolerance
-        # mask of the blocks of rho, bit for bit; the criteria rely on it
+        # blocks of T_2 rho get the error and the tolerance mask of the blocks
+        # of rho, bit for bit; the criteria rely on it
         if kind == "dense":
             m = edge_base(n)
             i, j = smallest_pair(m)
@@ -234,28 +234,58 @@ class TestExactHermiticityCertificate:
                                      for sectors in (_density_sectors(n), _sectors(n)[0]))
         test, t2_test = _hermitian_test(rho_blocks), _hermitian_test(t2_blocks)
         assert_same(t2_test, test)
-        assert_same(_within_tolerance(t2_blocks, t2_test[1]), _within_tolerance(rho_blocks, test[1]))
+        assert_same(_within_tolerance(t2_blocks, t2_test), _within_tolerance(rho_blocks, test))
         # the record tests rho whole, and a sector state vanishes off its blocks
         states = _States(n, 1, array=m[None])
         assert states.sector is (kind == "sector")
-        assert_same((states.certified, states.err), test)
+        assert_same(states.err, test)
         if edge in EDGES:  # the functionals read that decision: the bits of the tolerance path,
             got = functionals(m[None], coupled_system(n))  # and of T_2 rho tested on its own
             assert_same(got[0], trace_norms(t2_blocks))
             with tolerance_path():
                 assert_same(got, functionals(m[None], coupled_system(n)))
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_row_of_signed_zeros_takes_the_exact_routes(self, monkeypatch, n):
+        # a whole row of real parts +0.0 against -0.0 in its column: rho equals
+        # rho^dag in value, not in bits, so it has error 0 and takes the exact
+        # routes, within 4 ulp of the functionals of the symmetrised path
+        m = edge_base(n)
+        for j in range(1, n * n):
+            signed_zero_real(m, 0, j)
+        assert exactly_hermitian(one_block(m[None])).tolist() == [True]
+        assert not np.array_equal(m.view(np.uint64), symmetrised(m, True).view(np.uint64))
+        sys_ = coupled_system(n)
+        parts, real_forms = [], []
+        part, real_form = linalg._hermitian_part, criteria._realignment_real_forms
+        for module in (linalg, states):
+            monkeypatch.setattr(module, "_hermitian_part",
+                                lambda a, exact: parts.append((a.dtype, exact)) or part(a, exact))
+        monkeypatch.setattr(criteria, "_realignment_real_forms",
+                            lambda a, n_: real_forms.append(1) or real_form(a, n_))
+        DensityMatrix(n, m)
+        got = functionals(m[None], sys_)
+        # the density check and T_2 rho hand rho on as it is, and R rho takes C
+        assert [exact for dtype, exact in parts if dtype == complex] == [True, True]
+        assert real_forms == [1]
+        monkeypatch.undo()
+        with tolerance_path():
+            want = functionals(m[None], sys_)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 4 * np.spacing(np.abs(w)))
+
     def test_real_and_strided_members(self):
         rng = np.random.default_rng(3)
         h = rand_hermitian(rng, 5)
+        skew = 2 * np.abs(h.imag).max()  # ||A - A^dag||_max of an antisymmetric A = Im h or 1j h
         # real members: a symmetric and an antisymmetric one
-        assert exactly_hermitian(one_block(np.stack([h.real, h.imag]))).tolist() == [True, False]
+        assert _hermitian_test(one_block(np.stack([h.real, h.imag]))).tolist() == [0.0, skew]
         both = np.stack([h, 1j * h])  # 1j h is anti-Hermitian
-        assert exactly_hermitian(one_block(both)).tolist() == [True, False]
+        assert _hermitian_test(one_block(both)).tolist() == [0.0, 2 * np.abs(h).max()]
         # the real parts of a complex stack, a strided view
-        assert exactly_hermitian(one_block(both.real)).tolist() == [True, False]
+        assert _hermitian_test(one_block(both.real)).tolist() == [0.0, skew]
         # transposed views, whose rows are not contiguous: h^T = conj(h) is Hermitian too
-        assert exactly_hermitian(one_block(both.swapaxes(1, 2))).tolist() == [True, False]
+        assert _hermitian_test(one_block(both.swapaxes(1, 2))).tolist() == [0.0, 2 * np.abs(h).max()]
 
 
 RANGE = "matrix has a real or imaginary part of magnitude 2^990 or more"
