@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (_is_integer, _Sectors, _spectral_norms, as_complex_matrix, as_complex_stack,
-                     dagger, trace_norms)
+from .linalg import (_hermitian_part, _is_integer, _Sectors, _spectral_norms, as_complex_matrix,
+                     as_complex_stack, dagger, trace_norms)
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import _as_states, _States, as_matrix, haar_unitary
 
@@ -143,16 +143,15 @@ def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
 def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """The witness W = I - N P_0 - F, built once per system and cached read-only.
 
-    W is filled in one array: N P_0 is subtracted on its N x N support, then F
-    by index, the order of the dense sum, so every zero keeps its sign
-    (:func:`closedform.swap_operator` is the reference).  W equals
-    N (I otimes Phi) applied to the singlet projector and
-    -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in
-    :mod:`closedform` as references.  The spectrum is -(N-2) on the singlet,
-    +2 on the even-J manifolds with J >= 2, and 0 on the odd-J (symmetric) manifolds.
-    Only :func:`witness_value`, :func:`twisted_witness`, :func:`minimize_witness`,
-    the ``witness`` command and ``verify witness|appendixA`` use W itself;
-    :func:`functionals` reads tr(W rho) from the swap form without it.
+    W is filled in one array: N P_0 is subtracted on its N x N support, then F by index, the
+    order of the dense sum, so every zero keeps its sign (:func:`closedform.swap_operator` is
+    the reference).  W equals N (I otimes Phi) applied to the singlet projector and
+    -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in :mod:`closedform` as
+    references.  The spectrum is -(N-2) on the singlet, +2 on the even-J manifolds with
+    J >= 2, and 0 on the odd-J (symmetric) manifolds.  Only :func:`witness_value`,
+    :func:`twisted_witness`, the ``witness`` command and ``verify witness|appendixA`` use W
+    itself; :func:`functionals` and :func:`minimize_witness` read tr(W rho) from the swap
+    form without it.
     """
     n = sys.n
     w = np.eye(n * n, dtype=complex)
@@ -166,21 +165,17 @@ def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     return w
 
 
-def _trace_product(w: np.ndarray, a: np.ndarray) -> float:
-    """Re tr(W A) without forming W A."""
-    return float(np.einsum("ij,ji->", w, a).real)
-
-
 def witness_value(w, rho) -> float:
     """tr(W rho); negative values certify entanglement of rho."""
     w = as_complex_matrix(w)
-    return _trace_product(w, as_matrix(rho, w.shape))
+    return float(np.einsum("ij,ji->", w, as_matrix(rho, w.shape)).real)
 
 
 def _conjugate(m: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """(U1 otimes U2) M (U1 otimes U2)^dag for arrays that are already gated."""
-    u = np.kron(u1, u2)
-    return u @ m @ dagger(u)
+    """(U1 otimes U2) M (U1 otimes U2)^dag of gated arrays: four N x N products on views, O(N^5)."""
+    n = len(u1)
+    r = (u2 @ (u1 @ m.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(u2)
+    return (u1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
 
 
 def twisted_witness(w, u1, u2) -> np.ndarray:
@@ -196,18 +191,20 @@ def twisted_witness(w, u1, u2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerBudget:
-    """Search effort for the witness minimization: integer restarts >= 1, iterations >= 0."""
+    """Search effort for the witness search: integer restarts >= 1, iterations >= 0, seed >= 0."""
 
     restarts: int = 8
     iterations: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        for value in (self.restarts, self.iterations):
+        for value in (self.restarts, self.iterations, self.seed):
             if not _is_integer(value):
-                raise TypeError(f"budget restarts and iterations must be integers, got {value!r}")
+                raise TypeError(f"budget restarts, iterations and seed must be integers, got {value!r}")
         if self.restarts < 1 or self.iterations < 0:
             raise ValueError("budget must have restarts >= 1 and iterations >= 0")
+        if self.seed < 0:
+            raise ValueError(f"budget seed must be >= 0, got {self.seed!r}")
 
 
 def _geodesic_step(g: np.ndarray, mu: float, u: np.ndarray) -> np.ndarray:
@@ -217,42 +214,33 @@ def _geodesic_step(g: np.ndarray, mu: float, u: np.ndarray) -> np.ndarray:
 
 
 def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = OptimizerBudget()):
-    """Minimize tr(W_U rho) over product unitaries U = U1 otimes U2.
+    """Minimize tr(W_U rho) over product unitaries U = U1 otimes U2, on the Hermitian part of rho.
 
-    Returns ``(value, u1, u2)`` with value = tr((U1 otimes U2) W (.)^dag rho)
-    re-evaluated at the returned unitaries.  Each restart takes up to
-    ``budget.iterations`` Riemannian steepest-descent steps on U(N) x U(N)
-    (Abrudan, Eriksson, Koivunen, IEEE TSP 56, 2008): for the twisted state
-    sigma and C = sigma W - W sigma, the anti-Hermitian gradients G1 = tr_2 C
-    and G2 = tr_1 C move U_k -> exp(mu G_k) U_k along geodesics.  mu halves
-    until f drops by mu (|G1|^2 + |G2|^2) / 2 and doubles after each step; a
-    restart ends early once the gradient vanishes.  Restarts draw independent
-    RNG streams split from the seed.  Restart 0 starts at the identity, so it
-    is the identity candidate and the result never exceeds tr(W rho).
+    Returns ``(value, u1, u2)``, the best iterate's tr((U1 otimes U2) W (.)^dag rho) and unitaries.
+    Each restart takes up to ``budget.iterations`` Riemannian steepest-descent steps on U(N) x U(N)
+    (Abrudan, Eriksson, Koivunen, IEEE TSP 56, 2008), U_k -> exp(mu G_k) U_k along geodesics, with
+    G_k from :func:`_witness_gradients` and tr(W sigma) read from 3 N^2 entries as in
+    :func:`functionals`: W is never built, and a step is O(N^5).  mu halves until f drops by
+    mu (|G1|^2 + |G2|^2) / 2 and doubles after each step; a restart ends once the gradient
+    vanishes.  Restarts draw independent RNG streams split from the seed; restart 0 starts at
+    the identity, so the result never exceeds tr(W rho).
     """
     n = sys.n
-    a = as_matrix(rho, (n * n, n * n))
-    w = build_witness(sys)
+    a = _hermitian_part(as_matrix(rho, (n * n, n * n)), False)
 
-    # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with
-    # U replaced by its adjoint; twist the state and undo at the end.  The
-    # loop only meets arrays it built itself, so nothing in it is gated.
+    # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with U replaced by its
+    # adjoint; twist the state, undo at the end.  The loop meets only arrays it built: none gated.
     def twist(u1, u2):
         sigma = _conjugate(a, u1, u2)
-        return _trace_product(w, sigma), sigma
-
-    eye = np.eye(n)
-    best_val, best_u = np.inf, None
-
-    streams = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(streams[r])
+        return _witness_values(lambda idx: sigma.reshape(1, -1).take(idx, axis=1), sys)[0], sigma
+    eye, best_val, best_u = np.eye(n), np.inf, None
+    for r, stream in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
+        rng = np.random.default_rng(stream)
         u1, u2 = (eye, eye) if r == 0 else (haar_unitary(n, rng), haar_unitary(n, rng))
         val, sigma = twist(u1, u2)
         mu = 1.0
         for _ in range(budget.iterations):
-            c = (sigma @ w - w @ sigma).reshape(n, n, n, n)
-            g1, g2 = np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c)  # tr_2 C, tr_1 C
+            g1, g2 = _witness_gradients(sigma, sys)
             sq = float(np.vdot(g1, g1).real + np.vdot(g2, g2).real)
             if sq < _GRADIENT_TOL ** 2:
                 break
@@ -269,8 +257,7 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = Opti
             best_val, best_u = val, (u1, u2)
 
     # The witness twist that realizes the value is the adjoint of the state twist.
-    u1, u2 = dagger(best_u[0]), dagger(best_u[1])
-    return _trace_product(twisted_witness(w, u1, u2), a), u1, u2
+    return float(best_val), dagger(best_u[0]), dagger(best_u[1])
 
 
 @lru_cache(maxsize=None)
@@ -330,6 +317,19 @@ def _witness_values(take, sys: CoupledSpinSystem) -> np.ndarray:
     diag, singlet, swap = values[:, :n2], values[:, n2:2 * n2], values[:, 2 * n2:]
     expectation = ((singlet.reshape(-1, n, n) * psi).sum(axis=-1) * psi_conj).sum(axis=-1)
     return (diag.sum(axis=-1) - n * expectation - swap.sum(axis=-1)).real
+
+
+def _witness_gradients(sigma: np.ndarray, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """G1 = tr_2 C and G2 = tr_1 C, C = sigma W - W sigma, for Hermitian sigma in O(N^4), without W.
+
+    C = H - H^dag for H = sigma W = sigma - N sigma P_0 - sigma F; tr_k sigma is Hermitian and
+    cancels, so G_k = h_k^dag - h_k, exactly anti-Hermitian, for h_k = tr_k(N sigma P_0 + sigma F).
+    """
+    n, psi = sys.n, sys.singlet.reshape(sys.n, sys.n)
+    s, y = sigma.reshape(n, n, n, n), n * (sigma @ sys.singlet).reshape(n, n)
+    h1 = y @ dagger(psi) + np.einsum("abbc->ac", s)  # (sigma F)[(a,b),(c,d)] = sigma[(a,b),(d,c)]
+    h2 = y.T @ psi.conj() + np.einsum("abda->bd", s)
+    return dagger(h1) - h1, dagger(h2) - h2
 
 
 def _functionals(states: _States, sys: CoupledSpinSystem):

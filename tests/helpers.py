@@ -125,6 +125,21 @@ def isotropic_matrix(sys_, fidelity) -> np.ndarray:
     return fidelity * p0 + (1 - fidelity) * rest
 
 
+def dense_witness_search(rho, sys_, u1, u2):
+    """tr(W sigma), tr_2 C and tr_1 C for sigma = U rho U^dag, U = U1 kron U2, C = sigma W - W sigma.
+
+    The dense oracle of the witness search: the Kronecker twist, the cached
+    N^2 x N^2 W and two partial traces of the commutator.
+    """
+    n = sys_.n
+    w = criteria.build_witness(sys_)
+    u = np.kron(u1, u2)
+    sigma = u @ rho @ u.conj().T
+    c = (sigma @ w - w @ sigma).reshape(n, n, n, n)
+    return (float(np.einsum("ij,ji->", w, sigma).real),
+            np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c))
+
+
 def one_block(stack):
     """A (B, d, d) stack as members of one block each, as trace_norms and hermitian_mask take it."""
     return [np.asarray(stack)[:, None]]

@@ -636,8 +636,8 @@ def test_validated_state_is_not_rescanned(monkeypatch, sys4):
 
 def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
     # the operand passes the state gate once (a raw array is scanned there, a
-    # PureState builds its projector there); beyond that only W and the two
-    # returned unitaries are scanned, once each, however long the search
+    # PureState builds its projector there) and nothing else is scanned,
+    # however long the search: W, the twists and the result are never gated
     dm = random_density(sys4, 4, 3)
     pure = entbound.random_pure(sys4, np.random.default_rng(3))
     for rho in (dm, dm.matrix, pure):
@@ -651,7 +651,7 @@ def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
             counts.append((len(calls), len(stack_calls), len(gates), len(projectors)))
             monkeypatch.undo()
         raw = isinstance(rho, np.ndarray)
-        assert counts[0] == counts[1] == (3 + raw, 0, 1, isinstance(rho, PureState))
+        assert counts[0] == counts[1] == (raw, 0, 1, isinstance(rho, PureState))
 
 
 class TestWitnessCommand:

@@ -15,12 +15,13 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
                       partial_transpose, random_densities, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
-from entbound.criteria import _partial_transposes, _realignment_real_forms, _realignments
-from entbound.linalg import _Sectors, trace_norms
+from entbound.criteria import (_conjugate, _partial_transposes, _realignment_real_forms,
+                               _realignments, _witness_gradients, _witness_values)
+from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
                              haar_unitary, random_density)
-from helpers import (EDGES, edge_base, hermitian_mask, one_block, product_pure, smallest_pair,
-                     tolerance_path)
+from helpers import (EDGES, dense_witness_search, edge_base, hermitian_mask, one_block,
+                     product_pure, smallest_pair, tolerance_path)
 
 # the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
 SIGNED_ZEROS = ["signed zero real part", "two -0.0 imaginary parts", "two +0.0 imaginary parts",
@@ -283,6 +284,67 @@ class TestTwistedWitness:
         with pytest.raises(DimensionError):
             twisted_witness(np.eye(15), np.eye(3), np.eye(3))
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_conjugate_matches_kron(self, n):
+        rng = np.random.default_rng(40 + n)
+        u1, u2 = haar_unitary(n, rng), haar_unitary(n, rng)
+        m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        u = np.kron(u1, u2)
+        assert np.abs(_conjugate(m, u1, u2) - u @ m @ u.conj().T).max() < 1e-12 * n
+
+
+def search_terms(rho, sys_, u1, u2):
+    """The witness search's value and gradients at (U1, U2): the swap form, with no W."""
+    sigma = _conjugate(rho, u1, u2)
+    value = _witness_values(lambda idx: sigma.reshape(1, -1).take(idx, axis=1), sys_)[0]
+    return (value, *_witness_gradients(sigma, sys_))
+
+
+class TestWitnessSearchKernel:
+    """The swap-form value and gradients of the search against the dense W."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_matches_dense_oracle(self, n):
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(50 + n)
+        rho = random_density(sys_, n, rng).matrix
+        u1, u2 = haar_unitary(n, rng), haar_unitary(n, rng)
+        for got, ref in zip(search_terms(rho, sys_, u1, u2),
+                            dense_witness_search(rho, sys_, u1, u2)):
+            assert np.abs(got - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_gradients_match_finite_differences(self, n):
+        # d/dt f(e^{tZ} U1, U2) = Re tr(Z G1) at t = 0, and likewise for U2
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(60 + n)
+        rho = random_density(sys_, n, rng).matrix
+        u1, u2 = haar_unitary(n, rng), haar_unitary(n, rng)
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z = (x - dagger(x)) / 2
+        _, g1, g2 = search_terms(rho, sys_, u1, u2)
+        e, q = np.linalg.eigh(-1j * z)
+        t = 1e-5
+
+        def step(s):  # exp(s Z)
+            return (q * np.exp(1j * s * e)) @ dagger(q)
+
+        for k, g in ((0, g1), (1, g2)):
+            def f(s):
+                us = [u1, u2]
+                us[k] = step(s) @ us[k]
+                return search_terms(rho, sys_, *us)[0]
+            slope = (f(t) - f(-t)) / (2 * t)
+            assert slope == pytest.approx(np.trace(z @ g).real, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_gradients_are_exactly_anti_hermitian(self, n):
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(70 + n)
+        rho = random_density(sys_, n, rng).matrix
+        for g in search_terms(rho, sys_, haar_unitary(n, rng), haar_unitary(n, rng))[1:]:
+            assert np.array_equal(g, -dagger(g))  # in value; the zeros of a diagonal keep one sign
+
 
 class TestMinimizeWitness:
     def test_zero_iterations_returns_identity_value(self, sys4):
@@ -333,6 +395,31 @@ class TestMinimizeWitness:
                                      OptimizerBudget(restarts=2, iterations=200, seed=5))
         assert val <= -0.3 * (6 - 2) + 1e-6
 
+    def test_non_hermitian_input_searches_its_hermitian_part(self, sys4):
+        # Re tr(W_U rho) reads only (rho + rho^dag) / 2, so an anti-Hermitian
+        # part must not stall the search at the identity value
+        rng = np.random.default_rng(19)
+        u = np.kron(haar_unitary(4, rng), haar_unitary(4, rng))
+        rho = u @ family_state(sys4, 0.3).matrix @ u.conj().T
+        x = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        budget = OptimizerBudget(restarts=2, iterations=100, seed=4)
+        val, _, _ = minimize_witness(rho + 0.05 * (x - dagger(x)) / 2, sys4, budget)
+        assert val <= -0.6 + 1e-6
+        assert val == pytest.approx(minimize_witness(rho, sys4, budget)[0], abs=1e-12)
+
+    def test_hermitian_part_keeps_hermitian_bits(self, sys4):
+        rho = random_density(sys4, 3, 22).matrix
+        assert_same_bits(_hermitian_part(rho, False), rho)
+
+    def test_search_builds_no_dense_witness(self, monkeypatch, sys4):
+        # the search reads W only in its swap form: no W, no Kronecker twist
+        calls = []
+        for owner, name in ((criteria, "build_witness"), (criteria, "twisted_witness"),
+                            (np, "kron")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
+        minimize_witness(random_density(sys4, 3, 24), sys4, OptimizerBudget(2, 20, 1))
+        assert not calls
+
     def test_rejects_bad_budget(self, sys4):
         with pytest.raises(ValueError):
             minimize_witness(np.eye(16) / 16, sys4, OptimizerBudget(restarts=0))
@@ -341,8 +428,11 @@ class TestMinimizeWitness:
         ({"restarts": 2.5}, TypeError), ({"iterations": 1.5}, TypeError),
         ({"restarts": True}, TypeError), ({"iterations": False}, TypeError),
         ({"restarts": 0}, ValueError), ({"iterations": -1}, ValueError),
+        ({"seed": True}, TypeError), ({"seed": None}, TypeError), ({"seed": 1.5}, TypeError),
+        ({"seed": "3"}, TypeError), ({"seed": -1}, ValueError),
     ], ids=["float-restarts", "float-iterations", "bool-restarts", "bool-iterations",
-            "zero-restarts", "negative-iterations"])
+            "zero-restarts", "negative-iterations", "bool-seed", "none-seed", "float-seed",
+            "str-seed", "negative-seed"])
     def test_budget_checks_its_fields(self, fields, error):
         with pytest.raises(error):
             OptimizerBudget(**fields)
