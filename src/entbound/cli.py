@@ -40,9 +40,11 @@ SURVEY_COLUMNS = ("state",) + tuple(f.name for f in fields(CriteriaVerdict))
 # one survey row: the state name, then the CriteriaVerdict fields as _fmt prints them
 SURVEY_ROW = "%s,%s,%s,%r,%s,%r,%r"
 
-# survey evaluates random states this many at a time, fewer from N = 12 up so
-# that a chunk (about four state sizes a state) stays near _ENTRY_CHUNK entries
-SURVEY_CHUNK = 16
+# survey evaluates random states SURVEY_ENTRIES // N^4 at a time (at least
+# one), so the arrays of a chunk, about four state sizes a state, stay near
+# 2 MB: 128 states at N = 4, 25 at N = 6, 8 at N = 8, 3 at N = 10, one from
+# N = 12 up
+SURVEY_ENTRIES = 2 ** 15
 SURVEY_FAMILY_LAMBDAS = (0.05, 0.06, 0.07, 0.08, 0.09)
 
 # --n is refused when N^2 exceeds this for the commands that build dense
@@ -176,7 +178,7 @@ def cmd_survey(args) -> int:
     if not 1 <= rank <= n2:
         raise ValueError(f"--rank must lie in [1, {n2}]")
     root = np.random.SeedSequence(args.seed)
-    chunk = min(SURVEY_CHUNK, max(1, _ENTRY_CHUNK // n2 ** 2))
+    chunk = max(1, SURVEY_ENTRIES // n2 ** 2)
 
     # a chunk of states and their lines at a time, so memory does not grow
     # with --samples; spawn(k) per chunk gives the same child streams as one

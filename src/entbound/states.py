@@ -423,6 +423,8 @@ def _sample_densities(sys: CoupledSpinSystem, rank: int, seeds) -> np.ndarray:
     the arithmetic of X + 1j * Y, and normalized in place.
     """
     n2 = sys.n * sys.n
+    if not _is_integer(rank):
+        raise TypeError(f"rank must be an integer, got {rank!r}")
     if not 1 <= rank <= n2:
         raise ValueError(f"rank must lie in [1, {n2}], got {rank}")
     draws = np.empty((len(seeds), 2, n2, rank))
@@ -485,9 +487,14 @@ def schmidt_decompose(psi) -> SchmidtForm:
 
 
 def concurrence_pure(psi) -> float:
-    """Pure-state concurrence sqrt(2 (1 - sum_i alpha_i^4))."""
-    s = schmidt_decompose(psi).coefficients
-    return float(np.sqrt(max(0.0, 2 * (1 - np.sum(s ** 4)))))
+    """Pure-state concurrence sqrt(2 (1 - sum_i alpha_i^4)).
+
+    With p = alpha^2 and sum p = 1, 1 - sum p^2 = 2 sum_{i<j} p_i p_j, so
+    C = 2 sqrt(sum_{i<j} p_i p_j), a sum of nonnegative terms that does not
+    cancel near a product state.
+    """
+    p = schmidt_decompose(psi).coefficients ** 2
+    return float(2 * np.sqrt(p[1:] @ np.cumsum(p)[:-1]))
 
 
 def eof_pure(psi) -> float:

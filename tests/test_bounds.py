@@ -235,7 +235,7 @@ class TestBoundConsistency:
         for seed in range(500):
             psi = random_pure(sys4, (2, seed))
             report = bound_report(psi, sys4)
-            assert report.concurrence_lower <= concurrence_pure(psi) + 1e-8
+            assert report.concurrence_lower <= concurrence_pure(psi) + 1e-12
             assert report.eof_lower <= eof_pure(psi) + 1e-8
 
     def test_figure_ordering_n4(self, sys4):

@@ -446,12 +446,12 @@ class TestSurveyCommand:
         assert int(counts["witness_only"]) >= 5
 
     def test_one_operand_check_per_chunk(self, monkeypatch, tmp_path):
-        # 33 samples are chunks of 16, 16 and 1; each chunk is scanned once,
+        # 257 samples are chunks of 128, 128 and 1; each chunk is scanned once,
         # when it is validated, and its functionals take two stacked trace norms
         stack_scans = count_calls(monkeypatch, "as_complex_stack")
         matrix_scans = count_calls(monkeypatch, "as_complex_matrix")
         norms = count_calls(monkeypatch, "_spectral_norms")
-        assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1",
+        assert main(["survey", "--n", "4", "--samples", "257", "--seed", "1",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
 
@@ -459,7 +459,7 @@ class TestSurveyCommand:
         # three dense chunks are scanned once each; the family chunk is built
         # from its entries and is never scanned
         scans = count_calls(monkeypatch, "_is_sector_stack", entbound.states)
-        assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
+        assert main(["survey", "--n", "4", "--samples", "257", "--seed", "1", "--include-family",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert len(scans) == 3
 
@@ -467,13 +467,14 @@ class TestSurveyCommand:
         # the five family states are one more chunk: one check, two trace-norm calls
         checks = count_calls(monkeypatch, "_validate", entbound.states)
         norms = count_calls(monkeypatch, "_spectral_norms")
-        assert main(["survey", "--n", "4", "--samples", "33", "--seed", "1", "--include-family",
+        assert main(["survey", "--n", "4", "--samples", "257", "--seed", "1", "--include-family",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(checks), len(norms)) == (4, 2 * 4)
 
-    @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33, 127, 128, 129, 257])
     @pytest.mark.parametrize("family", [False, True])
     def test_chunks_match_one_state_at_a_time(self, capsys, samples, family):
+        # a chunk is 128 states at N = 4: 127 to 129 and 257 samples cross its boundaries
         n, rank, seed = 4, 5, 11
         assert main(["survey", "--n", str(n), "--samples", str(samples), "--rank", str(rank),
                      "--seed", str(seed)] + (["--include-family"] if family else [])) == 0
@@ -500,39 +501,53 @@ class TestSurveyCommand:
     @pytest.mark.parametrize("n, rank", [(6, 4), (6, 12), (6, 36)])
     @pytest.mark.parametrize("family", [False, True])
     def test_chunks_match_the_survey_oracle(self, capsys, n, rank, family):
-        # 17 samples are a full chunk and a chunk of one; the oracle builds
+        # 26 samples are a full chunk of 25 and a chunk of one; the oracle builds
         # each state with random_density and a verdict with evaluate_criteria
-        assert main(["survey", "--n", str(n), "--samples", "17", "--rank", str(rank),
+        assert main(["survey", "--n", str(n), "--samples", "26", "--rank", str(rank),
                      "--seed", "7"] + (["--include-family"] if family else [])) == 0
-        assert capsys.readouterr().out == survey_csv(entbound.coupled_system(n), rank, 17, 7,
+        assert capsys.readouterr().out == survey_csv(entbound.coupled_system(n), rank, 26, 7,
                                                      family)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_entry_budget_changes_no_byte(self, monkeypatch, capsys, n):
+        # one state a chunk, 16 states a chunk and the default budget print the same bytes
+        argv = ["survey", "--n", str(n), "--samples", "40", "--seed", "3", "--include-family"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        for entries in (1, 16 * n ** 4):
+            monkeypatch.setattr(cli, "SURVEY_ENTRIES", entries)
+            assert main(argv) == 0
+            assert capsys.readouterr() == default
 
     def test_memory_does_not_grow_with_samples(self, tmp_path):
         survey_peak_bytes(tmp_path, 1)  # warm caches and imports
         small = survey_peak_bytes(tmp_path, 20)
         large = survey_peak_bytes(tmp_path, 200)
         assert large - small <= 2 ** 20
-        # small states, where per-sample seed streams and kept lines would show
+        # small states, where per-sample seed streams and kept lines would show:
+        # one full chunk of 128 states against ten
         survey_peak_bytes(tmp_path, 1, "--n", "4", "--rank", "1")
-        small = survey_peak_bytes(tmp_path, 30, "--n", "4", "--rank", "1")
-        large = survey_peak_bytes(tmp_path, 1000, "--n", "4", "--rank", "1")
+        small = survey_peak_bytes(tmp_path, 128, "--n", "4", "--rank", "1")
+        large = survey_peak_bytes(tmp_path, 1280, "--n", "4", "--rank", "1")
         assert large - small <= 2 ** 18
 
-    @pytest.mark.parametrize("n, sizes", [(10, [16, 1]), (12, [12, 5]), (16, [4, 4, 4, 4, 1])])
-    def test_chunks_shrink_with_n(self, monkeypatch, tmp_path, n, sizes):
-        # 16 states a chunk up to N = 10, then _ENTRY_CHUNK // N^4 (at least one)
+    @pytest.mark.parametrize("n, samples, sizes", [
+        (4, 257, [128, 128, 1]), (6, 51, [25, 25, 1]), (8, 17, [8, 8, 1]), (10, 7, [3, 3, 1]),
+        (12, 3, [1, 1, 1]), (16, 3, [1, 1, 1])])
+    def test_chunks_shrink_with_n(self, monkeypatch, tmp_path, n, samples, sizes):
+        # SURVEY_ENTRIES // N^4 states a chunk, at least one
         seen = []
         check = cli._check_densities
         monkeypatch.setattr(cli, "_check_densities", lambda a, n_: seen.append(len(a)) or check(a, n_))
-        assert main(["survey", "--n", str(n), "--samples", "17", "--rank", "4", "--seed", "1",
-                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["survey", "--n", str(n), "--samples", str(samples), "--rank", "4",
+                     "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
         assert seen == sizes
 
     def test_chunk_peak_stays_within_a_few_state_sizes(self, tmp_path):
-        # a chunk holds about four state sizes a state, so the 4 states of a
-        # chunk at N = 16 stay below 20 state sizes
+        # a chunk holds about four state sizes a state, and a chunk at N = 16
+        # is one state, so 16 samples stay below 8 state sizes
         survey_peak_bytes(tmp_path, 1, "--n", "16")  # warm caches and imports
-        assert survey_peak_bytes(tmp_path, 16, "--n", "16") <= 20 * 16 * 16 ** 4
+        assert survey_peak_bytes(tmp_path, 16, "--n", "16") <= 8 * 16 * 16 ** 4
 
 
 def eigvalsh_calls_from_states(monkeypatch):
@@ -615,9 +630,9 @@ class TestHermiticityCertificate:
 
         for module in (entbound.linalg, entbound.states):
             monkeypatch.setattr(module, "_hermitian_test", spy)
-        assert main(["survey", "--n", "6", "--rank", "12", "--samples", "20", "--seed", "2",
+        assert main(["survey", "--n", "6", "--rank", "12", "--samples", "30", "--seed", "2",
                      "--include-family", "--out", str(tmp_path / "s.csv")]) == 0
-        # the family chunk: rho's blocks and R's; two dense chunks: rho and C.
+        # the family chunk: rho's blocks and R's; two dense chunks of 25 and 5: rho and C.
         # T_2 rho takes the test of rho, and R's route reads it from the record
         assert len(results) == 2 + 2 * 2
         assert all(exact == is_complex for is_complex, exact in results)

@@ -504,6 +504,15 @@ class TestSamplers:
         with pytest.raises(ValueError):
             random_density(sys4, 17, 1)
 
+    @pytest.mark.parametrize("rank", [True, 4.0])
+    def test_rejects_non_integer_rank(self, sys4, rank):
+        with pytest.raises(TypeError, match="rank must be an integer, got "):
+            random_density(sys4, rank, 1)
+
+    def test_numpy_integer_rank(self, sys4):
+        assert np.array_equal(random_density(sys4, np.int64(4), 1).matrix,
+                              random_density(sys4, 4, 1).matrix)
+
     def test_product_unitary_is_unitary(self, sys4):
         u1, u2 = random_product_unitary(sys4, 3)
         for u in (u1, u2):
@@ -575,6 +584,21 @@ class TestPureMeasures:
         psi = PureState(4, v)
         assert concurrence_pure(psi) == pytest.approx(0.8, abs=1e-12)
         assert eof_pure(psi) == pytest.approx(0.7219280948873623, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_product_states_have_zero_concurrence(self, n):
+        # 1 - sum alpha^4 cancels to about 1e-8 here; the pairwise form does not
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            a, b = rng.normal(size=(2, n, 2)) @ np.array([1, 1j])
+            assert concurrence_pure(np.kron(a, b)) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-20, 1e-16, 1e-12, 1e-8, 0.1, 0.5])
+    def test_two_term_concurrence_is_relatively_accurate(self, eps):
+        v = np.zeros(16)
+        v[0], v[5] = np.sqrt(1 - eps), np.sqrt(eps)
+        assert concurrence_pure(PureState(4, v)) == pytest.approx(
+            2 * np.sqrt(eps * (1 - eps)), rel=1e-12)
 
     def test_concurrence_equals_purity_form(self, sys4):
         # same number through the reduced-state purity instead of Schmidt sums
