@@ -121,9 +121,10 @@ def _realignment_norms(stack: np.ndarray, n: int, err: np.ndarray) -> np.ndarray
     record, the number that decides every Hermitian shortcut.  If every
     matrix has err 0, each equals rho^dag in value, so the imaginary parts
     of its :func:`_realignment_real_forms` C cancel to zeros and ``C.real``
-    takes the real kernels, about half the cost of the complex ones.  Any
-    other stack goes to the complex kernels on :func:`_realignments` and
-    builds no C.
+    takes the real kernels, about half the cost of the complex ones.  A
+    stack within the density tolerance has err 0 (:class:`states._States`):
+    only one with a rho beyond it goes to the complex kernels on
+    :func:`_realignments` and builds no C.
     """
     if err.any():
         return trace_norms([_realignments(stack, n)[:, None]])
@@ -222,20 +223,20 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = Opti
     G_k from :func:`_witness_gradients` and tr(W sigma) read from 3 N^2 entries as in
     :func:`functionals`: W is never built, and a step is O(N^5).  mu halves until f drops by
     mu (|G1|^2 + |G2|^2) / 2 and doubles after each step; a restart ends once the gradient
-    vanishes.  Restarts draw independent RNG streams split from the seed; restart 0 starts at
-    the identity, so the result never exceeds tr(W rho).
+    vanishes.  Restarts draw independent RNG streams split from the seed, one spawned as each
+    starts; restart 0 starts at the identity, so the result never exceeds tr(W rho).
     """
     n = sys.n
-    a = _hermitian_part(as_matrix(rho, (n * n, n * n)), False)
+    a = _hermitian_part(as_matrix(rho, (n * n, n * n)))
 
     # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with U replaced by its
     # adjoint; twist the state, undo at the end.  The loop meets only arrays it built: none gated.
     def twist(u1, u2):
         sigma = _conjugate(a, u1, u2)
         return _witness_values(lambda idx: sigma.reshape(1, -1).take(idx, axis=1), sys)[0], sigma
-    eye, best_val, best_u = np.eye(n), np.inf, None
-    for r, stream in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
-        rng = np.random.default_rng(stream)
+    eye, best_val, best_u, root = np.eye(n), np.inf, None, np.random.SeedSequence(budget.seed)
+    for r in range(budget.restarts):
+        rng = np.random.default_rng(root.spawn(1)[0])
         u1, u2 = (eye, eye) if r == 0 else (haar_unitary(n, rng), haar_unitary(n, rng))
         val, sigma = twist(u1, u2)
         mu = 1.0
@@ -360,16 +361,17 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     The raw stack passes :func:`linalg.as_complex_stack` once; T_2 and R
     are signed index permutations, each followed by one trace-norm call, and
     tr(W rho) is read from the swap form W = I - N P_0 - F, O(N^2) entries
-    of rho, without W.  Each route is decided once for the stack: J_z blocks
-    gathered straight from rho, O(N^4) work, only if every state vanishes
-    exactly between different sectors (m_1 + m_2), as the family, Werner and
-    isotropic states do, else whole matrices, O(N^6); the real form of R rho
-    (:func:`_realignment_norms`) only if every rho equals rho^dag in value; the
-    eigensolve only if every member passes the Hermiticity tolerance
-    (:func:`linalg._spectral_norms`).  A state gets the bits it gets alone in
-    any stack whose states agree on these three decisions, as every stack a
-    command builds does; any other stack takes the general route (dense,
-    complex realignment, SVD), within rounding of those bits.
+    of rho, without W.  A stack Hermitian within 1e-10 is read as its
+    Hermitian part, as a DensityMatrix is (:class:`states._States`).  Each
+    route is decided once for the stack: J_z blocks gathered straight from
+    rho, O(N^4) work, only if every state vanishes exactly between
+    different sectors (m_1 + m_2), as the family, Werner and isotropic
+    states do, else whole matrices, O(N^6); the real form of R rho
+    (:func:`_realignment_norms`) and the eigensolves only if every rho read
+    equals rho^dag in value.  A state gets the bits it gets alone in any
+    stack whose states agree on these decisions, as every stack a command
+    builds does; any other stack takes the general route (dense, complex
+    realignment, SVD), within rounding of those bits.
     """
     a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
     return _functionals(_States(sys.n, len(a), array=a), sys)

@@ -16,14 +16,12 @@ numpy directly, on arrays that are already gated.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 # No real or imaginary part of a gated entry reaches this bound, so every entry has modulus
 # below 2^990.5.  A trace norm of a d x d matrix is at most d^2 times its largest entry modulus,
 # and d <= 2^16 in practice (a complex d x d array with d = 2^16 takes 64 GiB), so every trace
-# norm, witness row sum and symmetrised pair (rho + rho^dag, C + C^T) stays below 2^1023.
+# norm, witness row sum and symmetrised pair rho + rho^dag stays below 2^1023.
 _ENTRY_LIMIT = 2.0 ** 990
 
 
@@ -85,28 +83,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _within_tolerance(blocks, err: np.ndarray) -> np.ndarray:
-    """Is ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), for each member M given by its ``blocks``?
-
-    ``err`` is ||M - M^dag||_max of each member (:func:`_hermitian_test`);
-    ||M||_max is taken over all blocks of a member, and only if some error
-    exceeds 1e-12.
-    """
-    ok = err <= 1e-12
-    if np.all(ok):
-        return ok
-    largest = reduce(np.maximum, [np.abs(b).max(axis=(1, 2, 3), initial=0.0) for b in blocks])
-    return err <= 1e-12 * np.maximum(1.0, largest)
-
-
 def _hermitian_test(blocks) -> np.ndarray:
     """||M - M^dag||_max of each member M given by its ``blocks``, the one Hermiticity number.
 
-    Every Hermitian shortcut reads it: 0 (M equals M^dag in value), within
-    :func:`_within_tolerance`, or beyond.  T_2 maps each entry of M - M^dag
-    to one of T_2 M - (T_2 M)^dag, so it keeps the error bit for bit.
-    M - M^dag is formed one block array at a time, in one array the size of
-    the block array, and its moduli only if some entry is nonzero.
+    Every Hermitian shortcut reads it: 0 (M equals M^dag in value) or not.
+    T_2 maps each entry of M - M^dag to one of T_2 M - (T_2 M)^dag, so it
+    keeps the error bit for bit.  M - M^dag is formed one block array at a
+    time, in one array the size of the block array, and its moduli only if
+    some entry is nonzero.
     """
     err = np.zeros(len(blocks[0]))
     for b in blocks:
@@ -140,19 +124,17 @@ def _spectral_norms(blocks, err: np.ndarray) -> np.ndarray:
     """The trace norms of :func:`trace_norms`, given :func:`_hermitian_test` of the members.
 
     The spectrum kernel, one route per call, read from ``err``: Hermitian
-    eigensolves (the sum of absolute eigenvalues) if every member is
-    Hermitian within :func:`_within_tolerance`, else SVDs, one stacked
-    LAPACK call per block size.  If every error is 0, the eigensolve gets
-    the blocks as they are, else their :func:`_hermitian_part`.  Real
-    blocks take LAPACK's real kernels (dsyevd, dgesdd), about half the cost
-    of the complex ones.  Both kinds keep absolute accuracy of order
-    eps * ||M|| even for singular values at zero; squaring the matrix first
+    eigensolves of the blocks as they are (the sum of absolute eigenvalues)
+    if every error is 0, else SVDs, one stacked LAPACK call per block size;
+    a state record within the density tolerance has error 0
+    (:class:`states._States`).  Real blocks take LAPACK's real kernels
+    (dsyevd, dgesdd), about half the cost of the complex ones.  Both kinds
+    keep absolute accuracy of order eps * ||M|| even for singular values at zero; squaring the matrix first
     (eigensolve of M^dag M) would halve the attainable precision there,
     which the rank-deficient realignment checks cannot afford.
     """
-    exact = not err.any()
-    if _within_tolerance(blocks, err).all():
-        spectra = [np.linalg.eigvalsh(_hermitian_part(b, exact)) for b in blocks]
+    if not err.any():
+        spectra = [np.linalg.eigvalsh(b) for b in blocks]
     else:
         spectra = [np.linalg.svd(b, compute_uv=False) for b in blocks]
     # (S, nb, k) each; an explicit width, as an empty stack has no -1 to infer
@@ -160,9 +142,9 @@ def _spectral_norms(blocks, err: np.ndarray) -> np.ndarray:
                                   for s in spectra], axis=1)).sum(axis=-1)
 
 
-def _hermitian_part(m: np.ndarray, exact: bool) -> np.ndarray:
-    """(m + m^dag) / 2 of each matrix, or ``m`` itself where ``exact`` says m equals m^dag in value."""
-    return m if exact else (m + dagger(m)) / 2
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of each matrix, a new array."""
+    return (m + dagger(m)) / 2
 
 
 class _Sectors:

@@ -84,10 +84,12 @@ class _States:
     R rho are read as blocks at the ``positions`` of a :class:`linalg._Sectors`.
     ``err``, ||rho - rho^dag||_max of each rho, decides every Hermitian shortcut.
 
-    A gated stack is decided here, without the density checks: the sector
-    scan :func:`_is_sector_stack` and the test of each whole matrix (a
+    A gated stack is decided here, without the density checks: the test of
+    each whole matrix, then the sector scan :func:`_is_sector_stack` (a
     sector state vanishes off its J_z blocks, so its blocks have the same
-    ``err``).  Entry-built states are sector states by construction, and
+    ``err``).  A stack with every err <= 1e-10 (the density tolerance) and
+    some err > 0 is held as its Hermitian part, a new array, with err 0.
+    Entry-built states are sector states by construction, and
     :func:`_sector_states` tests their J_z blocks, the only entries they have.
     """
 
@@ -98,8 +100,10 @@ class _States:
         if array is None:
             self.sector = True
         else:
-            self.sector = _is_sector_stack(array, n)
             self.err = _hermitian_test([array[:, None]])
+            if self.err.any() and self.err.max() <= _HERM_TOL:
+                self.array, self.err = _hermitian_part(array), np.zeros(size)
+            self.sector = _is_sector_stack(self.array, n)
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -131,12 +135,12 @@ def _check_densities(stack, n: int) -> _States:
     """Run the density checks on each matrix of a (B, N^2, N^2) stack; return its decided record.
 
     The NaN/Inf and range gate of :func:`linalg.as_complex_stack`, the record's
-    decisions, then :func:`_validate` with the traces of the matrices.  The
-    stack, held by the record, is made read-only.
+    decisions, then :func:`_validate` with the traces of the matrices as
+    given.  The stack the record holds is made read-only.
     """
     a = as_complex_stack(stack, (n * n, n * n))
     states = _validate(_States(n, len(a), array=a), np.trace(a, axis1=1, axis2=2))
-    a.setflags(write=False)
+    states.array.setflags(write=False)
     return states
 
 
@@ -146,50 +150,46 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
     The Hermiticity test reads the record's ``err``.  The eigenvalue test,
     a Cholesky certificate (:func:`_eig_failed`), factors one block list:
     the J_z ``blocks`` of a sector record (gathered here unless given), else
-    each whole matrix as one block.  If every state has ``err`` 0, none is
-    symmetrised, and each block array is factored in place.  The first
-    failing state raises the message of its first failing check, as if
-    checked one after another.
+    each whole matrix as one block: in place if every state has ``err`` 0,
+    else their Hermitian parts.  The first failing state raises the
+    message of its first failing check, as if checked one after another.
     """
     if blocks is None:
         blocks = states.blocks(_density_sectors(states.n)) if states.sector \
             else [states.array[:, None]]
+    if states.err.any():
+        blocks = [_hermitian_part(b) for b in blocks]
     failed = np.zeros((len(_DENSITY_CHECKS), len(states)), dtype=bool)
     failed[0] = states.err > _HERM_TOL
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
-    exact = not states.err.any()
-    failed[2] = reduce(np.logical_or, [_eig_failed(b, exact).any(axis=1) for b in blocks])
+    failed[2] = reduce(np.logical_or, [_eig_failed(b).any(axis=1) for b in blocks])
     if failed.any():
         first = failed.any(axis=0).argmax()
         raise ValueError(_DENSITY_CHECKS[failed[:, first].argmax()])
     return states
 
 
-def _eig_failed(m: np.ndarray, exact: bool) -> np.ndarray:
-    """Has the Hermitian part of each block of an (S, nb, k, k) array an eigenvalue below -1e-10?
+def _eig_failed(m: np.ndarray) -> np.ndarray:
+    """Has each block of a Hermitian (S, nb, k, k) array an eigenvalue below -1e-10?
 
     A Cholesky certificate decides the common case without an eigensolve.
-    With sym = :func:`linalg._hermitian_part` of m and delta = 1e-11, one
-    stacked factorization of sym + (1e-10 - delta) I succeeds only if every
-    smallest eigenvalue of sym exceeds -1e-10 + delta less the backward
-    error of the factorization, of order k * eps * ||sym|| (about 1e-12 for
-    a trace-1 matrix with k <= 4096).  So a success means no matrix fails,
-    and it never passes a matrix that the eigensolve rejects.  numpy raises
-    for the whole stack if one factorization fails; then the stacked
-    eigensolve of sym decides as it would alone.  The shift goes into the
-    diagonal of sym and is undone by writing the saved diagonal back, bit
-    for bit.  Every entry of m lies below the gate's bound
-    (:data:`linalg._ENTRY_LIMIT`), so sym is finite; a factorization that
-    overflows fails, by numpy's error or by a factor whose diagonal is not
-    finite, and the eigensolve scales its input.  ``exact`` says that
-    every matrix has error 0 (:func:`linalg._hermitian_test`), so sym is m
-    and m itself takes the shift (a read-only m is copied first): for B = 1
-    the check then peaks at three d x d arrays, m, numpy's factor and its
-    per-matrix work copy, and through sym at four.
+    With delta = 1e-11, one stacked factorization of m + (1e-10 - delta) I
+    succeeds only if every smallest eigenvalue of m exceeds -1e-10 + delta
+    less the backward error of the factorization, of order k * eps * ||m||
+    (about 1e-12 for a trace-1 matrix with k <= 4096).  So a success means
+    no matrix fails, and it never passes a matrix that the eigensolve
+    rejects.  numpy raises for the whole stack if one factorization fails;
+    then the stacked eigensolve of m decides as it would alone.  The shift
+    goes into the diagonal of m itself (a read-only m is copied first) and
+    is undone by writing the saved diagonal back, bit for bit: for B = 1
+    the check peaks at three d x d arrays, m, numpy's factor and its
+    per-matrix work copy.  Every entry of m lies below the gate's bound
+    (:data:`linalg._ENTRY_LIMIT`); a factorization that overflows fails, by
+    numpy's error or by a factor whose diagonal is not finite, and the
+    eigensolve scales its input.
     """
-    if exact and not m.flags.writeable:
+    if not m.flags.writeable:
         m = m.copy()
-    m = _hermitian_part(m, exact)
     i = np.arange(m.shape[-1])
     diagonal = m[..., i, i]
     m[..., i, i] += _EIG_TOL - _CERT_MARGIN
@@ -199,7 +199,7 @@ def _eig_failed(m: np.ndarray, exact: bool) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     finally:
-        m[..., i, i] = diagonal  # the eigensolve reads sym unshifted
+        m[..., i, i] = diagonal  # the eigensolve reads m unshifted
     return np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL
 
 
@@ -209,7 +209,8 @@ class DensityMatrix:
 
     ``matrix`` is a read-only complex128 copy of the input, made before it is
     validated, so the caller cannot change a validated state through its own
-    array and :func:`as_matrix` hands it on without a rescan.  The
+    array and :func:`as_matrix` hands it on without a rescan; an input with
+    0 < ||m - m^dag||_max <= 1e-10 has ``matrix`` (m + m^dag) / 2 instead.  The
     constructors of this module wrap the record of an array they built and
     validated (:func:`_from_record`), without the copy.  Validation is the
     B = 1 case of the stacked check that :func:`random_densities` runs: the

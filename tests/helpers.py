@@ -1,6 +1,5 @@
 """Test-only conveniences built from the public API."""
 
-import contextlib
 from dataclasses import astuple, fields
 from unittest import mock
 
@@ -79,28 +78,42 @@ def exactly_hermitian(blocks):
     return linalg._hermitian_test(blocks) == 0
 
 
-def hermitian_mask(blocks):
-    """Is each member given by its blocks Hermitian within the tolerance of linalg._within_tolerance?"""
-    return linalg._within_tolerance(blocks, linalg._hermitian_test(blocks))
+def hermitian_part(m):
+    """(m + m^dag) / 2 of a matrix or of each matrix of a stack, a new array, in numpy arithmetic."""
+    m = np.asarray(m)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def symmetrised(m, exact):
-    """linalg._hermitian_part as if no error were 0: (m + m^dag) / 2 always."""
-    return (m + linalg.dagger(m)) / 2
+def noisy_product(n: int, eps: float) -> np.ndarray:
+    """|00><00| + i eps B on C^N otimes C^N: ||rho - rho^dag||_max = 2 eps, trace 1.
 
-
-def tolerance_path():
-    """A context in which linalg._hermitian_part symmetrises every matrix, whatever its error.
-
-    Every density check and trace norm then forms (M + M^dag) / 2: the
-    oracle of the exact routes, which hand M on where ||M - M^dag||_max is 0
-    and must not change a bit for states whose signed zeros match.  The
-    realignment route is read from the same error and is left as it is.
+    B is a symmetric +-1 pattern with zero diagonal (``default_rng(1)``), so
+    i eps B is anti-Hermitian and the Hermitian part is |00><00| exactly.  For
+    eps = 4.9e-11 and 4.9e-13 the density check accepts it, and trace norms
+    of rho itself exceed 1 by up to 2e-8.
     """
-    patches = contextlib.ExitStack()
-    for module in (linalg, states):
-        patches.enter_context(mock.patch.object(module, "_hermitian_part", symmetrised))
-    return patches
+    d = n * n
+    b = np.triu(np.random.default_rng(1).choice([-1.0, 1.0], size=(d, d)), 1)
+    m = np.zeros((d, d), dtype=complex)
+    m[0, 0] = 1.0
+    return m + 1j * eps * (b + b.T)
+
+
+def hermitian_part_path():
+    """A context in which every array-backed state record within 1e-10 holds its Hermitian part.
+
+    The records of stacks with error 0 then hold (rho + rho^dag) / 2 too:
+    the oracle of the exact routes, which hand rho on as it is and must not
+    change a bit for states whose signed zeros match.
+    """
+    init = states._States.__init__
+
+    def always(self, n, size, array=None, entries=None):
+        init(self, n, size, array, entries)
+        if array is not None and self.err.max(initial=0.0) <= states._HERM_TOL:
+            self.array = hermitian_part(self.array)
+            self.sector = states._is_sector_stack(self.array, n)
+    return mock.patch.object(states._States, "__init__", always)
 
 
 # Dense N^2 x N^2 oracles of the structured states, with the arithmetic the
@@ -141,7 +154,7 @@ def dense_witness_search(rho, sys_, u1, u2):
 
 
 def one_block(stack):
-    """A (B, d, d) stack as members of one block each, as trace_norms and hermitian_mask take it."""
+    """A (B, d, d) stack as members of one block each, as trace_norms and exactly_hermitian take it."""
     return [np.asarray(stack)[:, None]]
 
 

@@ -11,7 +11,7 @@ import entbound
 from entbound import (PureState, closedform, cli, family_state, random_density,
                       save_state, werner_state)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, main
-from helpers import family_csv, family_row, survey_csv, tolerance_path
+from helpers import family_csv, family_row, hermitian_part_path, noisy_product, survey_csv
 
 BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value",
                "witness_detects", "trace_norm_T2", "trace_norm_R", "f_ppt",
@@ -311,6 +311,38 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 1
         assert "n_local" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, lam, twist, seed, restarts, iterations", [
+        (4, 0.1, False, 1, 2, 20), (4, 0.1, False, 3, 6, 20), (8, 0.2, True, 1, 2, 200)])
+    def test_optimize_bytes_of_up_front_streams(self, tmp_path, capsys, monkeypatch, n, lam,
+                                                twist, seed, restarts, iterations):
+        # the CI's s.json and tw8.json runs: the restarts spawn their streams one at a
+        # time and print the bytes of streams spawned all at once
+        sys_ = entbound.coupled_system(n)
+        rho = family_state(sys_, lam)
+        if twist:
+            rng = np.random.default_rng(n)
+            u = np.kron(entbound.haar_unitary(n, rng), entbound.haar_unitary(n, rng))
+            rho = entbound.DensityMatrix(n, u @ rho.matrix @ u.conj().T)
+        path = tmp_path / "state.json"
+        save_state(path, rho)
+        command = ["bounds", str(path), "--optimize", "--seed", str(seed),
+                   "--restarts", str(restarts), "--iterations", str(iterations)]
+        assert main(command) == 0
+        got = capsys.readouterr()
+        real = np.random.SeedSequence
+
+        class UpFront:
+            def __init__(self, seed):
+                self.children = iter(real(seed).spawn(restarts))
+
+            def spawn(self, k):
+                assert k == 1
+                return [next(self.children)]
+        monkeypatch.setattr(np.random, "SeedSequence", UpFront)
+        assert main(command) == 0
+        assert capsys.readouterr() == got
+        assert got.err == ""
+
     @pytest.mark.parametrize("optimize", [False, True])
     def test_output_keys(self, tmp_path, sys4, capsys, optimize):
         path = tmp_path / "rho.json"
@@ -607,13 +639,13 @@ class TestHermiticityCertificate:
         "survey --n 6 --samples 40 --seed 3",
         "survey --n 6 --rank 12 --samples 20 --seed 5 --include-family",
         "bounds STATE"])
-    def test_tolerance_path_prints_the_same_bytes(self, capsys, tmp_path, command):
+    def test_hermitian_part_path_prints_the_same_bytes(self, capsys, tmp_path, command):
         path = tmp_path / "rank4.json"
         save_state(path, random_density(entbound.coupled_system(8), 4, 1))
         argv = command.replace("STATE", str(path)).split()
         assert main(argv) == 0
         exact = capsys.readouterr()
-        with tolerance_path():
+        with hermitian_part_path():
             assert main(argv) == 0
         assert capsys.readouterr() == exact
 
@@ -636,6 +668,32 @@ class TestHermiticityCertificate:
         # T_2 rho takes the test of rho, and R's route reads it from the record
         assert len(results) == 2 + 2 * 2
         assert all(exact == is_complex for is_complex, exact in results)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("eps", [4.9e-11, 4.9e-13])
+def test_noise_within_the_tolerance_certifies_nothing(capsys, tmp_path, n, eps):
+    # |00><00| + i eps B passes the density check and is read as |00><00|, from
+    # a file in save_state's layout (read a row at a time), an indented one
+    # (parsed whole), and the file save_state writes of its DensityMatrix
+    m = noisy_product(n, eps)
+    pairs = np.stack([m.real, m.imag], -1).tolist()
+    paths = [tmp_path / name for name in ("rows.json", "indented.json", "saved.json")]
+    paths[0].write_text(json.dumps({"n_local": n, "matrix": pairs}))
+    paths[1].write_text(json.dumps({"n_local": n, "matrix": pairs}, indent=1))
+    save_state(paths[2], entbound.DensityMatrix(n, m))
+    outs = []
+    for path in paths:
+        assert main(["bounds", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outs.append(out)
+        report = json.loads(out)
+        assert report["ppt_violated"] is False and report["realignment_violated"] is False
+        assert report["trace_norm_T2"] == 1.0 and report["trace_norm_R"] == 1.0
+        assert report["concurrence_lower"] == 0.0 and report["eof_lower"] == 0.0
+    assert outs[0] == outs[1] == outs[2]
+    assert '"concurrence_lower": 0.0,' in outs[0]
 
 
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):

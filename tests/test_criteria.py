@@ -10,6 +10,7 @@ import pytest
 
 import entbound
 from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witness,
+                      report_from_verdict,
                       coupled_system, criteria, evaluate_criteria, extended_reduction_map,
                       family_state, functionals, isotropic_state, minimize_witness,
                       partial_transpose, random_densities, random_pure, realign, time_reverse,
@@ -20,8 +21,8 @@ from entbound.criteria import (_conjugate, _partial_transposes, _realignment_rea
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
                              haar_unitary, random_density)
-from helpers import (EDGES, dense_witness_search, edge_base, hermitian_mask, one_block,
-                     product_pure, smallest_pair, tolerance_path)
+from helpers import (EDGES, dense_witness_search, edge_base, exactly_hermitian, hermitian_part,
+                     hermitian_part_path, noisy_product, one_block, product_pure, smallest_pair)
 
 # the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
 SIGNED_ZEROS = ["signed zero real part", "two -0.0 imaginary parts", "two +0.0 imaginary parts",
@@ -375,6 +376,28 @@ class TestMinimizeWitness:
         val2, _, _ = minimize_witness(rho, sys4, budget)
         assert val == val2
 
+    def test_restart_streams_are_spawned_one_at_a_time(self, monkeypatch, sys4):
+        # one child per restart as it starts, never spawn(restarts) up front: the
+        # children, in order, of one spawn(restarts) (the bytes: test_cli)
+        real = np.random.SeedSequence
+        sizes = []
+
+        class Recorded:
+            def __init__(self, seed):
+                self.root = real(seed)
+
+            def spawn(self, k):
+                sizes.append(k)
+                return self.root.spawn(k)
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        minimize_witness(random_density(sys4, 3, 25), sys4, OptimizerBudget(5, 20, 7))
+        assert sizes == [1] * 5
+        spawned = real(7)
+        one_at_a_time = [spawned.spawn(1)[0] for _ in range(5)]
+        for a, b in zip(one_at_a_time, real(7).spawn(5)):
+            assert a.spawn_key == b.spawn_key
+            assert np.array_equal(a.generate_state(4), b.generate_state(4))
+
     def test_recovers_twisted_family_value(self, sys4):
         # undoing a product twist is in the feasible set, so the optimizer
         # must reach the untwisted value (a short budget suffices here)
@@ -409,7 +432,7 @@ class TestMinimizeWitness:
 
     def test_hermitian_part_keeps_hermitian_bits(self, sys4):
         rho = random_density(sys4, 3, 22).matrix
-        assert_same_bits(_hermitian_part(rho, False), rho)
+        assert_same_bits(_hermitian_part(rho), rho)
 
     def test_search_builds_no_dense_witness(self, monkeypatch, sys4):
         # the search reads W only in its swap form: no W, no Kronecker twist
@@ -575,14 +598,23 @@ class TestSectorPath:
         def eigensolve_norm(whole):
             return np.abs(np.linalg.eigvalsh((whole + whole.conj().swapaxes(1, 2)) / 2)).sum(axis=-1)
 
+        def svd_norm(whole):
+            return np.linalg.svd(whole, compute_uv=False).sum(axis=-1)
+
         # the dense kernels: T_2 rho of the family is Hermitian, one complex
         # eigensolve; rho is exactly Hermitian, so R rho is normed through
-        # its real form, which is symmetric: one real eigensolve
+        # its real form C.  With the pair at (0, N^2 - 1), C is symmetric: one
+        # real eigensolve.  At (0, 1) it is symmetric only to within rounding
+        # of the 1e-300 entries, so it takes the real SVD, as the kernel has no
+        # tolerance route
         assert_same_bits(np.array([v.trace_norm_T2]),
                          eigensolve_norm(_partial_transposes(m[None], n)))
         real_form = _realignment_real_forms(m[None], n)
-        assert not real_form.imag.any() and hermitian_mask(one_block(real_form.real)).all()
-        assert_same_bits(np.array([v.trace_norm_R]), eigensolve_norm(real_form.real))
+        symmetric = position == (0, -1)
+        assert not real_form.imag.any()
+        assert exactly_hermitian(one_block(real_form.real)).tolist() == [symmetric]
+        assert_same_bits(np.array([v.trace_norm_R]),
+                         (eigensolve_norm if symmetric else svd_norm)(real_form.real))
         # the complex eigensolve of R rho that normed it before
         assert abs(v.trace_norm_R - eigensolve_norm(_realignments(m[None], n))[0]) \
             <= 1e-14 * max(1.0, v.trace_norm_R)
@@ -665,15 +697,35 @@ class TestRealRealignment:
             assert np.all(np.abs(norms - ref) <= 1e-14 * np.maximum(1.0, ref))
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_nearly_hermitian_member_keeps_the_complex_kernel(self, n):
+    def test_nearly_hermitian_member_is_read_as_its_hermitian_part(self, monkeypatch, n):
+        # one member Hermitian within 1e-13 only: the record holds the whole
+        # stack as its Hermitian part, of error 0, so every member takes the
+        # real form, with the bits of its Hermitian part alone
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
-        stack[2, 0, 1] += 1e-13  # Hermitian within 1e-13 only
+        stack[2, 0, 1] += 1e-13
         real = ~_realignment_real_forms(stack, n).imag.any(axis=(1, 2))
         assert real.tolist() == [True, True, False, True]
+        calls = []
+        monkeypatch.setattr(criteria, "_realignments", counted(_realignments, calls))
+        got = functionals(stack, sys_)
+        h = hermitian_part(stack)
+        assert_same_bits(got[1], trace_norms([_realignment_real_forms(h, n).real[:, None]]))
+        for k in range(len(stack)):
+            for values, ref in zip(got, functionals(h[k:k + 1], sys_)):
+                assert_same_bits(values[k:k + 1], ref)
+        for values, ref in zip(got, functionals(stack[2:3], sys_)):
+            assert_same_bits(values[2:3], ref)
+        assert not calls
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_member_beyond_the_tolerance_keeps_the_complex_kernel(self, n):
+        sys_ = coupled_system(n)
+        stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
+        stack[2, 0, 1] += 2e-10  # Hermitian within 2e-10 only, beyond the density tolerance
         got = functionals(stack, sys_)[1]
-        # one member is not exactly Hermitian, so the whole stack takes the
-        # complex kernel on R rho, within rounding of each member alone
+        # one member is beyond 1e-10, so the stack is held as it is and the whole
+        # stack takes the complex kernel on R rho, within rounding of each member alone
         assert_same_bits(got, trace_norms(one_block(_realignments(stack, n))))
         for k in range(len(stack)):
             alone = functionals(stack[k:k + 1], sys_)[1][0]
@@ -686,24 +738,30 @@ class TestRealRealignment:
             assert_same_bits(got[k:k + 1], functionals(exact[k:k + 1], sys_)[1])
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_nearly_hermitian_member_builds_no_real_form(self, monkeypatch, n):
-        # the member Hermitian only within 1e-13 sends the whole stack straight
-        # to the complex kernel: one realignment of all four members, and no C
+    def test_member_beyond_the_tolerance_builds_no_real_form(self, monkeypatch, n):
+        # the member beyond 1e-10 sends the whole stack straight to the complex
+        # kernel: one realignment of all four members, no C, and SVDs only
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
-        stack[2, 0, 1] += 1e-13
+        stack[2, 0, 1] += 2e-10
         seen = {}
         for name in ("_realignment_real_forms", "_realignments"):
             def spy(s, n_, original=getattr(criteria, name), name=name):
                 seen.setdefault(name, []).append(s.copy())
                 return original(s, n_)
             monkeypatch.setattr(criteria, name, spy)
-        got = functionals(stack, sys_)[1]
+        kernels = {"eigvalsh": [], "svd": []}
+        for name, calls in kernels.items():
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
+        got = functionals(stack, sys_)
         assert "_realignment_real_forms" not in seen
         assert [len(s) for s in seen["_realignments"]] == [4]
         assert np.array_equal(seen["_realignments"][0], stack)
+        assert kernels == {"eigvalsh": [], "svd": [1, 1]}  # one SVD each for T_2 rho and R rho
         monkeypatch.undo()
-        assert_same_bits(got, functionals(stack, sys_)[1])
+        assert_same_bits(got[0], np.linalg.svd(_partial_transposes(stack, n),
+                                               compute_uv=False).sum(axis=-1))
+        assert_same_bits(got[1], functionals(stack, sys_)[1])
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", SIGNED_ZEROS)
@@ -722,9 +780,55 @@ class TestRealRealignment:
         sys_ = coupled_system(n)
         assert_same_bits(functionals(stack, sys_)[1], want)
         assert_same_bits(functionals(m[None], sys_)[1], want[1:])
-        with tolerance_path():
+        with hermitian_part_path():
             assert_same_bits(functionals(stack, sys_)[1], want)
         assert not calls
+
+
+class TestNoiseWithinTheTolerance:
+    """Anti-Hermitian noise that the density check accepts certifies no entanglement.
+
+    |00><00| + i eps B is held as its Hermitian part |00><00|: both trace
+    norms are exactly 1, and no verdict or bound is positive.  Read as it
+    is, its norms exceed 1 by up to 2e-8 at eps = 4.9e-11 (case A) and its
+    ||R rho||_1 by 1e-9 at eps = 4.9e-13 and N = 16 (case B).
+    """
+
+    @staticmethod
+    def assert_product_values(v, n):
+        assert (v.trace_norm_T2, v.trace_norm_R) == (1.0, 1.0)
+        assert not v.ppt_violated and not v.realignment_violated and not v.witness_detects
+        assert report_from_verdict(v, n).concurrence_lower == 0.0
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("eps", [4.9e-11, 4.9e-13])
+    def test_density_matrix_holds_the_hermitian_part(self, n, eps):
+        m = noisy_product(n, eps)
+        assert 0 < np.abs(m - dagger(m)).max() <= 1e-10
+        before = m.copy()
+        for a in (m, before.copy()):
+            a.setflags(write=a is m)
+            rho = DensityMatrix(n, a)
+            assert_same_bits(rho.matrix, hermitian_part(before))
+            assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
+            self.assert_product_values(evaluate_criteria(rho, coupled_system(n)), n)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("eps", [4.9e-11, 4.9e-13])
+    def test_raw_stack_gives_the_bits_of_the_density_matrix(self, n, eps):
+        sys_ = coupled_system(n)
+        m = noisy_product(n, eps)
+        before = m.copy()
+        ref = evaluate_criteria(DensityMatrix(n, m), sys_)
+        fields = (ref.trace_norm_T2, ref.trace_norm_R, ref.witness_value)
+        for a in (m, before.copy()):
+            a.setflags(write=a is m)
+            for got, want in zip(functionals(a[None], sys_), fields):
+                assert got.tobytes() == np.array([want]).tobytes()
+            assert verdicts(a[None], sys_) == [ref]
+            assert evaluate_criteria(a, sys_) == ref
+            assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
+        self.assert_product_values(ref, n)
 
 
 class TestFunctionals:
@@ -752,7 +856,7 @@ class TestFunctionals:
         # family states have a Hermitian realignment and random ones do not;
         # interleaved, the stack is not all sector states, so it is permuted
         # whole, and each state is within rounding of its value alone
-        herm = [bool(hermitian_mask(one_block(realign(rho, sys_)[None])))
+        herm = [bool(exactly_hermitian(one_block(realign(rho, sys_)[None])))
                 for rho in family + dense]
         assert any(herm) and not all(herm)
         states = (family + dense)[::2] + (family + dense)[1::2]

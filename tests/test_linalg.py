@@ -1,4 +1,3 @@
-import contextlib
 import warnings
 
 import numpy as np
@@ -7,11 +6,11 @@ import pytest
 from entbound import (DensityMatrix, DimensionError, coupled_system, criteria, evaluate_criteria,
                       family_state, functionals, linalg, states, verdicts)
 from entbound.criteria import _partial_transposes, _sectors
-from entbound.linalg import (_hermitian_test, _Sectors, _within_tolerance, as_complex_matrix,
-                             as_complex_stack, trace_norms)
+from entbound.linalg import (_hermitian_test, _Sectors, as_complex_matrix, as_complex_stack,
+                             trace_norms)
 from entbound.states import _check_densities, _density_sectors, _States
-from helpers import (EDGES, edge_base, exactly_hermitian, hermitian_mask, huge_pair, nan_entry,
-                     one_block, signed_zero_real, smallest_pair, symmetrised, tolerance_path)
+from helpers import (EDGES, edge_base, exactly_hermitian, hermitian_part, hermitian_part_path,
+                     huge_pair, nan_entry, one_block, signed_zero_real, skew_1e13, smallest_pair)
 
 
 def norm(m):
@@ -69,8 +68,9 @@ class TestTraceNorm:
         assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
         pair = one_block(np.stack(mats[:1] + mats[3:4]))
         assert trace_norms(pair).tolist() == alone[[0, 3]].tolist()
-        # members of two blocks of size 3 and one of size 4: of error 0, Hermitian
-        # within the tolerance, and not Hermitian
+        # members of two blocks of size 3 and one of size 4: of error 0, of error
+        # 1e-14, and not Hermitian; the kernel has two routes, and only error 0
+        # takes the eigensolve
         kinds = ["exact", "tolerance", "skew", "exact", "skew", "tolerance"]
         small, large = [], []
         for kind in kinds:
@@ -82,7 +82,6 @@ class TestTraceNorm:
                 small[-1] = small[-1] + 0.5 * rand_complex(rng, 3, 3)
         blocks = [np.stack(small), np.stack(large)]
         assert exactly_hermitian(blocks).tolist() == [kind == "exact" for kind in kinds]
-        assert hermitian_mask(blocks).tolist() == [kind != "skew" for kind in kinds]
         alone = np.concatenate([trace_norms([b[k:k + 1] for b in blocks])
                                 for k in range(len(kinds))])
         calls = []
@@ -95,13 +94,14 @@ class TestTraceNorm:
         got = trace_norms(blocks)
         assert sorted(name for name, _ in calls) == ["svd", "svd"]
         assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
-        # the Hermitian members alone: one eigensolve per block size, and their own bits
-        herm = [k for k, kind in enumerate(kinds) if kind != "skew"]
+        # the members of error 0 alone: one eigensolve per block size, and their own bits
+        herm = [k for k, kind in enumerate(kinds) if kind == "exact"]
         calls.clear()
         assert trace_norms([b[herm] for b in blocks]).tobytes() == alone[herm].tobytes()
         assert sorted(name for name, _ in calls) == ["eigvalsh", "eigvalsh"]
-        # a block array of one kind goes to LAPACK as it is, without a masked copy
-        for kind, name in (("exact", "eigvalsh"), ("skew", "svd")):
+        # a block array of one kind goes to LAPACK as it is, without a masked copy;
+        # members Hermitian within 1e-14 only take the SVD, as no record holds them
+        for kind, name in (("exact", "eigvalsh"), ("tolerance", "svd"), ("skew", "svd")):
             same = [b[[k for k, other in enumerate(kinds) if other == kind]] for b in blocks]
             calls.clear()
             trace_norms(same)
@@ -130,29 +130,43 @@ class TestTraceNorm:
             assert norm(u @ a @ v) == pytest.approx(norm(a), abs=1e-9)
 
 
-class TestHermitianMask:
-    def test_tolerance_is_relative_above_unit_scale(self):
-        # ||M - M^dag||_max <= 1e-12 * max(1, ||M||_max), member by member
-        rng = np.random.default_rng(15)
-        h = rand_hermitian(rng, 5)
-        h /= np.abs(h).max()
-        cases = [(h, 2e-12, False), (h, 5e-13, True),
-                 (1e4 * h, 5e-9, True), (1e4 * h, 5e-8, False)]
-        for m, skew, want in cases:
-            bent = m.copy()
-            bent[0, 1] += skew
-            assert bool(hermitian_mask(one_block(bent[None]))) is want
-        stack = np.stack([m + (np.eye(5, k=1) * skew) for m, skew, _ in cases])
-        assert hermitian_mask(one_block(stack)).tolist() == [want for _, _, want in cases]
+class TestHermitianPart:
+    """A record within the density check's tolerance holds its Hermitian part, whatever the scale."""
 
-    def test_scale_and_error_in_different_blocks(self):
-        # ||M||_max is taken over all blocks of a member, and over that member only
-        scale = np.array([1e4, 1e4, 1.0]).reshape(3, 1, 1, 1)  # a 1 x 1 block
-        h = np.array([[0.5, 0.25], [0.25, 0.5]])
-        skewed = np.stack([h + np.eye(2, k=1) * skew for skew in (5e-9, 5e-8, 5e-9)])[:, None]
-        assert hermitian_mask([scale, skewed]).tolist() == [True, False, False]
-        assert hermitian_mask([skewed, scale]).tolist() == [True, False, False]
-        assert hermitian_mask([skewed]).tolist() == [False, False, False]
+    @staticmethod
+    def stack(skews, scale=1.0):
+        """Copies of a dense Hermitian 16 x 16 matrix of largest entry ``scale``, one per skew at (0, 1)."""
+        h = rand_hermitian(np.random.default_rng(15), 16)
+        h *= scale / np.abs(h).max()
+        out = np.stack([h] * len(skews))
+        out[:, 0, 1] += skews
+        return out
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_tolerance_is_absolute(self, scale):
+        # ||rho - rho^dag||_max <= 1e-10 for every member, with no scale factor
+        for skews, symmetrised in (([0.0, 5e-12], True), ([5e-11, 0.0], True),
+                                   ([0.0, 0.0], False), ([5e-11, 2e-10], False)):
+            stack = self.stack(skews, scale)
+            record = _States(4, len(stack), array=stack)
+            if symmetrised:
+                assert_same(record.array, hermitian_part(stack))
+                assert record.err.tolist() == [0.0] * len(stack)
+                assert exactly_hermitian(one_block(record.array)).all()
+            else:
+                assert record.array is stack
+                assert_same(record.err, _hermitian_test(one_block(stack)))
+
+    def test_caller_array_is_left_as_it_is(self):
+        stack = self.stack([5e-11, 0.0])
+        before = stack.copy()
+        for a in (stack, before.copy()):
+            a.setflags(write=a is stack)
+            record = _States(4, len(a), array=a)
+            assert record.array is not a and record.array.flags.writeable
+            assert_same(a, before)
+        functionals(stack, coupled_system(4))
+        assert_same(stack, before)
 
 
 def outcome(f, *args):
@@ -176,11 +190,11 @@ def assert_same(got, want):
 
 
 class TestExactHermiticityCertificate:
-    """Each edge of ||rho - rho^dag||_max = 0 gets the bits of the path that symmetrises always."""
+    """Each edge of ||rho - rho^dag||_max = 0 gets the bits of its Hermitian part."""
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", sorted(EDGES))
-    def test_edge_takes_the_bits_of_the_tolerance_path(self, n, edge):
+    def test_edge_takes_the_bits_of_its_hermitian_part(self, n, edge):
         edit, exact = EDGES[edge]
         base = edge_base(n)
         m = base.copy()
@@ -189,24 +203,28 @@ class TestExactHermiticityCertificate:
         stack = np.stack([base, m, base.T])
         assert exactly_hermitian(one_block(stack)).tolist() == [True, exact, True]
         sys_ = coupled_system(n)
-        for f, args in ((lambda s, n: _check_densities(s, n).array, (stack, n)),
-                        (functionals, (stack, sys_)), (functionals, (m[None], sys_)),
-                        (lambda a: DensityMatrix(n, a).matrix, (m,))):
-            got = outcome(f, *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
-            with tolerance_path():
-                want = outcome(f, *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
-            assert_same(got, want)
+        # a record holds rho as it is where every error is 0, else its Hermitian part
+        assert_same(_check_densities(stack.copy(), n).array, stack if exact else hermitian_part(stack))
+        assert_same(DensityMatrix(n, m).matrix, m if exact else hermitian_part(m))
+        # and every functional has the bits of the Hermitian part, held whatever its error
+        for a in (stack, m[None]):
+            got = functionals(a, sys_)
+            assert_same(got, functionals(hermitian_part(a), sys_))
+            with hermitian_part_path():
+                assert_same(got, functionals(a, sys_))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_nan_is_rejected_first(self, n):
         base = edge_base(n)
         m = base.copy()
         nan_entry(m, *smallest_pair(m))
-        stack = np.stack([base, m])
+        near = base.copy()  # a member the record would hold as its Hermitian part
+        skew_1e13(near, *smallest_pair(near))
         message = "matrix contains NaN or Inf entries"
-        for f, args in ((_check_densities, (stack, n)), (functionals, (stack, coupled_system(n)))):
-            for context in (contextlib.nullcontext(), tolerance_path()):
-                with context, pytest.raises(ValueError, match=f"^{message}$"):
+        for stack in (np.stack([base, m]), np.stack([near, m])):
+            for f, args in ((_check_densities, (stack, n)),
+                            (functionals, (stack, coupled_system(n)))):
+                with pytest.raises(ValueError, match=f"^{message}$"):
                     f(*args)
         with pytest.raises(ValueError, match=f"^{message}$"):
             DensityMatrix(n, m)
@@ -216,8 +234,8 @@ class TestExactHermiticityCertificate:
     @pytest.mark.parametrize("kind", ["dense", "sector"])
     def test_partial_transpose_keeps_the_test_of_rho(self, n, edge, kind):
         # T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag) entry for entry, so the
-        # blocks of T_2 rho get the error and the tolerance mask of the blocks
-        # of rho, bit for bit; the criteria rely on it
+        # blocks of T_2 rho get the error of the blocks of rho, bit for bit; the
+        # criteria rely on it
         if kind == "dense":
             m = edge_base(n)
             i, j = smallest_pair(m)
@@ -234,43 +252,45 @@ class TestExactHermiticityCertificate:
                                      for sectors in (_density_sectors(n), _sectors(n)[0]))
         test, t2_test = _hermitian_test(rho_blocks), _hermitian_test(t2_blocks)
         assert_same(t2_test, test)
-        assert_same(_within_tolerance(t2_blocks, t2_test), _within_tolerance(rho_blocks, test))
-        # the record tests rho whole, and a sector state vanishes off its blocks
+        # the record tests rho whole, and a sector state vanishes off its blocks;
+        # within the tolerance it holds the Hermitian part, of error 0
         states = _States(n, 1, array=m[None])
         assert states.sector is (kind == "sector")
-        assert_same(states.err, test)
-        if edge in EDGES:  # the functionals read that decision: the bits of the tolerance path,
-            got = functionals(m[None], coupled_system(n))  # and of T_2 rho tested on its own
-            assert_same(got[0], trace_norms(t2_blocks))
-            with tolerance_path():
-                assert_same(got, functionals(m[None], coupled_system(n)))
+        within = 0 < test.max() <= 1e-10
+        assert_same(states.array, hermitian_part(m[None]) if within else m[None])
+        assert_same(states.err, np.zeros(1) if within else test)
+        if edge in EDGES:  # the functionals read that decision: the bits of the Hermitian
+            got = functionals(m[None], coupled_system(n))  # part, and of its T_2 tested alone
+            h = states.array
+            t2 = (one_block(_partial_transposes(h, n)) if kind == "dense"
+                  else _sectors(n)[0].split(h.reshape(1, -1)[:, _sectors(n)[0].positions]))
+            assert_same(got[0], trace_norms(t2))
+            assert_same(got, functionals(hermitian_part(m[None]), coupled_system(n)))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_row_of_signed_zeros_takes_the_exact_routes(self, monkeypatch, n):
         # a whole row of real parts +0.0 against -0.0 in its column: rho equals
         # rho^dag in value, not in bits, so it has error 0 and takes the exact
-        # routes, within 4 ulp of the functionals of the symmetrised path
+        # routes, within 4 ulp of the functionals of its Hermitian part
         m = edge_base(n)
         for j in range(1, n * n):
             signed_zero_real(m, 0, j)
         assert exactly_hermitian(one_block(m[None])).tolist() == [True]
-        assert not np.array_equal(m.view(np.uint64), symmetrised(m, True).view(np.uint64))
+        assert not np.array_equal(m.view(np.uint64), hermitian_part(m).view(np.uint64))
         sys_ = coupled_system(n)
         parts, real_forms = [], []
         part, real_form = linalg._hermitian_part, criteria._realignment_real_forms
-        for module in (linalg, states):
-            monkeypatch.setattr(module, "_hermitian_part",
-                                lambda a, exact: parts.append((a.dtype, exact)) or part(a, exact))
+        for module in (linalg, states, criteria):
+            monkeypatch.setattr(module, "_hermitian_part", lambda a: parts.append(1) or part(a))
         monkeypatch.setattr(criteria, "_realignment_real_forms",
                             lambda a, n_: real_forms.append(1) or real_form(a, n_))
-        DensityMatrix(n, m)
+        assert DensityMatrix(n, m).matrix.tobytes() == m.tobytes()
         got = functionals(m[None], sys_)
-        # the density check and T_2 rho hand rho on as it is, and R rho takes C
-        assert [exact for dtype, exact in parts if dtype == complex] == [True, True]
+        # the record and the density check hand rho on as it is, and R rho takes C
+        assert parts == []
         assert real_forms == [1]
         monkeypatch.undo()
-        with tolerance_path():
-            want = functionals(m[None], sys_)
+        want = functionals(hermitian_part(m[None]), sys_)
         for g, w in zip(got, want):
             assert np.all(np.abs(g - w) <= 4 * np.spacing(np.abs(w)))
 
@@ -334,7 +354,8 @@ class TestEntryRange:
     @pytest.mark.parametrize("n", [4, 6])
     def test_largest_entries_give_finite_norms(self, n):
         # every sum of two entries that the kernels form stays finite: no
-        # warning, and the bits of the path that symmetrises every member
+        # warning, and the bits of the path that holds every stack as its
+        # Hermitian part
         base = edge_base(n)
         stack = np.stack([base] + [two_pairs(base.copy(), value) for value in
                                    (BELOW, -BELOW, 1j * BELOW, complex(BELOW, BELOW))])
@@ -344,7 +365,7 @@ class TestEntryRange:
             got = functionals(stack, sys_)
             assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
             assert (got[0][1:] > 2.0 ** 990).all() and (got[1][1:] > 2.0 ** 990).all()
-            with tolerance_path():
+            with hermitian_part_path():
                 assert_same(got, functionals(stack, sys_))
             for k in range(len(stack)):
                 assert_same(tuple(f[k:k + 1] for f in got), functionals(stack[k:k + 1], sys_))
@@ -365,15 +386,17 @@ class TestEntryRange:
     @pytest.mark.parametrize("n", [4, 6])
     def test_largest_entries_fail_the_eigenvalue_test(self, n):
         # the Cholesky factorization overflows and fails, and the eigensolve
-        # decides, with m factored in place and with its symmetrised copy; a
-        # complex pair overflows |l|^2 in the factor from about 2^510 up
+        # decides, with m factored in place and, ahead of a member beyond the
+        # Hermiticity tolerance, as its Hermitian part; a complex pair
+        # overflows |l|^2 in the factor from about 2^510 up
         message = "density matrix has an eigenvalue below -1e-10"
+        skewed = edge_base(n)
+        skewed[0, 1] += 1e-6
         for value in (BELOW, -BELOW, 1j * BELOW, complex(BELOW, BELOW),
                       complex(2.0 ** 511, 2.0 ** 511)):
             m = two_pairs(edge_base(n), value)
             assert raised(DensityMatrix, n, m) == message
-            with tolerance_path():
-                assert raised(DensityMatrix, n, m) == message
+            assert raised(_check_densities, np.stack([m, skewed]), n) == message
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("value", [2.0 ** 990, -(2.0 ** 990), 2.0 ** 990 * 1j, 2.0 ** 1023])

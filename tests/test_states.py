@@ -4,7 +4,7 @@ import pickle
 import re
 import tracemalloc
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -483,6 +483,43 @@ class TestJzBlockStates:
             with pytest.raises(ValueError, match=message):
                 states._sector_states(4, 1, entries)
 
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 32, 64])
+    def test_package_entries_have_error_zero(self, n):
+        # the family, Werner and isotropic states equal their adjoints in value, so
+        # every one takes the exact routes
+        sys_ = coupled_system(n)
+        for state in (family_state(sys_, 0.3), werner_state(sys_), isotropic_state(sys_, 0.4)):
+            assert state._states.err.tolist() == [0.0]
+        assert _family_states(sys_, (0.0, 0.05, 1 / (n + 2), 0.5, 1.0)).err.tolist() == [0.0] * 5
+
+    def test_entries_with_an_error_keep_the_general_route(self, sys4, monkeypatch):
+        # entries with one in-sector pair Hermitian within 1e-13 only: the record
+        # keeps its entries and its error, the certificate factors the Hermitian
+        # part of its blocks, and the trace norms take SVDs
+        n2 = 16
+        family = partial(states._family_entries, sys4, 0.3)
+
+        def entries(idx):
+            return family(idx) + np.where(idx == 1 * n2 + 4, 1e-13j, 0.0)
+        calls = []
+
+        def spy(name, owner):
+            function = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or function(*a, **kw))
+        spy("_hermitian_part", states)
+        record = states._sector_states(4, 1, entries)
+        assert record.entries is entries and 0 < record.err[0] <= 1e-12
+        assert calls and set(calls) == {"_hermitian_part"}
+        calls.clear()
+        for name in ("eigvalsh", "svd"):
+            spy(name, np.linalg)
+        got = criteria._functionals(record, sys4)
+        assert calls and set(calls) == {"svd"}
+        monkeypatch.undo()
+        want = functionals(family_state(sys4, 0.3).matrix[None], sys4)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12
 
 class TestSamplers:
     def test_deterministic(self, sys4):
