@@ -39,10 +39,11 @@ def _check_domain(lam: float, n: int) -> int:
 def extremal_schmidt_weight(lam: float, n: int) -> float:
     """Largest Schmidt weight of the entropy-minimizing state at constraint lam.
 
-    gamma(lam) = [sqrt(lam) + sqrt((n-1)(n-lam))]^2 / n^2.
+    gamma(lam) = [sqrt(lam) + sqrt((n-1)(n-lam))]^2 / n^2, clamped at its
+    maximum gamma(1) = 1, which rounding can pass for lam a few ulps above 1.
     """
     n = _check_domain(lam, n)
-    return float((np.sqrt(lam) + np.sqrt((n - 1) * (n - lam))) ** 2 / n ** 2)
+    return float(min((np.sqrt(lam) + np.sqrt((n - 1) * (n - lam))) ** 2 / n ** 2, 1.0))
 
 
 def min_schmidt_entropy(lam: float, n: int) -> float:

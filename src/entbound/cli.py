@@ -215,7 +215,7 @@ def cmd_survey(args) -> int:
 def cmd_witness(args) -> int:
     sys_ = coupled_system(args.n)
     w = build_witness(sys_)
-    evals = np.linalg.eigh(w)[0]  # not eigvalsh, whose eigenvalues differ in the last bits
+    evals = np.repeat(*zip(*closedform.witness_spectrum(args.n)))  # ``verify witness`` checks W
     if args.format == "json":
         lines = _witness_json_lines(args.n, w, evals)
     else:
@@ -277,7 +277,7 @@ def _verify_witness(ck: _Checker, n: int) -> None:
     err = max(float(np.abs(closedform.lifted_witness(sys_) - w).max()),
               float(np.abs(w - closedform.spectral_witness(sys_)).max()))
     ck.check(f"witness-forms-agree n={n}", err, 1e-10)
-    evals = np.linalg.eigh(w)[0]  # the eigenvalues that ``witness`` prints
+    evals = np.linalg.eigh(w)[0]  # W's spectrum, against the exact one that ``witness`` prints
     values, mults = map(np.array, zip(*closedform.witness_spectrum(n)))
     ck.check(f"witness-eigenvalues n={n}",
              float(np.abs(evals - np.repeat(values, mults)).max()), 1e-9)

@@ -66,14 +66,6 @@ def _flip_signs(n: int) -> np.ndarray:
     return np.multiply.outer(s, s)[None, :, None, :]
 
 
-def _realignments(stack: np.ndarray, n: int) -> np.ndarray:
-    """The realignment of each matrix of a (B, n^2, n^2) stack (see :func:`realign`)."""
-    r = stack.reshape(-1, n, n, n, n)[:, ::-1, :, :, ::-1]
-    # written in C order, so the reshape is a view and not a second copy
-    signed = np.multiply(r.transpose(0, 2, 4, 3, 1), _flip_signs(n), order="C")
-    return signed.reshape(-1, n * n, n * n)
-
-
 @lru_cache(maxsize=None)
 def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column offsets of R_0 in rho, in pair order: R_0 is read at rows[:, None] + cols.
@@ -81,23 +73,23 @@ def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     R_0[(a,c),(b,d)] = rho[(a,b),(c,d)], at flat position (a n + b) n^2 + c n + d
     of rho, so row (a, c) contributes a n^3 + c n and column (b, d) b n^2 + d.
     The pair order lists (a, a), then (a, c) and then (c, a) for each a < c
-    (see :func:`_realignment_real_forms`).
+    (see :func:`_realignment_pair_forms`).
     """
     a, c = np.triu_indices(n, 1)
     first, second = np.concatenate([np.arange(n), a, c]), np.concatenate([np.arange(n), c, a])
     return first * n ** 3 + second * n, first * n * n + second
 
 
-def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
+def _realignment_pair_forms(stack: np.ndarray, n: int) -> np.ndarray:
     """C = Q^dag R_0 Q for each rho of a (B, n^2, n^2) stack, R_0[(a,c),(b,d)] = rho[(a,b),(c,d)].
 
     Q is the fixed unitary whose columns are e_(a,a), (e_(a,c) + e_(c,a)) / sqrt 2
     and i (e_(a,c) - e_(c,a)) / sqrt 2 for a < c.  R_0 is a signed
     permutation of the transposed realignment, so C has its singular
-    values.  For Hermitian rho, conj(R_0) = P R_0 P with P the swap
-    (a,c) <-> (c,a), and P Q = conj(Q), so C is real.  Combined row pair by
-    row pair and then column pair by column pair, the imaginary parts of an
-    exactly Hermitian rho cancel to exact zeros; of any other rho they need not.
+    values, for any rho.  For Hermitian rho, conj(R_0) = P R_0 P with P the
+    swap (a,c) <-> (c,a), and P Q = conj(Q), so C is real.  Combined row pair
+    by row pair and then column pair by column pair, the imaginary parts of
+    an exactly Hermitian rho cancel to exact zeros; of any other rho they need not.
     R_0 is gathered once, rows and columns in pair order (:func:`_pair_offsets`);
     each pass then overwrites the pair rows (then columns) in place, with
     the complex arithmetic of (u + v) / sqrt 2 and phase (u - v) / sqrt 2.
@@ -115,29 +107,31 @@ def _realignment_real_forms(stack: np.ndarray, n: int) -> np.ndarray:
 
 
 def _realignment_norms(stack: np.ndarray, n: int, err: np.ndarray) -> np.ndarray:
-    """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, permuted whole.
+    """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, from its pair form C.
 
-    The route is read from ``err``, ||rho - rho^dag||_max from the state
-    record, the number that decides every Hermitian shortcut.  If every
-    matrix has err 0, each equals rho^dag in value, so the imaginary parts
-    of its :func:`_realignment_real_forms` C cancel to zeros and ``C.real``
-    takes the real kernels, about half the cost of the complex ones.  A
-    stack within the density tolerance has err 0 (:class:`states._States`):
-    only one with a rho beyond it goes to the complex kernels on
-    :func:`_realignments` and builds no C.
+    C (:func:`_realignment_pair_forms`) is built once for the stack.  The
+    arithmetic is read from ``err``, ||rho - rho^dag||_max from the state
+    record: if every matrix has err 0, each equals rho^dag in value, the
+    imaginary parts of C cancel to zeros and ``C.real`` takes the real
+    kernels, about half the cost of the complex ones; otherwise C itself
+    is normed.  A stack within the density tolerance has err 0
+    (:class:`states._States`).
     """
-    if err.any():
-        return trace_norms([_realignments(stack, n)[:, None]])
-    return trace_norms([_realignment_real_forms(stack, n).real[:, None]])
+    c = _realignment_pair_forms(stack, n)
+    return trace_norms([(c if err.any() else c.real)[:, None]])
 
 
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
     """Canonical realignment theta_2(F rho) as the signed index permutation
 
     out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)].
+
+    :func:`functionals` norms its pair form (:func:`_realignment_pair_forms`) instead.
     """
     n = sys.n
-    return _realignments(as_matrix(rho, (n * n, n * n))[None], n)[0]
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[::-1, :, :, ::-1]
+    # written in C order, so the reshape is a view and not a second copy
+    return np.multiply(r.transpose(1, 3, 2, 0), _flip_signs(n), order="C").reshape(n * n, n * n)
 
 
 @lru_cache(maxsize=None)
@@ -337,12 +331,12 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     """The ungated core of :func:`functionals`, for a :class:`states._States` record.
 
     Every decision is read from the record, once for the stack.  A sector
-    stack is normed on its J_z blocks; any other is permuted whole, and its
-    R rho is normed by :func:`_realignment_norms`, in real arithmetic where
-    every rho has ``err`` 0.  T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag)
-    entry for entry, so T_2 rho takes the ``err`` of rho straight into
-    :func:`linalg._spectral_norms`; only the blocks of R rho and the real
-    form C get a test of their own.
+    stack is normed on its J_z blocks; any other is normed whole, T_2 rho as
+    a permutation and R rho on its pair form C (:func:`_realignment_norms`),
+    in real arithmetic where every rho has ``err`` 0.  T_2 rho - (T_2 rho)^dag
+    = T_2 (rho - rho^dag) entry for entry, so T_2 rho takes the ``err`` of
+    rho straight into :func:`linalg._spectral_norms`; only the blocks of
+    R rho and the pair form C get a test of their own.
     """
     n = sys.n
     if states.sector:
@@ -358,20 +352,21 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
-    The raw stack passes :func:`linalg.as_complex_stack` once; T_2 and R
-    are signed index permutations, each followed by one trace-norm call, and
-    tr(W rho) is read from the swap form W = I - N P_0 - F, O(N^2) entries
-    of rho, without W.  A stack Hermitian within 1e-10 is read as its
-    Hermitian part, as a DensityMatrix is (:class:`states._States`).  Each
-    route is decided once for the stack: J_z blocks gathered straight from
-    rho, O(N^4) work, only if every state vanishes exactly between
-    different sectors (m_1 + m_2), as the family, Werner and isotropic
-    states do, else whole matrices, O(N^6); the real form of R rho
-    (:func:`_realignment_norms`) and the eigensolves only if every rho read
-    equals rho^dag in value.  A state gets the bits it gets alone in any
-    stack whose states agree on these decisions, as every stack a command
-    builds does; any other stack takes the general route (dense, complex
-    realignment, SVD), within rounding of those bits.
+    The raw stack passes :func:`linalg.as_complex_stack` once; T_2 rho and
+    R rho (or its pair form, :func:`_realignment_norms`) are gathered from
+    rho, each followed by one trace-norm call, and tr(W rho) is read from
+    the swap form W = I - N P_0 - F, O(N^2) entries of rho, without W.  A
+    stack Hermitian within 1e-10 is read as its Hermitian part, as a
+    DensityMatrix is (:class:`states._States`).  Each route is decided once
+    for the stack: J_z blocks gathered straight from rho, O(N^4) work, only
+    if every state vanishes exactly between different sectors (m_1 + m_2),
+    as the family, Werner and isotropic states do, else whole matrices,
+    O(N^6); real arithmetic on the pair form of R rho and the eigensolves
+    only if every rho read equals rho^dag in value.  A state gets the bits
+    it gets alone in any stack whose states agree on these decisions, as
+    every stack a command builds does; any other stack takes the general
+    route (dense, complex arithmetic on the pair form, SVD), within
+    rounding of those bits.
     """
     a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
     return _functionals(_States(sys.n, len(a), array=a), sys)

@@ -153,6 +153,17 @@ def dense_witness_search(rho, sys_, u1, u2):
             np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c))
 
 
+def stacked_realignments(stack, n: int) -> np.ndarray:
+    """R rho of each matrix of a (B, n^2, n^2) stack, as one signed permutation of a 5-d view.
+
+    The oracle of :func:`criteria.realign`, which must give the same bits
+    for each matrix alone.
+    """
+    r = np.asarray(stack).reshape(-1, n, n, n, n)[:, ::-1, :, :, ::-1]
+    signed = np.multiply(r.transpose(0, 2, 4, 3, 1), criteria._flip_signs(n), order="C")
+    return signed.reshape(-1, n * n, n * n)
+
+
 def one_block(stack):
     """A (B, d, d) stack as members of one block each, as trace_norms and exactly_hermitian take it."""
     return [np.asarray(stack)[:, None]]

@@ -193,6 +193,14 @@ class TestEofLowerBound:
         rho = np.eye(16) / 16
         assert bound_report(rho, sys4).eof_lower == 0.0
 
+    def test_functional_a_few_ulps_above_zero(self):
+        # gamma(1 + f) rounds above its maximum 1 for some f of a few ulps (first
+        # at N = 10, f = 10 ulp of 1); clamped, it never reaches the entropy
+        assert extremal_schmidt_weight(1 + 10 * 2.0 ** -52, 10) == 1.0
+        for n in range(4, 129, 2):
+            for k in range(1, 400):
+                assert 0 <= eof_from_functional(k * 2.0 ** -52, n) <= np.log2(n)
+
     def test_witness_mode_dominates(self, sys4):
         rng = np.random.default_rng(63)
         states = [family_state(sys4, lam) for lam in (0.05, 0.3, 0.6, 0.9)]

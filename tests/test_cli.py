@@ -124,6 +124,19 @@ class TestFamilyCommand:
     def test_unwritable_path(self):
         assert main(["family", "--steps", "2", "--out", "/nonexistent/dir/x.csv"]) == 1
 
+    @pytest.mark.parametrize("n, lam", [(10, 2.4e-16), (40, 1e-15)])
+    def test_functional_a_few_ulps_above_zero(self, capsys, n, lam):
+        # the largest functional rounds to a few ulps above 0, where the extremal
+        # Schmidt weight rounded above 1 and the entropy raised
+        argv = ["family", "--n", str(n), "--lambda-min", str(lam), "--lambda-max", str(lam)]
+        assert main(argv + ["--steps", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(dict(zip(header, row))["eof_new"]) == 0.0
+
     def test_two_trace_norms_per_sweep(self, monkeypatch, tmp_path):
         # the grid is one stack at N = 4: one stacked trace-norm call per functional
         # (every trace norm, through trace_norms or not, runs the spectrum kernel once)
@@ -214,6 +227,13 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["concurrence_lower"] == pytest.approx(1.224744871391589, abs=1e-9)
+
+    def test_functional_a_few_ulps_above_zero(self, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        save_state(path, family_state(entbound.coupled_system(10), 2.4e-16))
+        assert main(["bounds", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["eof_lower"] == 0.0
 
     def test_optimize_requires_seed(self, tmp_path, sys4):
         path = tmp_path / "rho.json"
@@ -733,9 +753,19 @@ class TestWitnessCommand:
         assert main(["witness", "--n", "4", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "eigenvalue"
-        evals = [float(x) for x in lines[1:17]]
-        assert evals[0] == pytest.approx(-2.0, abs=1e-9)
-        assert evals[-1] == pytest.approx(2.0, abs=1e-9)
+        assert lines[1:17] == ["-2.0"] + ["0.0"] * 10 + ["2.0"] * 5
+        assert lines[17].startswith("# matrix rows")
+
+    @pytest.mark.parametrize("n", [4, 8, 24])
+    def test_prints_the_exact_spectrum(self, tmp_path, n):
+        # the closed-form spectrum, expanded by multiplicity, within rounding of eigh of W
+        out = tmp_path / "w.csv"
+        assert main(["witness", "--n", str(n), "--out", str(out)]) == 0
+        evals = np.array([float(x) for x in out.read_text().splitlines()[1:n * n + 1]])
+        values, mults = zip(*closedform.witness_spectrum(n))
+        assert np.array_equal(evals, np.repeat(values, mults))
+        w = entbound.build_witness(entbound.coupled_system(n))
+        assert np.abs(evals - np.linalg.eigh(w)[0]).max() <= 1e-13
 
     def test_json_output(self, capsys):
         assert main(["witness", "--n", "6", "--format", "json"]) == 0
@@ -750,7 +780,7 @@ class TestWitnessCommand:
         w = entbound.build_witness(entbound.coupled_system(n))
         obj = {"n_local": n,
                "trace": float(np.trace(w).real),
-               "eigenvalues": [float(x) for x in np.linalg.eigh(w)[0]],
+               "eigenvalues": [float(x) for x in np.repeat(*zip(*closedform.witness_spectrum(n)))],
                "matrix": [[[z.real, z.imag] for z in row] for row in w]}
         assert main(["witness", "--n", str(n), "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"

@@ -16,13 +16,14 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
                       partial_transpose, random_densities, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
-from entbound.criteria import (_conjugate, _partial_transposes, _realignment_real_forms,
-                               _realignments, _witness_gradients, _witness_values)
+from entbound.criteria import (_conjugate, _partial_transposes, _realignment_pair_forms,
+                               _witness_gradients, _witness_values)
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
                              haar_unitary, random_density)
 from helpers import (EDGES, dense_witness_search, edge_base, exactly_hermitian, hermitian_part,
-                     hermitian_part_path, noisy_product, one_block, product_pure, smallest_pair)
+                     hermitian_part_path, noisy_product, one_block, product_pure, smallest_pair,
+                     stacked_realignments)
 
 # the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
 SIGNED_ZEROS = ["signed zero real part", "two -0.0 imaginary parts", "two +0.0 imaginary parts",
@@ -560,7 +561,7 @@ class TestSectorPath:
         stack = m[None]
         return (np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[0, 0],
                 trace_norms(one_block(_partial_transposes(stack, n)))[0],
-                trace_norms(one_block(_realignments(stack, n)))[0])
+                trace_norms(one_block(realign(m, coupled_system(n))[None]))[0])
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_agrees_with_the_dense_kernels(self, n):
@@ -609,14 +610,14 @@ class TestSectorPath:
         # tolerance route
         assert_same_bits(np.array([v.trace_norm_T2]),
                          eigensolve_norm(_partial_transposes(m[None], n)))
-        real_form = _realignment_real_forms(m[None], n)
+        real_form = _realignment_pair_forms(m[None], n)
         symmetric = position == (0, -1)
         assert not real_form.imag.any()
         assert exactly_hermitian(one_block(real_form.real)).tolist() == [symmetric]
         assert_same_bits(np.array([v.trace_norm_R]),
                          (eigensolve_norm if symmetric else svd_norm)(real_form.real))
-        # the complex eigensolve of R rho that normed it before
-        assert abs(v.trace_norm_R - eigensolve_norm(_realignments(m[None], n))[0]) \
+        # and within rounding of the complex eigensolve of R rho itself
+        assert abs(v.trace_norm_R - eigensolve_norm(realign(m, sys_)[None])[0]) \
             <= 1e-14 * max(1.0, v.trace_norm_R)
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -683,17 +684,53 @@ class TestSectorPath:
 
 
 class TestRealRealignment:
-    """A dense, exactly Hermitian state has its realignment trace norm from a real matrix."""
+    """Every dense ||R rho||_1 is normed on the pair form C, real for an exactly Hermitian state."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the stacks C is built for and the dtype of each block array criteria.trace_norms gets.
+
+        On the dense path only :func:`criteria._realignment_norms` calls
+        ``trace_norms`` (T_2 rho goes to the spectrum kernel straight), so the
+        dtypes are those of the pair forms that are normed: float64 for
+        ``C.real``, complex128 for C.
+        """
+        seen = {"stacks": [], "dtypes": []}
+        forms, norms = criteria._realignment_pair_forms, criteria.trace_norms
+        monkeypatch.setattr(criteria, "_realignment_pair_forms",
+                            lambda a, n_: seen["stacks"].append(a.copy()) or forms(a, n_))
+        monkeypatch.setattr(criteria, "trace_norms",
+                            lambda blocks: seen["dtypes"].extend(b.dtype for b in blocks)
+                            or norms(blocks))
+        return seen
+
+    @staticmethod
+    def reshuffle_norm(m, n):
+        """||R rho||_1 from the SVD of the index reshuffle of :mod:`closedform`."""
+        return np.linalg.svd(realign_reshuffle(m, n), compute_uv=False).sum()
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_realign_keeps_the_bits_of_the_stacked_permutation(self, n):
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(40 + n)
+        stack = rng.normal(size=(5, n * n, n * n)) + 1j * rng.normal(size=(5, n * n, n * n))
+        for m, ref in zip(stack, stacked_realignments(stack, n)):
+            got = realign(m, sys_)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
-    def test_exactly_hermitian_states_have_a_real_form(self, n):
+    def test_exactly_hermitian_states_have_a_real_form(self, monkeypatch, n):
         sys_ = coupled_system(n)
         for rank in sorted({1, 2, 4, 2 * n, n * n}):
             stack = random_densities(sys_, rank, np.random.SeedSequence([n, rank]).spawn(3))
             assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
-            assert not _realignment_real_forms(stack, n).imag.any()
+            assert not _realignment_pair_forms(stack, n).imag.any()
+            seen = self.spy(monkeypatch)
             norms = functionals(stack, sys_)[1]
-            ref = np.linalg.svd(_realignments(stack, n), compute_uv=False).sum(axis=-1)
+            monkeypatch.undo()
+            assert len(seen["stacks"]) == 1 and seen["dtypes"] == [np.float64]
+            ref = np.linalg.svd(stacked_realignments(stack, n), compute_uv=False).sum(axis=-1)
             assert np.all(np.abs(norms - ref) <= 1e-14 * np.maximum(1.0, ref))
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -704,19 +741,20 @@ class TestRealRealignment:
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
         stack[2, 0, 1] += 1e-13
-        real = ~_realignment_real_forms(stack, n).imag.any(axis=(1, 2))
+        real = ~_realignment_pair_forms(stack, n).imag.any(axis=(1, 2))
         assert real.tolist() == [True, True, False, True]
-        calls = []
-        monkeypatch.setattr(criteria, "_realignments", counted(_realignments, calls))
+        seen = self.spy(monkeypatch)
         got = functionals(stack, sys_)
+        monkeypatch.undo()
         h = hermitian_part(stack)
-        assert_same_bits(got[1], trace_norms([_realignment_real_forms(h, n).real[:, None]]))
+        assert len(seen["stacks"]) == 1 and np.array_equal(seen["stacks"][0], h)
+        assert seen["dtypes"] == [np.float64]
+        assert_same_bits(got[1], trace_norms([_realignment_pair_forms(h, n).real[:, None]]))
         for k in range(len(stack)):
             for values, ref in zip(got, functionals(h[k:k + 1], sys_)):
                 assert_same_bits(values[k:k + 1], ref)
         for values, ref in zip(got, functionals(stack[2:3], sys_)):
             assert_same_bits(values[2:3], ref)
-        assert not calls
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_member_beyond_the_tolerance_keeps_the_complex_kernel(self, n):
@@ -725,43 +763,55 @@ class TestRealRealignment:
         stack[2, 0, 1] += 2e-10  # Hermitian within 2e-10 only, beyond the density tolerance
         got = functionals(stack, sys_)[1]
         # one member is beyond 1e-10, so the stack is held as it is and the whole
-        # stack takes the complex kernel on R rho, within rounding of each member alone
-        assert_same_bits(got, trace_norms(one_block(_realignments(stack, n))))
+        # stack takes the complex kernel on its pair form C, within rounding of
+        # the reshuffled realignment and of each member alone
+        assert_same_bits(got, trace_norms(one_block(_realignment_pair_forms(stack, n))))
         for k in range(len(stack)):
+            ref = self.reshuffle_norm(stack[k], n)
+            assert abs(got[k] - ref) <= 1e-12 * ref
             alone = functionals(stack[k:k + 1], sys_)[1][0]
             assert abs(got[k] - alone) <= 1e-12 * max(1.0, abs(alone))
         # the exact members alone are a real-form stack, with the bits each gets alone
         exact = stack[[0, 1, 3]]
         got = functionals(exact, sys_)[1]
-        assert_same_bits(got, trace_norms([_realignment_real_forms(exact, n).real[:, None]]))
+        assert_same_bits(got, trace_norms([_realignment_pair_forms(exact, n).real[:, None]]))
         for k in range(len(exact)):
             assert_same_bits(got[k:k + 1], functionals(exact[k:k + 1], sys_)[1])
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_member_beyond_the_tolerance_builds_no_real_form(self, monkeypatch, n):
-        # the member beyond 1e-10 sends the whole stack straight to the complex
-        # kernel: one realignment of all four members, no C, and SVDs only
+    def test_member_beyond_the_tolerance_norms_the_complex_pair_form(self, monkeypatch, n):
+        # the member beyond 1e-10 sends the whole stack to the complex kernel:
+        # one pair form of all four members, normed as it is, and SVDs only
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
         stack[2, 0, 1] += 2e-10
-        seen = {}
-        for name in ("_realignment_real_forms", "_realignments"):
-            def spy(s, n_, original=getattr(criteria, name), name=name):
-                seen.setdefault(name, []).append(s.copy())
-                return original(s, n_)
-            monkeypatch.setattr(criteria, name, spy)
+        seen = self.spy(monkeypatch)
         kernels = {"eigvalsh": [], "svd": []}
         for name, calls in kernels.items():
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
         got = functionals(stack, sys_)
-        assert "_realignment_real_forms" not in seen
-        assert [len(s) for s in seen["_realignments"]] == [4]
-        assert np.array_equal(seen["_realignments"][0], stack)
-        assert kernels == {"eigvalsh": [], "svd": [1, 1]}  # one SVD each for T_2 rho and R rho
+        assert len(seen["stacks"]) == 1 and np.array_equal(seen["stacks"][0], stack)
+        assert seen["dtypes"] == [np.complex128]
+        assert kernels == {"eigvalsh": [], "svd": [1, 1]}  # one SVD each for T_2 rho and C
         monkeypatch.undo()
         assert_same_bits(got[0], np.linalg.svd(_partial_transposes(stack, n),
                                                compute_uv=False).sum(axis=-1))
-        assert_same_bits(got[1], functionals(stack, sys_)[1])
+        assert_same_bits(got[1], np.linalg.svd(_realignment_pair_forms(stack, n),
+                                               compute_uv=False).sum(axis=-1))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_raw_non_hermitian_stacks_match_the_reshuffle(self, n):
+        # m, m^dag and (m + m^dag) / 2 for a complex Gaussian m: none is a
+        # state, and the stack is normed on its complex pair form
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+            stack = np.stack([m, m.conj().T, (m + m.conj().T) / 2])
+            got = functionals(stack, sys_)[1]
+            for k in range(len(stack)):
+                ref = self.reshuffle_norm(stack[k], n)
+                assert abs(got[k] - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", SIGNED_ZEROS)
@@ -772,17 +822,17 @@ class TestRealRealignment:
         m = base.copy()
         EDGES[edge][0](m, *smallest_pair(m))
         stack = np.stack([base, m])
-        c = _realignment_real_forms(stack, n)
+        c = _realignment_pair_forms(stack, n)
         assert not c.imag.any()
         want = trace_norms([c.real[:, None]])
-        calls = []
-        monkeypatch.setattr(criteria, "_realignments", counted(_realignments, calls))
+        seen = self.spy(monkeypatch)
         sys_ = coupled_system(n)
         assert_same_bits(functionals(stack, sys_)[1], want)
         assert_same_bits(functionals(m[None], sys_)[1], want[1:])
         with hermitian_part_path():
             assert_same_bits(functionals(stack, sys_)[1], want)
-        assert not calls
+        assert len(seen["stacks"]) == 3
+        assert seen["dtypes"] == [np.float64] * 3
 
 
 class TestNoiseWithinTheTolerance:

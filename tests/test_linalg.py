@@ -279,10 +279,10 @@ class TestExactHermiticityCertificate:
         assert not np.array_equal(m.view(np.uint64), hermitian_part(m).view(np.uint64))
         sys_ = coupled_system(n)
         parts, real_forms = [], []
-        part, real_form = linalg._hermitian_part, criteria._realignment_real_forms
+        part, real_form = linalg._hermitian_part, criteria._realignment_pair_forms
         for module in (linalg, states, criteria):
             monkeypatch.setattr(module, "_hermitian_part", lambda a: parts.append(1) or part(a))
-        monkeypatch.setattr(criteria, "_realignment_real_forms",
+        monkeypatch.setattr(criteria, "_realignment_pair_forms",
                             lambda a, n_: real_forms.append(1) or real_form(a, n_))
         assert DensityMatrix(n, m).matrix.tobytes() == m.tobytes()
         got = functionals(m[None], sys_)
