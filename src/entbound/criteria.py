@@ -86,10 +86,10 @@ def _realignment_pair_forms(stack: np.ndarray, n: int) -> np.ndarray:
     Q is the fixed unitary whose columns are e_(a,a), (e_(a,c) + e_(c,a)) / sqrt 2
     and i (e_(a,c) - e_(c,a)) / sqrt 2 for a < c.  R_0 is a signed
     permutation of the transposed realignment, so C has its singular
-    values, for any rho.  For Hermitian rho, conj(R_0) = P R_0 P with P the
-    swap (a,c) <-> (c,a), and P Q = conj(Q), so C is real.  Combined row pair
-    by row pair and then column pair by column pair, the imaginary parts of
-    an exactly Hermitian rho cancel to exact zeros; of any other rho they need not.
+    values.  For Hermitian rho, conj(R_0) = P R_0 P with P the swap
+    (a,c) <-> (c,a), and P Q = conj(Q), so C is real.  Combined row pair by
+    row pair and then column pair by column pair, the imaginary parts of an
+    exactly Hermitian rho, as every held state is, cancel to exact zeros.
     R_0 is gathered once, rows and columns in pair order (:func:`_pair_offsets`);
     each pass then overwrites the pair rows (then columns) in place, with
     the complex arithmetic of (u + v) / sqrt 2 and phase (u - v) / sqrt 2.
@@ -106,19 +106,15 @@ def _realignment_pair_forms(stack: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _realignment_norms(stack: np.ndarray, n: int, err: np.ndarray) -> np.ndarray:
-    """||R rho||_1 for each matrix of a (B, n^2, n^2) stack, from its pair form C.
+def _realignment_norms(stack: np.ndarray, n: int) -> np.ndarray:
+    """||R rho||_1 for each exactly Hermitian matrix of a (B, n^2, n^2) stack, from its pair form C.
 
-    C (:func:`_realignment_pair_forms`) is built once for the stack.  The
-    arithmetic is read from ``err``, ||rho - rho^dag||_max from the state
-    record: if every matrix has err 0, each equals rho^dag in value, the
-    imaginary parts of C cancel to zeros and ``C.real`` takes the real
-    kernels, about half the cost of the complex ones; otherwise C itself
-    is normed.  A stack within the density tolerance has err 0
-    (:class:`states._States`).
+    C (:func:`_realignment_pair_forms`) is built once for the stack.  Every
+    state record holds its states exactly Hermitian (:class:`states._States`),
+    so the imaginary parts of C are zeros and ``C.real`` takes the real
+    kernels, about half the cost of the complex ones.
     """
-    c = _realignment_pair_forms(stack, n)
-    return trace_norms([(c if err.any() else c.real)[:, None]])
+    return trace_norms([_realignment_pair_forms(stack, n).real[:, None]])
 
 
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
@@ -330,22 +326,22 @@ def _witness_gradients(sigma: np.ndarray, sys: CoupledSpinSystem) -> tuple[np.nd
 def _functionals(states: _States, sys: CoupledSpinSystem):
     """The ungated core of :func:`functionals`, for a :class:`states._States` record.
 
-    Every decision is read from the record, once for the stack.  A sector
-    stack is normed on its J_z blocks; any other is normed whole, T_2 rho as
-    a permutation and R rho on its pair form C (:func:`_realignment_norms`),
-    in real arithmetic where every rho has ``err`` 0.  T_2 rho - (T_2 rho)^dag
-    = T_2 (rho - rho^dag) entry for entry, so T_2 rho takes the ``err`` of
-    rho straight into :func:`linalg._spectral_norms`; only the blocks of
-    R rho and the pair form C get a test of their own.
+    The record holds every state exactly Hermitian, and its sector decision
+    is read once for the stack.  A sector stack is normed on its J_z blocks;
+    any other is normed whole, T_2 rho as a permutation and R rho on its
+    real pair form C (:func:`_realignment_norms`).  T_2 rho - (T_2 rho)^dag
+    = T_2 (rho - rho^dag) entry for entry, so T_2 rho is exactly Hermitian
+    too and takes the eigensolve of :func:`linalg._spectral_norms` untested;
+    only the blocks of R rho and the pair form C get a Hermiticity test.
     """
     n = sys.n
     if states.sector:
         t2_sectors, r_sectors = _sectors(n)
-        t2 = _spectral_norms(states.blocks(t2_sectors), states.err)
+        t2 = _spectral_norms(states.blocks(t2_sectors), hermitian=True)
         rn = trace_norms(states.blocks(r_sectors))
     else:
-        t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]], states.err)
-        rn = _realignment_norms(states.array, n, states.err)
+        t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]], hermitian=True)
+        rn = _realignment_norms(states.array, n)
     return t2, rn, _witness_values(states.take, sys)
 
 
@@ -355,17 +351,16 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     The raw stack passes :func:`linalg.as_complex_stack` once; T_2 rho and
     R rho (or its pair form, :func:`_realignment_norms`) are gathered from
     rho, each followed by one trace-norm call, and tr(W rho) is read from
-    the swap form W = I - N P_0 - F, O(N^2) entries of rho, without W.  A
-    stack Hermitian within 1e-10 is read as its Hermitian part, as a
-    DensityMatrix is (:class:`states._States`).  Each route is decided once
-    for the stack: J_z blocks gathered straight from rho, O(N^4) work, only
-    if every state vanishes exactly between different sectors (m_1 + m_2),
-    as the family, Werner and isotropic states do, else whole matrices,
-    O(N^6); real arithmetic on the pair form of R rho and the eigensolves
-    only if every rho read equals rho^dag in value.  A state gets the bits
-    it gets alone in any stack whose states agree on these decisions, as
-    every stack a command builds does; any other stack takes the general
-    route (dense, complex arithmetic on the pair form, SVD), within
+    the swap form W = I - N P_0 - F, O(N^2) entries of rho, without W.
+    Each rho is read as its Hermitian part (rho + rho^dag) / 2, whatever
+    its error, as a DensityMatrix and :func:`minimize_witness` read it
+    (:class:`states._States`); an exactly Hermitian rho is read as given.
+    The route is decided once for the stack: J_z blocks gathered straight
+    from rho, O(N^4) work, only if every state vanishes exactly between
+    different sectors (m_1 + m_2), as the family, Werner and isotropic
+    states do, else whole matrices, O(N^6).  A state gets the bits it gets
+    alone in any stack whose states agree on that decision, as every stack
+    a command builds does; any other stack takes the dense route, within
     rounding of those bits.
     """
     a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))

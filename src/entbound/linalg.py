@@ -86,11 +86,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def _hermitian_test(blocks) -> np.ndarray:
     """||M - M^dag||_max of each member M given by its ``blocks``, the one Hermiticity number.
 
-    Every Hermitian shortcut reads it: 0 (M equals M^dag in value) or not.
-    T_2 maps each entry of M - M^dag to one of T_2 M - (T_2 M)^dag, so it
-    keeps the error bit for bit.  M - M^dag is formed one block array at a
-    time, in one array the size of the block array, and its moduli only if
-    some entry is nonzero.
+    A state record holds each member with a nonzero error as its Hermitian
+    part and keeps the error for the density check
+    (:class:`states._States`); :func:`trace_norms` takes the eigensolve only
+    where every error is 0.  M - M^dag is formed one block array at a time,
+    in one array the size of the block array, and its moduli only if some
+    entry is nonzero.
     """
     err = np.zeros(len(blocks[0]))
     for b in blocks:
@@ -117,23 +118,23 @@ def trace_norms(blocks) -> np.ndarray:
     for b in blocks:
         if b.ndim != 4 or b.shape[2] != b.shape[3]:
             raise DimensionError(f"trace norm needs (S, nb, k, k) blocks, got shape {b.shape}")
-    return _spectral_norms(blocks, _hermitian_test(blocks))
+    return _spectral_norms(blocks, not _hermitian_test(blocks).any())
 
 
-def _spectral_norms(blocks, err: np.ndarray) -> np.ndarray:
-    """The trace norms of :func:`trace_norms`, given :func:`_hermitian_test` of the members.
+def _spectral_norms(blocks, hermitian: bool) -> np.ndarray:
+    """The trace norms of :func:`trace_norms`, one route per call.
 
-    The spectrum kernel, one route per call, read from ``err``: Hermitian
-    eigensolves of the blocks as they are (the sum of absolute eigenvalues)
-    if every error is 0, else SVDs, one stacked LAPACK call per block size;
-    a state record within the density tolerance has error 0
-    (:class:`states._States`).  Real blocks take LAPACK's real kernels
-    (dsyevd, dgesdd), about half the cost of the complex ones.  Both kinds
-    keep absolute accuracy of order eps * ||M|| even for singular values at zero; squaring the matrix first
-    (eigensolve of M^dag M) would halve the attainable precision there,
-    which the rank-deficient realignment checks cannot afford.
+    The spectrum kernel: Hermitian eigensolves of the blocks as they are
+    (the sum of absolute eigenvalues) if ``hermitian`` says that every
+    member equals its adjoint in value, as T_2 of a held state does
+    (:func:`criteria._functionals`), else SVDs; one stacked LAPACK call per
+    block size.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd),
+    about half the cost of the complex ones.  Both kinds keep absolute
+    accuracy of order eps * ||M|| even for singular values at zero; squaring
+    the matrix first (eigensolve of M^dag M) would halve the attainable
+    precision there, which the rank-deficient realignment checks cannot afford.
     """
-    if not err.any():
+    if hermitian:
         spectra = [np.linalg.eigvalsh(b) for b in blocks]
     else:
         spectra = [np.linalg.svd(b, compute_uv=False) for b in blocks]

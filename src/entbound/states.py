@@ -82,15 +82,17 @@ class _States:
     (S, N^2, N^2) stack they stand for.  ``sector`` says that every state
     vanishes exactly between different J_z sectors, so that rho, T_2 rho and
     R rho are read as blocks at the ``positions`` of a :class:`linalg._Sectors`.
-    ``err``, ||rho - rho^dag||_max of each rho, decides every Hermitian shortcut.
 
-    A gated stack is decided here, without the density checks: the test of
-    each whole matrix, then the sector scan :func:`_is_sector_stack` (a
-    sector state vanishes off its J_z blocks, so its blocks have the same
-    ``err``).  A stack with every err <= 1e-10 (the density tolerance) and
-    some err > 0 is held as its Hermitian part, a new array, with err 0.
-    Entry-built states are sector states by construction, and
-    :func:`_sector_states` tests their J_z blocks, the only entries they have.
+    Every state is held exactly Hermitian, so the criteria take one route
+    each.  A gated stack is decided here, without the density checks: each
+    member with ``err`` = ||rho - rho^dag||_max > 0 is held as its Hermitian
+    part (rho + rho^dag) / 2, whatever its error, in a new array; a member
+    with err 0 is held as given.  So a member's held matrix depends on that
+    member alone.  ``err`` stays the error of the input, which only the
+    Hermiticity test of :func:`_validate` reads.  The sector scan
+    :func:`_is_sector_stack` then reads the held stack.  Entry-built states
+    are sector states by construction; :func:`_sector_states` requires
+    their J_z blocks, the only entries they have, to be exactly Hermitian.
     """
 
     __slots__ = ("n", "shape", "array", "entries", "sector", "err")
@@ -101,8 +103,10 @@ class _States:
             self.sector = True
         else:
             self.err = _hermitian_test([array[:, None]])
-            if self.err.any() and self.err.max() <= _HERM_TOL:
-                self.array, self.err = _hermitian_part(array), np.zeros(size)
+            if self.err.any():
+                exact = self.err == 0
+                self.array = _hermitian_part(array)
+                self.array[exact] = array[exact]
             self.sector = _is_sector_stack(self.array, n)
 
     def __len__(self) -> int:
@@ -147,18 +151,16 @@ def _check_densities(stack, n: int) -> _States:
 def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _States:
     """The Hermiticity, trace and smallest-eigenvalue tests of a decided record with traces ``tr``.
 
-    The Hermiticity test reads the record's ``err``.  The eigenvalue test,
-    a Cholesky certificate (:func:`_eig_failed`), factors one block list:
-    the J_z ``blocks`` of a sector record (gathered here unless given), else
-    each whole matrix as one block: in place if every state has ``err`` 0,
-    else their Hermitian parts.  The first failing state raises the
-    message of its first failing check, as if checked one after another.
+    The Hermiticity test reads the record's ``err``, that of the input.
+    The eigenvalue test, a Cholesky certificate (:func:`_eig_failed`),
+    factors one block list of the held, exactly Hermitian states: the J_z
+    ``blocks`` of a sector record (gathered here unless given), else each
+    whole matrix as one block.  The first failing state raises the message
+    of its first failing check, as if checked one after another.
     """
     if blocks is None:
         blocks = states.blocks(_density_sectors(states.n)) if states.sector \
             else [states.array[:, None]]
-    if states.err.any():
-        blocks = [_hermitian_part(b) for b in blocks]
     failed = np.zeros((len(_DENSITY_CHECKS), len(states)), dtype=bool)
     failed[0] = states.err > _HERM_TOL
     failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
@@ -307,13 +309,17 @@ def as_matrix(rho, shape: tuple[int, int] | None = None) -> np.ndarray:
 def _sector_states(n: int, size: int, entries) -> _States:
     """The ``size`` states whose rho.flat[idx] are the rows of ``entries(idx)``, validated as one stack.
 
-    Their J_z blocks are all the entries they have: the record is decided on
-    them, and :func:`_validate` tests them, with the traces summed from the
+    Their J_z blocks are all the entries they have.  A record of entries
+    cannot be held as its Hermitian part, so the blocks must be exactly
+    Hermitian, as those of the family, Werner and isotropic states are;
+    :func:`_validate` then tests them, with the traces summed from the
     diagonal entries.
     """
     states = _States(n, size, entries=entries)
     blocks = states.blocks(_density_sectors(n))
     states.err = _hermitian_test(blocks)
+    if states.err.any():
+        raise ValueError("state entries are not Hermitian bit for bit")
     n2 = n * n
     return _validate(states, states.take(np.arange(n2) * (n2 + 1)).sum(axis=-1), blocks)
 
@@ -580,33 +586,31 @@ def _matrix_rows(text: str):
     """``(n_local, matrix)`` of a matrix file in the layout of :func:`save_state`, else None.
 
     The text must be ``{"n_local": <positive int>, "matrix": [`` and then
-    rows separated by ", " up to ``]}`` and optional JSON whitespace.  Each
-    row is one ``raw_decode``, so only one row of Python lists lives at a
-    time; its pairs fill one row of the preallocated complex matrix as
+    rows separated by ", " up to ``]}`` and optional JSON whitespace, and
+    hold no string or literal but its two keys (:func:`_only_numbers`), as
+    every file that :func:`save_state` writes does.  Each row is one
+    ``raw_decode``, so only one row of Python lists lives at a time; its
+    pairs fill one row of the preallocated complex matrix as
     ``re + 1j * im``, the arithmetic of :func:`_pairs`.  The width d is that
-    of the first row, and every row must hold d pairs of two JSON numbers
-    for d rows.  Anything else, and any error of the decoding, returns None,
-    so the whole-file parse reports it with its own exception and message.
+    of the first row, and every row must hold d pairs of two numbers for d
+    rows.  Anything else, and any error of the decoding, returns None, so
+    the whole-file parse reports it with its own exception and message.
     """
     head = _MATRIX_HEAD.match(text)
-    if head is None:
+    if head is None or not _only_numbers(text, 2):
         return None
-    typed = not _only_numbers(text, 2)  # a string or a literal may stand for an entry
     decode = json.JSONDecoder().raw_decode
     pos, m = head.end(), None
     try:
         n = int(head[1])
         for i in count():
             row, pos = decode(text, pos)
-            if type(row) is not list:
-                return None
             if m is None:  # a d x d matrix has d^2 pairs of at least "[0,0]" in the text
                 d = len(row)
-                if d == 0 or 5 * d * d > len(text):
+                if 5 * d * d > len(text):
                     return None
                 m = np.empty((d, d), dtype=np.complex128)
-            if i == d or len(row) != d or set(map(len, row)) != {2} or (
-                    typed and not {int, float}.issuperset(map(type, chain.from_iterable(row)))):
+            if i == d or len(row) != d or set(map(len, row)) != {2}:
                 return None
             pairs = np.fromiter(chain.from_iterable(row), float, 2 * d)
             m[i] = pairs[0::2] + 1j * pairs[1::2]

@@ -100,17 +100,17 @@ def noisy_product(n: int, eps: float) -> np.ndarray:
 
 
 def hermitian_part_path():
-    """A context in which every array-backed state record within 1e-10 holds its Hermitian part.
+    """A context in which every array-backed state record holds the Hermitian part of each member.
 
-    The records of stacks with error 0 then hold (rho + rho^dag) / 2 too:
-    the oracle of the exact routes, which hand rho on as it is and must not
-    change a bit for states whose signed zeros match.
+    Members with error 0 then are held as (rho + rho^dag) / 2 too: the
+    oracle of the record, which holds them as given and must not change a
+    bit for states whose signed zeros match.
     """
     init = states._States.__init__
 
     def always(self, n, size, array=None, entries=None):
         init(self, n, size, array, entries)
-        if array is not None and self.err.max(initial=0.0) <= states._HERM_TOL:
+        if array is not None:
             self.array = hermitian_part(self.array)
             self.sector = states._is_sector_stack(self.array, n)
     return mock.patch.object(states._States, "__init__", always)

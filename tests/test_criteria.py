@@ -684,7 +684,7 @@ class TestSectorPath:
 
 
 class TestRealRealignment:
-    """Every dense ||R rho||_1 is normed on the pair form C, real for an exactly Hermitian state."""
+    """Every dense ||R rho||_1 is normed on the real pair form C of the held, exactly Hermitian rho."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -692,8 +692,7 @@ class TestRealRealignment:
 
         On the dense path only :func:`criteria._realignment_norms` calls
         ``trace_norms`` (T_2 rho goes to the spectrum kernel straight), so the
-        dtypes are those of the pair forms that are normed: float64 for
-        ``C.real``, complex128 for C.
+        dtypes are those of the pair forms that are normed: float64 for ``C.real``.
         """
         seen = {"stacks": [], "dtypes": []}
         forms, norms = criteria._realignment_pair_forms, criteria.trace_norms
@@ -735,8 +734,8 @@ class TestRealRealignment:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_nearly_hermitian_member_is_read_as_its_hermitian_part(self, monkeypatch, n):
-        # one member Hermitian within 1e-13 only: the record holds the whole
-        # stack as its Hermitian part, of error 0, so every member takes the
+        # one member Hermitian within 1e-13 only: the record holds it as its
+        # Hermitian part and the others as given, so every member takes the
         # real form, with the bits of its Hermitian part alone
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
@@ -757,61 +756,66 @@ class TestRealRealignment:
             assert_same_bits(values[2:3], ref)
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_member_beyond_the_tolerance_keeps_the_complex_kernel(self, n):
+    def test_member_beyond_the_tolerance_is_read_as_its_hermitian_part(self, n):
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
         stack[2, 0, 1] += 2e-10  # Hermitian within 2e-10 only, beyond the density tolerance
-        got = functionals(stack, sys_)[1]
-        # one member is beyond 1e-10, so the stack is held as it is and the whole
-        # stack takes the complex kernel on its pair form C, within rounding of
-        # the reshuffled realignment and of each member alone
-        assert_same_bits(got, trace_norms(one_block(_realignment_pair_forms(stack, n))))
+        got = functionals(stack, sys_)
+        # every member is read as its Hermitian part, whatever its error: the bits
+        # of that part alone and of the member alone, within rounding of the
+        # reshuffled realignment
+        h = hermitian_part(stack)
         for k in range(len(stack)):
-            ref = self.reshuffle_norm(stack[k], n)
-            assert abs(got[k] - ref) <= 1e-12 * ref
-            alone = functionals(stack[k:k + 1], sys_)[1][0]
-            assert abs(got[k] - alone) <= 1e-12 * max(1.0, abs(alone))
-        # the exact members alone are a real-form stack, with the bits each gets alone
-        exact = stack[[0, 1, 3]]
-        got = functionals(exact, sys_)[1]
-        assert_same_bits(got, trace_norms([_realignment_pair_forms(exact, n).real[:, None]]))
-        for k in range(len(exact)):
-            assert_same_bits(got[k:k + 1], functionals(exact[k:k + 1], sys_)[1])
+            for values, part, alone in zip(got, functionals(h[k:k + 1], sys_),
+                                           functionals(stack[k:k + 1], sys_)):
+                assert_same_bits(values[k:k + 1], part)
+                assert_same_bits(values[k:k + 1], alone)
+            ref = self.reshuffle_norm(h[k], n)
+            assert abs(got[1][k] - ref) <= 1e-12 * ref
+        assert verdicts(stack, sys_)[2] == verdicts(h[2:3], sys_)[0]
+        # the density check still reads the error of the input
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian within 1e-10$"):
+            DensityMatrix(n, stack[2])
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_member_beyond_the_tolerance_norms_the_complex_pair_form(self, monkeypatch, n):
-        # the member beyond 1e-10 sends the whole stack to the complex kernel:
-        # one pair form of all four members, normed as it is, and SVDs only
+    def test_member_beyond_the_tolerance_takes_the_real_kernels(self, monkeypatch, n):
+        # one pair form of the four held members, all exactly Hermitian, normed as
+        # C.real; T_2 rho takes one eigensolve, untested
         sys_ = coupled_system(n)
         stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(4)).copy()
         stack[2, 0, 1] += 2e-10
+        held = stack.copy()
+        held[2] = hermitian_part(stack[2])
         seen = self.spy(monkeypatch)
         kernels = {"eigvalsh": [], "svd": []}
         for name, calls in kernels.items():
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), calls))
         got = functionals(stack, sys_)
-        assert len(seen["stacks"]) == 1 and np.array_equal(seen["stacks"][0], stack)
-        assert seen["dtypes"] == [np.complex128]
-        assert kernels == {"eigvalsh": [], "svd": [1, 1]}  # one SVD each for T_2 rho and C
+        assert len(seen["stacks"]) == 1
+        assert seen["stacks"][0].tobytes() == held.tobytes()
+        assert seen["dtypes"] == [np.float64]
+        assert kernels == {"eigvalsh": [1], "svd": [1]}  # T_2 rho, then the non-symmetric C.real
         monkeypatch.undo()
-        assert_same_bits(got[0], np.linalg.svd(_partial_transposes(stack, n),
-                                               compute_uv=False).sum(axis=-1))
-        assert_same_bits(got[1], np.linalg.svd(_realignment_pair_forms(stack, n),
+        t2_spectra = np.linalg.eigvalsh(_partial_transposes(held, n))
+        assert_same_bits(got[0], np.abs(t2_spectra).sum(axis=-1))
+        assert_same_bits(got[1], np.linalg.svd(_realignment_pair_forms(held, n).real,
                                                compute_uv=False).sum(axis=-1))
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_raw_non_hermitian_stacks_match_the_reshuffle(self, n):
-        # m, m^dag and (m + m^dag) / 2 for a complex Gaussian m: none is a
-        # state, and the stack is normed on its complex pair form
+    def test_raw_non_hermitian_stacks_read_their_hermitian_part(self, n):
+        # m, m^dag and (m + m^dag) / 2 for a complex Gaussian m: none is a state,
+        # and all three are read as the same Hermitian part, bit for bit, within
+        # rounding of the reshuffled realignment of that part
         sys_ = coupled_system(n)
         rng = np.random.default_rng(60 + n)
         for _ in range(3):
             m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
-            stack = np.stack([m, m.conj().T, (m + m.conj().T) / 2])
-            got = functionals(stack, sys_)[1]
-            for k in range(len(stack)):
-                ref = self.reshuffle_norm(stack[k], n)
-                assert abs(got[k] - ref) <= 1e-12 * ref
+            h = (m + m.conj().T) / 2
+            got = functionals(np.stack([m, m.conj().T, h]), sys_)
+            for values in got:
+                assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
+            ref = self.reshuffle_norm(h, n)
+            assert abs(got[1][0] - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", SIGNED_ZEROS)
@@ -836,7 +840,7 @@ class TestRealRealignment:
 
 
 class TestNoiseWithinTheTolerance:
-    """Anti-Hermitian noise that the density check accepts certifies no entanglement.
+    """Anti-Hermitian noise that the density check accepts certifies no entanglement, in any stack.
 
     |00><00| + i eps B is held as its Hermitian part |00><00|: both trace
     norms are exactly 1, and no verdict or bound is positive.  Read as it
@@ -879,6 +883,46 @@ class TestNoiseWithinTheTolerance:
             assert evaluate_criteria(a, sys_) == ref
             assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
         self.assert_product_values(ref, n)
+
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_member_beyond_the_tolerance_leaves_the_noise_silent(self, n):
+        # a stack member beyond 1e-10 does not send the noisy product state back to
+        # its raw norms, 1 + 2.3e-9 at N = 4 and 1 + 2.1e-8 at N = 8
+        sys_ = coupled_system(n)
+        m = noisy_product(n, 4.9e-11)
+        b = m.copy()
+        b[0, 1] += 1e-9
+        stack = np.stack([m, b])
+        alone = verdicts(m[None], sys_)[0]
+        self.assert_product_values(alone, n)
+        got = verdicts(stack, sys_)
+        assert got[0] == alone
+        self.assert_product_values(got[0], n)
+        for values, want in zip(functionals(stack, sys_), functionals(m[None], sys_)):
+            assert values[:1].tobytes() == want.tobytes()
+        assert got[1] == verdicts(hermitian_part(b)[None], sys_)[0]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_mixed_errors_give_each_member_its_own_bits(self, n):
+        # random stacks of members with error 0, error within 1e-10 and error beyond
+        # it: each member's functionals are those it gets alone and those of its
+        # Hermitian part, bit for bit
+        sys_ = coupled_system(n)
+        rng = np.random.default_rng(70 + n)
+        for trial in range(4):
+            stack = random_densities(sys_, n, np.random.SeedSequence([n, trial]).spawn(6)).copy()
+            kinds = rng.permutation([0, 0, 1, 1, 2, 2])
+            for k, kind in enumerate(kinds):
+                i, j = rng.choice(n * n, 2, replace=False)
+                stack[k, i, j] += (0.0, 1e-13 + 1e-12j, 3e-9j)[kind]
+            err = np.abs(stack - dagger(stack)).max(axis=(1, 2))
+            assert ((err > 0).astype(int) + (err > 1e-10)).tolist() == kinds.tolist()
+            got = functionals(stack, sys_)
+            for k in range(len(stack)):
+                for values, alone, part in zip(got, functionals(stack[k:k + 1], sys_),
+                                               functionals(hermitian_part(stack[k:k + 1]), sys_)):
+                    assert values[k:k + 1].tobytes() == alone.tobytes() == part.tobytes()
 
 
 class TestFunctionals:

@@ -131,7 +131,7 @@ class TestTraceNorm:
 
 
 class TestHermitianPart:
-    """A record within the density check's tolerance holds its Hermitian part, whatever the scale."""
+    """A record holds each member of nonzero error as its Hermitian part, whatever the error or scale."""
 
     @staticmethod
     def stack(skews, scale=1.0):
@@ -143,19 +143,21 @@ class TestHermitianPart:
         return out
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
-    def test_tolerance_is_absolute(self, scale):
-        # ||rho - rho^dag||_max <= 1e-10 for every member, with no scale factor
-        for skews, symmetrised in (([0.0, 5e-12], True), ([5e-11, 0.0], True),
-                                   ([0.0, 0.0], False), ([5e-11, 2e-10], False)):
+    def test_every_nonzero_error_is_held_as_its_hermitian_part(self, scale):
+        # no tolerance decides it: members of error 0 are held as given, every other
+        # member as its Hermitian part, and the record keeps the error of the input
+        for skews in ([0.0, 5e-12], [5e-11, 0.0], [0.0, 0.0], [5e-11, 2e-10], [2e-10, 0.0, 0.5]):
             stack = self.stack(skews, scale)
             record = _States(4, len(stack), array=stack)
-            if symmetrised:
-                assert_same(record.array, hermitian_part(stack))
-                assert record.err.tolist() == [0.0] * len(stack)
-                assert exactly_hermitian(one_block(record.array)).all()
-            else:
+            assert_same(record.err, _hermitian_test(one_block(stack)))
+            exact = record.err == 0
+            if exact.all():
                 assert record.array is stack
-                assert_same(record.err, _hermitian_test(one_block(stack)))
+            assert exactly_hermitian(one_block(record.array)).all()
+            for k in range(len(stack)):
+                assert_same(record.array[k], stack[k] if exact[k] else hermitian_part(stack[k]))
+                # a member's held matrix depends on that member alone
+                assert_same(record.array[k], _States(4, 1, array=stack[k:k + 1]).array[0])
 
     def test_caller_array_is_left_as_it_is(self):
         stack = self.stack([5e-11, 0.0])
@@ -203,7 +205,7 @@ class TestExactHermiticityCertificate:
         stack = np.stack([base, m, base.T])
         assert exactly_hermitian(one_block(stack)).tolist() == [True, exact, True]
         sys_ = coupled_system(n)
-        # a record holds rho as it is where every error is 0, else its Hermitian part
+        # a record holds each member as it is where its error is 0, else as its Hermitian part
         assert_same(_check_densities(stack.copy(), n).array, stack if exact else hermitian_part(stack))
         assert_same(DensityMatrix(n, m).matrix, m if exact else hermitian_part(m))
         # and every functional has the bits of the Hermitian part, held whatever its error
@@ -232,10 +234,11 @@ class TestExactHermiticityCertificate:
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("edge", sorted(EDGES) + ["2^1023 pair"])
     @pytest.mark.parametrize("kind", ["dense", "sector"])
-    def test_partial_transpose_keeps_the_test_of_rho(self, n, edge, kind):
+    def test_partial_transpose_of_the_held_state_is_exactly_hermitian(self, n, edge, kind):
         # T_2 rho - (T_2 rho)^dag = T_2 (rho - rho^dag) entry for entry, so the
         # blocks of T_2 rho get the error of the blocks of rho, bit for bit; the
-        # criteria rely on it
+        # record holds rho, or its Hermitian part where that error is nonzero, so
+        # the T_2 blocks the criteria eigensolve untested have error 0
         if kind == "dense":
             m = edge_base(n)
             i, j = smallest_pair(m)
@@ -244,26 +247,26 @@ class TestExactHermiticityCertificate:
             i, j = 1, n  # (a, b) = (0, 1) and (1, 0), both of label 1
         edit = EDGES[edge][0] if edge in EDGES else huge_pair
         edit(m, i, j)
-        if kind == "dense":
-            rho_blocks, t2_blocks = one_block(m[None]), one_block(_partial_transposes(m[None], n))
-        else:
-            flat = m.reshape(1, -1)
-            rho_blocks, t2_blocks = (sectors.split(flat[:, sectors.positions])
-                                     for sectors in (_density_sectors(n), _sectors(n)[0]))
-        test, t2_test = _hermitian_test(rho_blocks), _hermitian_test(t2_blocks)
+
+        def blocks(a):
+            if kind == "dense":
+                return one_block(a), one_block(_partial_transposes(a, n))
+            return (sectors.split(a.reshape(1, -1)[:, sectors.positions])
+                    for sectors in (_density_sectors(n), _sectors(n)[0]))
+        test, t2_test = (_hermitian_test(b) for b in blocks(m[None]))
         assert_same(t2_test, test)
-        # the record tests rho whole, and a sector state vanishes off its blocks;
-        # within the tolerance it holds the Hermitian part, of error 0
+        assert (test == 0).tolist() == [EDGES.get(edge, (None, True))[1]]
+        # the record tests rho whole, and a sector state vanishes off its blocks
         states = _States(n, 1, array=m[None])
         assert states.sector is (kind == "sector")
-        within = 0 < test.max() <= 1e-10
-        assert_same(states.array, hermitian_part(m[None]) if within else m[None])
-        assert_same(states.err, np.zeros(1) if within else test)
-        if edge in EDGES:  # the functionals read that decision: the bits of the Hermitian
-            got = functionals(m[None], coupled_system(n))  # part, and of its T_2 tested alone
-            h = states.array
-            t2 = (one_block(_partial_transposes(h, n)) if kind == "dense"
-                  else _sectors(n)[0].split(h.reshape(1, -1)[:, _sectors(n)[0].positions]))
+        assert_same(states.err, test)
+        assert_same(states.array, m[None] if test[0] == 0 else hermitian_part(m[None]))
+        assert [_hermitian_test(b).tolist() for b in blocks(states.array)] == [[0.0], [0.0]]
+        if edge in EDGES:  # the functionals read the held state: the bits of the Hermitian
+            got = functionals(m[None], coupled_system(n))  # part, and the eigensolve of T_2
+            t2 = list(blocks(states.array))[1]
+            assert_same(got[0], np.abs(np.concatenate(
+                [np.linalg.eigvalsh(b).reshape(1, -1) for b in t2], axis=1)).sum(axis=-1))
             assert_same(got[0], trace_norms(t2))
             assert_same(got, functionals(hermitian_part(m[None]), coupled_system(n)))
 
@@ -386,8 +389,8 @@ class TestEntryRange:
     @pytest.mark.parametrize("n", [4, 6])
     def test_largest_entries_fail_the_eigenvalue_test(self, n):
         # the Cholesky factorization overflows and fails, and the eigensolve
-        # decides, with m factored in place and, ahead of a member beyond the
-        # Hermiticity tolerance, as its Hermitian part; a complex pair
+        # decides, with m factored as it is, alone and ahead of a member beyond
+        # the Hermiticity tolerance, which is held as its Hermitian part; a complex pair
         # overflows |l|^2 in the factor from about 2^510 up
         message = "density matrix has an eigenvalue below -1e-10"
         skewed = edge_base(n)

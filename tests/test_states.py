@@ -493,33 +493,32 @@ class TestJzBlockStates:
             assert state._states.err.tolist() == [0.0]
         assert _family_states(sys_, (0.0, 0.05, 1 / (n + 2), 0.5, 1.0)).err.tolist() == [0.0] * 5
 
-    def test_entries_with_an_error_keep_the_general_route(self, sys4, monkeypatch):
-        # entries with one in-sector pair Hermitian within 1e-13 only: the record
-        # keeps its entries and its error, the certificate factors the Hermitian
-        # part of its blocks, and the trace norms take SVDs
+    @pytest.mark.parametrize("skew", [1e-13j, 1e-13])
+    def test_entries_with_an_error_raise(self, sys4, skew):
+        # a record of entries cannot be held as its Hermitian part: entries with one
+        # in-sector pair off its conjugate raise, however small the error, before
+        # any other check; the same pair, Hermitian bit for bit, is a state
         n2 = 16
         family = partial(states._family_entries, sys4, 0.3)
 
-        def entries(idx):
-            return family(idx) + np.where(idx == 1 * n2 + 4, 1e-13j, 0.0)
-        calls = []
+        def entries(idx, skew=skew):
+            return family(idx) + np.where(idx == 1 * n2 + 4, skew, 0.0)
+        with pytest.raises(ValueError, match="^state entries are not Hermitian bit for bit$"):
+            states._sector_states(4, 1, entries)
+        with pytest.raises(ValueError, match="^state entries are not Hermitian bit for bit$"):
+            states._sector_states(4, 2, lambda idx: np.stack([family(idx), entries(idx)]))
 
-        def spy(name, owner):
-            function = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or function(*a, **kw))
-        spy("_hermitian_part", states)
-        record = states._sector_states(4, 1, entries)
-        assert record.entries is entries and 0 < record.err[0] <= 1e-12
-        assert calls and set(calls) == {"_hermitian_part"}
-        calls.clear()
-        for name in ("eigvalsh", "svd"):
-            spy(name, np.linalg)
-        got = criteria._functionals(record, sys4)
-        assert calls and set(calls) == {"svd"}
-        monkeypatch.undo()
-        want = functionals(family_state(sys4, 0.3).matrix[None], sys4)
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-12
+        def hermitian(idx):
+            return family(idx) + np.where(idx == 1 * n2 + 4, skew, 0.0) \
+                + np.where(idx == 4 * n2 + 1, np.conj(skew), 0.0)
+        record = states._sector_states(4, 1, hermitian)
+        assert record.entries is hermitian and record.err.tolist() == [0.0]
+        dense = family_state(sys4, 0.3).matrix.copy()
+        dense[1, 4] += skew
+        dense[4, 1] += np.conj(skew)
+        for got, want in zip(criteria._functionals(record, sys4), functionals(dense[None], sys4)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSamplers:
     def test_deterministic(self, sys4):
@@ -841,6 +840,28 @@ class TestStateFiles:
             got, expected = getattr(got, key), getattr(expected, key)
             # bit for bit: array_equal would take -0.0 for 0.0
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("entry", ['"0.0"', "true", "false", "null"])
+    def test_typed_entry_decodes_no_row(self, tmp_path, monkeypatch, entry):
+        # a string or literal entry in the layout of save_state is never a valid
+        # state: the row reader hands the file to the whole-file parse before it
+        # decodes a row, here one whose only such entry is in the last row
+        text = matrix_text()
+        last = text.rindex("0.0")
+        text = text[:last] + entry + text[last + 3:]
+        assert text.endswith(f"[0.0625, {entry}]]]}}")
+        rows = []
+        decode = json.JSONDecoder.raw_decode
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode",
+                            lambda self, *args: rows.append(1) or decode(self, *args))
+        assert states._matrix_rows(text) is None
+        assert rows == []
+        monkeypatch.undo()
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        expected, got = outcome(load_whole_file, path), outcome(load_state, path)
+        assert isinstance(expected, ValueError)
+        assert (type(got), str(got)) == (type(expected), str(expected))
 
     @pytest.mark.parametrize("state", ["family", "random"])
     def test_save_state_file_takes_the_row_path(self, tmp_path, monkeypatch, sys4, state):
