@@ -61,9 +61,9 @@ def min_schmidt_entropy_hull(lam0: float, n: int) -> float:
     """Convex hull of the minimal-entropy profile, evaluated at lam0.
 
     Coincides with min_schmidt_entropy on [1, 4(n-1)/n] and continues as
-    the straight line  log2(n-1)/(n-2) (lam0 - n) + log2 n  up to lam0 = n.
-    The piecewise form follows the Terhal-Vollbrecht description of the
-    hull, whose exactness is conjectural for n > 2 but standard practice.
+    the straight line  log2(n-1)/(n-2) (lam0 - n) + log2 n  up to lam0 = n:
+    exactly the lower convex envelope of R.  What stays conjectural for
+    n > 2 (Terhal-Vollbrecht) is that R(lam) is the least Schmidt entropy at lam.
     """
     n = _check_domain(lam0, n)
     breakpoint_ = 4 * (n - 1) / n

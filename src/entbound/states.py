@@ -590,8 +590,8 @@ def _matrix_rows(text: str):
     hold no string or literal but its two keys (:func:`_only_numbers`), as
     every file that :func:`save_state` writes does.  Each row is one
     ``raw_decode``, so only one row of Python lists lives at a time; its
-    pairs fill one row of the preallocated complex matrix as
-    ``re + 1j * im``, the arithmetic of :func:`_pairs`.  The width d is that
+    numbers fill one row of the preallocated complex matrix's float view,
+    as :func:`_pairs` views its floats, so signed zeros hold.  The width d is that
     of the first row, and every row must hold d pairs of two numbers for d
     rows.  Anything else, and any error of the decoding, returns None, so
     the whole-file parse reports it with its own exception and message.
@@ -612,8 +612,7 @@ def _matrix_rows(text: str):
                 m = np.empty((d, d), dtype=np.complex128)
             if i == d or len(row) != d or set(map(len, row)) != {2}:
                 return None
-            pairs = np.fromiter(chain.from_iterable(row), float, 2 * d)
-            m[i] = pairs[0::2] + 1j * pairs[1::2]
+            m.view(np.float64)[i] = np.fromiter(chain.from_iterable(row), float, 2 * d)
             if text.startswith("]}", pos):
                 break
             if not text.startswith(", ", pos):
@@ -662,4 +661,4 @@ def _pairs(entries, ndim: int, numbers: bool, message: str, nonfinite: str) -> n
             entries = chain.from_iterable(entries)
         if not {int, float}.issuperset(map(type, entries)):
             raise ValueError(message)
-    return raw[..., 0] + 1j * raw[..., 1]
+    return raw.view(np.complex128)[..., 0]

@@ -118,6 +118,24 @@ class TestEntropyHull:
             assert mid <= chord + 1e-10
             assert mid <= min_schmidt_entropy(x[1], 4) + 1e-12
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 64, 256])
+    def test_equals_the_lower_convex_envelope(self, n):
+        # the oracle: Andrew's monotone chain over R on a 20001-point grid, whose
+        # chords lie above the true envelope by grid error alone
+        x = np.linspace(1, n, 20001)
+        r = [min_schmidt_entropy(t, n) for t in x]
+        chain = []
+        for k in range(len(x)):
+            while len(chain) >= 2 and ((x[chain[-1]] - x[chain[-2]]) * (r[k] - r[chain[-2]])
+                                       - (r[chain[-1]] - r[chain[-2]]) * (x[k] - x[chain[-2]])
+                                       <= 0):
+                chain.pop()
+            chain.append(k)
+        envelope = np.interp(x, x[chain], np.take(r, chain))
+        hull = np.array([min_schmidt_entropy_hull(t, n) for t in x])
+        assert (hull - envelope).max() <= 1e-12
+        assert (envelope - hull).max() <= 1e-7
+
 
 class TestConcurrenceLowerBound:
     def test_family_witness_dominates_low_lambda(self, sys4):

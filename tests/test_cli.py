@@ -124,18 +124,21 @@ class TestFamilyCommand:
     def test_unwritable_path(self):
         assert main(["family", "--steps", "2", "--out", "/nonexistent/dir/x.csv"]) == 1
 
-    @pytest.mark.parametrize("n, lam", [(10, 2.4e-16), (40, 1e-15)])
-    def test_functional_a_few_ulps_above_zero(self, capsys, n, lam):
+    @pytest.mark.parametrize("n, lam, eof_upper", [
+        (10, 2.4e-16, "7.972627427729669e-16"), (40, 1e-15, "5.321928094887363e-15")])
+    def test_functional_a_few_ulps_above_zero(self, capsys, n, lam, eof_upper):
         # the largest functional rounds to a few ulps above 0, where the extremal
-        # Schmidt weight rounded above 1 and the entropy raised
+        # Schmidt weight rounded above 1 and the entropy raised: each row is the
+        # oracle's, with eof_new and eof_old 0
         argv = ["family", "--n", str(n), "--lambda-min", str(lam), "--lambda-max", str(lam)]
         assert main(argv + ["--steps", "2"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert out == family_csv(entbound.coupled_system(n), [lam, lam])
+        rows = out.splitlines()[1:]
         assert len(rows) == 2
         for row in rows:
-            assert float(dict(zip(header, row))["eof_new"]) == 0.0
+            assert row.endswith(f",0.0,0.0,{eof_upper}")
 
     def test_two_trace_norms_per_sweep(self, monkeypatch, tmp_path):
         # the grid is one stack at N = 4: one stacked trace-norm call per functional
@@ -156,7 +159,8 @@ class TestFamilyCommand:
         # so some grids end with a short stack
         assert main(["family", "--n", str(n), "--steps", str(steps),
                      "--lambda-min", str(lo), "--lambda-max", str(hi)]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err == ""
         assert out == family_csv(entbound.coupled_system(n), np.linspace(lo, hi, steps))
 
     def test_lapack_calls_do_not_grow_with_the_grid(self, monkeypatch, tmp_path):
@@ -261,21 +265,51 @@ class TestBoundsCommand:
         path.write_text(json.dumps({"n_local": 4, "matrix": entries}))
         assert main(["bounds", str(path)]) == 1
 
-    def test_entry_where_symmetrising_overflows_gives_one_line(self, tmp_path, capsys):
-        # (rho + rho^dag) / 2 overflows from 2^1023 up: the operand gate
-        # rejects the state, with no numpy warning and no LAPACK error
+    @pytest.mark.parametrize("exponent, message", [
+        (1023, "matrix has a real or imaginary part of magnitude 2^990 or more"),
+        (989, "density matrix has an eigenvalue below -1e-10")], ids=["2^1023", "2^989"])
+    def test_huge_entry_gives_one_line(self, tmp_path, capsys, exponent, message):
+        # (rho + rho^dag) / 2 overflows from 2^1023 up: the operand gate rejects
+        # every part from 2^990 up, with no numpy warning and no LAPACK error;
+        # below the gate, a 2^989 pair fails the density check
         entries = [[[1 / 16 if i == j else 0.0, 0.0] for j in range(16)] for i in range(16)]
-        entries[0][1] = entries[1][0] = [2.0 ** 1023, 0.0]
+        entries[0][1] = entries[1][0] = [2.0 ** exponent, 0.0]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n_local": 4, "matrix": entries}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["bounds", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: matrix has a real or imaginary part of magnitude 2^990 or more\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_missing_file(self):
         assert main(["bounds", "/no/such/file.json"]) == 1
+
+    def test_every_json_layout_prints_the_same_bytes(self, tmp_path, capsys):
+        # a rank-4 N = 16 file in save_state's layout is read a row at a time;
+        # indented or with its keys reversed it is parsed whole
+        path = tmp_path / "rank4.json"
+        save_state(path, random_density(entbound.coupled_system(16), 4, 1))
+        obj = json.loads(path.read_text())
+        copies = {"indent.json": json.dumps(obj, indent=1),
+                  "reversed.json": json.dumps(dict(reversed(list(obj.items()))))}
+        for name, text in copies.items():
+            (tmp_path / name).write_text(text)
+        outs = []
+        for p in [path] + [tmp_path / name for name in copies]:
+            assert main(["bounds", str(p)]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == "" and outs[0] == outs[1] == outs[2]
+
+    def test_pure_state_file_prints_the_bytes_of_its_projector(self, tmp_path, capsys):
+        # load_state's vector branch gives the report of the density path
+        psi = entbound.random_pure(entbound.coupled_system(8), 1)
+        files = {"pure.json": psi, "projector.json": entbound.DensityMatrix(8, psi.projector())}
+        outs = []
+        for name, state in files.items():
+            save_state(tmp_path / name, state)
+            assert main(["bounds", str(tmp_path / name)]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == "" and outs[0] == outs[1]
 
     def test_deeply_nested_file_gives_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -332,11 +366,13 @@ class TestBoundsCommand:
         assert "n_local" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, lam, twist, seed, restarts, iterations", [
-        (4, 0.1, False, 1, 2, 20), (4, 0.1, False, 3, 6, 20), (8, 0.2, True, 1, 2, 200)])
+        (4, 0.1, False, 1, 2, 20), (4, 0.1, False, 3, 6, 20), (8, 0.2, True, 1, 2, 200),
+        (16, 0.2, True, 1, 2, 100)])
     def test_optimize_bytes_of_up_front_streams(self, tmp_path, capsys, monkeypatch, n, lam,
                                                 twist, seed, restarts, iterations):
-        # the CI's s.json and tw8.json runs: the restarts spawn their streams one at a
-        # time and print the bytes of streams spawned all at once
+        # the restarts spawn their streams one at a time and print the bytes of
+        # streams spawned all at once; the search undoes a Haar product twist of a
+        # family state, recovering f = lam (N - 2)
         sys_ = entbound.coupled_system(n)
         rho = family_state(sys_, lam)
         if twist:
@@ -349,6 +385,7 @@ class TestBoundsCommand:
                    "--restarts", str(restarts), "--iterations", str(iterations)]
         assert main(command) == 0
         got = capsys.readouterr()
+        assert json.loads(got.out)["f_witness_optimized"] >= lam * (n - 2) - 1e-6
         real = np.random.SeedSequence
 
         class UpFront:
@@ -402,7 +439,7 @@ class TestVerifyCommand:
         assert f"witness-singlet-expectation n={n}" in out
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("n", [6, 8, 16])
     def test_appendix_b_suite(self, capsys, n):
         assert main(["verify", "appendixB", "--n", str(n)]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -418,10 +455,11 @@ class TestVerifyCommand:
     def test_has_no_tolerance_option(self):
         assert main(["verify", "witness", "--tol", "1e-9"]) == 1
 
-    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("n", [4, 6, 32])
     def test_figures_suite(self, capsys, n):
         assert main(["verify", "figures", "--n", str(n)]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "FAIL" not in out and err == ""
 
     @pytest.mark.parametrize("suite", ["appendixB", "figures"])
     def test_family_suites_print_the_oracle_rows(self, monkeypatch, capsys, suite):
@@ -530,7 +568,8 @@ class TestSurveyCommand:
         n, rank, seed = 4, 5, 11
         assert main(["survey", "--n", str(n), "--samples", str(samples), "--rank", str(rank),
                      "--seed", str(seed)] + (["--include-family"] if family else [])) == 0
-        got = capsys.readouterr().out
+        got, err = capsys.readouterr()
+        assert err == ""
         # the reference: each state built and evaluated on its own
         sys_ = entbound.coupled_system(n)
         states = [(f"family({lam})", family_state(sys_, lam))
@@ -550,15 +589,17 @@ class TestSurveyCommand:
             len(states), *counts))
         assert got == "".join(line + "\n" for line in lines)
 
-    @pytest.mark.parametrize("n, rank", [(6, 4), (6, 12), (6, 36)])
+    @pytest.mark.parametrize("n, rank, samples, seed", [
+        (6, 4, 26, 7), (6, 12, 26, 7), (6, 36, 26, 7), (16, 8, 9, 1)])
     @pytest.mark.parametrize("family", [False, True])
-    def test_chunks_match_the_survey_oracle(self, capsys, n, rank, family):
-        # 26 samples are a full chunk of 25 and a chunk of one; the oracle builds
-        # each state with random_density and a verdict with evaluate_criteria
-        assert main(["survey", "--n", str(n), "--samples", "26", "--rank", str(rank),
-                     "--seed", "7"] + (["--include-family"] if family else [])) == 0
-        assert capsys.readouterr().out == survey_csv(entbound.coupled_system(n), rank, 26, 7,
-                                                     family)
+    def test_chunks_match_the_survey_oracle(self, capsys, n, rank, samples, seed, family):
+        # 26 samples at N = 6 are a full chunk of 25 and a chunk of one, and 9 at
+        # N = 16 are nine one-state chunks; the oracle builds each state with
+        # random_density and a verdict with evaluate_criteria
+        assert main(["survey", "--n", str(n), "--samples", str(samples), "--rank", str(rank),
+                     "--seed", str(seed)] + (["--include-family"] if family else [])) == 0
+        assert capsys.readouterr() == (survey_csv(entbound.coupled_system(n), rank, samples,
+                                                  seed, family), "")
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_entry_budget_changes_no_byte(self, monkeypatch, capsys, n):

@@ -769,6 +769,22 @@ class TestStateFiles:
         assert isinstance(back, PureState)
         assert np.array_equal(back.vector, psi.vector)
 
+    @pytest.mark.parametrize("key, indent", [("matrix", None), ("matrix", 1), ("vector", None)],
+                             ids=["rows", "indented", "vector"])
+    def test_round_trip_keeps_signed_zeros(self, tmp_path, key, indent):
+        # a -0.0 real part beside a +0.0 imaginary part: re + 1j * im loads +0.0
+        if key == "matrix":
+            state = DensityMatrix(4, signed_zero_matrix())
+        else:
+            v = np.eye(16, dtype=complex)[0]
+            v[1], v[2], v[3] = complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)
+            state = PureState(4, v)
+        path = tmp_path / "state.json"
+        save_state(path, state)
+        if indent:
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+        assert getattr(load_state(path), key).tobytes() == getattr(state, key).tobytes()
+
     def test_validation_holds_only_the_matrix(self, tmp_path, monkeypatch):
         # the parsed JSON lists and the float pairs are freed before DensityMatrix validates
         path = tmp_path / "rho.json"
