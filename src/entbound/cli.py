@@ -27,9 +27,8 @@ from . import closedform
 from .bounds import (FamilyCurvePoint, concurrence_from_functional,
                      eof_from_functional, report_from_verdict)
 from .closedform import family_bounds_closed_form
-from .criteria import (CriteriaVerdict, OptimizerBudget, _verdict_columns, _verdicts,
-                       build_witness, evaluate_criteria, minimize_witness, twisted_witness,
-                       witness_value)
+from .criteria import (CriteriaVerdict, OptimizerBudget, _twisted_witness_terms, _verdict_columns,
+                       _verdicts, build_witness, evaluate_criteria, minimize_witness)
 from .spinspace import coupled_system
 from .states import (_ENTRY_CHUNK, _check_densities, _density_sectors, _family_states,
                      _sample_densities, haar_unitary, load_state, random_pure, schmidt_decompose)
@@ -304,16 +303,16 @@ def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
         worst = max(worst, abs(closedform.overlap_kernel(cfg, sys_)))
     ck.check(f"overlap-kernel-bound n={n} samples={samples}", max(worst - 1.0, 0.0), 1e-12)
 
-    w = build_witness(sys_)
     worst = 0.0
     for k in range(max(samples // 10, 100)):
         psi = random_pure(sys_, rng)
         alpha = schmidt_decompose(psi).coefficients
         cap = float(np.sum(alpha) ** 2 - np.sum(alpha ** 2))
-        fw = -witness_value(w, psi)
         u1, u2 = haar_unitary(sys_.n, rng), haar_unitary(sys_.n, rng)
-        fw_twist = -witness_value(twisted_witness(w, u1, u2), psi)
-        worst = max(worst, fw - cap, fw_twist - cap)
+        # -tr(W rho), then -tr(U W U^dag rho) for U = U1 x U2, read as the state twist U^dag
+        rho = psi.projector()
+        for a1, a2 in ((eye, eye), (u1.conj().T, u2.conj().T)):
+            worst = max(worst, -_twisted_witness_terms(rho, a1, a2, sys_)[0] - cap)
     ck.check(f"pure-state-witness-cap n={n}", max(worst, 0.0), 1e-10)
 
 

@@ -143,23 +143,25 @@ def spin_operators(n: int):
 
 
 def total_spin_projectors(n: int) -> list[np.ndarray]:
-    """Projectors P_J onto total spin J = 0..n-1 of the coupled pair.
+    """Projectors P_J onto total spin J = 0..n-1 of the coupled pair (:func:`_spin_projectors`)."""
+    return list(_spin_projectors(n))
 
-    One Hermitian eigensolve of the Casimir
-    J^2 = sum_a (j_a otimes I + I otimes j_a)^2, whose eigenvalues J(J+1)
-    are integers with gaps >= 2; eigenvectors are grouped by
-    J = round((sqrt(1 + 4 lambda) - 1) / 2) and P_J = Q_J Q_J^dag, which is
-    idempotent to machine precision at every n.
+
+def _spin_projectors(n: int):
+    """Yield P_J for J = 0..n-1, each built as it is drawn.
+
+    One Hermitian eigensolve of the Casimir J^2 = sum_a (j_a otimes I + I otimes j_a)^2, whose
+    eigenvalues J(J+1) are integers with gaps >= 2; eigenvectors are grouped by
+    J = round((sqrt(1 + 4 lambda) - 1) / 2) and P_J = Q_J Q_J^dag, which is idempotent to
+    machine precision at every n.
     """
     n = _require_even(n, minimum=4)
     eye = np.eye(n, dtype=complex)
-    j2 = np.zeros((n * n, n * n), dtype=complex)
-    for a in spin_operators(n):
-        total = np.kron(a, eye) + np.kron(eye, a)
-        j2 += total @ total
-    evals, q = np.linalg.eigh(j2)
+    totals = (np.kron(a, eye) + np.kron(eye, a) for a in spin_operators(n))
+    evals, q = np.linalg.eigh(sum(t @ t for t in totals))  # J^2 is freed once it is solved
     spins = np.rint((np.sqrt(1 + 4 * evals) - 1) / 2).astype(int)
-    return [q[:, spins == bigj] @ dagger(q[:, spins == bigj]) for bigj in range(n)]
+    for bigj in range(n):
+        yield q[:, spins == bigj] @ dagger(q[:, spins == bigj])
 
 
 def swap_operator(n: int) -> np.ndarray:
@@ -184,9 +186,8 @@ def lifted_witness(sys: CoupledSpinSystem) -> np.ndarray:
 
 def spectral_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """-(N-2) P_0 + 2 (P_2 + ... + P_{N-2}), as accurate as :func:`total_spin_projectors`."""
-    n = sys.n
-    projs = total_spin_projectors(n)
-    return -(n - 2) * projs[0] + 2 * sum(projs[2:n - 1:2])
+    projs = _spin_projectors(sys.n)  # ``sum`` holds one P_J at a time, from int 0 (0 + -0.0 = +0.0)
+    return -(sys.n - 2) * next(projs) + 2 * sum(p for j, p in enumerate(projs, 1) if j % 2 == 0)
 
 
 def partial_time_reversal(rho, sys: CoupledSpinSystem) -> np.ndarray:

@@ -140,9 +140,8 @@ def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in :mod:`closedform` as
     references.  The spectrum is -(N-2) on the singlet, +2 on the even-J manifolds with
     J >= 2, and 0 on the odd-J (symmetric) manifolds.  Only :func:`witness_value`,
-    :func:`twisted_witness`, the ``witness`` command and ``verify witness|appendixA`` use W
-    itself; :func:`functionals` and :func:`minimize_witness` read tr(W rho) from the swap
-    form without it.
+    :func:`twisted_witness` and the ``witness`` and ``verify witness`` commands use W itself;
+    :func:`functionals` and :func:`minimize_witness` read tr(W rho) without it.
     """
     n = sys.n
     w = np.eye(n * n, dtype=complex)
@@ -210,40 +209,36 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = Opti
     Returns ``(value, u1, u2)``, the best iterate's tr((U1 otimes U2) W (.)^dag rho) and unitaries.
     Each restart takes up to ``budget.iterations`` Riemannian steepest-descent steps on U(N) x U(N)
     (Abrudan, Eriksson, Koivunen, IEEE TSP 56, 2008), U_k -> exp(mu G_k) U_k along geodesics, with
-    G_k from :func:`_witness_gradients` and tr(W sigma) read from 3 N^2 entries as in
-    :func:`functionals`: W is never built, and a step is O(N^5).  mu halves until f drops by
-    mu (|G1|^2 + |G2|^2) / 2 and doubles after each step; a restart ends once the gradient
-    vanishes.  Restarts draw independent RNG streams split from the seed, one spawned as each
-    starts; restart 0 starts at the identity, so the result never exceeds tr(W rho).
+    the value and G_k from :func:`_twisted_witness_terms`: W and the twisted state are never built,
+    and a step is O(N^4).  mu halves until f drops by mu (|G1|^2 + |G2|^2) / 2 and doubles after
+    each step; a restart ends once the gradient vanishes.  Restarts draw independent RNG streams
+    split from the seed, one spawned as each starts; restart 0 starts at the identity, so the
+    result never exceeds tr(W rho).
     """
     n = sys.n
-    a = _hermitian_part(as_matrix(rho, (n * n, n * n)))
-
     # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with U replaced by its
     # adjoint; twist the state, undo at the end.  The loop meets only arrays it built: none gated.
-    def twist(u1, u2):
-        sigma = _conjugate(a, u1, u2)
-        return _witness_values(lambda idx: sigma.reshape(1, -1).take(idx, axis=1), sys)[0], sigma
+    a = _hermitian_part(as_matrix(rho, (n * n, n * n)))
     eye, best_val, best_u, root = np.eye(n), np.inf, None, np.random.SeedSequence(budget.seed)
     for r in range(budget.restarts):
         rng = np.random.default_rng(root.spawn(1)[0])
         u1, u2 = (eye, eye) if r == 0 else (haar_unitary(n, rng), haar_unitary(n, rng))
-        val, sigma = twist(u1, u2)
+        val, gradients = _twisted_witness_terms(a, u1, u2, sys)
         mu = 1.0
         for _ in range(budget.iterations):
-            g1, g2 = _witness_gradients(sigma, sys)
+            g1, g2 = gradients()
             sq = float(np.vdot(g1, g1).real + np.vdot(g2, g2).real)
             if sq < _GRADIENT_TOL ** 2:
                 break
             while mu > _STEP_MIN:
                 t1, t2 = _geodesic_step(g1, mu, u1), _geodesic_step(g2, mu, u2)
-                trial, trial_sigma = twist(t1, t2)
+                trial, trial_gradients = _twisted_witness_terms(a, t1, t2, sys)
                 if trial <= val - mu * sq / 2:
                     break
                 mu /= 2
             else:
                 break  # no step beats rounding noise: numerically stationary
-            u1, u2, val, sigma, mu = t1, t2, trial, trial_sigma, 2 * mu
+            u1, u2, val, gradients, mu = t1, t2, trial, trial_gradients, 2 * mu
         if val < best_val:
             best_val, best_u = val, (u1, u2)
 
@@ -295,32 +290,37 @@ def _witness_terms(sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.n
     return positions, psi, psi.conj()
 
 
-def _witness_values(take, sys: CoupledSpinSystem) -> np.ndarray:
-    """tr(W rho) = tr rho - N <psi_0|rho|psi_0> - tr F rho for each state, read through ``take``.
+def _witness_values(states: _States, sys: CoupledSpinSystem) -> np.ndarray:
+    """tr(W rho) = tr rho - N <psi_0|rho|psi_0> - tr F rho for each state of a record, from 3 N^2 entries.
 
-    ``take(idx)`` returns rho.flat[idx] of each state as an (S, len(idx))
-    C-ordered array: 3 N^2 entries are read, and W is never built.  Each sum
-    runs over one row, so a state gets the same bits in any stack.
+    W is never built.  Each sum runs over one row, so a state gets the same bits in any stack.
     """
     n, n2 = sys.n, sys.n ** 2
     positions, psi, psi_conj = _witness_terms(sys)
-    values = take(positions)
+    values = states.take(positions)
     diag, singlet, swap = values[:, :n2], values[:, n2:2 * n2], values[:, 2 * n2:]
     expectation = ((singlet.reshape(-1, n, n) * psi).sum(axis=-1) * psi_conj).sum(axis=-1)
     return (diag.sum(axis=-1) - n * expectation - swap.sum(axis=-1)).real
 
 
-def _witness_gradients(sigma: np.ndarray, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray]:
-    """G1 = tr_2 C and G2 = tr_1 C, C = sigma W - W sigma, for Hermitian sigma in O(N^4), without W.
+def _twisted_witness_terms(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray, sys: CoupledSpinSystem):
+    """tr(W sigma), sigma = U rho U^dag for U = U1 otimes U2, and a function giving (G1, G2); O(N^4).
 
-    C = H - H^dag for H = sigma W = sigma - N sigma P_0 - sigma F; tr_k sigma is Hermitian and
-    cancels, so G_k = h_k^dag - h_k, exactly anti-Hermitian, for h_k = tr_k(N sigma P_0 + sigma F).
+    From rho, phi = U^dag psi_0 (the N x N U1^dag Psi_0 conj(U2)) and X = U1^dag U2: the value is
+    Re(tr rho - tr h1), and G_k = U_k (h_k^dag - h_k) U_k^dag, tr_2 and tr_1 of sigma W - W sigma
+    for Hermitian rho; h1 = N Y phi^dag + Z1 X^dag, h2 = N Y^T conj(phi) + Z2 X, Y = rho phi,
+    Z1[i,q] = sum rho[(i,j),(p,q)] X[p,j] and Z2[j,p] = sum rho[(i,j),(p,q)] conj(X[i,q]).
     """
-    n, psi = sys.n, sys.singlet.reshape(sys.n, sys.n)
-    s, y = sigma.reshape(n, n, n, n), n * (sigma @ sys.singlet).reshape(n, n)
-    h1 = y @ dagger(psi) + np.einsum("abbc->ac", s)  # (sigma F)[(a,b),(c,d)] = sigma[(a,b),(d,c)]
-    h2 = y.T @ psi.conj() + np.einsum("abda->bd", s)
-    return dagger(h1) - h1, dagger(h2) - h2
+    n, r3 = sys.n, rho.reshape(sys.n, -1, sys.n)  # rho[(i,j),(p,q)] at [i, j n + p, q]
+    phi, x = dagger(u1) @ sys.singlet.reshape(n, n) @ u2.conj(), dagger(u1) @ u2
+    y, z1 = (rho @ phi.ravel()).reshape(n, n), x.T.ravel() @ r3
+
+    def gradients():
+        z2 = (r3 @ x.conj()[:, :, None]).sum(axis=0).reshape(n, n)
+        k1 = u1 @ (n * y @ dagger(phi) + z1 @ dagger(x)) @ dagger(u1)
+        k2 = u2 @ (n * y.T @ phi.conj() + z2 @ x) @ dagger(u2)
+        return dagger(k1) - k1, dagger(k2) - k2
+    return float((np.trace(rho) - n * np.vdot(phi, y) - np.vdot(x, z1)).real), gradients
 
 
 def _functionals(states: _States, sys: CoupledSpinSystem):
@@ -342,7 +342,7 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     else:
         t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]], hermitian=True)
         rn = _realignment_norms(states.array, n)
-    return t2, rn, _witness_values(states.take, sys)
+    return t2, rn, _witness_values(states, sys)
 
 
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

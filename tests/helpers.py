@@ -153,6 +153,31 @@ def dense_witness_search(rho, sys_, u1, u2):
             np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c))
 
 
+def witness_gradients(sigma, sys_):
+    """G1 = tr_2 C and G2 = tr_1 C, C = sigma W - W sigma, for Hermitian sigma in O(N^4), without W.
+
+    C = H - H^dag for H = sigma W = sigma - N sigma P_0 - sigma F; tr_k sigma is Hermitian and
+    cancels, so G_k = h_k^dag - h_k, exactly anti-Hermitian, for h_k = tr_k(N sigma P_0 + sigma F).
+    """
+    n, psi = sys_.n, sys_.singlet.reshape(sys_.n, sys_.n)
+    s, y = sigma.reshape(n, n, n, n), n * (sigma @ sys_.singlet).reshape(n, n)
+    h1 = y @ psi.conj().T + np.einsum("abbc->ac", s)  # (sigma F)[(a,b),(c,d)] = sigma[(a,b),(d,c)]
+    h2 = y.T @ psi.conj() + np.einsum("abda->bd", s)
+    return h1.conj().T - h1, h2.conj().T - h2
+
+
+def sigma_witness_search(rho, sys_, u1, u2):
+    """tr(W sigma), G1 and G2 for sigma = U rho U^dag, U = U1 kron U2, from the twisted sigma.
+
+    The sigma-route oracle of the witness search: sigma by ``criteria._conjugate``
+    (O(N^5)), tr(W sigma) from 3 N^2 of its entries as ``functionals`` reads a
+    state, and the swap-form gradients of :func:`witness_gradients`.
+    """
+    sigma = criteria._conjugate(rho, u1, u2)
+    value = criteria._witness_values(states._States(sys_.n, 1, array=sigma[None]), sys_)[0]
+    return (value, *witness_gradients(sigma, sys_))
+
+
 def stacked_realignments(stack, n: int) -> np.ndarray:
     """R rho of each matrix of a (B, n^2, n^2) stack, as one signed permutation of a 5-d view.
 

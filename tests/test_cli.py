@@ -447,6 +447,33 @@ class TestVerifyCommand:
     def test_appendix_a_requires_seed(self):
         assert main(["verify", "appendixA", "--n", "4"]) == 1
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_appendix_a_reads_the_twisted_witness_values(self, monkeypatch, capsys, n):
+        # the cap check reads tr(W rho), then tr(U W U^dag rho) for the twist drawn after rho
+        draws, terms = [], []
+
+        def recorded(function, out):
+            return lambda *args: out.append(function(*args)) or out[-1]
+        for name, out in (("random_pure", draws), ("haar_unitary", draws),
+                          ("_twisted_witness_terms", terms)):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name), out))
+        assert main(["verify", "appendixA", "--n", str(n), "--samples", "10", "--seed", "3"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        w = entbound.build_witness(entbound.coupled_system(n))
+        ref = [entbound.witness_value(w_u, psi)
+               for psi, u1, u2 in zip(draws[0::3], draws[1::3], draws[2::3], strict=True)
+               for w_u in (w, entbound.twisted_witness(w, u1, u2))]
+        assert len(ref) == len(terms) == 200
+        assert np.abs(np.subtract([value for value, _ in terms], ref)).max() < 1e-12
+
+    def test_appendix_a_builds_no_dense_witness(self, monkeypatch, capsys):
+        calls = [count_calls(monkeypatch, name, entbound.criteria)
+                 for name in ("build_witness", "twisted_witness", "witness_value", "_conjugate")]
+        calls.append(count_calls(monkeypatch, "kron", np))
+        assert main(["verify", "appendixA", "--n", "4", "--samples", "100", "--seed", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert not any(calls)
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_rejects_fewer_than_one_sample(self, capsys, samples):
         assert main(["verify", "appendixA", "--samples", samples, "--seed", "1"]) == 1

@@ -17,13 +17,13 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
 from entbound.criteria import (_conjugate, _partial_transposes, _realignment_pair_forms,
-                               _witness_gradients, _witness_values)
+                               _twisted_witness_terms)
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
                              haar_unitary, random_density)
 from helpers import (EDGES, dense_witness_search, edge_base, exactly_hermitian, hermitian_part,
-                     hermitian_part_path, noisy_product, one_block, product_pure, smallest_pair,
-                     stacked_realignments)
+                     hermitian_part_path, noisy_product, one_block, product_pure,
+                     sigma_witness_search, smallest_pair, stacked_realignments)
 
 # the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
 SIGNED_ZEROS = ["signed zero real part", "two -0.0 imaginary parts", "two +0.0 imaginary parts",
@@ -296,14 +296,13 @@ class TestTwistedWitness:
 
 
 def search_terms(rho, sys_, u1, u2):
-    """The witness search's value and gradients at (U1, U2): the swap form, with no W."""
-    sigma = _conjugate(rho, u1, u2)
-    value = _witness_values(lambda idx: sigma.reshape(1, -1).take(idx, axis=1), sys_)[0]
-    return (value, *_witness_gradients(sigma, sys_))
+    """The witness search's value and gradients at (U1, U2), from its kernel."""
+    value, gradients = _twisted_witness_terms(rho, u1, u2, sys_)
+    return (value, *gradients())
 
 
 class TestWitnessSearchKernel:
-    """The swap-form value and gradients of the search against the dense W."""
+    """The O(N^4) value and gradients of the search against the sigma route and the dense W."""
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_matches_dense_oracle(self, n):
@@ -311,9 +310,10 @@ class TestWitnessSearchKernel:
         rng = np.random.default_rng(50 + n)
         rho = random_density(sys_, n, rng).matrix
         u1, u2 = haar_unitary(n, rng), haar_unitary(n, rng)
-        for got, ref in zip(search_terms(rho, sys_, u1, u2),
-                            dense_witness_search(rho, sys_, u1, u2)):
-            assert np.abs(got - ref).max() < 1e-12
+        got = search_terms(rho, sys_, u1, u2)
+        for oracle in (sigma_witness_search, dense_witness_search):
+            for part, ref in zip(got, oracle(rho, sys_, u1, u2), strict=True):
+                assert np.abs(part - ref).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_gradients_match_finite_differences(self, n):
@@ -436,10 +436,10 @@ class TestMinimizeWitness:
         assert_same_bits(_hermitian_part(rho), rho)
 
     def test_search_builds_no_dense_witness(self, monkeypatch, sys4):
-        # the search reads W only in its swap form: no W, no Kronecker twist
+        # the search reads rho through its O(N^4) kernel: no W, no twisted state, no Kronecker twist
         calls = []
         for owner, name in ((criteria, "build_witness"), (criteria, "twisted_witness"),
-                            (np, "kron")):
+                            (criteria, "witness_value"), (criteria, "_conjugate"), (np, "kron")):
             monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
         minimize_witness(random_density(sys4, 3, 24), sys4, OptimizerBudget(2, 20, 1))
         assert not calls

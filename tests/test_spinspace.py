@@ -1,12 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entbound import (DimensionError, concurrence_from_functional, coupled_system,
                       time_reversal_unitary, time_reverse)
-from entbound.closedform import (partial_time_reversal, spin_operators, swap_operator,
-                                 total_spin_projectors)
+from entbound.closedform import (partial_time_reversal, spectral_witness, spin_operators,
+                                 swap_operator, total_spin_projectors)
 
 
 class TestTimeReversalUnitary:
@@ -136,6 +137,26 @@ class TestProjectors:
             cg[i * n + int(j + m)] = (-1) ** (j - m) / np.sqrt(n)
         # index of -m in the descending basis is j - (-m) = j + m
         assert np.abs(total_spin_projectors(4)[0] - np.outer(cg, cg.conj())).max() < 1e-10
+
+
+class TestSpectralWitness:
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_same_bits_as_the_sum_of_the_projector_list(self, n):
+        projs = total_spin_projectors(n)
+        ref = -(n - 2) * projs[0] + 2 * sum(projs[2:n - 1:2])
+        assert spectral_witness(coupled_system(n)).tobytes() == ref.tobytes()  # signed zeros too
+
+    def test_holds_a_few_projectors_at_once(self):
+        # the N projectors are drawn one at a time from one eigensolve, never held as a list
+        n = 16
+        sys_ = coupled_system(n)
+        tracemalloc.start()
+        try:
+            spectral_witness(sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * n ** 4
 
 
 class TestSinglet:
