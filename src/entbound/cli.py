@@ -19,7 +19,7 @@ import math
 import sys as _sys
 from dataclasses import asdict, fields
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .closedform import family_bounds_closed_form
 from .criteria import (CriteriaVerdict, OptimizerBudget, _twisted_witness_terms, _verdict_columns,
                        _verdicts, build_witness, evaluate_criteria, minimize_witness)
 from .spinspace import coupled_system
-from .states import (_ENTRY_CHUNK, _check_densities, _density_sectors, _family_states,
-                     _sample_densities, haar_unitary, load_state, random_pure, schmidt_decompose)
+from .states import (_check_densities, _mixture_stacks, _sample_densities, haar_unitary,
+                     load_state, random_pure, schmidt_decompose)
 
 FAMILY_COLUMNS = ("lambda",) + tuple(f.name for f in fields(FamilyCurvePoint))[1:]
 
@@ -103,34 +103,26 @@ def _seed(value: str) -> int:
 def _family_rows(sys_, lams):
     """The numeric family rows at each lam: a verdict and its bound report per row.
 
-    The grid is cut into chunks of _ENTRY_CHUNK // b rows (at least one),
-    b the J_z block entries of one state, so the block arrays of a chunk
-    stay near _ENTRY_CHUNK entries: 95 rows at N = 16, 11 at N = 32, one
-    from N = 64 up.  Each chunk is one validated stack and one
-    :func:`criteria._verdicts` call, so each block size takes one LAPACK
-    call per kind and chunk, and a row gets the bits that
-    ``family_state(sys_, lam)`` gets alone.  Rows are yielded as their
-    chunk finishes.
+    One :func:`criteria._verdicts` call per stack of :func:`states._mixture_stacks`;
+    rows are yielded as their stack finishes.
     """
     n = sys_.n
-    size = max(1, _ENTRY_CHUNK // len(_density_sectors(n).positions))
-    for start in range(0, len(lams), size):
-        chunk = lams[start:start + size]
-        for lam, v in zip(chunk, _verdicts(_family_states(sys_, chunk), sys_)):
-            report = report_from_verdict(v, n)
-            yield FamilyCurvePoint(
-                lam=lam,
-                tr_W_rho=v.witness_value + 0.0,
-                bound_witness=concurrence_from_functional(report.f_witness, n),
-                norm_T2=v.trace_norm_T2,
-                bound_ppt=concurrence_from_functional(report.f_ppt, n),
-                norm_R=v.trace_norm_R,
-                bound_realign=concurrence_from_functional(report.f_realign, n),
-                bound_upper=np.sqrt(2 * (n - 1) / n) * lam,
-                eof_new=report.eof_lower,
-                eof_old=eof_from_functional(max(report.f_ppt, report.f_realign), n),
-                eof_upper=lam * np.log2(n),
-            )
+    stacks = _mixture_stacks(sys_, lams)
+    for lam, v in zip(lams, chain.from_iterable(_verdicts(s, sys_) for s in stacks)):
+        report = report_from_verdict(v, n)
+        yield FamilyCurvePoint(
+            lam=lam,
+            tr_W_rho=v.witness_value + 0.0,
+            bound_witness=concurrence_from_functional(report.f_witness, n),
+            norm_T2=v.trace_norm_T2,
+            bound_ppt=concurrence_from_functional(report.f_ppt, n),
+            norm_R=v.trace_norm_R,
+            bound_realign=concurrence_from_functional(report.f_realign, n),
+            bound_upper=np.sqrt(2 * (n - 1) / n) * lam,
+            eof_new=report.eof_lower,
+            eof_old=eof_from_functional(max(report.f_ppt, report.f_realign), n),
+            eof_upper=lam * np.log2(n),
+        )
 
 
 def cmd_family(args) -> int:
@@ -184,8 +176,9 @@ def cmd_survey(args) -> int:
     # spawn(samples)
     def chunks():
         if args.include_family:
-            yield ([f"family({lam})" for lam in SURVEY_FAMILY_LAMBDAS],
-                   _family_states(sys_, SURVEY_FAMILY_LAMBDAS))
+            names = (f"family({lam})" for lam in SURVEY_FAMILY_LAMBDAS)
+            for states in _mixture_stacks(sys_, SURVEY_FAMILY_LAMBDAS):
+                yield list(islice(names, len(states))), states
         for start in range(0, args.samples, chunk):
             size = min(chunk, args.samples - start)
             yield ([f"random{k}" for k in range(start, start + size)],

@@ -161,22 +161,19 @@ def witness_value(w, rho) -> float:
     return float(np.einsum("ij,ji->", w, as_matrix(rho, w.shape)).real)
 
 
-def _conjugate(m: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """(U1 otimes U2) M (U1 otimes U2)^dag of gated arrays: four N x N products on views, O(N^5)."""
-    n = len(u1)
-    r = (u2 @ (u1 @ m.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(u2)
-    return (u1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
-
-
 def twisted_witness(w, u1, u2) -> np.ndarray:
-    """(U1 otimes U2) W (U1 otimes U2)^dag for an N^2 x N^2 W and unitary N x N U1, U2."""
+    """(U1 otimes U2) W (U1 otimes U2)^dag for an N^2 x N^2 W and unitary N x N U1, U2.
+
+    Four N x N products on views, O(N^5); any N^2 x N^2 matrix is twisted alike.
+    """
     n = math.isqrt(len(w))
     w = as_complex_matrix(w, (n * n, n * n))
     a1, a2 = as_complex_matrix(u1, (n, n)), as_complex_matrix(u2, (n, n))
     for a in (a1, a2):
         if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
             raise ValueError("twist matrices must be unitary within 1e-10")
-    return _conjugate(w, a1, a2)
+    r = (a2 @ (a1 @ w.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(a2)
+    return (a1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,18 @@ class CoupledSpinSystem:
     singlet: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def coupled_system(n: int) -> CoupledSpinSystem:
-    """Build (and cache) the O(n^2) coupled-spin structure for even n >= 4."""
-    n = _require_even(n, minimum=4)
+    """Build (and cache) the O(n^2) coupled-spin structure for even n >= 4, keyed by int(n)."""
+    return _coupled_system(_require_even(n, minimum=4))
+
+
+@lru_cache(maxsize=None)
+def _coupled_system(n: int) -> CoupledSpinSystem:
     v = time_reversal_unitary(n)
     psi = singlet_vector(n)
     for arr in (v, psi):
         arr.setflags(write=False)
     return CoupledSpinSystem(n=n, v=v, singlet=psi)
+
+
+coupled_system.cache_clear = _coupled_system.cache_clear

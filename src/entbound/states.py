@@ -353,31 +353,42 @@ def _werner_part(sys: CoupledSpinSystem, i: np.ndarray, j: np.ndarray) -> np.nda
     return 2 / (n * (n + 1)) * (np.add(i == j, j == b * n + a, dtype=float) / 2)
 
 
-def _werner_entries(sys: CoupledSpinSystem, idx: np.ndarray) -> np.ndarray:
-    return _werner_part(sys, *np.divmod(idx, sys.n ** 2))
+def _isotropic_part(sys: CoupledSpinSystem, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """((I - P_0) / (N^2 - 1))[i, j]."""
+    return ((i == j) - _singlet_entries(sys, i, j)) / (sys.n ** 2 - 1)
 
 
-def _family_entries(sys: CoupledSpinSystem, lam, idx: np.ndarray) -> np.ndarray:
-    """One row per entry of ``lam``, a float or an (S, 1) column of them."""
+def _mixture_entries(sys: CoupledSpinSystem, part, weights, idx: np.ndarray) -> np.ndarray:
+    """w P_0 + (1 - w) part at flat positions idx, one row per w of an (S, 1) ``weights`` column."""
     i, j = np.divmod(idx, sys.n ** 2)
-    return lam * _singlet_entries(sys, i, j) + (1 - lam) * _werner_part(sys, i, j)
+    return weights * _singlet_entries(sys, i, j) + (1 - weights) * part(sys, i, j)
 
 
-def _isotropic_entries(sys: CoupledSpinSystem, fidelity: float, idx: np.ndarray) -> np.ndarray:
-    n2 = sys.n ** 2
-    i, j = np.divmod(idx, n2)
-    p0 = _singlet_entries(sys, i, j)
-    return fidelity * p0 + (1 - fidelity) * (((i == j) - p0) / (n2 - 1))
+def _mixture_stacks(sys: CoupledSpinSystem, weights, part=_werner_part, name="mixing parameter"):
+    """The states w P_0 + (1 - w) part at each weight w in [0, 1], as validated stacks in order.
+
+    A stack holds max(1, _ENTRY_CHUNK // b) states, b the J_z block entries
+    of one state, so its block arrays stay near _ENTRY_CHUNK entries: 95
+    states at N = 16, 11 at N = 32, one from N = 64 up.  The weights are
+    checked at once; each stack is built and validated when it is drawn,
+    and each state gets the bits it gets alone.
+    """
+    for w in weights:
+        if not 0 <= w <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {w}")
+    size = max(1, _ENTRY_CHUNK // len(_density_sectors(sys.n).positions))
+    columns = (np.array(weights[k:k + size], dtype=float)[:, None]
+               for k in range(0, len(weights), size))
+    return (_sector_states(sys.n, len(c), partial(_mixture_entries, sys, part, c)) for c in columns)
 
 
 def werner_state(sys: CoupledSpinSystem) -> DensityMatrix:
-    """Normalized projector onto the swap-symmetric subspace.
+    """Normalized projector onto the swap-symmetric subspace: the family state at lam = 0.
 
     Equals the sum of the odd-J total-spin projectors; separable, invariant
     under all U otimes U, undetected by every criterion in this package.
-    Built and validated as its J_z blocks, like the family and isotropic states.
     """
-    return _from_record(_sector_states(sys.n, 1, partial(_werner_entries, sys)))
+    return family_state(sys, 0.0)
 
 
 def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
@@ -386,17 +397,7 @@ def family_state(sys: CoupledSpinSystem, lam: float) -> DensityMatrix:
     Every lam > 0 is entangled; for lam <= 1/(N+2) the state stays PPT, so
     only the witness detects it there.
     """
-    return _from_record(_family_states(sys, (lam,)))
-
-
-def _family_states(sys: CoupledSpinSystem, lams) -> _States:
-    """The family states at each lam, validated as one stack; state k is ``family_state(sys, lams[k])``."""
-    for lam in lams:
-        if not 0 <= lam <= 1:
-            raise ValueError(f"mixing parameter must lie in [0, 1], got {lam}")
-    # one row of entries per lam: lam * x is the same product for a scalar and a column
-    column = np.array(lams, dtype=float)[:, None]
-    return _sector_states(sys.n, len(lams), partial(_family_entries, sys, column))
+    return _from_record(next(_mixture_stacks(sys, (lam,))))
 
 
 def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
@@ -406,9 +407,7 @@ def isotropic_state(sys: CoupledSpinSystem, fidelity: float) -> DensityMatrix:
     maximally entangled reference state; any other choice is related by a
     product unitary.  Separable exactly for f <= 1/N.
     """
-    if not 0 <= fidelity <= 1:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    return _from_record(_sector_states(sys.n, 1, partial(_isotropic_entries, sys, fidelity)))
+    return _from_record(next(_mixture_stacks(sys, (fidelity,), _isotropic_part, "fidelity")))
 
 
 def random_pure(sys: CoupledSpinSystem, seed) -> PureState:

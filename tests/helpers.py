@@ -169,11 +169,11 @@ def witness_gradients(sigma, sys_):
 def sigma_witness_search(rho, sys_, u1, u2):
     """tr(W sigma), G1 and G2 for sigma = U rho U^dag, U = U1 kron U2, from the twisted sigma.
 
-    The sigma-route oracle of the witness search: sigma by ``criteria._conjugate``
+    The sigma-route oracle of the witness search: sigma by ``criteria.twisted_witness``
     (O(N^5)), tr(W sigma) from 3 N^2 of its entries as ``functionals`` reads a
     state, and the swap-form gradients of :func:`witness_gradients`.
     """
-    sigma = criteria._conjugate(rho, u1, u2)
+    sigma = criteria.twisted_witness(rho, u1, u2)
     value = criteria._witness_values(states._States(sys_.n, 1, array=sigma[None]), sys_)[0]
     return (value, *witness_gradients(sigma, sys_))
 

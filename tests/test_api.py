@@ -55,6 +55,13 @@ def test_reference_lives_in_closedform(name):
     assert getattr(closedform, name).__module__ == "entbound.closedform"
 
 
+def test_version_matches_pyproject():
+    # the version is written twice: in pyproject.toml and as entbound.__version__
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(^\[|\Z)", pyproject, re.S | re.M)[1]
+    assert re.findall(r'^version = "(.*)"$', project, re.M) == [entbound.__version__]
+
+
 def test_readme_quick_tour_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),

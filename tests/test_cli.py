@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,7 +471,7 @@ class TestVerifyCommand:
 
     def test_appendix_a_builds_no_dense_witness(self, monkeypatch, capsys):
         calls = [count_calls(monkeypatch, name, entbound.criteria)
-                 for name in ("build_witness", "twisted_witness", "witness_value", "_conjugate")]
+                 for name in ("build_witness", "twisted_witness", "witness_value")]
         calls.append(count_calls(monkeypatch, "kron", np))
         assert main(["verify", "appendixA", "--n", "4", "--samples", "100", "--seed", "1"]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -533,6 +536,11 @@ class TestSurveyCommand:
                                   "witness_value", "witness_detects", "trace_norm_T2",
                                   "trace_norm_R")
         assert capsys.readouterr().out.splitlines()[0] == ",".join(SURVEY_COLUMNS)
+
+    @pytest.mark.parametrize("rank", ["0", "17"])
+    def test_rejects_rank_out_of_range_before_the_header(self, capsys, rank):
+        assert main(["survey", "--samples", "1", "--rank", rank, "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: --rank must lie in [1, 16]\n")
 
     def test_rejects_zero_samples(self, tmp_path):
         assert main(["survey", "--samples", "0", "--seed", "1",
@@ -834,6 +842,16 @@ class TestWitnessCommand:
         assert np.array_equal(evals, np.repeat(values, mults))
         w = entbound.build_witness(entbound.coupled_system(n))
         assert np.abs(evals - np.linalg.eigh(w)[0]).max() <= 1e-13
+
+    def test_module_run_prints_the_bytes_of_main(self, capsys):
+        # python -m entbound.cli runs main in a fresh interpreter
+        src = str(Path(entbound.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-m", "entbound.cli", "witness", "--n", "4"],
+                             capture_output=True, env=env, check=True)
+        assert main(["witness", "--n", "4"]) == 0
+        assert (run.stdout, run.stderr) == (capsys.readouterr().out.encode(), b"")
 
     def test_json_output(self, capsys):
         assert main(["witness", "--n", "6", "--format", "json"]) == 0

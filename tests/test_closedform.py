@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from entbound.closedform import (FrameConfig, family_trace_norms,
-                                 family_witness_expectation, overlap_kernel,
-                                 sample_frame_config, witness_spectrum)
+                                 family_witness_expectation, isotropic_reference, overlap_kernel,
+                                 sample_frame_config, spin_operators, witness_spectrum)
 from entbound.linalg import DimensionError
 
 
@@ -86,3 +86,19 @@ class TestOverlapKernel:
         cfg = FrameConfig(phi_i=2 * eye[0], phi_j=eye[1], chi_i=eye[2], chi_j=eye[3])
         with pytest.raises(ValueError):
             overlap_kernel(cfg, sys4)
+
+    def test_rejects_wrong_length(self, sys4):
+        eye = np.eye(4)
+        cfg = FrameConfig(phi_i=eye[0], phi_j=eye[1], chi_i=eye[2], chi_j=np.eye(3)[0])
+        with pytest.raises(DimensionError, match="^frame vectors must have length 4$"):
+            overlap_kernel(cfg, sys4)
+
+
+class TestDomainErrors:
+    def test_isotropic_reference_rejects_fidelity_above_one(self):
+        with pytest.raises(ValueError, match=r"^fidelity must lie in \[0, 1\], got 1.5$"):
+            isotropic_reference(4, 1.5)
+
+    def test_spin_operators_reject_dimension_one(self):
+        with pytest.raises(DimensionError, match="^need local dimension >= 2, got 1$"):
+            spin_operators(1)

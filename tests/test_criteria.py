@@ -16,7 +16,7 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
                       partial_transpose, random_densities, random_pure, realign, time_reverse,
                       twisted_witness, verdicts, werner_state, witness_value)
 from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
-from entbound.criteria import (_conjugate, _partial_transposes, _realignment_pair_forms,
+from entbound.criteria import (_partial_transposes, _realignment_pair_forms,
                                _twisted_witness_terms)
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
@@ -205,6 +205,12 @@ class TestWitness:
         dense = np.eye(n * n) - n * p0 - swap_operator(n)
         assert_same_bits(build_witness(sys_), (dense + dense.conj().T) / 2)
 
+    def test_trace_check_raises(self, monkeypatch, sys4):
+        # a swap index that is the identity gives W = -N P_0, of trace -4, not N(N - 2) = 8
+        monkeypatch.setattr(criteria, "_swap_index", lambda n: np.arange(n * n))
+        with pytest.raises(ValueError, match=r"^witness trace -4\.0 differs from N\(N-2\) = 8$"):
+            build_witness.__wrapped__(sys4)  # bypass the cache
+
     def test_built_in_one_array(self):
         sys_ = coupled_system(32)
         tracemalloc.start()
@@ -292,7 +298,7 @@ class TestTwistedWitness:
         u1, u2 = haar_unitary(n, rng), haar_unitary(n, rng)
         m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
         u = np.kron(u1, u2)
-        assert np.abs(_conjugate(m, u1, u2) - u @ m @ u.conj().T).max() < 1e-12 * n
+        assert np.abs(twisted_witness(m, u1, u2) - u @ m @ u.conj().T).max() < 1e-12 * n
 
 
 def search_terms(rho, sys_, u1, u2):
@@ -439,7 +445,7 @@ class TestMinimizeWitness:
         # the search reads rho through its O(N^4) kernel: no W, no twisted state, no Kronecker twist
         calls = []
         for owner, name in ((criteria, "build_witness"), (criteria, "twisted_witness"),
-                            (criteria, "witness_value"), (criteria, "_conjugate"), (np, "kron")):
+                            (criteria, "witness_value"), (np, "kron")):
             monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
         minimize_witness(random_density(sys4, 3, 24), sys4, OptimizerBudget(2, 20, 1))
         assert not calls

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entbound import (DimensionError, concurrence_from_functional, coupled_system,
+from entbound import (DimensionError, build_witness, concurrence_from_functional, coupled_system,
                       time_reversal_unitary, time_reverse)
 from entbound.closedform import (partial_time_reversal, spectral_witness, spin_operators,
                                  swap_operator, total_spin_projectors)
@@ -224,6 +224,16 @@ class TestSystemCache:
             coupled_system(5)
         with pytest.raises(DimensionError):
             coupled_system(2)
+
+    def test_numpy_integers_share_the_system(self):
+        # an lru_cache keys an int by itself and a numpy integer by a tuple, so N is
+        # made an int first: one system, and one witness cached for it
+        sys_ = coupled_system(6)
+        assert coupled_system(np.int64(6)) is sys_ and coupled_system(np.int32(6)) is sys_
+        build_witness.cache_clear()
+        for n in (6, np.int64(6), np.int32(6)):
+            build_witness(coupled_system(n))
+        assert build_witness.cache_info().currsize == 1
 
 
 class TestLocalDimensionRule:

@@ -4,7 +4,7 @@ import pickle
 import re
 import tracemalloc
 import warnings
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       save_state, schmidt_decompose, werner_state, witness_value)
 from entbound.closedform import swap_operator, total_spin_projectors
 from entbound import criteria, functionals, states
-from entbound.states import _check_densities, _family_states, _is_sector_stack
+from entbound.states import _check_densities, _is_sector_stack, _mixture_stacks
 from helpers import (family_matrix, isotropic_matrix, load_whole_file, product_pure,
                      random_product_unitary, schmidt_reconstruct, werner_matrix)
 
@@ -83,6 +83,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(DimensionError):
             DensityMatrix(n_local=4, matrix=np.eye(9) / 9)
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionError, match="^expected a matrix, got array of ndim 3$"):
+            DensityMatrix(n_local=4, matrix=np.eye(16)[None] / 16)
+
     def test_matrix_is_read_only(self, sys4):
         dm = random_density(sys4, 3, 1)
         with pytest.raises(ValueError):
@@ -122,6 +126,16 @@ class TestDensityMatrixValidation:
             m = array(built[-1])
             assert np.shares_memory(dm.matrix, m) and dm.matrix.shape == m.shape == (16, 16)
             assert not dm.matrix.flags.writeable
+
+
+class TestPureStateValidation:
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionError, match=r"^state vector must have length 16, got \(15,\)$"):
+            PureState(4, np.eye(15)[0])
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="^state vector is not normalized within 1e-12$"):
+            PureState(4, (1 + 2e-12) * np.eye(16)[0])
 
 
 class TestLocalDimension:
@@ -346,12 +360,12 @@ class TestFamilyState:
 
     def test_stack_matches_one_at_a_time(self, sys6):
         lams = (0.0, 0.05, 0.3, 1.0)
-        stack = _family_states(sys6, lams).matrices()
+        stack = next(_mixture_stacks(sys6, lams)).matrices()
         assert not stack.flags.writeable
         for got, lam in zip(stack, lams):
             assert got.tobytes() == family_state(sys6, lam).matrix.tobytes()
         with pytest.raises(ValueError, match="mixing parameter"):
-            _family_states(sys6, (0.5, 1.5))
+            _mixture_stacks(sys6, (0.5, 1.5))
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_valid_density_on_grid(self, n):
@@ -361,6 +375,13 @@ class TestFamilyState:
 
 
 class TestWernerState:
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+    def test_is_the_family_at_zero(self, n):
+        sys_ = coupled_system(n)
+        got = werner_state(sys_)
+        assert "matrix" not in vars(got)  # held as its J_z blocks
+        assert got.matrix.tobytes() == family_state(sys_, 0.0).matrix.tobytes()
+
     def test_trace_and_symmetric_form(self, sys4):
         rho = werner_state(sys4).matrix
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -471,6 +492,20 @@ class TestJzBlockStates:
         assert "matrix" not in vars(state) and not scans
         assert state.matrix is state.matrix  # materialized once, then kept
 
+    def test_repr_builds_no_matrix(self, sys4):
+        state = family_state(sys4, 0.3)
+        assert repr(state) == "DensityMatrix(n_local=4, matrix=<its J_z blocks>)"
+        assert "matrix" not in vars(state)
+        dense = DensityMatrix(4, np.eye(16) / 16)
+        assert repr(dense) == f"DensityMatrix(n_local=4, matrix={dense.matrix!r})"
+
+    @pytest.mark.parametrize("make", [lambda s: family_state(s, 0.3),
+                                      lambda s: DensityMatrix(4, np.eye(16) / 16)],
+                             ids=["blocks", "dense"])
+    def test_unknown_attribute_raises(self, make, sys4):
+        with pytest.raises(AttributeError, match="^'DensityMatrix' object has no attribute 'foo'$"):
+            make(sys4).foo
+
     def test_block_check_keeps_the_messages(self, sys4):
         # a J_z block state runs the checks of _check_densities on its blocks
         n2 = 16
@@ -491,7 +526,8 @@ class TestJzBlockStates:
         sys_ = coupled_system(n)
         for state in (family_state(sys_, 0.3), werner_state(sys_), isotropic_state(sys_, 0.4)):
             assert state._states.err.tolist() == [0.0]
-        assert _family_states(sys_, (0.0, 0.05, 1 / (n + 2), 0.5, 1.0)).err.tolist() == [0.0] * 5
+        stacks = _mixture_stacks(sys_, (0.0, 0.05, 1 / (n + 2), 0.5, 1.0))
+        assert [e for s in stacks for e in s.err.tolist()] == [0.0] * 5
 
     @pytest.mark.parametrize("skew", [1e-13j, 1e-13])
     def test_entries_with_an_error_raise(self, sys4, skew):
@@ -499,7 +535,8 @@ class TestJzBlockStates:
         # in-sector pair off its conjugate raise, however small the error, before
         # any other check; the same pair, Hermitian bit for bit, is a state
         n2 = 16
-        family = partial(states._family_entries, sys4, 0.3)
+        def family(idx):
+            return states._mixture_entries(sys4, states._werner_part, np.array([[0.3]]), idx)[0]
 
         def entries(idx, skew=skew):
             return family(idx) + np.where(idx == 1 * n2 + 4, skew, 0.0)
@@ -595,6 +632,10 @@ class TestSchmidt:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             schmidt_decompose(np.zeros(16))
+
+    def test_rejects_non_square_length(self):
+        with pytest.raises(DimensionError, match="^vector length 3 is not a perfect square$"):
+            schmidt_decompose(np.ones(3))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     @pytest.mark.parametrize("function", [schmidt_decompose, concurrence_pure, eof_pure])
@@ -707,6 +748,8 @@ STATE_FILES = [
     ("ints-exponents-signed-zeros", True, number_forms),
     ("signed-zero-matrix", True, lambda: matrix_text(pair_lists(signed_zero_matrix()))),
     ("trailing-newline", True, lambda: matrix_text() + "\n"),
+    ("newline-row-separator", False,
+     lambda: matrix_text(pair_lists(signed_zero_matrix())).replace("]], [[", "]],\n[[", 1)),
     ("invalid-state", True, lambda: with_pair([0.5, 0.0])),
     ("nan-entry", True, lambda: with_pair([float("nan"), 0.0])),
     ("infinite-entry", True, lambda: matrix_text().replace("0.0625", "1e400", 1)),
@@ -924,6 +967,19 @@ class TestStateFiles:
         path.write_text('{"n_local": 4}')
         with pytest.raises(ValueError):
             load_state(path)
+
+    def test_rejects_a_list(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError,
+                           match="^state file must be a JSON object with an 'n_local' key$"):
+            load_state(path)
+
+    def test_save_state_rejects_an_array(self, tmp_path):
+        path = tmp_path / "eye.json"
+        with pytest.raises(TypeError, match="^cannot serialize ndarray$"):
+            save_state(path, np.eye(16))
+        assert not path.exists()
 
     def test_rejects_invalid_matrix(self, tmp_path):
         path = tmp_path / "invalid.json"
