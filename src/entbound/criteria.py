@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -106,23 +106,12 @@ def _realignment_pair_forms(stack: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _realignment_norms(stack: np.ndarray, n: int) -> np.ndarray:
-    """||R rho||_1 for each exactly Hermitian matrix of a (B, n^2, n^2) stack, from its pair form C.
-
-    C (:func:`_realignment_pair_forms`) is built once for the stack.  Every
-    state record holds its states exactly Hermitian (:class:`states._States`),
-    so the imaginary parts of C are zeros and ``C.real`` takes the real
-    kernels, about half the cost of the complex ones.
-    """
-    return trace_norms([_realignment_pair_forms(stack, n).real[:, None]])
-
-
 def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
     """Canonical realignment theta_2(F rho) as the signed index permutation
 
     out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)].
 
-    :func:`functionals` norms its pair form (:func:`_realignment_pair_forms`) instead.
+    :func:`functionals` norms its real pair form (:func:`_realignment_pair_forms`) instead.
     """
     n = sys.n
     r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[::-1, :, :, ::-1]
@@ -324,31 +313,34 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     """The ungated core of :func:`functionals`, for a :class:`states._States` record.
 
     The record holds every state exactly Hermitian, and its sector decision
-    is read once for the stack.  A sector stack is normed on its J_z blocks;
-    any other is normed whole, T_2 rho as a permutation and R rho on its
-    real pair form C (:func:`_realignment_norms`).  T_2 rho - (T_2 rho)^dag
-    = T_2 (rho - rho^dag) entry for entry, so T_2 rho is exactly Hermitian
-    too and takes the eigensolve of :func:`linalg._spectral_norms` untested;
-    only the blocks of R rho and the pair form C get a Hermiticity test.
+    is read once for the stack; the route only picks how each functional's
+    blocks are gathered.  A sector stack gives its J_z blocks; any other
+    gives T_2 rho whole, as a permutation, and R rho as its pair form C
+    (:func:`_realignment_pair_forms`), whose imaginary parts are exact zeros
+    for an exactly Hermitian rho, so ``C.real`` takes the real kernels, about
+    half the cost of the complex ones.  Each block list is gathered only as
+    its norm is taken, so the two are never alive together (at N = 256 one
+    list of a family row is about 170 MB).  T_2 rho - (T_2 rho)^dag = T_2
+    (rho - rho^dag) entry for entry, so T_2 rho is exactly Hermitian too and
+    takes the eigensolve of :func:`linalg._spectral_norms` untested; only
+    the blocks of R rho get a Hermiticity test (:func:`linalg.trace_norms`).
     """
     n = sys.n
     if states.sector:
-        t2_sectors, r_sectors = _sectors(n)
-        t2 = _spectral_norms(states.blocks(t2_sectors), hermitian=True)
-        rn = trace_norms(states.blocks(r_sectors))
+        t2, r = (partial(states.blocks, s) for s in _sectors(n))
     else:
-        t2 = _spectral_norms([_partial_transposes(states.array, n)[:, None]], hermitian=True)
-        rn = _realignment_norms(states.array, n)
-    return t2, rn, _witness_values(states, sys)
+        t2 = lambda: [_partial_transposes(states.array, n)[:, None]]
+        r = lambda: [_realignment_pair_forms(states.array, n).real[:, None]]
+    return _spectral_norms(t2(), hermitian=True), trace_norms(r()), _witness_values(states, sys)
 
 
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
     The raw stack passes :func:`linalg.as_complex_stack` once; T_2 rho and
-    R rho (or its pair form, :func:`_realignment_norms`) are gathered from
-    rho, each followed by one trace-norm call, and tr(W rho) is read from
-    the swap form W = I - N P_0 - F, O(N^2) entries of rho, without W.
+    R rho (or its real pair form) are gathered from rho, each followed by
+    one trace-norm call, and tr(W rho) is read from the swap form
+    W = I - N P_0 - F, O(N^2) entries of rho, without W.
     Each rho is read as its Hermitian part (rho + rho^dag) / 2, whatever
     its error, as a DensityMatrix and :func:`minimize_witness` read it
     (:class:`states._States`); an exactly Hermitian rho is read as given.

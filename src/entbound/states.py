@@ -473,12 +473,16 @@ def schmidt_decompose(psi) -> SchmidtForm:
     composite index convention and singular-value decomposed; the singular
     values are the Schmidt coefficients (nonincreasing).  Degenerate
     coefficients leave the bases non-unique, so compare reconstructions,
-    never basis columns.
+    never basis columns.  Only a PureState or a 1-D array is read: a matrix
+    is never flattened into a vector.
     """
     if isinstance(psi, PureState):
         v = psi.vector
     else:
-        v = _check_finite(np.asarray(psi, dtype=np.complex128).reshape(-1))
+        v = np.asarray(psi, dtype=np.complex128)
+        if v.ndim != 1:
+            raise DimensionError(f"expected a state vector, got array of shape {v.shape}")
+        _check_finite(v)
     norm = float(np.linalg.norm(v))
     if norm < 1e-13:
         raise ValueError("cannot Schmidt-decompose the zero vector")

@@ -1,5 +1,6 @@
 """Test-only conveniences built from the public API."""
 
+import sys
 from dataclasses import astuple, fields
 from unittest import mock
 
@@ -11,6 +12,22 @@ from entbound import (FamilyCurvePoint, PureState, SchmidtForm, concurrence_from
                       report_from_verdict, states)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, SURVEY_FAMILY_LAMBDAS, _fmt
 from entbound.spinspace import _swap_index
+
+
+def count_calls(monkeypatch, function, owner=linalg):
+    """Count calls of ``owner.function`` made through it or through any entbound module."""
+    calls = []
+    original = getattr(owner, function)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, function, counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entbound") and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counting)
+    return calls
 
 
 def bound_report(rho, sys_):

@@ -14,27 +14,12 @@ import entbound
 from entbound import (PureState, closedform, cli, family_state, random_density,
                       save_state, werner_state)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, main
-from helpers import family_csv, family_row, hermitian_part_path, noisy_product, survey_csv
+from helpers import (count_calls, family_csv, family_row, hermitian_part_path, noisy_product,
+                     survey_csv)
 
 BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value",
                "witness_detects", "trace_norm_T2", "trace_norm_R", "f_ppt",
                "f_realign", "f_witness", "concurrence_lower", "lambda0", "eof_lower"}
-
-
-def count_calls(monkeypatch, function, owner=entbound.linalg):
-    """Count calls of ``owner.function`` made through it or through any entbound module."""
-    calls = []
-    original = getattr(owner, function)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, function, counting)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("entbound") and getattr(module, function, None) is original:
-            monkeypatch.setattr(module, function, counting)
-    return calls
 
 
 def survey_peak_bytes(tmp_path, samples, *options):

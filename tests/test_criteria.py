@@ -21,8 +21,8 @@ from entbound.criteria import (_partial_transposes, _realignment_pair_forms,
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
                              haar_unitary, random_density)
-from helpers import (EDGES, dense_witness_search, edge_base, exactly_hermitian, hermitian_part,
-                     hermitian_part_path, noisy_product, one_block, product_pure,
+from helpers import (EDGES, count_calls, dense_witness_search, edge_base, exactly_hermitian,
+                     hermitian_part, hermitian_part_path, noisy_product, one_block, product_pure,
                      sigma_witness_search, smallest_pair, stacked_realignments)
 
 # the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
@@ -37,10 +37,10 @@ def assert_same_bits(got, ref):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
 
 
-def counted(function, calls):
-    """``function`` that appends to ``calls`` each time it runs."""
+def counted(function, calls, event=1):
+    """``function`` that appends ``event`` to ``calls`` each time it runs."""
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        calls.append(event)
         return function(*args, **kwargs)
     return wrapper
 
@@ -696,8 +696,8 @@ class TestRealRealignment:
     def spy(monkeypatch):
         """Record the stacks C is built for and the dtype of each block array criteria.trace_norms gets.
 
-        On the dense path only :func:`criteria._realignment_norms` calls
-        ``trace_norms`` (T_2 rho goes to the spectrum kernel straight), so the
+        On the dense path :func:`criteria._functionals` passes ``trace_norms``
+        only C (T_2 rho goes to the spectrum kernel straight), so the
         dtypes are those of the pair forms that are normed: float64 for ``C.real``.
         """
         seen = {"stacks": [], "dtypes": []}
@@ -968,6 +968,36 @@ class TestFunctionals:
         for values, column in zip(got[:2], columns[:2]):
             assert np.all(np.abs(values - column) <= 1e-12 * np.maximum(1.0, np.abs(column)))
         assert_same_bits(got[2], columns[2])  # tr(W rho) reads the same entries on every route
+
+    @pytest.mark.parametrize("n, route", [(4, "dense"), (6, "dense"), (4, "sector"), (6, "sector"),
+                                          (16, "sector")])
+    def test_one_kernel_call_per_block_size_and_functional(self, monkeypatch, n, route):
+        # one spectrum-kernel call per functional for the whole stack: a dense
+        # stack is one eigensolve of T_2 rho and one SVD of the real pair form C
+        # (random states: C is not symmetric); a family stack one LAPACK call
+        # per J_z block size of T_2 rho and of R rho.  The blocks of R rho are
+        # gathered only after T_2 rho is normed, so the two lists never coexist
+        sys_ = coupled_system(n)
+        if route == "dense":
+            stack = random_densities(sys_, n, np.random.SeedSequence(n).spawn(5))
+            want = {"eigvalsh": 1, "svd": 1}
+        else:
+            stack = np.stack([family_state(sys_, lam).matrix for lam in (0.0, 0.3, 1.0)])
+            want = sum(len(sectors.shapes) for sectors in criteria._sectors(n))
+        norms = count_calls(monkeypatch, "_spectral_norms")
+        kernels = {name: count_calls(monkeypatch, name, np.linalg) for name in ("eigvalsh", "svd")}
+        events = []
+        for owner, name, event in ((criteria, "_spectral_norms", "norm"),
+                                   (criteria, "trace_norms", "norm"),
+                                   (criteria, "_partial_transposes", "gather"),
+                                   (criteria, "_realignment_pair_forms", "gather"),
+                                   (_Sectors, "split", "gather")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name), events, event))
+        functionals(stack, sys_)
+        got = {name: len(calls) for name, calls in kernels.items()}
+        assert len(norms) == 2
+        assert (got if route == "dense" else sum(got.values())) == want
+        assert events == ["gather", "norm", "gather", "norm"]
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_swap_form_witness_matches_the_dense_witness(self, n):

@@ -637,6 +637,14 @@ class TestSchmidt:
         with pytest.raises(DimensionError, match="^vector length 3 is not a perfect square$"):
             schmidt_decompose(np.ones(3))
 
+    @pytest.mark.parametrize("function", [schmidt_decompose, concurrence_pure, eof_pure])
+    def test_rejects_anything_but_a_vector(self, sys4, function):
+        # a density matrix, or a vector split into rows, is never read as a longer vector
+        for psi in (family_state(sys4, 0.3).matrix, np.full((2, 8), 0.25), np.full((1, 16), 0.25),
+                    np.asarray(1.0)):
+            with pytest.raises(DimensionError, match=r"^expected a state vector, got array of shape"):
+                function(psi)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     @pytest.mark.parametrize("function", [schmidt_decompose, concurrence_pure, eof_pure])
     def test_rejects_non_finite(self, function, entry):
