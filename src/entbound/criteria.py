@@ -23,8 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .linalg import (_hermitian_part, _is_integer, _Sectors, _spectral_norms, as_complex_matrix,
-                     as_complex_stack, dagger, trace_norms)
+from .linalg import _is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger, trace_norms
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import _as_states, _States, as_matrix, haar_unitary
 
@@ -199,12 +198,12 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = Opti
     and a step is O(N^4).  mu halves until f drops by mu (|G1|^2 + |G2|^2) / 2 and doubles after
     each step; a restart ends once the gradient vanishes.  Restarts draw independent RNG streams
     split from the seed, one spawned as each starts; restart 0 starts at the identity, so the
-    result never exceeds tr(W rho).
+    result never exceeds tr(W rho).  rho is the matrix its record holds (:func:`states._as_states`).
     """
     n = sys.n
     # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with U replaced by its
     # adjoint; twist the state, undo at the end.  The loop meets only arrays it built: none gated.
-    a = _hermitian_part(as_matrix(rho, (n * n, n * n)))
+    a = _as_states(rho, n).matrices()[0]
     eye, best_val, best_u, root = np.eye(n), np.inf, None, np.random.SeedSequence(budget.seed)
     for r in range(budget.restarts):
         rng = np.random.default_rng(root.spawn(1)[0])
@@ -322,8 +321,8 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     its norm is taken, so the two are never alive together (at N = 256 one
     list of a family row is about 170 MB).  T_2 rho - (T_2 rho)^dag = T_2
     (rho - rho^dag) entry for entry, so T_2 rho is exactly Hermitian too and
-    takes the eigensolve of :func:`linalg._spectral_norms` untested; only
-    the blocks of R rho get a Hermiticity test (:func:`linalg.trace_norms`).
+    is marked so, untested; each member's blocks of R rho are tested and
+    routed on their own (:func:`linalg.trace_norms`).
     """
     n = sys.n
     if states.sector:
@@ -331,7 +330,7 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
     else:
         t2 = lambda: [_partial_transposes(states.array, n)[:, None]]
         r = lambda: [_realignment_pair_forms(states.array, n).real[:, None]]
-    return _spectral_norms(t2(), hermitian=True), trace_norms(r()), _witness_values(states, sys)
+    return trace_norms(t2(), hermitian=True), trace_norms(r()), _witness_values(states, sys)
 
 
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,13 +343,13 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     Each rho is read as its Hermitian part (rho + rho^dag) / 2, whatever
     its error, as a DensityMatrix and :func:`minimize_witness` read it
     (:class:`states._States`); an exactly Hermitian rho is read as given.
-    The route is decided once for the stack: J_z blocks gathered straight
+    The gathering is decided once for the stack: J_z blocks gathered straight
     from rho, O(N^4) work, only if every state vanishes exactly between
     different sectors (m_1 + m_2), as the family, Werner and isotropic
-    states do, else whole matrices, O(N^6).  A state gets the bits it gets
-    alone in any stack whose states agree on that decision, as every stack
-    a command builds does; any other stack takes the dense route, within
-    rounding of those bits.
+    states do, else whole matrices, O(N^6); the eigensolve or SVD of R rho
+    is each member's own.  A state gets the bits it gets alone in any stack
+    whose states agree on the gathering, as every stack a command builds
+    does; any other stack takes the dense route, within rounding of those bits.
     """
     a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
     return _functionals(_States(sys.n, len(a), array=a), sys)

@@ -9,7 +9,7 @@ read by :class:`_Sectors` as 2N - 1 blocks of size <= N instead of one
 N^2 x N^2 block, O(N^4) work instead of O(N^6): read at its positions
 from a stored matrix, or from the entries of a state that has no stored matrix.
 Robustness is preferred over speed throughout: Hermitian eigensolves
-instead of generic SVD where the input allows, defensive shape checks.
+instead of generic SVD for each member that allows it, defensive shape checks.
 There is no tensor-product, partial-trace or spectrum helper: callers use
 numpy directly, on arrays that are already gated.
 """
@@ -88,9 +88,9 @@ def _hermitian_test(blocks) -> np.ndarray:
 
     A state record holds each member with a nonzero error as its Hermitian
     part and keeps the error for the density check
-    (:class:`states._States`); :func:`trace_norms` takes the eigensolve only
-    where every error is 0.  M - M^dag is formed one block array at a time,
-    in one array the size of the block array, and its moduli only if some
+    (:class:`states._States`); :func:`trace_norms` eigensolves each member
+    whose error is 0.  M - M^dag is formed one block array at a time, in
+    one array the size of the block array, and its moduli only if some
     entry is nonzero.
     """
     err = np.zeros(len(blocks[0]))
@@ -102,45 +102,41 @@ def _hermitian_test(blocks) -> np.ndarray:
     return err
 
 
-def trace_norms(blocks) -> np.ndarray:
+def trace_norms(blocks, hermitian=None) -> np.ndarray:
     """Sums of singular values of finite complex or real matrices, one per member.
 
-    A member M is given by its diagonal blocks: ``blocks`` is a list of
-    (S, nb, k, k) arrays, nb blocks of size k for each of the S members, so
-    the singular values of M are those of its blocks.  A whole (S, d, d)
-    stack is the one-block list ``[stack[:, None]]``, a view; the
-    sector-diagonal matrices of :class:`_Sectors` give one array per block
-    size.  :func:`_hermitian_test`, then the kernel :func:`_spectral_norms`.
-    Nothing is scanned for NaN/Inf or range: the matrices come from a
-    validated state stack or one that went through :func:`as_complex_stack`,
-    or are built from such entries within the bound of :data:`_ENTRY_LIMIT`.
+    A member M is given by its diagonal blocks: ``blocks`` is a list of (S, nb, k, k) arrays,
+    nb blocks of size k for each of the S members, so the singular values of M are those of its
+    blocks.  A whole (S, d, d) stack is the one-block list ``[stack[:, None]]``, a view; the
+    sector-diagonal matrices of :class:`_Sectors` give one array per block size.  A member takes
+    Hermitian eigensolves (the sum of absolute eigenvalues) if ``hermitian`` marks it, else SVDs.
+    The caller may mark the members it knows to equal their adjoint in value, one bool each or
+    one for all, as for T_2 of a held state (:func:`criteria._functionals`); else each member of
+    :func:`_hermitian_test` error 0 is marked.  The members of one route go to LAPACK as given,
+    one stacked call per block size; only a mixed stack is split by route, so a member's norm
+    never depends on its stack mates.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd),
+    about half the cost of the complex ones.  Both kinds keep absolute accuracy of order
+    eps * ||M|| even for singular values at zero; squaring the matrix first (eigensolve of
+    M^dag M) would halve the attainable precision there, which the rank-deficient realignment
+    checks cannot afford.  Nothing is scanned for NaN/Inf or range: the matrices come from a
+    validated state stack or one that went through :func:`as_complex_stack`, or are built from
+    such entries within the bound of :data:`_ENTRY_LIMIT`.
     """
     for b in blocks:
         if b.ndim != 4 or b.shape[2] != b.shape[3]:
             raise DimensionError(f"trace norm needs (S, nb, k, k) blocks, got shape {b.shape}")
-    return _spectral_norms(blocks, not _hermitian_test(blocks).any())
-
-
-def _spectral_norms(blocks, hermitian: bool) -> np.ndarray:
-    """The trace norms of :func:`trace_norms`, one route per call.
-
-    The spectrum kernel: Hermitian eigensolves of the blocks as they are
-    (the sum of absolute eigenvalues) if ``hermitian`` says that every
-    member equals its adjoint in value, as T_2 of a held state does
-    (:func:`criteria._functionals`), else SVDs; one stacked LAPACK call per
-    block size.  Real blocks take LAPACK's real kernels (dsyevd, dgesdd),
-    about half the cost of the complex ones.  Both kinds keep absolute
-    accuracy of order eps * ||M|| even for singular values at zero; squaring
-    the matrix first (eigensolve of M^dag M) would halve the attainable
-    precision there, which the rank-deficient realignment checks cannot afford.
-    """
-    if hermitian:
-        spectra = [np.linalg.eigvalsh(b) for b in blocks]
-    else:
-        spectra = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-    # (S, nb, k) each; an explicit width, as an empty stack has no -1 to infer
-    return np.abs(np.concatenate([s.reshape(len(s), s.shape[1] * s.shape[2])
-                                  for s in spectra], axis=1)).sum(axis=-1)
+    if len({len(b) for b in blocks}) != 1:
+        raise DimensionError("trace norm needs block arrays of one member count, got counts "
+                             f"{[len(b) for b in blocks]}")
+    hermitian = np.broadcast_to(_hermitian_test(blocks) == 0 if hermitian is None else hermitian,
+                                len(blocks[0]))
+    norms = np.empty(len(hermitian))
+    for route, kernel in ((hermitian, np.linalg.eigvalsh),
+                          (~hermitian, lambda b: np.linalg.svd(b, compute_uv=False))):
+        if route.any():
+            spectra = [kernel(b if route.all() else b[route]) for b in blocks]  # (S, nb, k) each
+            norms[route] = np.abs(np.hstack([s.reshape(len(s), -1) for s in spectra])).sum(axis=-1)
+    return norms
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -127,7 +127,9 @@ class _States:
         return sectors.split(self.take(sectors.positions))
 
     def matrices(self) -> np.ndarray:
-        """The read-only (S, N^2, N^2) stack of entry-built states: the entries inside the sectors."""
+        """The held (S, N^2, N^2) stack; of entry-built states, built read-only from the sectors."""
+        if self.array is not None:
+            return self.array
         inside = _density_sectors(self.n).positions
         m = np.zeros(self.shape, dtype=np.complex128)
         m.reshape(len(self), self.shape[1] * self.shape[2])[:, inside] = self.take(inside)

@@ -130,8 +130,7 @@ class TestFamilyCommand:
 
     def test_two_trace_norms_per_sweep(self, monkeypatch, tmp_path):
         # the grid is one stack at N = 4: one stacked trace-norm call per functional
-        # (every trace norm, through trace_norms or not, runs the spectrum kernel once)
-        calls = count_calls(monkeypatch, "_spectral_norms")
+        calls = count_calls(monkeypatch, "trace_norms")
         assert main(["family", "--steps", "3", "--out", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 2
 
@@ -411,7 +410,7 @@ class TestBoundsCommand:
     def test_two_trace_norms_per_report(self, tmp_path, sys4, monkeypatch, capsys):
         path = tmp_path / "rho.json"
         save_state(path, family_state(sys4, 0.3))
-        calls = count_calls(monkeypatch, "_spectral_norms")
+        calls = count_calls(monkeypatch, "trace_norms")
         assert main(["bounds", str(path)]) == 0
         assert len(calls) == 2
 
@@ -560,7 +559,7 @@ class TestSurveyCommand:
         # when it is validated, and its functionals take two stacked trace norms
         stack_scans = count_calls(monkeypatch, "as_complex_stack")
         matrix_scans = count_calls(monkeypatch, "as_complex_matrix")
-        norms = count_calls(monkeypatch, "_spectral_norms")
+        norms = count_calls(monkeypatch, "trace_norms")
         assert main(["survey", "--n", "4", "--samples", "257", "--seed", "1",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
@@ -576,7 +575,7 @@ class TestSurveyCommand:
     def test_family_chunk_is_validated_as_one_stack(self, monkeypatch, tmp_path):
         # the five family states are one more chunk: one check, two trace-norm calls
         checks = count_calls(monkeypatch, "_validate", entbound.states)
-        norms = count_calls(monkeypatch, "_spectral_norms")
+        norms = count_calls(monkeypatch, "trace_norms")
         assert main(["survey", "--n", "4", "--samples", "257", "--seed", "1", "--include-family",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert (len(checks), len(norms)) == (4, 2 * 4)
@@ -790,8 +789,9 @@ def test_validated_state_is_not_rescanned(monkeypatch, sys4):
 
 def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
     # the operand passes the state gate once (a raw array is scanned there, a
-    # PureState builds its projector there) and nothing else is scanned,
-    # however long the search: W, the twists and the result are never gated
+    # PureState builds its projector there), a DensityMatrix is read from its
+    # record without it, and nothing else is scanned, however long the
+    # search: W, the twists and the result are never gated
     dm = random_density(sys4, 4, 3)
     pure = entbound.random_pure(sys4, np.random.default_rng(3))
     for rho in (dm, dm.matrix, pure):
@@ -805,7 +805,7 @@ def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
             counts.append((len(calls), len(stack_calls), len(gates), len(projectors)))
             monkeypatch.undo()
         raw = isinstance(rho, np.ndarray)
-        assert counts[0] == counts[1] == (raw, 0, 1, isinstance(rho, PureState))
+        assert counts[0] == counts[1] == (raw, 0, rho is not dm, isinstance(rho, PureState))
 
 
 class TestWitnessCommand:

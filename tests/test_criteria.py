@@ -19,7 +19,7 @@ from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_o
 from entbound.criteria import (_partial_transposes, _realignment_pair_forms,
                                _twisted_witness_terms)
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
-from entbound.states import (_check_densities, _density_sectors, _is_sector_stack,
+from entbound.states import (_check_densities, _density_sectors, _is_sector_stack, _States,
                              haar_unitary, random_density)
 from helpers import (EDGES, count_calls, dense_witness_search, edge_base, exactly_hermitian,
                      hermitian_part, hermitian_part_path, noisy_product, one_block, product_pure,
@@ -437,6 +437,18 @@ class TestMinimizeWitness:
         assert val <= -0.6 + 1e-6
         assert val == pytest.approx(minimize_witness(rho, sys4, budget)[0], abs=1e-12)
 
+    def test_density_matrix_is_searched_as_its_record_holds_it(self, monkeypatch, sys4):
+        # the record build is the one place that forms a Hermitian part: the
+        # search reads a DensityMatrix's held matrix and symmetrises nothing
+        rho = random_density(sys4, 3, 22)
+        budget = OptimizerBudget(restarts=2, iterations=20, seed=1)
+        want = minimize_witness(rho.matrix.copy(), sys4, budget)
+        parts = count_calls(monkeypatch, "_hermitian_part")
+        got = minimize_witness(rho, sys4, budget)
+        assert parts == []
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
     def test_hermitian_part_keeps_hermitian_bits(self, sys4):
         rho = random_density(sys4, 3, 22).matrix
         assert_same_bits(_hermitian_part(rho), rho)
@@ -694,19 +706,19 @@ class TestRealRealignment:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the stacks C is built for and the dtype of each block array criteria.trace_norms gets.
+        """Record the stacks C is built for and the dtype of each block array criteria.trace_norms tests.
 
-        On the dense path :func:`criteria._functionals` passes ``trace_norms``
-        only C (T_2 rho goes to the spectrum kernel straight), so the
-        dtypes are those of the pair forms that are normed: float64 for ``C.real``.
+        On the dense path :func:`criteria._functionals` has ``trace_norms``
+        test only C (T_2 rho is marked Hermitian), so the dtypes are those
+        of the pair forms that are normed: float64 for ``C.real``.
         """
         seen = {"stacks": [], "dtypes": []}
         forms, norms = criteria._realignment_pair_forms, criteria.trace_norms
         monkeypatch.setattr(criteria, "_realignment_pair_forms",
                             lambda a, n_: seen["stacks"].append(a.copy()) or forms(a, n_))
-        monkeypatch.setattr(criteria, "trace_norms",
-                            lambda blocks: seen["dtypes"].extend(b.dtype for b in blocks)
-                            or norms(blocks))
+        monkeypatch.setattr(criteria, "trace_norms", lambda blocks, hermitian=None: (
+            hermitian is None and seen["dtypes"].extend(b.dtype for b in blocks))
+            or norms(blocks, hermitian))
         return seen
 
     @staticmethod
@@ -969,10 +981,36 @@ class TestFunctionals:
             assert np.all(np.abs(values - column) <= 1e-12 * np.maximum(1.0, np.abs(column)))
         assert_same_bits(got[2], columns[2])  # tr(W rho) reads the same entries on every route
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("kind", ["sector", "dense"])
+    def test_member_keeps_its_bits_beside_a_member_of_the_other_route(self, n, kind):
+        # the Hermiticity route of R rho is each member's own: a family state
+        # (Hermitian R blocks) beside (rho + |01><01|) / 2 in one J_z stack, and
+        # a real rho_A x rho_A (symmetric C.real) beside a random state
+        sys_ = coupled_system(n)
+        if kind == "sector":
+            rho = family_state(sys_, 0.2).matrix
+            e = np.zeros_like(rho)
+            e[1, 1] = 1
+            mate = (rho + e) / 2
+        else:
+            g = np.random.default_rng(n).normal(size=(n, n))
+            rho_a = g @ g.T / np.trace(g @ g.T)
+            rho = np.kron(rho_a, rho_a).astype(complex)
+            mate = random_density(sys_, 4, 1).matrix
+        stack = np.stack([rho, mate])
+        held = _States(n, 2, array=stack)
+        assert held.sector is (kind == "sector")
+        blocks = (held.blocks(criteria._sectors(n)[1]) if held.sector
+                  else [_realignment_pair_forms(stack, n).real[:, None]])
+        assert exactly_hermitian(blocks).tolist() == [True, False]
+        for values, alone in zip(functionals(stack, sys_), functionals(rho[None], sys_)):
+            assert_same_bits(values[:1], alone)
+
     @pytest.mark.parametrize("n, route", [(4, "dense"), (6, "dense"), (4, "sector"), (6, "sector"),
                                           (16, "sector")])
     def test_one_kernel_call_per_block_size_and_functional(self, monkeypatch, n, route):
-        # one spectrum-kernel call per functional for the whole stack: a dense
+        # one trace_norms call per functional for the whole stack: a dense
         # stack is one eigensolve of T_2 rho and one SVD of the real pair form C
         # (random states: C is not symmetric); a family stack one LAPACK call
         # per J_z block size of T_2 rho and of R rho.  The blocks of R rho are
@@ -984,20 +1022,28 @@ class TestFunctionals:
         else:
             stack = np.stack([family_state(sys_, lam).matrix for lam in (0.0, 0.3, 1.0)])
             want = sum(len(sectors.shapes) for sectors in criteria._sectors(n))
-        norms = count_calls(monkeypatch, "_spectral_norms")
-        kernels = {name: count_calls(monkeypatch, name, np.linalg) for name in ("eigvalsh", "svd")}
-        events = []
-        for owner, name, event in ((criteria, "_spectral_norms", "norm"),
-                                   (criteria, "trace_norms", "norm"),
-                                   (criteria, "_partial_transposes", "gather"),
-                                   (criteria, "_realignment_pair_forms", "gather"),
-                                   (_Sectors, "split", "gather")):
-            monkeypatch.setattr(owner, name, counted(getattr(owner, name), events, event))
+        norms = count_calls(monkeypatch, "trace_norms")
+        kernels = {name: [] for name in ("eigvalsh", "svd")}
+        for name, operands in kernels.items():
+            def spy(m, *args, kernel=getattr(np.linalg, name), operands=operands, **kwargs):
+                operands.append(m)
+                return kernel(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        events, given = [], []
+        norm = criteria.trace_norms
+        monkeypatch.setattr(criteria, "trace_norms", lambda blocks, hermitian=None: events.append(
+            "norm") or given.extend(blocks) or norm(blocks, hermitian))
+        for owner, name in ((criteria, "_partial_transposes"), (criteria, "_realignment_pair_forms"),
+                            (_Sectors, "split")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name), events, "gather"))
         functionals(stack, sys_)
-        got = {name: len(calls) for name, calls in kernels.items()}
+        got = {name: len(operands) for name, operands in kernels.items()}
         assert len(norms) == 2
         assert (got if route == "dense" else sum(got.values())) == want
         assert events == ["gather", "norm", "gather", "norm"]
+        # every member takes one route, so each block array goes to LAPACK as it is
+        operands = [m for ms in kernels.values() for m in ms]
+        assert len(operands) == len(given) and all(any(m is b for b in given) for m in operands)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_swap_form_witness_matches_the_dense_witness(self, n):

@@ -58,14 +58,14 @@ class TestTraceNorm:
             trace_norms(one_block(np.ones((2, 3))[None]))
 
     def test_stack_gives_each_matrix_its_own_bits(self, monkeypatch):
-        # a mixed stack takes the SVD for every member, within rounding of each
-        # member alone; a stack of Hermitian members keeps its eigensolve bits
+        # each member takes its own route, so a mixed stack gives every member
+        # the bits it gets alone
         rng = np.random.default_rng(14)
         mats = [rand_hermitian(rng, 6), rand_complex(rng, 6, 6), rand_complex(rng, 6, 6),
                 rand_hermitian(rng, 6), rand_complex(rng, 6, 6)]
         got = trace_norms(one_block(np.stack(mats)))
         alone = np.array([norm(m) for m in mats])
-        assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
+        assert got.tobytes() == alone.tobytes()
         pair = one_block(np.stack(mats[:1] + mats[3:4]))
         assert trace_norms(pair).tolist() == alone[[0, 3]].tolist()
         # members of two blocks of size 3 and one of size 4: of error 0, of error
@@ -90,10 +90,11 @@ class TestTraceNorm:
                 calls.append((name, m))
                 return kernel(m, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
-        # one SVD per block size, each member within rounding of its value alone
+        # the mixed stack is split by route: one eigensolve of the members of
+        # error 0 and one SVD of the others per block size, each with its bits alone
         got = trace_norms(blocks)
-        assert sorted(name for name, _ in calls) == ["svd", "svd"]
-        assert np.all(np.abs(got - alone) <= 1e-12 * np.maximum(1.0, alone))
+        assert sorted(name for name, _ in calls) == ["eigvalsh", "eigvalsh", "svd", "svd"]
+        assert got.tobytes() == alone.tobytes()
         # the members of error 0 alone: one eigensolve per block size, and their own bits
         herm = [k for k, kind in enumerate(kinds) if kind == "exact"]
         calls.clear()
@@ -106,6 +107,23 @@ class TestTraceNorm:
             calls.clear()
             trace_norms(same)
             assert [(called, m is b) for (called, m), b in zip(calls, same)] == [(name, True)] * 2
+
+    def test_real_members_of_both_routes_keep_their_bits(self):
+        # an exactly symmetric and a non-symmetric real member in one block array:
+        # each takes its own route and gets its value alone
+        rng = np.random.default_rng(16)
+        a = rng.normal(size=(6, 6))
+        mats = np.stack([a + a.T, a])
+        alone = np.array([norm(m) for m in mats])
+        assert trace_norms(one_block(mats)).tobytes() == alone.tobytes()
+        assert trace_norms(one_block(mats[::-1])).tobytes() == alone[::-1].tobytes()
+
+    def test_block_list_is_checked_whole(self):
+        # the route mask indexes every block array, so they must agree on their members
+        with pytest.raises(DimensionError, match="^trace norm needs block arrays of one member count"):
+            trace_norms([])
+        with pytest.raises(DimensionError, match="^trace norm needs block arrays of one member count"):
+            trace_norms([np.zeros((2, 1, 3, 3)), np.zeros((3, 1, 4, 4))])
 
     def test_stack_rejects_non_square(self):
         with pytest.raises(DimensionError):
@@ -283,7 +301,7 @@ class TestExactHermiticityCertificate:
         sys_ = coupled_system(n)
         parts, real_forms = [], []
         part, real_form = linalg._hermitian_part, criteria._realignment_pair_forms
-        for module in (linalg, states, criteria):
+        for module in (linalg, states):
             monkeypatch.setattr(module, "_hermitian_part", lambda a: parts.append(1) or part(a))
         monkeypatch.setattr(criteria, "_realignment_pair_forms",
                             lambda a, n_: real_forms.append(1) or real_form(a, n_))
