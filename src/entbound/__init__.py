@@ -14,8 +14,7 @@ from .bounds import (BoundReport, FamilyCurvePoint, binary_entropy,
                      min_schmidt_entropy_hull, report_from_verdict)
 from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
                        evaluate_criteria, extended_reduction_map, functionals,
-                       minimize_witness, partial_transpose, realign,
-                       twisted_witness, verdicts, witness_value)
+                       minimize_witness, verdicts)
 from .linalg import DimensionError
 from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,
                         time_reversal_unitary, time_reverse)

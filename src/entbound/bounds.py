@@ -121,12 +121,15 @@ def report_from_verdict(verdict: CriteriaVerdict, n: int,
     Raw (possibly negative) functional values are reported as-is; clamping
     to zero happens only in the derived concurrence bound.
     ``f_witness_optimized`` is minus the minimized twisted-witness value.
+    The witness functionals are negated values, so a zero is reported as
+    +0.0 (``+ 0.0``), never -0.0.
     """
     f_ppt = verdict.trace_norm_T2 - 1.0
     f_realign = verdict.trace_norm_R - 1.0
-    f_w = -verdict.witness_value
+    f_w = -verdict.witness_value + 0.0
     candidates = [f_ppt, f_realign, f_w]
     if f_witness_optimized is not None:
+        f_witness_optimized += 0.0
         candidates.append(f_witness_optimized)
     for f in candidates:  # max() would skip a NaN that is not first
         _check_functional(f, n)

@@ -3,18 +3,18 @@
 The singlet/Werner mixture admits exact expressions for its partially
 transposed and realigned trace norms and for the witness expectation, and
 through them for every column of the ``family`` row; the witness spectrum
-has exact eigenvalues with counting-formula multiplicities, and isotropic
-states have exact concurrence and bound values.  These functions evaluate
-those expressions directly from the formulas, with no matrix algebra, so
-agreement with the numeric route is a genuine end-to-end check.
+has exact eigenvalues with counting-formula multiplicities.  These
+functions evaluate those expressions directly from the formulas, with no
+matrix algebra, so agreement with the numeric route is a genuine
+end-to-end check.
 
-Below those sit the slower, more literal constructions that the
-production code is checked against: the spin matrices, the total-spin
-projectors and the dense swap F; the witness as a lifted map and from its
-spectral decomposition (references for :func:`criteria.build_witness`);
-the partial time reversal, and realignment as an index reshuffle
-(references for :func:`criteria.realign`).  Nothing in the package's
-production path calls this module except ``verify``.
+Below those sit the slower, more literal constructions that ``verify``
+checks the production code against: the witness as a lifted map and from
+its spectral decomposition, with the spin matrices and the total-spin
+projectors that the latter is built from (references for
+:func:`criteria.build_witness`), and the overlap kernel of the pure-state
+caps.  Only ``verify`` and the spectrum that ``witness`` prints call this
+module; the cross-checks that only tests use live in the test helpers.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import FamilyCurvePoint, min_schmidt_entropy_hull
-from .criteria import _flip_signs, extended_reduction_map
+from .criteria import extended_reduction_map
 from .linalg import DimensionError, dagger
 from .spinspace import CoupledSpinSystem, _require_even
-from .states import as_matrix, haar_unitary
+from .states import haar_unitary
 
 
 def _check_args(n: int, lam: float) -> int:
@@ -108,22 +108,6 @@ def witness_spectrum(n: int) -> list[tuple[float, int]]:
     return [(-(n - 2.0), 1), (0.0, zero_mult), (2.0, two_mult)]
 
 
-def isotropic_reference(n: int, fidelity: float) -> tuple[float, float, float]:
-    """(exact concurrence, partial-transpose bound, witness bound) for isotropic states.
-
-    Exact concurrence is sqrt(2n/(n-1)) (f - 1/n) above f = 1/n and zero
-    below; the partial-transpose bound reproduces it exactly, the witness
-    bound is the factor (n-2)/(n-1) weaker.
-    """
-    n = _require_even(n, minimum=4)
-    if not 0 <= fidelity <= 1:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    if fidelity <= 1 / n:
-        return 0.0, 0.0, 0.0
-    exact = float(np.sqrt(2 * n / (n - 1)) * (fidelity - 1 / n))
-    return exact, exact, float((n - 2) / (n - 1) * exact)
-
-
 def spin_operators(n: int):
     """Spin matrices (Jx, Jy, Jz) for spin j = (n-1)/2 in the descending-m basis."""
     n = int(n)
@@ -140,11 +124,6 @@ def spin_operators(n: int):
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / 2j
     return jx, jy, jz
-
-
-def total_spin_projectors(n: int) -> list[np.ndarray]:
-    """Projectors P_J onto total spin J = 0..n-1 of the coupled pair (:func:`_spin_projectors`)."""
-    return list(_spin_projectors(n))
 
 
 def _spin_projectors(n: int):
@@ -164,16 +143,6 @@ def _spin_projectors(n: int):
         yield q[:, spins == bigj] @ dagger(q[:, spins == bigj])
 
 
-def swap_operator(n: int) -> np.ndarray:
-    """Dense swap F (e_a otimes e_b) = e_b otimes e_a, the reference for the index map F."""
-    n = _require_even(n)
-    f = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            f[b * n + a, a * n + b] = 1.0
-    return f
-
-
 def lifted_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """N (I otimes Phi)(P_0): the extended reduction map on each subsystem-2 block."""
     n = sys.n
@@ -185,29 +154,9 @@ def lifted_witness(sys: CoupledSpinSystem) -> np.ndarray:
 
 
 def spectral_witness(sys: CoupledSpinSystem) -> np.ndarray:
-    """-(N-2) P_0 + 2 (P_2 + ... + P_{N-2}), as accurate as :func:`total_spin_projectors`."""
+    """-(N-2) P_0 + 2 (P_2 + ... + P_{N-2}), as accurate as :func:`_spin_projectors`."""
     projs = _spin_projectors(sys.n)  # ``sum`` holds one P_J at a time, from int 0 (0 + -0.0 = +0.0)
     return -(sys.n - 2) * next(projs) + 2 * sum(p for j, p in enumerate(projs, 1) if j % 2 == 0)
-
-
-def partial_time_reversal(rho, sys: CoupledSpinSystem) -> np.ndarray:
-    """(I otimes V) T2(rho) (I otimes V)^dag as the signed index permutation
-
-    out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
-    """
-    n = sys.n
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[:, ::-1, :, ::-1]
-    return (r.transpose(0, 3, 2, 1) * _flip_signs(n)).reshape(n * n, n * n)
-
-
-def realign_reshuffle(rho, n: int) -> np.ndarray:
-    """Realignment as the index reshuffle M[(i,j),(k,l)] = rho[(i,k),(j,l)].
-
-    Differs from :func:`criteria.realign` by an index permutation; the two
-    share their singular values, hence the same trace norm.
-    """
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
-    return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,11 @@ of C^N otimes C^N and applying it to the singlet produces a Hermitian
 witness operator that detects entangled states with positive partial
 transpose; here it is built in its swap form I - N P_0 - F.
 Trace-norm criteria (partial transpose / realignment) live here as well, so
-one call evaluates all three detectors on a state.  The lifted and spectral
-witness constructions, the matrix-product partial time reversal and the
-index-reshuffle realignment are references in :mod:`closedform`.
+one call evaluates all three detectors on a state.  Each functional has one
+route: T_2 rho is an index permutation of rho, R rho is normed on its real
+pair form (both on J_z blocks for a sector state), and tr(W rho) is read
+from 3 N^2 entries of rho.  The lifted and spectral witness constructions
+that ``verify witness`` checks W against are in :mod:`closedform`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .linalg import _is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger, trace_norms
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
-from .states import _as_states, _States, as_matrix, haar_unitary
+from .states import _as_states, _States, haar_unitary
 
 # Margin added to strict inequalities when turning numbers into verdicts.
 VERDICT_TOL = 1e-9
@@ -48,21 +50,6 @@ def extended_reduction_map(b, sys: CoupledSpinSystem) -> np.ndarray:
 def _partial_transposes(stack: np.ndarray, n: int) -> np.ndarray:
     """T_2 of each matrix of a (B, n^2, n^2) stack: swap the subsystem-2 indices."""
     return stack.reshape(-1, n, n, n, n).transpose(0, 1, 4, 3, 2).reshape(-1, n * n, n * n)
-
-
-def partial_transpose(rho, n: int) -> np.ndarray:
-    """Transpose the second tensor factor of an operator on C^n otimes C^n."""
-    return _partial_transposes(as_matrix(rho, (n * n, n * n))[None], n)[0]
-
-
-def _flip_signs(n: int) -> np.ndarray:
-    """(-1)^(b+d) on the subsystem-2 axes (b, d) of an (n, n, n, n) view.
-
-    V[n-1-i, i] = (-1)^i, so conjugating by I otimes V reverses both
-    subsystem-2 indices and applies these signs (even n: (-1)^(n-1) squared).
-    """
-    s = (-1.0) ** np.arange(n)
-    return np.multiply.outer(s, s)[None, :, None, :]
 
 
 @lru_cache(maxsize=None)
@@ -105,31 +92,18 @@ def _realignment_pair_forms(stack: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def realign(rho, sys: CoupledSpinSystem) -> np.ndarray:
-    """Canonical realignment theta_2(F rho) as the signed index permutation
-
-    out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)].
-
-    :func:`functionals` norms its real pair form (:func:`_realignment_pair_forms`) instead.
-    """
-    n = sys.n
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[::-1, :, :, ::-1]
-    # written in C order, so the reshape is a view and not a second copy
-    return np.multiply(r.transpose(1, 3, 2, 0), _flip_signs(n), order="C").reshape(n * n, n * n)
-
-
 @lru_cache(maxsize=None)
 def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
     """The witness W = I - N P_0 - F, built once per system and cached read-only.
 
     W is filled in one array: N P_0 is subtracted on its N x N support, then F by index, the
-    order of the dense sum, so every zero keeps its sign (:func:`closedform.swap_operator` is
-    the reference).  W equals N (I otimes Phi) applied to the singlet projector and
-    -(N-2) P_0 + 2 (P_2 + ... + P_{N-2}); both constructions are kept in :mod:`closedform` as
-    references.  The spectrum is -(N-2) on the singlet, +2 on the even-J manifolds with
-    J >= 2, and 0 on the odd-J (symmetric) manifolds.  Only :func:`witness_value`,
-    :func:`twisted_witness` and the ``witness`` and ``verify witness`` commands use W itself;
-    :func:`functionals` and :func:`minimize_witness` read tr(W rho) without it.
+    order of the dense sum I - N P_0 - F, so every zero keeps its sign.  W equals
+    N (I otimes Phi) applied to the singlet projector and -(N-2) P_0 + 2 (P_2 + ... + P_{N-2});
+    ``verify witness`` checks it against both (:func:`closedform.lifted_witness`,
+    :func:`closedform.spectral_witness`).  The spectrum is -(N-2) on the singlet, +2 on the
+    even-J manifolds with J >= 2, and 0 on the odd-J (symmetric) manifolds.  Only the
+    ``witness`` and ``verify witness`` commands use W itself; :func:`functionals` and
+    :func:`minimize_witness` read tr(W rho) without it.
     """
     n = sys.n
     w = np.eye(n * n, dtype=complex)
@@ -141,27 +115,6 @@ def build_witness(sys: CoupledSpinSystem) -> np.ndarray:
         raise ValueError(f"witness trace {trace!r} differs from N(N-2) = {n * (n - 2)}")
     w.setflags(write=False)
     return w
-
-
-def witness_value(w, rho) -> float:
-    """tr(W rho); negative values certify entanglement of rho."""
-    w = as_complex_matrix(w)
-    return float(np.einsum("ij,ji->", w, as_matrix(rho, w.shape)).real)
-
-
-def twisted_witness(w, u1, u2) -> np.ndarray:
-    """(U1 otimes U2) W (U1 otimes U2)^dag for an N^2 x N^2 W and unitary N x N U1, U2.
-
-    Four N x N products on views, O(N^5); any N^2 x N^2 matrix is twisted alike.
-    """
-    n = math.isqrt(len(w))
-    w = as_complex_matrix(w, (n * n, n * n))
-    a1, a2 = as_complex_matrix(u1, (n, n)), as_complex_matrix(u2, (n, n))
-    for a in (a1, a2):
-        if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
-            raise ValueError("twist matrices must be unitary within 1e-10")
-    r = (a2 @ (a1 @ w.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(a2)
-    return (a1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -250,7 +203,7 @@ def _sectors(n: int) -> tuple[_Sectors, _Sectors]:
         (a, b), (c, d) = np.divmod(i, n), np.divmod(j, n)
         return (a * n + d) * n2 + c * n + b
 
-    def r(i, j):  # R rho[(a, b), (c, d)] = +-rho[(n-1-d, a), (c, n-1-b)], see realign
+    def r(i, j):  # R rho = theta_2(F rho): R rho[(a, b), (c, d)] = +-rho[(n-1-d, a), (c, n-1-b)]
         (a, b), (c, d) = np.divmod(i, n), np.divmod(j, n)
         return ((n - 1 - d) * n + a) * n2 + c * n + n - 1 - b
 

@@ -6,8 +6,8 @@ Composite indices are subsystem-1 major: (a, b) -> a*N + b.  For even N the
 time-reversal rotation V is simultaneously unitary and skew-symmetric, which
 is the structural fact everything downstream relies on; odd N is rejected.
 This module holds V, the singlet and the cached :func:`coupled_system`; the
-spin matrices, the dense swap and the total-spin projectors are references
-in :mod:`closedform`.
+spin matrices and the total-spin projectors are references in
+:mod:`closedform`, and the swap F is applied by index (:func:`_swap_index`).
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ class CoupledSpinSystem:
     """Precomputed fixed structure of C^N otimes C^N for one even N >= 4.
 
     Fields: ``n`` (one spin j = (n-1)/2), time-reversal rotation ``v`` (n x n), ``singlet``.
-    No n^2 x n^2 array is kept: the swap F is applied by index
-    (reference :func:`closedform.swap_operator`).
+    No n^2 x n^2 array is kept: the swap F is applied by index (:func:`_swap_index`).
     """
 
     n: int

@@ -261,19 +261,23 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Validated bipartite pure state vector of length N^2."""
+    """Validated bipartite pure state vector of length N^2.
+
+    ``vector`` is a read-only complex128 copy of the input, as a DensityMatrix's ``matrix`` is.
+    """
 
     n_local: int
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.complex128)
+        v = np.array(self.vector, dtype=np.complex128)  # a copy, made read-only once validated
         n = _check_n_local(self.n_local)
         if v.shape != (n * n,):
             raise DimensionError(f"state vector must have length {n * n}, got {v.shape}")
         _check_finite(v)
         if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
             raise ValueError("state vector is not normalized within 1e-12")
+        v.setflags(write=False)
         object.__setattr__(self, "n_local", n)
         object.__setattr__(self, "vector", v)
 

@@ -1,17 +1,20 @@
-"""Test-only conveniences built from the public API."""
+"""Test-only conveniences built from the public API, and the oracles the tests check it against."""
 
+import math
 import sys
 from dataclasses import astuple, fields
 from unittest import mock
 
 import numpy as np
 
-from entbound import (FamilyCurvePoint, PureState, SchmidtForm, concurrence_from_functional,
-                      coupled_system, criteria, eof_from_functional, evaluate_criteria,
-                      family_state, haar_unitary, linalg, load_state, random_density,
-                      report_from_verdict, states)
+from entbound import (FamilyCurvePoint, PureState, SchmidtForm, as_matrix,
+                      concurrence_from_functional, coupled_system, criteria, eof_from_functional,
+                      evaluate_criteria, family_state, haar_unitary, linalg, load_state,
+                      random_density, report_from_verdict, states)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, SURVEY_FAMILY_LAMBDAS, _fmt
-from entbound.spinspace import _swap_index
+from entbound.closedform import _spin_projectors
+from entbound.linalg import as_complex_matrix, dagger
+from entbound.spinspace import _require_even, _swap_index
 
 
 def count_calls(monkeypatch, function, owner=linalg):
@@ -166,8 +169,7 @@ def dense_witness_search(rho, sys_, u1, u2):
     u = np.kron(u1, u2)
     sigma = u @ rho @ u.conj().T
     c = (sigma @ w - w @ sigma).reshape(n, n, n, n)
-    return (float(np.einsum("ij,ji->", w, sigma).real),
-            np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c))
+    return dense_witness_value(w, sigma), np.einsum("ikjk->ij", c), np.einsum("kikj->ij", c)
 
 
 def witness_gradients(sigma, sys_):
@@ -186,24 +188,107 @@ def witness_gradients(sigma, sys_):
 def sigma_witness_search(rho, sys_, u1, u2):
     """tr(W sigma), G1 and G2 for sigma = U rho U^dag, U = U1 kron U2, from the twisted sigma.
 
-    The sigma-route oracle of the witness search: sigma by ``criteria.twisted_witness``
+    The sigma-route oracle of the witness search: sigma by :func:`twisted_witness`
     (O(N^5)), tr(W sigma) from 3 N^2 of its entries as ``functionals`` reads a
     state, and the swap-form gradients of :func:`witness_gradients`.
     """
-    sigma = criteria.twisted_witness(rho, u1, u2)
+    sigma = twisted_witness(rho, u1, u2)
     value = criteria._witness_values(states._States(sys_.n, 1, array=sigma[None]), sys_)[0]
     return (value, *witness_gradients(sigma, sys_))
+
+
+def dense_witness_value(w, rho) -> float:
+    """tr(W rho) of two dense matrices: the oracle of the 3 N^2-entry read of ``functionals``."""
+    return float(np.einsum("ij,ji->", w, rho).real)
+
+
+def twisted_witness(w, u1, u2) -> np.ndarray:
+    """(U1 otimes U2) W (U1 otimes U2)^dag for an N^2 x N^2 W and unitary N x N U1, U2.
+
+    Four N x N products on views, O(N^5); any N^2 x N^2 matrix is twisted alike.
+    """
+    n = math.isqrt(len(w))
+    w = as_complex_matrix(w, (n * n, n * n))
+    a1, a2 = as_complex_matrix(u1, (n, n)), as_complex_matrix(u2, (n, n))
+    for a in (a1, a2):
+        if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
+            raise ValueError("twist matrices must be unitary within 1e-10")
+    r = (a2 @ (a1 @ w.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(a2)
+    return (a1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
+
+
+def flip_signs(n: int) -> np.ndarray:
+    """(-1)^(b+d) on the subsystem-2 axes (b, d) of an (n, n, n, n) view.
+
+    V[n-1-i, i] = (-1)^i, so conjugating by I otimes V reverses both
+    subsystem-2 indices and applies these signs (even n: (-1)^(n-1) squared).
+    """
+    s = (-1.0) ** np.arange(n)
+    return np.multiply.outer(s, s)[None, :, None, :]
 
 
 def stacked_realignments(stack, n: int) -> np.ndarray:
     """R rho of each matrix of a (B, n^2, n^2) stack, as one signed permutation of a 5-d view.
 
-    The oracle of :func:`criteria.realign`, which must give the same bits
-    for each matrix alone.
+    The canonical realignment theta_2(F rho),
+    out[(a,b),(c,d)] = (-1)^(b+d) rho[(n-1-d, a), (c, n-1-b)]: the matrix
+    whose J_z blocks ``criteria._sectors`` gathers and whose singular values
+    ``criteria._realignment_pair_forms`` keeps.
     """
     r = np.asarray(stack).reshape(-1, n, n, n, n)[:, ::-1, :, :, ::-1]
-    signed = np.multiply(r.transpose(0, 2, 4, 3, 1), criteria._flip_signs(n), order="C")
+    signed = np.multiply(r.transpose(0, 2, 4, 3, 1), flip_signs(n), order="C")
     return signed.reshape(-1, n * n, n * n)
+
+
+def partial_time_reversal(rho, sys_) -> np.ndarray:
+    """(I otimes V) T2(rho) (I otimes V)^dag as the signed index permutation
+
+    out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
+    """
+    n = sys_.n
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[:, ::-1, :, ::-1]
+    return (r.transpose(0, 3, 2, 1) * flip_signs(n)).reshape(n * n, n * n)
+
+
+def realign_reshuffle(rho, n: int) -> np.ndarray:
+    """Realignment as the index reshuffle M[(i,j),(k,l)] = rho[(i,k),(j,l)].
+
+    Differs from :func:`stacked_realignments` by an index permutation; the
+    two share their singular values, hence the same trace norm.
+    """
+    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
+    return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def swap_operator(n: int) -> np.ndarray:
+    """Dense swap F (e_a otimes e_b) = e_b otimes e_a, the reference for the index map F."""
+    n = _require_even(n)
+    f = np.zeros((n * n, n * n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            f[b * n + a, a * n + b] = 1.0
+    return f
+
+
+def total_spin_projectors(n: int) -> list[np.ndarray]:
+    """Projectors P_J onto total spin J = 0..n-1 of the coupled pair, as one list."""
+    return list(_spin_projectors(n))
+
+
+def isotropic_reference(n: int, fidelity: float) -> tuple[float, float, float]:
+    """(exact concurrence, partial-transpose bound, witness bound) for isotropic states.
+
+    Exact concurrence is sqrt(2n/(n-1)) (f - 1/n) above f = 1/n and zero
+    below; the partial-transpose bound reproduces it exactly, the witness
+    bound is the factor (n-2)/(n-1) weaker.
+    """
+    n = _require_even(n, minimum=4)
+    if not 0 <= fidelity <= 1:
+        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
+    if fidelity <= 1 / n:
+        return 0.0, 0.0, 0.0
+    exact = float(np.sqrt(2 * n / (n - 1)) * (fidelity - 1 / n))
+    return exact, exact, float((n - 2) / (n - 1) * exact)
 
 
 def one_block(stack):

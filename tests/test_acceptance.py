@@ -14,13 +14,13 @@ import numpy as np
 from entbound import (OptimizerBudget, build_witness, coupled_system,
                       eof_from_functional, evaluate_criteria, extended_reduction_map,
                       family_state, isotropic_state, min_schmidt_entropy_hull,
-                      minimize_witness, twisted_witness, witness_value)
+                      minimize_witness)
 from entbound.cli import main
-from entbound.closedform import (family_bounds_closed_form, isotropic_reference,
-                                 partial_time_reversal, realign_reshuffle)
+from entbound.closedform import family_bounds_closed_form
 from entbound.linalg import trace_norms
 from entbound.states import haar_unitary, random_density
-from helpers import bound_report, one_block
+from helpers import (bound_report, dense_witness_value, isotropic_reference, one_block,
+                     partial_time_reversal, realign_reshuffle, twisted_witness)
 
 
 def report(name, ok, detail):
@@ -58,7 +58,7 @@ def test_criterion_03_ppt_entangled_window():
             rho = family_state(sys_, float(lam)).matrix
             min_eig = min(min_eig, float(np.linalg.eigvalsh(
                 partial_time_reversal(rho, sys_))[0]))
-            max_wit = max(max_wit, witness_value(w, rho))
+            max_wit = max(max_wit, dense_witness_value(w, rho))
     elapsed = time.perf_counter() - t0
     ok = min_eig >= -1e-10 and max_wit < 0
     report("criterion 3 PPT-entangled window",
@@ -182,16 +182,15 @@ def test_criterion_10_optimizer_sanity():
     sys_ = coupled_system(4)
     rho = family_state(sys_, 0.3).matrix
     w = build_witness(sys_)
-    untwisted_value = witness_value(w, rho)            # -0.6
+    untwisted_value = dense_witness_value(w, rho)  # -0.6
     rng = np.random.default_rng(1010)
     u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
     u = np.kron(u1, u2)
     rho_twisted = u @ rho @ u.conj().T
-    identity_candidate = witness_value(w, rho_twisted)
+    identity_candidate = dense_witness_value(w, rho_twisted)
     val, best1, best2 = minimize_witness(rho_twisted, sys_,
                                          OptimizerBudget(seed=42))
-    re_eval = float(np.einsum("ij,ji->", twisted_witness(w, best1, best2),
-                              rho_twisted).real)
+    re_eval = dense_witness_value(twisted_witness(w, best1, best2), rho_twisted)
     elapsed = time.perf_counter() - t0
     ok = (val <= untwisted_value + 1e-6 and val <= identity_candidate + 1e-12
           and abs(val - re_eval) <= 1e-10)

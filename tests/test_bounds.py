@@ -6,9 +6,8 @@ from entbound import (CriteriaVerdict, DimensionError, binary_entropy,
                       eof_pure, extremal_schmidt_weight, family_state, isotropic_state,
                       min_schmidt_entropy, min_schmidt_entropy_hull, random_pure,
                       report_from_verdict)
-from entbound.closedform import (family_bounds_closed_form, family_trace_norms,
-                                 isotropic_reference, witness_spectrum)
-from helpers import bound_report, product_pure
+from entbound.closedform import family_bounds_closed_form, family_trace_norms, witness_spectrum
+from helpers import bound_report, isotropic_reference, product_pure
 
 SCALE4 = np.sqrt(2 / 12)
 

@@ -14,8 +14,8 @@ import entbound
 from entbound import (PureState, closedform, cli, family_state, random_density,
                       save_state, werner_state)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, main
-from helpers import (count_calls, family_csv, family_row, hermitian_part_path, noisy_product,
-                     survey_csv)
+from helpers import (count_calls, dense_witness_value, family_csv, family_row,
+                     hermitian_part_path, noisy_product, survey_csv, twisted_witness)
 
 BOUNDS_KEYS = {"n_local", "ppt_violated", "realignment_violated", "witness_value",
                "witness_detects", "trace_norm_T2", "trace_norm_R", "f_ppt",
@@ -211,6 +211,15 @@ class TestBoundsCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["concurrence_lower"] == pytest.approx(0.0, abs=1e-9)
         assert report["eof_lower"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_zero_witness_value_prints_positive_zero(self, tmp_path, sys4, capsys):
+        # tr(W rho) = +0.0 on the Werner state: its negation is printed 0.0, never -0.0
+        path = tmp_path / "werner.json"
+        save_state(path, werner_state(sys4))
+        for extra in ([], ["--optimize", "--seed", "1", "--restarts", "1", "--iterations", "0"]):
+            assert main(["bounds", str(path), *extra]) == 0
+            out = capsys.readouterr().out
+            assert '"f_witness": 0.0' in out and "-0.0" not in out
 
     def test_pure_singlet_file(self, tmp_path, sys4, capsys):
         path = tmp_path / "singlet.json"
@@ -447,16 +456,15 @@ class TestVerifyCommand:
         assert main(["verify", "appendixA", "--n", str(n), "--samples", "10", "--seed", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
         w = entbound.build_witness(entbound.coupled_system(n))
-        ref = [entbound.witness_value(w_u, psi)
+        ref = [dense_witness_value(w_u, psi.projector())
                for psi, u1, u2 in zip(draws[0::3], draws[1::3], draws[2::3], strict=True)
-               for w_u in (w, entbound.twisted_witness(w, u1, u2))]
+               for w_u in (w, twisted_witness(w, u1, u2))]
         assert len(ref) == len(terms) == 200
         assert np.abs(np.subtract([value for value, _ in terms], ref)).max() < 1e-12
 
     def test_appendix_a_builds_no_dense_witness(self, monkeypatch, capsys):
-        calls = [count_calls(monkeypatch, name, entbound.criteria)
-                 for name in ("build_witness", "twisted_witness", "witness_value")]
-        calls.append(count_calls(monkeypatch, "kron", np))
+        calls = [count_calls(monkeypatch, "build_witness", entbound.criteria),
+                 count_calls(monkeypatch, "kron", np)]
         assert main(["verify", "appendixA", "--n", "4", "--samples", "100", "--seed", "1"]) == 0
         assert "FAIL" not in capsys.readouterr().out
         assert not any(calls)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from entbound.closedform import (FrameConfig, family_trace_norms,
-                                 family_witness_expectation, isotropic_reference, overlap_kernel,
-                                 sample_frame_config, spin_operators, witness_spectrum)
+from entbound.closedform import (FrameConfig, family_trace_norms, family_witness_expectation,
+                                 overlap_kernel, sample_frame_config, spin_operators,
+                                 witness_spectrum)
 from entbound.linalg import DimensionError
+from helpers import isotropic_reference
 
 
 class TestFamilyTraceNorms:

@@ -13,17 +13,17 @@ from entbound import (DensityMatrix, DimensionError, OptimizerBudget, build_witn
                       report_from_verdict,
                       coupled_system, criteria, evaluate_criteria, extended_reduction_map,
                       family_state, functionals, isotropic_state, minimize_witness,
-                      partial_transpose, random_densities, random_pure, realign, time_reverse,
-                      twisted_witness, verdicts, werner_state, witness_value)
-from entbound.closedform import partial_time_reversal, realign_reshuffle, swap_operator
+                      random_densities, random_pure, time_reverse, verdicts, werner_state)
 from entbound.criteria import (_partial_transposes, _realignment_pair_forms,
                                _twisted_witness_terms)
 from entbound.linalg import _hermitian_part, _Sectors, dagger, trace_norms
 from entbound.states import (_check_densities, _density_sectors, _is_sector_stack, _States,
                              haar_unitary, random_density)
-from helpers import (EDGES, count_calls, dense_witness_search, edge_base, exactly_hermitian,
-                     hermitian_part, hermitian_part_path, noisy_product, one_block, product_pure,
-                     sigma_witness_search, smallest_pair, stacked_realignments)
+from helpers import (EDGES, count_calls, dense_witness_search, dense_witness_value, edge_base,
+                     exactly_hermitian, hermitian_part, hermitian_part_path, noisy_product,
+                     one_block, partial_time_reversal, product_pure, realign_reshuffle,
+                     sigma_witness_search, smallest_pair, stacked_realignments, swap_operator,
+                     twisted_witness)
 
 # the edits of EDGES that keep rho = rho^dag in value, changing only signed zeros
 SIGNED_ZEROS = ["signed zero real part", "two -0.0 imaginary parts", "two +0.0 imaginary parts",
@@ -91,7 +91,7 @@ class TestLifts:
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         got = partial_time_reversal(np.kron(a, b), sys4)
         assert np.abs(got - np.kron(a, time_reverse(b, sys4))).max() < 1e-12
-        got_t = partial_transpose(np.kron(a, b), 4)
+        got_t = _partial_transposes(np.kron(a, b)[None], 4)[0]
         assert np.abs(got_t - np.kron(a, b.T)).max() < 1e-12
 
     def test_singlet_to_swap(self, sys4):
@@ -101,7 +101,7 @@ class TestLifts:
     def test_transpose_involution(self, sys4):
         rng = np.random.default_rng(9)
         rho = random_density(sys4, 16, rng).matrix
-        assert np.abs(partial_transpose(partial_transpose(rho, 4), 4)
+        assert np.abs(_partial_transposes(_partial_transposes(rho[None], 4), 4)[0]
                       - rho).max() < 1e-14
 
     def test_phi_lift_matches_blockwise_oracle(self, sys4):
@@ -124,7 +124,7 @@ class TestLifts:
 def product_route_time_reversal(rho, sys_):
     """(I otimes V) T2(rho) (I otimes V)^dag by matrix products."""
     iv = np.kron(np.eye(sys_.n), sys_.v)
-    return iv @ partial_transpose(rho, sys_.n) @ iv.conj().T
+    return iv @ _partial_transposes(rho[None], sys_.n)[0] @ iv.conj().T
 
 
 class TestIndexPermutationRoutes:
@@ -141,7 +141,7 @@ class TestIndexPermutationRoutes:
         for rho in states:
             assert np.array_equal(partial_time_reversal(rho, sys_),
                                   product_route_time_reversal(rho, sys_))
-            assert np.array_equal(realign(rho, sys_),
+            assert np.array_equal(stacked_realignments(rho[None], n)[0],
                                   product_route_time_reversal(swap_operator(n) @ rho, sys_))
 
 
@@ -180,12 +180,6 @@ class TestTraceNormCriteria:
             rho = random_density(sys4, rank, rng).matrix
             assert trace_norms(one_block(realign_reshuffle(rho, 4)[None]))[0] == pytest.approx(
                 evaluate_criteria(rho, sys4).trace_norm_R, abs=1e-9)
-
-    def test_realign_shapes_reject(self, sys4):
-        with pytest.raises(DimensionError):
-            realign(np.eye(9), sys4)
-        with pytest.raises(DimensionError):
-            realign_reshuffle(np.eye(9), 4)
 
 
 class TestWitness:
@@ -226,17 +220,17 @@ class TestWitnessValue:
     def test_family_line(self, sys4):
         w = build_witness(sys4)
         for lam in np.linspace(0, 1, 21):
-            got = witness_value(w, family_state(sys4, float(lam)).matrix)
+            got = dense_witness_value(w, family_state(sys4, float(lam)).matrix)
             assert got == pytest.approx(-lam * 2, abs=1e-12)
 
     def test_werner_is_zero(self, sys6):
         w = build_witness(sys6)
-        assert witness_value(w, werner_state(sys6).matrix) == pytest.approx(0.0, abs=1e-12)
+        assert dense_witness_value(w, werner_state(sys6).matrix) == pytest.approx(0.0, abs=1e-12)
 
     def test_isotropic_formula(self, sys4):
         w = build_witness(sys4)
         for f in (0.0, 0.3, 1 / 4, 0.9, 1.0):
-            got = witness_value(w, isotropic_state(sys4, f).matrix)
+            got = dense_witness_value(w, isotropic_state(sys4, f).matrix)
             assert got == pytest.approx(2 * (1 - 4 * f) / 3, abs=1e-12)
 
 
@@ -261,8 +255,8 @@ class TestTwistedWitness:
         u = np.kron(u1, u2)
         rho_u = u @ rho @ u.conj().T
         wu = twisted_witness(w, u1, u2)
-        assert np.einsum("ij,ji->", wu, rho_u).real == pytest.approx(
-            witness_value(w, rho), abs=1e-12)
+        assert dense_witness_value(wu, rho_u) == pytest.approx(
+            dense_witness_value(w, rho), abs=1e-12)
 
     def test_rejects_non_unitary(self, sys4):
         w = build_witness(sys4)
@@ -276,16 +270,12 @@ class TestTwistedWitness:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
-                witness_value(w, family_state(sys4, 0.3))
-            with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
                 twisted_witness(w, np.eye(4), np.eye(4))
 
     def test_list_witness_same_as_array(self, sys4):
         rng = np.random.default_rng(17)
         w = build_witness(sys4)
         u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
-        rho = random_density(sys4, 3, rng)
-        assert_same_bits(witness_value(w.tolist(), rho), witness_value(w, rho))
         assert_same_bits(twisted_witness(w.tolist(), u1, u2), twisted_witness(w, u1, u2))
 
     def test_rejects_witness_of_non_square_dimension(self):
@@ -360,7 +350,7 @@ class TestMinimizeWitness:
         w = build_witness(sys4)
         val, u1, u2 = minimize_witness(rho, sys4,
                                        OptimizerBudget(restarts=1, iterations=0, seed=1))
-        assert val == pytest.approx(witness_value(w, rho), abs=1e-12)
+        assert val == pytest.approx(dense_witness_value(w, rho), abs=1e-12)
         assert np.abs(u1 - np.eye(4)).max() < 1e-12
         assert np.abs(u2 - np.eye(4)).max() < 1e-12
 
@@ -376,9 +366,9 @@ class TestMinimizeWitness:
         w = build_witness(sys4)
         budget = OptimizerBudget(restarts=2, iterations=40, seed=3)
         val, u1, u2 = minimize_witness(rho, sys4, budget)
-        re_eval = np.einsum("ij,ji->", twisted_witness(w, u1, u2), rho).real
+        re_eval = dense_witness_value(twisted_witness(w, u1, u2), rho)
         assert val == pytest.approx(re_eval, abs=1e-10)
-        assert val <= witness_value(w, rho) + 1e-12
+        assert val <= dense_witness_value(w, rho) + 1e-12
         # same seed, same answer
         val2, _, _ = minimize_witness(rho, sys4, budget)
         assert val == val2
@@ -456,8 +446,7 @@ class TestMinimizeWitness:
     def test_search_builds_no_dense_witness(self, monkeypatch, sys4):
         # the search reads rho through its O(N^4) kernel: no W, no twisted state, no Kronecker twist
         calls = []
-        for owner, name in ((criteria, "build_witness"), (criteria, "twisted_witness"),
-                            (criteria, "witness_value"), (np, "kron")):
+        for owner, name in ((criteria, "build_witness"), (np, "kron")):
             monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
         minimize_witness(random_density(sys4, 3, 24), sys4, OptimizerBudget(2, 20, 1))
         assert not calls
@@ -499,11 +488,8 @@ class TestMinimizeWitness:
 
 
 STATE_FUNCTIONS = {
-    "partial_transpose": lambda rho, sys_: partial_transpose(rho, sys_.n),
     "partial_time_reversal": partial_time_reversal,
-    "realign": realign,
     "realign_reshuffle": lambda rho, sys_: realign_reshuffle(rho, sys_.n),
-    "witness_value": lambda rho, sys_: witness_value(build_witness(sys_), rho),
     "minimize_witness": lambda rho, sys_: minimize_witness(
         rho, sys_, OptimizerBudget(restarts=2, iterations=5, seed=1)),
     "evaluate_criteria": evaluate_criteria,
@@ -538,9 +524,9 @@ class TestStateOperands:
 
     def test_state_shape_is_checked(self, sys4, sys6):
         with pytest.raises(DimensionError):
-            partial_transpose(random_density(sys6, 2, 33), 4)
+            evaluate_criteria(random_density(sys6, 2, 33), sys4)
         with pytest.raises(DimensionError):
-            witness_value(build_witness(sys4), random_pure(sys6, 34))
+            minimize_witness(random_pure(sys6, 34), sys4, OptimizerBudget(1, 1, 1))
 
 
 class TestEvaluateCriteria:
@@ -579,7 +565,7 @@ class TestSectorPath:
         stack = m[None]
         return (np.linalg.eigvalsh((stack + stack.conj().swapaxes(1, 2)) / 2)[0, 0],
                 trace_norms(one_block(_partial_transposes(stack, n)))[0],
-                trace_norms(one_block(realign(m, coupled_system(n))[None]))[0])
+                trace_norms(one_block(stacked_realignments(stack, n)))[0])
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_agrees_with_the_dense_kernels(self, n):
@@ -635,7 +621,7 @@ class TestSectorPath:
         assert_same_bits(np.array([v.trace_norm_R]),
                          (eigensolve_norm if symmetric else svd_norm)(real_form.real))
         # and within rounding of the complex eigensolve of R rho itself
-        assert abs(v.trace_norm_R - eigensolve_norm(realign(m, sys_)[None])[0]) \
+        assert abs(v.trace_norm_R - eigensolve_norm(stacked_realignments(m[None], n))[0]) \
             <= 1e-14 * max(1.0, v.trace_norm_R)
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -723,18 +709,8 @@ class TestRealRealignment:
 
     @staticmethod
     def reshuffle_norm(m, n):
-        """||R rho||_1 from the SVD of the index reshuffle of :mod:`closedform`."""
+        """||R rho||_1 from the SVD of the index reshuffle oracle."""
         return np.linalg.svd(realign_reshuffle(m, n), compute_uv=False).sum()
-
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_realign_keeps_the_bits_of_the_stacked_permutation(self, n):
-        sys_ = coupled_system(n)
-        rng = np.random.default_rng(40 + n)
-        stack = rng.normal(size=(5, n * n, n * n)) + 1j * rng.normal(size=(5, n * n, n * n))
-        for m, ref in zip(stack, stacked_realignments(stack, n)):
-            got = realign(m, sys_)
-            assert got.flags.c_contiguous
-            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_exactly_hermitian_states_have_a_real_form(self, monkeypatch, n):
@@ -968,7 +944,7 @@ class TestFunctionals:
         # family states have a Hermitian realignment and random ones do not;
         # interleaved, the stack is not all sector states, so it is permuted
         # whole, and each state is within rounding of its value alone
-        herm = [bool(exactly_hermitian(one_block(realign(rho, sys_)[None])))
+        herm = [bool(exactly_hermitian(one_block(stacked_realignments(rho.matrix[None], n))))
                 for rho in family + dense]
         assert any(herm) and not all(herm)
         states = (family + dense)[::2] + (family + dense)[1::2]
@@ -1108,7 +1084,7 @@ class TestMapProperties:
         rho = family_state(sys_, lam).matrix
         theta2 = partial_time_reversal(rho, sys_)
         assert np.linalg.eigvalsh(theta2)[0] >= -1e-10
-        assert witness_value(build_witness(sys_), rho) == pytest.approx(
+        assert dense_witness_value(build_witness(sys_), rho) == pytest.approx(
             -lam * (n - 2), abs=1e-12)
 
     def test_transpose_vs_time_reversal_norm_identity(self, sys4):

@@ -6,8 +6,8 @@ import pytest
 
 from entbound import (DimensionError, build_witness, concurrence_from_functional, coupled_system,
                       time_reversal_unitary, time_reverse)
-from entbound.closedform import (partial_time_reversal, spectral_witness, spin_operators,
-                                 swap_operator, total_spin_projectors)
+from entbound.closedform import spectral_witness, spin_operators
+from helpers import partial_time_reversal, swap_operator, total_spin_projectors
 
 
 class TestTimeReversalUnitary:

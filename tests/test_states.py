@@ -15,12 +15,12 @@ from entbound import (DensityMatrix, DimensionError, PureState, build_witness,
                       concurrence_pure, coupled_system, eof_pure,
                       evaluate_criteria, family_state, haar_unitary, isotropic_state,
                       load_state, random_densities, random_density, random_pure,
-                      save_state, schmidt_decompose, werner_state, witness_value)
-from entbound.closedform import swap_operator, total_spin_projectors
+                      save_state, schmidt_decompose, werner_state)
 from entbound import criteria, functionals, states
 from entbound.states import _check_densities, _is_sector_stack, _mixture_stacks
-from helpers import (family_matrix, isotropic_matrix, load_whole_file, product_pure,
-                     random_product_unitary, schmidt_reconstruct, werner_matrix)
+from helpers import (dense_witness_value, family_matrix, isotropic_matrix, load_whole_file,
+                     product_pure, random_product_unitary, schmidt_reconstruct, swap_operator,
+                     total_spin_projectors, werner_matrix)
 
 
 def non_hermitian():
@@ -136,6 +136,18 @@ class TestPureStateValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="^state vector is not normalized within 1e-12$"):
             PureState(4, (1 + 2e-12) * np.eye(16)[0])
+
+    def test_holds_a_read_only_copy(self, tmp_path, sys4):
+        v = np.eye(16, dtype=complex)[0]  # already complex128, so np.asarray would not copy it
+        psi = PureState(4, v)
+        v[0] = 5.0
+        assert psi.vector.dtype == np.complex128 and not psi.vector.flags.writeable
+        assert np.array_equal(psi.vector, np.eye(16)[0])
+        assert evaluate_criteria(psi, sys4).trace_norm_T2 == pytest.approx(1.0, abs=1e-12)
+        path = tmp_path / "psi.json"
+        save_state(path, random_pure(sys4, 2))
+        for state in (random_pure(sys4, 2), load_state(path)):
+            assert isinstance(state, PureState) and not state.vector.flags.writeable
 
 
 class TestLocalDimension:
@@ -337,7 +349,7 @@ class TestFamilyState:
         assert np.abs(family_state(sys4, 1.0).matrix - p0).max() < 1e-15
 
     def test_witness_value_midpoint(self, sys4):
-        got = witness_value(build_witness(sys4), family_state(sys4, 0.5).matrix)
+        got = dense_witness_value(build_witness(sys4), family_state(sys4, 0.5).matrix)
         assert got == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_out_of_range(self, sys4):
@@ -394,7 +406,7 @@ class TestWernerState:
         v = evaluate_criteria(rho, sys4)
         assert v.trace_norm_T2 == pytest.approx(1.0, abs=1e-10)
         assert v.trace_norm_R <= 1.0 + 1e-10
-        assert witness_value(build_witness(sys4), rho) == pytest.approx(0.0, abs=1e-12)
+        assert dense_witness_value(build_witness(sys4), rho) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestIsotropicState:
@@ -411,7 +423,7 @@ class TestIsotropicState:
     def test_witness_value_formula(self, sys6):
         w = build_witness(sys6)
         for f in (0.1, 0.5, 0.95):
-            got = witness_value(w, isotropic_state(sys6, f).matrix)
+            got = dense_witness_value(w, isotropic_state(sys6, f).matrix)
             assert got == pytest.approx(4 * (1 - 6 * f) / 5, abs=1e-12)
 
     def test_rejects_out_of_range(self, sys4):
