@@ -181,6 +181,10 @@ class TestTraceNormCriteria:
             assert trace_norms(one_block(realign_reshuffle(rho, 4)[None]))[0] == pytest.approx(
                 evaluate_criteria(rho, sys4).trace_norm_R, abs=1e-9)
 
+    def test_realign_shapes_reject(self):
+        with pytest.raises(DimensionError):
+            realign_reshuffle(np.eye(9), 4)
+
 
 class TestWitness:
     def test_trace_n4(self, sys4):
