@@ -18,10 +18,9 @@ from .criteria import (CriteriaVerdict, OptimizerBudget, build_witness,
 from .linalg import DimensionError
 from .spinspace import (CoupledSpinSystem, coupled_system, singlet_vector,
                         time_reversal_unitary, time_reverse)
-from .states import (DensityMatrix, PureState, SchmidtForm, as_matrix,
-                     concurrence_pure, eof_pure, family_state, haar_unitary,
-                     isotropic_state, load_state, random_densities, random_density,
-                     random_pure, save_state, schmidt_decompose, werner_state)
+from .states import (DensityMatrix, PureState, SchmidtForm, concurrence_pure, eof_pure,
+                     family_state, haar_unitary, isotropic_state, load_state, random_densities,
+                     random_density, random_pure, save_state, schmidt_decompose, werner_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -250,51 +250,34 @@ def _write_lines(path, lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-class _Checker:
-    """Collects named pass/fail outcomes and prints one line each."""
-
-    def __init__(self):
-        self.failed = False
-
-    def check(self, name: str, err: float, tol: float) -> None:
-        ok = err <= tol
-        self.failed |= not ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name:40s} max_err={err:.3e} tol={tol:.1e}")
-
-
-def _verify_witness(ck: _Checker, n: int) -> None:
+def _verify_witness(n: int):
     sys_ = coupled_system(n)
     w = build_witness(sys_)
     err = max(float(np.abs(closedform.lifted_witness(sys_) - w).max()),
               float(np.abs(w - closedform.spectral_witness(sys_)).max()))
-    ck.check(f"witness-forms-agree n={n}", err, 1e-10)
+    yield f"witness-forms-agree n={n}", err, 1e-10
     evals = np.linalg.eigh(w)[0]  # W's spectrum, against the exact one that ``witness`` prints
     values, mults = map(np.array, zip(*closedform.witness_spectrum(n)))
-    ck.check(f"witness-eigenvalues n={n}",
-             float(np.abs(evals - np.repeat(values, mults)).max()), 1e-9)
+    yield f"witness-eigenvalues n={n}", float(np.abs(evals - np.repeat(values, mults)).max()), 1e-9
     # the exact eigenvalues are >= 2 apart, so each computed one counts
     # towards the exact value nearest to it
     nearest = np.abs(evals[:, None] - values).argmin(axis=1)
-    ck.check(f"witness-multiplicities n={n}",
-             int(np.abs(np.bincount(nearest, minlength=len(values)) - mults).sum()), 0)
+    yield (f"witness-multiplicities n={n}",
+           int(np.abs(np.bincount(nearest, minlength=len(values)) - mults).sum()), 0)
     psi = sys_.singlet
-    ck.check(f"witness-singlet-expectation n={n}",
-             abs(float((psi.conj() @ w @ psi).real) + (n - 2)), 1e-10)
+    yield (f"witness-singlet-expectation n={n}",
+           abs(float((psi.conj() @ w @ psi).real) + (n - 2)), 1e-10)
 
 
-def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
+def _verify_appendix_a(n: int, samples: int, seed: int):
     sys_ = coupled_system(n)
     rng = np.random.default_rng(seed)
     # the singlet's Schmidt frames attain |A| = 1; Haar-random ones stay far below
     eye = np.eye(n)
-    worst = abs(closedform.overlap_kernel(
-        closedform.FrameConfig(phi_i=eye[0], phi_j=eye[1], chi_i=eye[n - 1], chi_j=-eye[n - 2]),
-        sys_))
+    worst = abs(closedform.overlap_kernel((eye[0], eye[1], eye[n - 1], -eye[n - 2]), sys_))
     for _ in range(samples):
-        cfg = closedform.sample_frame_config(sys_, rng)
-        worst = max(worst, abs(closedform.overlap_kernel(cfg, sys_)))
-    ck.check(f"overlap-kernel-bound n={n} samples={samples}", max(worst - 1.0, 0.0), 1e-12)
+        worst = max(worst, abs(closedform.overlap_kernel(closedform.sample_frames(sys_, rng), sys_)))
+    yield f"overlap-kernel-bound n={n} samples={samples}", max(worst - 1.0, 0.0), 1e-12
 
     worst = 0.0
     for k in range(max(samples // 10, 100)):
@@ -306,7 +289,7 @@ def _verify_appendix_a(ck: _Checker, n: int, samples: int, seed: int) -> None:
         rho = psi.projector()
         for a1, a2 in ((eye, eye), (u1.conj().T, u2.conj().T)):
             worst = max(worst, -_twisted_witness_terms(rho, a1, a2, sys_)[0] - cap)
-    ck.check(f"pure-state-witness-cap n={n}", max(worst, 0.0), 1e-10)
+    yield f"pure-state-witness-cap n={n}", max(worst, 0.0), 1e-10
 
 
 # suite -> (check name, family-row columns, tolerance) for each check
@@ -326,19 +309,17 @@ def _family_pairs(n: int) -> list:
     return [(row, family_bounds_closed_form(n, lam)) for row, lam in zip(rows, lams)]
 
 
-def _verify_family(ck: _Checker, n: int, suite: str, pairs: list) -> None:
-    """Compare the rows that ``family`` prints with the closed-form rows, column by column."""
+def _verify_family(n: int, suite: str, pairs: list):
+    """Yield (name, err, tol) of the rows that ``family`` prints against the closed-form rows."""
     for name, columns, tol in _FAMILY_CHECKS[suite]:
-        ck.check(f"{name} n={n}", max(abs(getattr(row, c) - getattr(point, c))
-                                      for row, point in pairs for c in columns), tol)
+        yield f"{name} n={n}", max(abs(getattr(row, c) - getattr(point, c))
+                                   for row, point in pairs for c in columns), tol
     if suite == "figures":
         cross = family_bounds_closed_form(n, 0.5)
-        ck.check(f"curve-crossing-at-half n={n}",
-                 abs(cross.bound_witness - cross.bound_ppt), 1e-9)
+        yield f"curve-crossing-at-half n={n}", abs(cross.bound_witness - cross.bound_ppt), 1e-9
 
 
 def cmd_verify(args) -> int:
-    ck = _Checker()
     suites = ("witness", "appendixA", "appendixB", "figures") if args.suite == "all" \
         else (args.suite,)
     if "appendixA" in suites:
@@ -349,17 +330,21 @@ def cmd_verify(args) -> int:
     if args.n * args.n > MAX_STATE_DIM and {"witness", "appendixA"} & set(suites):
         raise ValueError(f"local dimension must satisfy N^2 <= {MAX_STATE_DIM} "
                          f"for the witness and appendixA suites, got {args.n}")
-    pairs = None  # built once, for the first family suite, and shared
+    failed, pairs = False, None  # the family pairs are built once, for the first family suite
     for suite in suites:
         if suite == "witness":
-            _verify_witness(ck, args.n)
+            checks = _verify_witness(args.n)
         elif suite == "appendixA":
-            _verify_appendix_a(ck, args.n, args.samples, args.seed)
+            checks = _verify_appendix_a(args.n, args.samples, args.seed)
         else:
             if pairs is None:
                 pairs = _family_pairs(args.n)
-            _verify_family(ck, args.n, suite, pairs)
-    return 2 if ck.failed else 0
+            checks = _verify_family(args.n, suite, pairs)
+        for name, err, tol in checks:  # a suite yields each check as it finishes; NaN fails
+            ok = err <= tol
+            failed |= not ok
+            print(f"{'PASS' if ok else 'FAIL'} {name:40s} max_err={err:.3e} tol={tol:.1e}")
+    return 2 if failed else 0
 
 
 @lru_cache(maxsize=None)

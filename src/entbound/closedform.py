@@ -19,8 +19,6 @@ module; the cross-checks that only tests use live in the test helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bounds import FamilyCurvePoint, min_schmidt_entropy_hull
@@ -159,30 +157,15 @@ def spectral_witness(sys: CoupledSpinSystem) -> np.ndarray:
     return -(sys.n - 2) * next(projs) + 2 * sum(p for j, p in enumerate(projs, 1) if j % 2 == 0)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameConfig:
-    """Two pairs of local unit vectors feeding the overlap kernel.
+def overlap_kernel(frames, sys: CoupledSpinSystem) -> complex:
+    """The pure-state witness kernel A_ij of frames = (phi_i, phi_j, chi_i, chi_j); |A_ij| <= 1.
 
-    phi_i / phi_j live on subsystem 1, chi_i / chi_j on subsystem 2; in the
-    Schmidt context they are drawn from orthonormal frames, but the kernel
-    bound only needs them normalized.
-    """
-
-    phi_i: np.ndarray
-    phi_j: np.ndarray
-    chi_i: np.ndarray
-    chi_j: np.ndarray
-
-
-def overlap_kernel(cfg: FrameConfig, sys: CoupledSpinSystem) -> complex:
-    """The pure-state witness kernel A_ij; |A_ij| <= 1 for unit vectors.
-
+    phi_i / phi_j live on subsystem 1, chi_i / chi_j on subsystem 2, each normalized.
     A_ij = <phi_i|chi_j><chi_i|phi_j> + <phi_i|theta chi_i><theta chi_j|phi_j>
     with theta x = V conj(x).  Its boundedness is what caps the witness
     expectation on pure states by the off-diagonal Schmidt sum.
     """
-    vecs = (cfg.phi_i, cfg.phi_j, cfg.chi_i, cfg.chi_j)
-    arrs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vecs]
+    arrs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in frames]
     for a in arrs:
         if a.size != sys.n:
             raise DimensionError(f"frame vectors must have length {sys.n}")
@@ -196,11 +179,10 @@ def overlap_kernel(cfg: FrameConfig, sys: CoupledSpinSystem) -> complex:
     return complex(direct + reversed_part)
 
 
-def sample_frame_config(sys: CoupledSpinSystem, rng: np.random.Generator) -> FrameConfig:
-    """Draw a random configuration from two Haar-random orthonormal frames."""
+def sample_frames(sys: CoupledSpinSystem, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """(phi_i, phi_j, chi_i, chi_j): columns i != j of two Haar-random unitaries."""
     n = sys.n
     u1 = haar_unitary(n, rng)
     u2 = haar_unitary(n, rng)
     i, j = rng.choice(n, size=2, replace=False)
-    return FrameConfig(phi_i=u1[:, i], phi_j=u1[:, j],
-                       chi_i=u2[:, i], chi_j=u2[:, j])
+    return u1[:, i], u1[:, j], u2[:, i], u2[:, j]

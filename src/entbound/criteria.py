@@ -150,18 +150,23 @@ def minimize_witness(rho, sys: CoupledSpinSystem, budget: OptimizerBudget = Opti
     the value and G_k from :func:`_twisted_witness_terms`: W and the twisted state are never built,
     and a step is O(N^4).  mu halves until f drops by mu (|G1|^2 + |G2|^2) / 2 and doubles after
     each step; a restart ends once the gradient vanishes.  Restarts draw independent RNG streams
-    split from the seed, one spawned as each starts; restart 0 starts at the identity, so the
-    result never exceeds tr(W rho).  rho is the matrix its record holds (:func:`states._as_states`).
+    split from the seed, one spawned as each starts.  Restart 0 starts at the identity with the
+    value that :func:`evaluate_criteria` reports for rho, bit for bit, and no step raises the
+    value, so the result never exceeds that ``witness_value``.  rho is the matrix its record
+    holds (:func:`states._as_states`).
     """
     n = sys.n
     # Minimizing tr(W U rho U^dag) over U = U1 x U2 is the same search with U replaced by its
     # adjoint; twist the state, undo at the end.  The loop meets only arrays it built: none gated.
-    a = _as_states(rho, n).matrices()[0]
+    states = _as_states(rho, n)
+    a = states.matrices()[0]
     eye, best_val, best_u, root = np.eye(n), np.inf, None, np.random.SeedSequence(budget.seed)
     for r in range(budget.restarts):
         rng = np.random.default_rng(root.spawn(1)[0])
         u1, u2 = (eye, eye) if r == 0 else (haar_unitary(n, rng), haar_unitary(n, rng))
         val, gradients = _twisted_witness_terms(a, u1, u2, sys)
+        if r == 0:  # the verdict's bits of tr(W rho), not the twisted read's
+            val = float(_witness_values(states, sys)[0])
         mu = 1.0
         for _ in range(budget.iterations):
             g1, g2 = gradients()
@@ -344,7 +349,7 @@ def evaluate_criteria(rho, sys: CoupledSpinSystem) -> CriteriaVerdict:
     The B = 1 case of :func:`verdicts`.  A DensityMatrix enters as the
     record of its validation, so nothing about it is decided again, and the
     family, Werner and isotropic states enter as their J_z blocks, so their
-    N^2 x N^2 matrix is never built here; anything else is gated by
-    :func:`states.as_matrix`.
+    N^2 x N^2 matrix is never built here; anything else passes the state
+    gate :func:`states._as_states`.
     """
     return _verdicts(_as_states(rho, sys.n), sys)[0]

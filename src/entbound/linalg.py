@@ -65,7 +65,7 @@ def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Coerce to a 2-d complex128 array of exact ``shape`` (if given), rejecting NaN/Inf and range.
 
     The operand gate for raw arrays, which each public function applies once;
-    :func:`states.as_matrix` passes validated states without this scan.
+    validated states pass the state gate :func:`states._as_states` without this scan.
     """
     return _as_complex(m, 2, shape)
 

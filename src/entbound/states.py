@@ -213,7 +213,7 @@ class DensityMatrix:
 
     ``matrix`` is a read-only complex128 copy of the input, made before it is
     validated, so the caller cannot change a validated state through its own
-    array and :func:`as_matrix` hands it on without a rescan; an input with
+    array and the criteria read it without a rescan; an input with
     0 < ||m - m^dag||_max <= 1e-10 has ``matrix`` (m + m^dag) / 2 instead.  The
     constructors of this module wrap the record of an array they built and
     validated (:func:`_from_record`), without the copy.  Validation is the
@@ -298,20 +298,6 @@ class SchmidtForm:
     basis_2: np.ndarray
 
 
-def as_matrix(rho, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """The operand gate for states: the matrix of a DensityMatrix, PureState or array.
-
-    A DensityMatrix (its read-only matrix) and a PureState (its projector) were
-    validated on construction, so only ``shape`` is checked; anything else goes
-    through :func:`linalg.as_complex_matrix`.
-    """
-    if isinstance(rho, DensityMatrix):
-        return _check_shape(rho.matrix, shape)
-    if isinstance(rho, PureState):
-        return _check_shape(rho.projector(), shape)
-    return as_complex_matrix(rho, shape)
-
-
 def _sector_states(n: int, size: int, entries) -> _States:
     """The ``size`` states whose rho.flat[idx] are the rows of ``entries(idx)``, validated as one stack.
 
@@ -338,10 +324,18 @@ def _from_record(states: _States) -> DensityMatrix:
 
 
 def _as_states(rho, n: int) -> _States:
-    """A state as a record of one for the criteria: a DensityMatrix's own, else a gated matrix's."""
+    """The state gate: a state as a record of one for the criteria.
+
+    A DensityMatrix gives its own record and a PureState its projector, both
+    validated on construction, so only their shape is checked; anything else
+    goes through :func:`linalg.as_complex_matrix`.
+    """
+    shape = (n * n, n * n)
     if isinstance(rho, DensityMatrix):
-        return _check_shape(rho._states, (n * n, n * n))
-    return _States(n, 1, array=as_matrix(rho, (n * n, n * n))[None])
+        return _check_shape(rho._states, shape)
+    if isinstance(rho, PureState):
+        return _States(n, 1, array=_check_shape(rho.projector(), shape)[None])
+    return _States(n, 1, array=as_complex_matrix(rho, shape)[None])
 
 
 # The entries of the structured states at flat positions idx: the arithmetic

@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 
-from entbound import (FamilyCurvePoint, PureState, SchmidtForm, as_matrix,
-                      concurrence_from_functional, coupled_system, criteria, eof_from_functional,
-                      evaluate_criteria, family_state, haar_unitary, linalg, load_state,
-                      random_density, report_from_verdict, states)
+from entbound import (FamilyCurvePoint, PureState, SchmidtForm, concurrence_from_functional,
+                      coupled_system, criteria, eof_from_functional, evaluate_criteria,
+                      family_state, haar_unitary, linalg, load_state, random_density,
+                      report_from_verdict, states)
 from entbound.cli import FAMILY_COLUMNS, SURVEY_COLUMNS, SURVEY_FAMILY_LAMBDAS, _fmt
 from entbound.closedform import _spin_projectors
-from entbound.linalg import as_complex_matrix, dagger
+from entbound.linalg import dagger
 from entbound.spinspace import _require_even, _swap_index
 
 
@@ -206,15 +206,11 @@ def twisted_witness(w, u1, u2) -> np.ndarray:
     """(U1 otimes U2) W (U1 otimes U2)^dag for an N^2 x N^2 W and unitary N x N U1, U2.
 
     Four N x N products on views, O(N^5); any N^2 x N^2 matrix is twisted alike.
+    The arrays are taken as they are: no shape, entry or unitarity check.
     """
     n = math.isqrt(len(w))
-    w = as_complex_matrix(w, (n * n, n * n))
-    a1, a2 = as_complex_matrix(u1, (n, n)), as_complex_matrix(u2, (n, n))
-    for a in (a1, a2):
-        if float(np.abs(dagger(a) @ a - np.eye(n)).max()) > 1e-10:
-            raise ValueError("twist matrices must be unitary within 1e-10")
-    r = (a2 @ (a1 @ w.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(a2)
-    return (a1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
+    r = (u2 @ (u1 @ w.reshape(n, -1)).reshape(n, n, -1)).reshape(-1, n) @ dagger(u2)
+    return (u1.conj() @ r.reshape(n * n, n, n)).reshape(n * n, n * n)
 
 
 def flip_signs(n: int) -> np.ndarray:
@@ -246,7 +242,7 @@ def partial_time_reversal(rho, sys_) -> np.ndarray:
     out[(a,b),(c,d)] = (-1)^(b+d) rho[(a, n-1-d), (c, n-1-b)].
     """
     n = sys_.n
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)[:, ::-1, :, ::-1]
+    r = rho.reshape(n, n, n, n)[:, ::-1, :, ::-1]
     return (r.transpose(0, 3, 2, 1) * flip_signs(n)).reshape(n * n, n * n)
 
 
@@ -256,7 +252,7 @@ def realign_reshuffle(rho, n: int) -> np.ndarray:
     Differs from :func:`stacked_realignments` by an index permutation; the
     two share their singular values, hence the same trace norm.
     """
-    r = as_matrix(rho, (n * n, n * n)).reshape(n, n, n, n)
+    r = rho.reshape(n, n, n, n)
     return r.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 

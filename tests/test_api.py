@@ -14,7 +14,7 @@ from entbound import bounds, cli, closedform, criteria, linalg, spinspace, state
 PUBLIC = [
     "BoundReport", "CoupledSpinSystem", "CriteriaVerdict", "DensityMatrix",
     "DimensionError", "FamilyCurvePoint", "OptimizerBudget", "PureState", "SchmidtForm",
-    "as_matrix", "binary_entropy", "bounds", "build_witness", "closedform",
+    "binary_entropy", "bounds", "build_witness", "closedform",
     "concurrence_from_functional", "concurrence_pure", "coupled_system", "criteria",
     "eof_from_functional", "eof_pure", "evaluate_criteria", "extended_reduction_map",
     "extremal_schmidt_weight", "family_state", "functionals", "haar_unitary",
@@ -26,20 +26,21 @@ PUBLIC = [
     "verdicts", "werner_state",
 ]
 
-# deleted wrappers and helpers, and cross-checks moved to tests/helpers.py
+# deleted wrappers, gates and helpers, and cross-checks moved to tests/helpers.py
 REMOVED = [
     "trace_norm", "partial_transpose_norm", "realign_norm", "concurrence_lower_bound",
     "partial_transpose", "realign", "witness_value", "twisted_witness", "_flip_signs",
     "partial_time_reversal", "realign_reshuffle", "swap_operator",
     "total_spin_projectors", "isotropic_reference",
     "schmidt_reconstruct", "random_product_unitary", "product_pure", "hermitian_spectrum",
+    "as_matrix", "FrameConfig", "sample_frame_config", "_Checker",
 ]
 
 # closedform names that the package re-exported once
 NOT_REEXPORTED = [
-    "spin_operators", "FrameConfig", "family_bounds_closed_form", "family_trace_norms",
+    "spin_operators", "family_bounds_closed_form", "family_trace_norms",
     "family_witness_expectation", "lifted_witness", "overlap_kernel",
-    "sample_frame_config", "spectral_witness", "witness_spectrum",
+    "sample_frames", "spectral_witness", "witness_spectrum",
 ]
 
 MOVED_TO_CLOSEDFORM = ["spin_operators"]

@@ -797,9 +797,9 @@ def test_validated_state_is_not_rescanned(monkeypatch, sys4):
 
 def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
     # the operand passes the state gate once (a raw array is scanned there, a
-    # PureState builds its projector there), a DensityMatrix is read from its
-    # record without it, and nothing else is scanned, however long the
-    # search: W, the twists and the result are never gated
+    # PureState builds its projector there, a DensityMatrix gives its record),
+    # and nothing else is scanned, however long the search: W, the twists and
+    # the result are never gated
     dm = random_density(sys4, 4, 3)
     pure = entbound.random_pure(sys4, np.random.default_rng(3))
     for rho in (dm, dm.matrix, pure):
@@ -807,13 +807,13 @@ def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
         for iterations in (0, 20):
             calls = count_calls(monkeypatch, "as_complex_matrix")
             stack_calls = count_calls(monkeypatch, "as_complex_stack")
-            gates = count_calls(monkeypatch, "as_matrix", entbound.states)
+            gates = count_calls(monkeypatch, "_as_states", entbound.states)
             projectors = count_calls(monkeypatch, "projector", PureState)
             entbound.minimize_witness(rho, sys4, entbound.OptimizerBudget(1, iterations, 1))
             counts.append((len(calls), len(stack_calls), len(gates), len(projectors)))
             monkeypatch.undo()
         raw = isinstance(rho, np.ndarray)
-        assert counts[0] == counts[1] == (raw, 0, rho is not dm, isinstance(rho, PureState))
+        assert counts[0] == counts[1] == (raw, 0, 1, isinstance(rho, PureState))
 
 
 class TestWitnessCommand:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from entbound.closedform import (FrameConfig, family_trace_norms, family_witness_expectation,
-                                 overlap_kernel, sample_frame_config, spin_operators,
-                                 witness_spectrum)
+from entbound.closedform import (family_trace_norms, family_witness_expectation, overlap_kernel,
+                                 sample_frames, spin_operators, witness_spectrum)
 from entbound.linalg import DimensionError
 from helpers import isotropic_reference
 
@@ -64,35 +63,31 @@ class TestOverlapKernel:
             chi_j = phase * (sys4.v @ chi_i.conj())
             phi_i = rng.normal(size=4) + 1j * rng.normal(size=4)
             phi_j = rng.normal(size=4) + 1j * rng.normal(size=4)
-            cfg = FrameConfig(phi_i=phi_i / np.linalg.norm(phi_i),
-                              phi_j=phi_j / np.linalg.norm(phi_j),
-                              chi_i=chi_i, chi_j=chi_j)
-            assert abs(overlap_kernel(cfg, sys4)) < 1e-12
+            frames = (phi_i / np.linalg.norm(phi_i), phi_j / np.linalg.norm(phi_j), chi_i, chi_j)
+            assert abs(overlap_kernel(frames, sys4)) < 1e-12
 
     def test_singlet_frames_attain_bound(self, sys4):
         # Schmidt frames of the singlet: phi_i = e_i, chi_i = (-1)^i e_{3-i}
         eye = np.eye(4)
         chi = [(-1) ** i * eye[3 - i] for i in range(4)]
-        cfg = FrameConfig(phi_i=eye[0], phi_j=eye[1], chi_i=chi[0], chi_j=chi[1])
-        assert abs(overlap_kernel(cfg, sys4)) == pytest.approx(1.0, abs=1e-12)
+        frames = (eye[0], eye[1], chi[0], chi[1])
+        assert abs(overlap_kernel(frames, sys4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_frame_invariants(self, sys4):
         rng = np.random.default_rng(73)
-        cfg = sample_frame_config(sys4, rng)
-        assert abs(np.vdot(cfg.phi_i, cfg.phi_j)) < 1e-10
-        assert abs(np.vdot(cfg.chi_i, cfg.chi_j)) < 1e-10
+        phi_i, phi_j, chi_i, chi_j = sample_frames(sys4, rng)
+        assert abs(np.vdot(phi_i, phi_j)) < 1e-10
+        assert abs(np.vdot(chi_i, chi_j)) < 1e-10
 
     def test_rejects_unnormalized(self, sys4):
         eye = np.eye(4)
-        cfg = FrameConfig(phi_i=2 * eye[0], phi_j=eye[1], chi_i=eye[2], chi_j=eye[3])
         with pytest.raises(ValueError):
-            overlap_kernel(cfg, sys4)
+            overlap_kernel((2 * eye[0], eye[1], eye[2], eye[3]), sys4)
 
     def test_rejects_wrong_length(self, sys4):
         eye = np.eye(4)
-        cfg = FrameConfig(phi_i=eye[0], phi_j=eye[1], chi_i=eye[2], chi_j=np.eye(3)[0])
         with pytest.raises(DimensionError, match="^frame vectors must have length 4$"):
-            overlap_kernel(cfg, sys4)
+            overlap_kernel((eye[0], eye[1], eye[2], np.eye(3)[0]), sys4)
 
 
 class TestDomainErrors:
