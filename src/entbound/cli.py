@@ -131,7 +131,7 @@ def cmd_family(args) -> int:
     if not (0 <= args.lambda_min <= args.lambda_max <= 1):
         raise ValueError("need 0 <= lambda-min <= lambda-max <= 1")
     sys_ = coupled_system(args.n)
-    grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    grid = np.linspace(args.lambda_min, args.lambda_max, args.steps) + 0.0  # no -0.0 endpoint
     rows = _family_rows(sys_, grid.tolist())
     _write_lines(args.out, chain(
         [",".join(FAMILY_COLUMNS)],
@@ -367,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="path to a JSON state file")
     p.add_argument("--optimize", action="store_true",
                    help="sharpen the witness functional over product unitaries")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=500)
+    p.add_argument("--restarts", type=int, default=OptimizerBudget.restarts)
+    p.add_argument("--iterations", type=int, default=OptimizerBudget.iterations)
     p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("verify", help="run self-check suites")

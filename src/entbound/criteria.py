@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .linalg import _is_integer, _Sectors, as_complex_matrix, as_complex_stack, dagger, trace_norms
+from .linalg import _is_integer, _Sectors, as_complex, dagger, trace_norms
 from .spinspace import CoupledSpinSystem, _swap_index, time_reverse
 from .states import _as_states, _States, haar_unitary
 
@@ -43,7 +43,7 @@ def extended_reduction_map(b, sys: CoupledSpinSystem) -> np.ndarray:
     For a normalized pure input |phi><phi| the image is the projector onto
     the orthogonal complement of span{|phi>, theta|phi>}, hence positive.
     """
-    a = as_complex_matrix(b, (sys.n, sys.n))
+    a = as_complex(b, 2, (sys.n, sys.n))
     return np.trace(a) * np.eye(sys.n) - a - time_reverse(a, sys)
 
 
@@ -294,7 +294,7 @@ def _functionals(states: _States, sys: CoupledSpinSystem):
 def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||T_2 rho||_1, ||R rho||_1 and tr(W rho) for each state of a (B, N^2, N^2) stack.
 
-    The raw stack passes :func:`linalg.as_complex_stack` once; T_2 rho and
+    The raw stack passes :func:`linalg.as_complex` once; T_2 rho and
     R rho (or its real pair form) are gathered from rho, each followed by
     one trace-norm call, and tr(W rho) is read from the swap form
     W = I - N P_0 - F, O(N^2) entries of rho, without W.
@@ -309,7 +309,7 @@ def functionals(stack, sys: CoupledSpinSystem) -> tuple[np.ndarray, np.ndarray, 
     whose states agree on the gathering, as every stack a command builds
     does; any other stack takes the dense route, within rounding of those bits.
     """
-    a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
+    a = as_complex(stack, 3, (sys.n ** 2, sys.n ** 2))
     return _functionals(_States(sys.n, len(a), array=a), sys)
 
 
@@ -339,7 +339,7 @@ def _verdicts(states: _States, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
 
 def verdicts(stack, sys: CoupledSpinSystem) -> list[CriteriaVerdict]:
     """One verdict per state of a raw (B, N^2, N^2) stack (see :func:`functionals`)."""
-    a = as_complex_stack(stack, (sys.n ** 2, sys.n ** 2))
+    a = as_complex(stack, 3, (sys.n ** 2, sys.n ** 2))
     return _verdicts(_States(sys.n, len(a), array=a), sys)
 
 

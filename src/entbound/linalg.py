@@ -1,6 +1,6 @@
-"""Complex linear algebra kernel: operand gates, trace norms and label sectors.
+"""Complex linear algebra kernel: the operand gate, trace norms and label sectors.
 
-The operand gates for raw arrays, and one kernel per quantity for the
+The operand gate for raw arrays, and one kernel per quantity for the
 Hermiticity test and the trace norm.  The kernels take each matrix as a
 list of its diagonal blocks, and a dense matrix is a member with one
 block.  A matrix whose entries vanish exactly between different index
@@ -41,9 +41,12 @@ def _check_shape(a: np.ndarray, shape: tuple[int, int] | None) -> np.ndarray:
     return a
 
 
-def _as_complex(m, ndim: int, shape: tuple[int, int] | None) -> np.ndarray:
+def as_complex(m, ndim: int, shape: tuple[int, int] | None = None) -> np.ndarray:
     """``m`` as complex128 of ``ndim`` and ``shape``, finite and below :data:`_ENTRY_LIMIT`.
 
+    The operand gate for raw arrays, a matrix (ndim 2) or a stack (ndim 3), which
+    each public function applies once; validated states pass the state gate
+    :func:`states._as_states` without this scan.
     The array is C-contiguous, a copy only if the input is not.  One ``max``
     and one ``min`` over its float64 view test both bounds; NaN/Inf fails
     them too, so only then is ``isfinite`` run, and NaN/Inf is reported first.
@@ -59,23 +62,6 @@ def _as_complex(m, ndim: int, shape: tuple[int, int] | None) -> np.ndarray:
             raise ValueError("matrix contains NaN or Inf entries")
         raise ValueError("matrix has a real or imaginary part of magnitude 2^990 or more")
     return a
-
-
-def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce to a 2-d complex128 array of exact ``shape`` (if given), rejecting NaN/Inf and range.
-
-    The operand gate for raw arrays, which each public function applies once;
-    validated states pass the state gate :func:`states._as_states` without this scan.
-    """
-    return _as_complex(m, 2, shape)
-
-
-def as_complex_stack(m, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce to a (B, rows, cols) complex128 stack of ``shape`` matrices, rejecting bad entries.
-
-    The operand gate of :func:`as_complex_matrix` for B matrices at once.
-    """
-    return _as_complex(m, 3, shape)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -119,7 +105,7 @@ def trace_norms(blocks, hermitian=None) -> np.ndarray:
     eps * ||M|| even for singular values at zero; squaring the matrix first (eigensolve of
     M^dag M) would halve the attainable precision there, which the rank-deficient realignment
     checks cannot afford.  Nothing is scanned for NaN/Inf or range: the matrices come from a
-    validated state stack or one that went through :func:`as_complex_stack`, or are built from
+    validated state stack or one that went through :func:`as_complex`, or are built from
     such entries within the bound of :data:`_ENTRY_LIMIT`.
     """
     for b in blocks:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DimensionError, _is_integer, as_complex_matrix, dagger
+from .linalg import DimensionError, _is_integer, as_complex, dagger
 
 
 def _require_even(n: int, minimum: int = 2) -> int:
@@ -44,7 +44,7 @@ def time_reversal_unitary(n: int) -> np.ndarray:
 
 def time_reverse(b, sys: "CoupledSpinSystem") -> np.ndarray:
     """Operator time reversal  B -> V B^T V^dag."""
-    return sys.v @ as_complex_matrix(b, (sys.n, sys.n)).T @ dagger(sys.v)
+    return sys.v @ as_complex(b, 2, (sys.n, sys.n)).T @ dagger(sys.v)
 
 
 def _swap_index(n: int) -> np.ndarray:

@@ -19,21 +19,19 @@ from itertools import chain, count
 import numpy as np
 
 from .linalg import (DimensionError, _check_shape, _hermitian_part, _hermitian_test, _is_integer,
-                     _Sectors, as_complex_matrix, as_complex_stack, dagger)
+                     _Sectors, as_complex, dagger)
 from .spinspace import CoupledSpinSystem
 
-_HERM_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_EIG_TOL = 1e-10
+_DENSITY_TOL = 1e-10  # of the Hermiticity, trace and smallest-eigenvalue tests
 _CERT_MARGIN = 1e-11  # delta of the Cholesky certificate in _eig_failed
 _ENTRY_CHUNK = 2 ** 18  # entries of a J_z block state computed at a time
 # the start of a matrix file as save_state writes it, which load_state reads a row at a time
 _MATRIX_HEAD = re.compile(r'\{"n_local": ([1-9][0-9]*), "matrix": \[')
 
 # the density checks in the order each state runs them, with their messages
-_DENSITY_CHECKS = ("density matrix is not Hermitian within 1e-10",
-                   "density matrix trace differs from 1 beyond 1e-10",
-                   "density matrix has an eigenvalue below -1e-10")
+_DENSITY_CHECKS = (f"density matrix is not Hermitian within {_DENSITY_TOL}",
+                   f"density matrix trace differs from 1 beyond {_DENSITY_TOL}",
+                   f"density matrix has an eigenvalue below -{_DENSITY_TOL}")
 
 
 def _check_n_local(n) -> int:
@@ -140,11 +138,11 @@ class _States:
 def _check_densities(stack, n: int) -> _States:
     """Run the density checks on each matrix of a (B, N^2, N^2) stack; return its decided record.
 
-    The NaN/Inf and range gate of :func:`linalg.as_complex_stack`, the record's
+    The NaN/Inf and range gate of :func:`linalg.as_complex`, the record's
     decisions, then :func:`_validate` with the traces of the matrices as
     given.  The stack the record holds is made read-only.
     """
-    a = as_complex_stack(stack, (n * n, n * n))
+    a = as_complex(stack, 3, (n * n, n * n))
     states = _validate(_States(n, len(a), array=a), np.trace(a, axis1=1, axis2=2))
     states.array.setflags(write=False)
     return states
@@ -164,8 +162,8 @@ def _validate(states: _States, tr: np.ndarray, blocks: list | None = None) -> _S
         blocks = states.blocks(_density_sectors(states.n)) if states.sector \
             else [states.array[:, None]]
     failed = np.zeros((len(_DENSITY_CHECKS), len(states)), dtype=bool)
-    failed[0] = states.err > _HERM_TOL
-    failed[1] = (np.abs(tr.real - 1.0) > _TRACE_TOL) | (np.abs(tr.imag) > _TRACE_TOL)
+    failed[0] = states.err > _DENSITY_TOL
+    failed[1] = (np.abs(tr.real - 1.0) > _DENSITY_TOL) | (np.abs(tr.imag) > _DENSITY_TOL)
     failed[2] = reduce(np.logical_or, [_eig_failed(b).any(axis=1) for b in blocks])
     if failed.any():
         first = failed.any(axis=0).argmax()
@@ -196,7 +194,7 @@ def _eig_failed(m: np.ndarray) -> np.ndarray:
         m = m.copy()
     i = np.arange(m.shape[-1])
     diagonal = m[..., i, i]
-    m[..., i, i] += _EIG_TOL - _CERT_MARGIN
+    m[..., i, i] += _DENSITY_TOL - _CERT_MARGIN
     try:  # OpenBLAS passes the NaN pivot of an overflowing complex |l|^2, so the diagonal is read
         if np.isfinite(np.linalg.cholesky(m).diagonal(0, -2, -1)).all():
             return np.zeros(m.shape[:-2], dtype=bool)
@@ -204,7 +202,7 @@ def _eig_failed(m: np.ndarray) -> np.ndarray:
         pass
     finally:
         m[..., i, i] = diagonal  # the eigensolve reads m unshifted
-    return np.linalg.eigvalsh(m)[..., 0] < -_EIG_TOL
+    return np.linalg.eigvalsh(m)[..., 0] < -_DENSITY_TOL
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -328,14 +326,14 @@ def _as_states(rho, n: int) -> _States:
 
     A DensityMatrix gives its own record and a PureState its projector, both
     validated on construction, so only their shape is checked; anything else
-    goes through :func:`linalg.as_complex_matrix`.
+    goes through :func:`linalg.as_complex`.
     """
     shape = (n * n, n * n)
     if isinstance(rho, DensityMatrix):
         return _check_shape(rho._states, shape)
     if isinstance(rho, PureState):
         return _States(n, 1, array=_check_shape(rho.projector(), shape)[None])
-    return _States(n, 1, array=as_complex_matrix(rho, shape)[None])
+    return _States(n, 1, array=as_complex(rho, 2, shape)[None])
 
 
 # The entries of the structured states at flat positions idx: the arithmetic
@@ -570,16 +568,14 @@ def load_state(path):
         raise ValueError("state file is nested too deeply to parse") from None
     if not isinstance(obj, dict) or "n_local" not in obj:
         raise ValueError("state file must be a JSON object with an 'n_local' key")
-    numbers = _only_numbers(text, len(obj))
     del text
     n = obj["n_local"]  # checked by the state class
     if "matrix" in obj:  # popped, so validation holds the complex matrix alone
-        m = _pairs(obj.pop("matrix"), 3, numbers,
-                   "'matrix' must be a nested list of [re, im] pairs",
+        m = _pairs(obj.pop("matrix"), 3, "'matrix' must be a nested list of [re, im] pairs",
                    "matrix contains NaN or Inf entries")
         return _from_record(_check_densities(m[None], _check_n_local(n)))
     if "vector" in obj:
-        v = _pairs(obj["vector"], 2, numbers, "'vector' must be a list of [re, im] pairs",
+        v = _pairs(obj["vector"], 2, "'vector' must be a list of [re, im] pairs",
                    "state vector contains NaN or Inf entries")
         return PureState(n_local=n, vector=v)
     raise ValueError("state file must contain a 'matrix' or a 'vector' key")
@@ -600,7 +596,7 @@ def _matrix_rows(text: str):
     the whole-file parse reports it with its own exception and message.
     """
     head = _MATRIX_HEAD.match(text)
-    if head is None or not _only_numbers(text, 2):
+    if head is None or not _only_numbers(text):
         return None
     decode = json.JSONDecoder().raw_decode
     pos, m = head.end(), None
@@ -628,28 +624,27 @@ def _matrix_rows(text: str):
     return n, m
 
 
-def _only_numbers(text: str, keys: int) -> bool:
-    """Is every value in a JSON object text with ``keys`` keys a number, or a list of them?
+def _only_numbers(text: str) -> bool:
+    """Is every value in a JSON object text with two keys a number, or a list of them?
 
-    True when the text holds no quote but those of the keys and no "u" or
-    "s", which every true, false and null has.  False only means that the
-    values must be checked one by one.
+    True when the text holds no quote but the four of the keys and no "u"
+    or "s", which every true, false and null has.
     """
     pos = -1
-    for _ in range(2 * keys + 1):  # str.find, unlike str.count, scans with memchr
+    for _ in range(5):  # str.find, unlike str.count, scans with memchr
         pos = text.find('"', pos + 1)
         if pos < 0:
             break
     return pos < 0 and "u" not in text and "s" not in text
 
 
-def _pairs(entries, ndim: int, numbers: bool, message: str, nonfinite: str) -> np.ndarray:
+def _pairs(entries, ndim: int, message: str, nonfinite: str) -> np.ndarray:
     """The complex array of a nested list of [re, im] pairs with ``ndim`` axes, pairs included.
 
     Every entry must be a JSON number.  numpy reads a string such as "0.5"
-    and a boolean as numbers, so the type of each entry is checked unless
-    ``numbers`` says the file holds nothing else.  An integer beyond the
-    double range raises ``nonfinite``, as an infinite entry does in validation.
+    and a boolean as numbers, so the type of each entry is checked.  An
+    integer beyond the double range raises ``nonfinite``, as an infinite
+    entry does in validation.
     """
     try:
         raw = np.asarray(entries, dtype=float)
@@ -659,9 +654,8 @@ def _pairs(entries, ndim: int, numbers: bool, message: str, nonfinite: str) -> n
         raise ValueError(message) from None
     if raw.ndim != ndim or raw.shape[-1] != 2:
         raise ValueError(message)
-    if not numbers:
-        for _ in range(ndim - 1):  # the shape is regular: every level above the entries is a list
-            entries = chain.from_iterable(entries)
-        if not {int, float}.issuperset(map(type, entries)):
-            raise ValueError(message)
+    for _ in range(ndim - 1):  # the shape is regular: every level above the entries is a list
+        entries = chain.from_iterable(entries)
+    if not {int, float}.issuperset(map(type, entries)):
+        raise ValueError(message)
     return raw.view(np.complex128)[..., 0]

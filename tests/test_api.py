@@ -34,6 +34,7 @@ REMOVED = [
     "total_spin_projectors", "isotropic_reference",
     "schmidt_reconstruct", "random_product_unitary", "product_pure", "hermitian_spectrum",
     "as_matrix", "FrameConfig", "sample_frame_config", "_Checker",
+    "as_complex_matrix", "as_complex_stack", "_HERM_TOL", "_TRACE_TOL", "_EIG_TOL",
 ]
 
 # closedform names that the package re-exported once

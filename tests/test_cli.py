@@ -128,6 +128,16 @@ class TestFamilyCommand:
         for row in rows:
             assert row.endswith(f",0.0,0.0,{eof_upper}")
 
+    def test_negative_zero_grid_prints_positive_zeros(self, capsys):
+        # np.linspace keeps a -0.0 endpoint, and bound_upper and eof_upper scale with it
+        argv = ["family", "--n", "4", "--lambda-min", "-0", "--lambda-max", "-0", "--steps", "2"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = out.splitlines()[1:]
+        assert "-0.0" not in [cell for row in rows for cell in row.split(",")]
+        assert rows[0] == rows[1]
+
     def test_two_trace_norms_per_sweep(self, monkeypatch, tmp_path):
         # the grid is one stack at N = 4: one stacked trace-norm call per functional
         calls = count_calls(monkeypatch, "trace_norms")
@@ -565,12 +575,11 @@ class TestSurveyCommand:
     def test_one_operand_check_per_chunk(self, monkeypatch, tmp_path):
         # 257 samples are chunks of 128, 128 and 1; each chunk is scanned once,
         # when it is validated, and its functionals take two stacked trace norms
-        stack_scans = count_calls(monkeypatch, "as_complex_stack")
-        matrix_scans = count_calls(monkeypatch, "as_complex_matrix")
+        scans = count_calls(monkeypatch, "as_complex")
         norms = count_calls(monkeypatch, "trace_norms")
         assert main(["survey", "--n", "4", "--samples", "257", "--seed", "1",
                      "--out", str(tmp_path / "s.csv")]) == 0
-        assert (len(stack_scans), len(matrix_scans), len(norms)) == (3, 0, 2 * 3)
+        assert (len(scans), len(norms)) == (3, 2 * 3)
 
     def test_one_sector_scan_per_dense_chunk(self, monkeypatch, tmp_path):
         # three dense chunks are scanned once each; the family chunk is built
@@ -787,12 +796,11 @@ def test_noise_within_the_tolerance_certifies_nothing(capsys, tmp_path, n, eps):
 def test_validated_state_is_not_rescanned(monkeypatch, sys4):
     # the trace norms of a validated stack scan nothing; a raw array is scanned once
     dm = random_density(sys4, 3, 2)
-    calls = count_calls(monkeypatch, "as_complex_matrix")
-    stack_calls = count_calls(monkeypatch, "as_complex_stack")
+    calls = count_calls(monkeypatch, "as_complex")
     cli.evaluate_criteria(dm, sys4)
-    assert (len(calls), len(stack_calls)) == (0, 0)
+    assert len(calls) == 0
     cli.evaluate_criteria(dm.matrix, sys4)
-    assert (len(calls), len(stack_calls)) == (1, 0)
+    assert len(calls) == 1
 
 
 def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
@@ -805,15 +813,14 @@ def test_witness_search_scans_no_intermediate(monkeypatch, sys4):
     for rho in (dm, dm.matrix, pure):
         counts = []
         for iterations in (0, 20):
-            calls = count_calls(monkeypatch, "as_complex_matrix")
-            stack_calls = count_calls(monkeypatch, "as_complex_stack")
+            calls = count_calls(monkeypatch, "as_complex")
             gates = count_calls(monkeypatch, "_as_states", entbound.states)
             projectors = count_calls(monkeypatch, "projector", PureState)
             entbound.minimize_witness(rho, sys4, entbound.OptimizerBudget(1, iterations, 1))
-            counts.append((len(calls), len(stack_calls), len(gates), len(projectors)))
+            counts.append((len(calls), len(gates), len(projectors)))
             monkeypatch.undo()
         raw = isinstance(rho, np.ndarray)
-        assert counts[0] == counts[1] == (raw, 0, 1, isinstance(rho, PureState))
+        assert counts[0] == counts[1] == (raw, 1, isinstance(rho, PureState))
 
 
 class TestWitnessCommand:

@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+import entbound
 from entbound import (DensityMatrix, DimensionError, coupled_system, criteria, evaluate_criteria,
                       family_state, functionals, linalg, states, verdicts)
 from entbound.criteria import _partial_transposes, _sectors
-from entbound.linalg import (_hermitian_test, _Sectors, as_complex_matrix, as_complex_stack,
-                             trace_norms)
+from entbound.linalg import _hermitian_test, _Sectors, as_complex, trace_norms
 from entbound.states import _check_densities, _density_sectors, _States
 from helpers import (EDGES, edge_base, exactly_hermitian, hermitian_part, hermitian_part_path,
                      huge_pair, nan_entry, one_block, signed_zero_real, skew_1e13, smallest_pair)
@@ -329,6 +329,19 @@ class TestExactHermiticityCertificate:
         assert _hermitian_test(one_block(both.swapaxes(1, 2))).tolist() == [0.0, 2 * np.abs(h).max()]
 
 
+@pytest.mark.parametrize("name, shape, what", [
+    ("functionals", (16, 16), "a stack of matrices"),
+    ("verdicts", (16, 16), "a stack of matrices"),
+    ("evaluate_criteria", (1, 16, 16), "a matrix"),
+    ("extended_reduction_map", (1, 4, 4), "a matrix"),
+    ("time_reverse", (1, 4, 4), "a matrix"),
+])
+def test_gate_names_the_ndim_it_needs(sys4, name, shape, what):
+    # each public entry gates a raw operand once, as a stack or as a matrix
+    with pytest.raises(DimensionError, match=f"^expected {what}, got array of ndim {len(shape)}$"):
+        getattr(entbound, name)(np.zeros(shape), sys4)
+
+
 RANGE = "matrix has a real or imaginary part of magnitude 2^990 or more"
 BELOW = float(np.nextafter(2.0 ** 990, 0))  # the largest part the gate passes
 
@@ -358,10 +371,10 @@ class TestEntryRange:
             for value in (x, -x) + ((1j * x, -1j * x) if dtype is complex else ()):
                 m = np.diag([value, 1.0]).astype(dtype)
                 if x == BELOW:
-                    assert as_complex_stack(m[None]).tolist() == [m.tolist()]
+                    assert as_complex(m[None], 3).tolist() == [m.tolist()]
                 else:
-                    assert raised(as_complex_stack, m[None]) == RANGE
-                    assert raised(as_complex_matrix, m) == RANGE
+                    assert raised(as_complex, m[None], 3) == RANGE
+                    assert raised(as_complex, m, 2) == RANGE
 
     def test_overflowing_pair_gets_the_gate_line(self):
         # the maximally mixed 16 x 16 state with a real 2^1023 off-diagonal
